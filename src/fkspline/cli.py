@@ -10,6 +10,7 @@ same flags is byte-identical.  Exit codes: 0 ok, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -105,10 +106,13 @@ def _read_labels(path, curve_ids: list[str]) -> np.ndarray:
     with fh:
         rows = [r for r in _csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     mapping = {}
-    for row in rows[1:]:
+    for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
-            continue
-        mapping[row[0].strip()] = int(row[1])
+            raise ParseError(f"{path}: row {i} has {len(row)} cells, expected 2", row=i)
+        try:
+            mapping[row[0].strip()] = int(row[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {i}: {exc}", row=i, column=2) from exc
     try:
         return np.array([mapping[c] for c in curve_ids])
     except KeyError as exc:
@@ -243,7 +247,7 @@ def _penalty_from_args(args) -> PenaltyConfig:
     )
 
 
-def _fit_model(dataset, args, config, seed):
+def _fit_model(dataset, args, config):
     order = int(_resolve(args, "order", 4))
     knots_arg = _resolve(args, "knots", None)
     nbasis = int(_resolve(args, "nbasis", 12))
@@ -275,9 +279,8 @@ def _truth_from_labels(labels: np.ndarray):
     return truth
 
 
-def _discrete_tail_sse(dataset, fitted, tails: TailRegions):
-    resid2 = (dataset.values - fitted) ** 2
-    t = dataset.t
+def _discrete_tail_sse(t, residuals, tails: TailRegions):
+    resid2 = residuals ** 2
     lower = resid2[(t >= tails.lower[0]) & (t <= tails.lower[1])].sum()
     upper = resid2[(t >= tails.upper[0]) & (t <= tails.upper[1])].sum()
     return float(lower), float(upper)
@@ -287,7 +290,7 @@ def _cmd_fit(args) -> None:
     seed = int(_resolve(args, "seed", 0))
     dataset, curve_ids = _read_dataset(_require(args, "data"))
     config = _penalty_from_args(args)
-    model, search = _fit_model(dataset, args, config, seed)
+    model, search = _fit_model(dataset, args, config)
     tail_frac = float(_resolve(args, "tail_frac", 0.1))
     lo, hi = dataset.domain
     tails = TailRegions.fraction(lo, hi, tail_frac)
@@ -297,8 +300,7 @@ def _cmd_fit(args) -> None:
         isse = model_isse(model, _truth_from_labels(labels), tails)
         isse_kind = "quadrature_vs_truth"
     else:
-        fitted = model.predict(dataset.t)
-        inf, sup = _discrete_tail_sse(dataset, fitted, tails)
+        inf, sup = _discrete_tail_sse(dataset.t, model.diagnostics.residuals, tails)
         isse = {"isse": model.diagnostics.sse, "isse_inf": inf, "isse_sup": sup}
         isse_kind = "discrete_residual"
     resolved = {
@@ -423,7 +425,7 @@ def _cmd_cluster(args) -> None:
     seed = int(_resolve(args, "seed", 0))
     dataset, curve_ids = _read_dataset(_require(args, "data"))
     config = _penalty_from_args(args)
-    model, _ = _fit_model(dataset, args, config, seed)
+    model, _ = _fit_model(dataset, args, config)
     method = str(_resolve(args, "method", "kmeans"))
     restarts = int(_resolve(args, "restarts", 20))
     kmax = _resolve(args, "kmax", None)
@@ -545,15 +547,7 @@ def _cmd_replicate(args) -> None:
             seed=seed + i,
         )
         tasks.append({
-            "scenario": {
-                "groups": cfg.groups,
-                "curves_per_group": cfg.curves_per_group,
-                "points_per_curve": cfg.points_per_curve,
-                "domain": cfg.domain,
-                "noise_sd": cfg.noise_sd,
-                "heteroscedastic": cfg.heteroscedastic,
-                "seed": cfg.seed,
-            },
+            "scenario": dataclasses.asdict(cfg),
             "variants": variants,
             "methods": methods,
             "k": int(_resolve(args, "k", 4)),
@@ -626,7 +620,22 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON file with default values for any flag")
 
 
+def _fit_flags() -> argparse.ArgumentParser:
+    """Flags of the spline fit that both fit and cluster run."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--data", help="dataset CSV (t,curve_1,...)")
+    flags.add_argument("--variant", choices=["fs0", "fs1", "fs2"])
+    flags.add_argument("--lambda1", type=float)
+    flags.add_argument("--lambda2", type=float)
+    flags.add_argument("--order", type=int)
+    flags.add_argument("--nbasis", type=int)
+    flags.add_argument("--knots", help="fixed interior knots (comma list) instead of a search")
+    flags.add_argument("--grid-size", dest="grid_size", type=int)
+    return flags
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    fit_flags = _fit_flags()
     parser = argparse.ArgumentParser(
         prog="fkspline",
         description="Free-knot spline smoothing, regularization selection, and curve clustering",
@@ -644,16 +653,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--domain", help="lo,hi (default 0,5)")
     sim.set_defaults(func=_cmd_simulate)
 
-    fit = subs.add_parser("fit", help="fit a spline family to a dataset CSV")
+    fit = subs.add_parser("fit", parents=[fit_flags],
+                          help="fit a spline family to a dataset CSV")
     _add_common(fit)
-    fit.add_argument("--data", help="dataset CSV (t,curve_1,...)")
-    fit.add_argument("--variant", choices=["fs0", "fs1", "fs2"])
-    fit.add_argument("--lambda1", type=float)
-    fit.add_argument("--lambda2", type=float)
-    fit.add_argument("--order", type=int)
-    fit.add_argument("--nbasis", type=int)
-    fit.add_argument("--knots", help="fixed interior knots (comma list) instead of a search")
-    fit.add_argument("--grid-size", dest="grid_size", type=int)
     fit.add_argument("--truth-labels", dest="truth_labels",
                      help="labels CSV; enables quadrature ISSE against the scenario means")
     fit.add_argument("--tail-frac", dest="tail_frac", type=float)
@@ -672,16 +674,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gcv.add_argument("--grid-size", dest="grid_size", type=int)
     gcv.set_defaults(func=_cmd_gcv)
 
-    clu = subs.add_parser("cluster", help="fit then cluster the curves")
+    clu = subs.add_parser("cluster", parents=[fit_flags],
+                          help="fit then cluster the curves")
     _add_common(clu)
-    clu.add_argument("--data")
-    clu.add_argument("--variant", choices=["fs0", "fs1", "fs2"])
-    clu.add_argument("--lambda1", type=float)
-    clu.add_argument("--lambda2", type=float)
-    clu.add_argument("--order", type=int)
-    clu.add_argument("--nbasis", type=int)
-    clu.add_argument("--knots")
-    clu.add_argument("--grid-size", dest="grid_size", type=int)
     clu.add_argument("--method", choices=["kmeans", "ward", "complete", "average"])
     clu.add_argument("--k", type=int)
     clu.add_argument("--kmax", type=int, help="also trace the elbow curve up to this k")

@@ -155,30 +155,23 @@ def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20
         if best is None or w < best[0]:
             best = (w, labels, centers, iters)
     w, labels, centers, iters = best
-    partition = _as_partition(labels)
-    ordered = np.stack([centers[j] for j in _first_seen_order(labels)], axis=0)
+    partition, seen = _as_partition(labels)
     return ClusterResult(
-        partition=partition, centroids=_z_to_coeffs(L, ordered), w=w,
+        partition=partition, centroids=_z_to_coeffs(L, centers[seen]), w=w,
         iterations=iters, seed=seed, method="kmeans",
     )
 
 
-def _first_seen_order(labels: np.ndarray) -> list[int]:
-    order = []
-    for l in labels:
-        if l not in order:
-            order.append(int(l))
-    return order
+def _as_partition(raw_labels: np.ndarray) -> tuple[Partition, np.ndarray]:
+    """Relabel arbitrary cluster ids to 1..k in order of first appearance.
 
-
-def _as_partition(raw_labels: np.ndarray) -> Partition:
-    """Relabel arbitrary cluster ids to 1..k in order of first appearance."""
-    mapping = {}
-    out = np.empty(raw_labels.size, dtype=int)
-    for i, l in enumerate(raw_labels):
-        mapping.setdefault(l, len(mapping) + 1)
-        out[i] = mapping[l]
-    return Partition(labels=out, k=len(mapping))
+    Also returns the raw ids in that order, so raw id seen[j] became j + 1.
+    """
+    ids, first, inverse = np.unique(raw_labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return Partition(labels=rank[inverse] + 1, k=ids.size), ids[order]
 
 
 def hierarchical_cluster(model: FitModel, k: int, linkage: str = "ward") -> ClusterResult:
@@ -196,7 +189,7 @@ def hierarchical_cluster(model: FitModel, k: int, linkage: str = "ward") -> Clus
     else:
         merge_tree = scipy_linkage(pdist(z), method=linkage)
     labels = fcluster(merge_tree, t=k, criterion="maxclust")
-    partition = _as_partition(labels)
+    partition, _ = _as_partition(labels)
     centers = np.stack(
         [z[partition.labels == j].mean(axis=0) for j in range(1, partition.k + 1)], axis=0
     )
@@ -227,7 +220,7 @@ def elbow_curve(model: FitModel, k_max: int, seed: int = 0, restarts: int = 20) 
     """
     if k_max < 2:
         raise ConfigError("k_max must be at least 2")
-    z, _ = _embedding(model)
+    z, L = _embedding(model)
     if z.shape[0] < k_max:
         raise TooFewCurvesError(f"k_max={k_max} exceeds the {z.shape[0]} curves")
     w = np.empty(k_max)
@@ -240,8 +233,7 @@ def elbow_curve(model: FitModel, k_max: int, seed: int = 0, restarts: int = 20) 
             worst = d2[np.arange(z.shape[0]), labels].argmax()
             extra.append(np.vstack([centers, z[worst]]))
         result = functional_kmeans(model, k, seed=seed, restarts=restarts, extra_inits=extra)
-        zc = _embedding_centers(model, result)
-        prev = (result.partition.labels - 1, zc)
+        prev = (result.partition.labels - 1, (L.T @ result.centroids).T)
         w[k - 1] = result.w
     if k_max < 3:
         return ElbowResult(w=w, suggested_k=k_max, low_confidence=True)
@@ -250,12 +242,6 @@ def elbow_curve(model: FitModel, k_max: int, seed: int = 0, restarts: int = 20) 
     suggested = best + 2  # curvature index 0 corresponds to k = 2
     low_confidence = bool(curvature[best] < 0.05 * w[0])
     return ElbowResult(w=w, suggested_k=suggested, low_confidence=low_confidence)
-
-
-def _embedding_centers(model: FitModel, result: ClusterResult) -> np.ndarray:
-    G = gram_matrix(model.spec).values
-    L = cholesky(G, lower=True, check_finite=False)
-    return (L.T @ result.centroids).T
 
 
 def _check_pair(predicted, truth):

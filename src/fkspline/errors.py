@@ -47,10 +47,6 @@ class CoefficientLengthMismatchError(ConfigError):
     """Coefficient vector length differs from the basis dimension."""
 
 
-class SpecMismatchError(ConfigError):
-    """Objects built from different basis specifications were combined."""
-
-
 class EmptyIntervalError(ConfigError):
     """Integration or tail interval with nonpositive length."""
 
@@ -110,10 +106,6 @@ class NumericalError(FkSplineError):
 
 class NotPositiveDefiniteError(NumericalError):
     """System matrix has a nonpositive Cholesky pivot."""
-
-
-class DegenerateDenominatorError(NumericalError):
-    """Effective degrees of freedom reached the sample size; GCV undefined."""
 
 
 class AllCandidatesSingularError(NumericalError):

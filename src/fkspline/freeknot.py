@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, make_basis_spec
+from .basis import make_basis_spec
 from .data import FunctionalDataset
 from .errors import (
     AllCandidatesSingularError,
@@ -27,7 +27,6 @@ from .errors import (
     FkSplineError,
     NonFiniteInputError,
     NonIncreasingKnotsError,
-    NumericalError,
 )
 from .penalty import PenaltyConfig
 from .smoother import FitModel, fit_coefficients
@@ -145,12 +144,9 @@ def _domain(dataset: FunctionalDataset, search: KnotSearchConfig) -> tuple[float
     return dataset.domain
 
 
-def _spec_for(coords: JuppCoords, order: int) -> BasisSpec:
-    return make_basis_spec(coords.lo, coords.hi, order, jupp_inverse(coords))
-
-
 def _fit_at(coords: JuppCoords, dataset, config, order) -> FitModel:
-    return fit_coefficients(dataset, _spec_for(coords, order), config)
+    spec = make_basis_spec(coords.lo, coords.hi, order, jupp_inverse(coords))
+    return fit_coefficients(dataset, spec, config)
 
 
 def objective_f(coords: JuppCoords, dataset: FunctionalDataset, config: PenaltyConfig,
@@ -163,20 +159,15 @@ def objective_f(coords: JuppCoords, dataset: FunctionalDataset, config: PenaltyC
     return _fit_at(coords, dataset, config, order).diagnostics.sse
 
 
-def _residual_vector(coords, dataset, config, order) -> np.ndarray:
-    model = _fit_at(coords, dataset, config, order)
-    fitted = model.predict(dataset.t)
-    return (dataset.values - fitted).ravel()
-
-
 @dataclass(frozen=True)
 class GaussNewtonResult:
-    """Refined coordinates plus convergence information."""
+    """Refined coordinates, the fit there, plus convergence information."""
 
     coords: JuppCoords
     objective: float
     iterations: int
     converged: bool
+    model: FitModel  # the penalized fit at coords
     step_failure: bool = False  # no damped step improved the objective
 
 
@@ -187,17 +178,17 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     The Jacobian of the residual vector is taken by forward differences with
     per-component step fd_step * (1 + |k_i|).  The damping parameter grows
     tenfold when a step fails to decrease the objective and shrinks tenfold
-    on success.  The best iterate seen is always returned, so the result
-    never exceeds the starting objective.
+    on success.  The best iterate seen is always returned, together with
+    its fit, so the result never exceeds the starting objective.
     """
     k = coords.values.copy()
     lo, hi = coords.lo, coords.hi
     p = k.size
+    model = _fit_at(coords, dataset, config, search.order)
     if p == 0:
-        f0 = objective_f(coords, dataset, config, search.order)
-        return GaussNewtonResult(coords, f0, 0, True)
+        return GaussNewtonResult(coords, model.diagnostics.sse, 0, True, model)
     min_gap = _knot_radius(lo, hi, search)
-    r = _residual_vector(coords, dataset, config, search.order)
+    r = model.diagnostics.residuals.ravel()
     f = float(r @ r)
     mu = search.damping
     iterations = 0
@@ -214,10 +205,10 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
                 k_pert = k.copy()
                 k_pert[i] += signed
                 try:
-                    r_pert = _residual_vector(JuppCoords(k_pert, lo, hi), dataset, config,
-                                              search.order)
+                    pert = _fit_at(JuppCoords(k_pert, lo, hi), dataset, config, search.order)
                 except FkSplineError:
                     continue
+                r_pert = pert.diagnostics.residuals.ravel()
                 jac[:, i] = (r_pert - r) / signed
                 break
         g = jac.T @ r
@@ -241,15 +232,16 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
                 mu *= 10.0
                 continue
             try:
-                r_new = _residual_vector(new_coords, dataset, config, search.order)
+                trial = _fit_at(new_coords, dataset, config, search.order)
             except FkSplineError:
                 mu *= 10.0
                 continue
+            r_new = trial.diagnostics.residuals.ravel()
             f_new = float(r_new @ r_new)
             if f_new < f:
                 step_norm = float(np.max(np.abs(delta)))
                 rel_drop = (f - f_new) / max(f, 1e-300)
-                k, r, f = k_new, r_new, f_new
+                k, r, f, model = k_new, r_new, f_new, trial
                 mu = max(mu / 10.0, 1e-12)
                 improved = True
                 if step_norm < search.step_tol or rel_drop < search.objective_tol:
@@ -263,7 +255,7 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
             break
     return GaussNewtonResult(
         coords=JuppCoords(k, lo, hi), objective=f, iterations=iterations,
-        converged=converged, step_failure=step_failure,
+        converged=converged, model=model, step_failure=step_failure,
     )
 
 
@@ -325,14 +317,12 @@ def _candidate_grid(lo, hi, existing, search) -> np.ndarray:
     return grid[dist > _knot_radius(lo, hi, search)]
 
 
-def _stage_record(coords, dataset, config, order) -> tuple[StageRecord, FitModel]:
-    model = _fit_at(coords, dataset, config, order)
+def _stage_record(coords: JuppCoords, model: FitModel) -> StageRecord:
     d = model.diagnostics
-    record = StageRecord(
+    return StageRecord(
         p=coords.p, knots=jupp_inverse(coords), coords=coords,
         objective=d.sse, gcv=d.gcv, df=d.df,
     )
-    return record, model
 
 
 def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
@@ -350,9 +340,9 @@ def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
     order = search.order
     result = FreeKnotResult()
     coords = JuppCoords(np.empty(0), lo, hi)
-    record, _ = _stage_record(coords, dataset, config, order)
-    result.stages.append(record)
-    best = record
+    model = best_model = _fit_at(coords, dataset, config, order)
+    best = _stage_record(coords, model)
+    result.stages.append(best)
     bad_streak = 0
     for _ in range(search.max_knots):
         existing = result.stages[-1].knots
@@ -378,20 +368,23 @@ def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
                 )
             break  # grid exhausted by exclusion zones
         refined = gauss_newton_refine(best_cand, dataset, config, search)
-        record, _ = _stage_record(refined.coords, dataset, config, order)
+        model = refined.model
+        record = _stage_record(refined.coords, model)
         result.stages.append(record)
         if record.gcv < best.gcv * (1.0 - search.gcv_rel_tol):
-            best = record
+            best, best_model = record, model
             bad_streak = 0
         else:
             if record.gcv < best.gcv:
-                best = record
+                best, best_model = record, model
             bad_streak += 1
             if not search.fixed_p and bad_streak >= search.gcv_patience:
                 result.stopped_early = True
                 break
-    result.chosen = result.stages[-1] if search.fixed_p else best
-    result.model = _fit_at(result.chosen.coords, dataset, config, order)
+    if search.fixed_p:
+        result.chosen, result.model = result.stages[-1], model
+    else:
+        result.chosen, result.model = best, best_model
     result.model.knot_search = result
     return result
 

@@ -6,15 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, make_basis_spec
+from .basis import BasisSpec
 from .data import FunctionalDataset
 from .errors import AllCellsFailedError, ConfigError, FkSplineError
-from .freeknot import (
-    KnotSearchConfig,
-    add_knots_gradually,
-    gauss_newton_refine,
-    jupp_inverse,
-)
+from .freeknot import KnotSearchConfig, add_knots_gradually, gauss_newton_refine
 from .penalty import PenaltyConfig, penalty_matrix
 from .smoother import fit_coefficients
 
@@ -47,7 +42,7 @@ class LambdaGrid:
 
     @property
     def size(self) -> int:
-        return self.values.size
+        return len(self.values)
 
 
 @dataclass(eq=False)
@@ -86,9 +81,9 @@ def _select_best(scores: np.ndarray, l1_values, l2_values):
 
 
 def _free_knot_warm_starts(dataset, search):
-    """FS0 knot trajectory reused as starting points for every cell."""
+    """FS0 knot trajectory, p = 0 included, reused as starting points for every cell."""
     base = add_knots_gradually(dataset, PenaltyConfig(), search)
-    return [stage.coords for stage in base.stages if stage.p > 0]
+    return [stage.coords for stage in base.stages]
 
 
 def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
@@ -157,15 +152,5 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
 
 def _fit_cell_free(dataset, config, search, warm_starts):
     """Best fit for one cell: refine each warm-start knot set under this config."""
-    lo, hi = search.domain if search.domain is not None else dataset.domain
-    best_model = None
-    # The p=0 baseline costs one plain fit, always include it.
-    baseline = fit_coefficients(dataset, make_basis_spec(lo, hi, search.order, []), config)
-    best_model = baseline
-    for coords in warm_starts:
-        refined = gauss_newton_refine(coords, dataset, config, search)
-        spec = make_basis_spec(lo, hi, search.order, jupp_inverse(refined.coords))
-        model = fit_coefficients(dataset, spec, config)
-        if model.diagnostics.gcv < best_model.diagnostics.gcv:
-            best_model = model
-    return best_model
+    fits = (gauss_newton_refine(coords, dataset, config, search).model for coords in warm_starts)
+    return min(fits, key=lambda model: model.diagnostics.gcv)

@@ -15,9 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BasisSpec, eval_design
-from .errors import ConfigError, DerivativeOrderTooHighError, SpecMismatchError
+from .errors import ConfigError, DerivativeOrderTooHighError
 
-__all__ = ["PenaltyMatrix", "PenaltyConfig", "penalty_matrix", "combine", "gram_matrix"]
+__all__ = ["PenaltyMatrix", "PenaltyConfig", "penalty_matrix", "gram_matrix"]
 
 
 @lru_cache(maxsize=32)
@@ -92,24 +92,3 @@ def penalty_matrix(spec: BasisSpec, order: int, quad_points: int | None = None) 
 def gram_matrix(spec: BasisSpec) -> PenaltyMatrix:
     """Gram matrix of the basis functions themselves (order-0 penalty)."""
     return penalty_matrix(spec, 0)
-
-
-def combine(matrices, config: PenaltyConfig) -> np.ndarray:
-    """Weighted sum of penalty matrices under one configuration.
-
-    All matrices must come from the same basis spec; an empty list or
-    all-zero weights yield the zero matrix of the first spec's dimension.
-    """
-    matrices = list(matrices)
-    if not matrices:
-        raise ConfigError("need at least one penalty matrix to combine")
-    spec = matrices[0].spec
-    for m in matrices[1:]:
-        if m.spec is not spec and m.spec != spec:
-            raise SpecMismatchError("penalty matrices built from different basis specs")
-    total = np.zeros((spec.n_basis, spec.n_basis))
-    for m in matrices:
-        weight = config.weight_for(m.order)
-        if weight != 0.0:
-            total += weight * m.values
-    return total

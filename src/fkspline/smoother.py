@@ -16,11 +16,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .basis import BasisSpec, DesignMatrix, eval_design
 from .data import FunctionalDataset
-from .errors import (
-    ConfigError,
-    DegenerateDenominatorError,
-    NotPositiveDefiniteError,
-)
+from .errors import ConfigError, NotPositiveDefiniteError
 from .penalty import PenaltyConfig, penalty_matrix
 
 __all__ = [
@@ -29,7 +25,6 @@ __all__ = [
     "FitModel",
     "assemble_system",
     "fit_coefficients",
-    "hat_diagnostics",
     "variant_config",
     "VARIANTS",
 ]
@@ -62,8 +57,6 @@ class SystemMatrix:
 
     values: np.ndarray
     cho: tuple
-    spec: BasisSpec
-    config: PenaltyConfig
     btb: np.ndarray
     penalty_terms: tuple  # ((weight, matrix), ...)
 
@@ -127,20 +120,19 @@ def assemble_system(design: DesignMatrix, config: PenaltyConfig, penalties=None)
             "system matrix is numerically singular; a basis function has "
             "little or no data in its support"
         )
-    return SystemMatrix(
-        values=H, cho=cho, spec=spec, config=config, btb=btb, penalty_terms=tuple(terms)
-    )
+    return SystemMatrix(values=H, cho=cho, btb=btb, penalty_terms=tuple(terms))
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Summary statistics of one penalized fit."""
+    """Summary statistics of one penalized fit, with its residuals."""
 
     df: float
     sse: float
     gcv: float
     sigma2: float
     per_curve_sse: np.ndarray
+    residuals: np.ndarray  # (n_points, n_curves): data minus fitted values
     gcv_degenerate: bool = False
 
 
@@ -164,7 +156,8 @@ class FitModel:
         return design.values @ self.coeffs
 
 
-def _diagnostics(system: SystemMatrix, design, Y, fitted, strict: bool) -> FitDiagnostics:
+def _diagnostics(system: SystemMatrix, Y, fitted) -> FitDiagnostics:
+    """The one place a fit's residuals, sse, df and GCV are formed."""
     h, n = Y.shape
     residual = Y - fitted
     per_curve = np.einsum("ij,ij->j", residual, residual)
@@ -173,10 +166,6 @@ def _diagnostics(system: SystemMatrix, design, Y, fitted, strict: bool) -> FitDi
     denom = h - df
     degenerate = denom <= 1e-8 * max(h, 1)
     if degenerate:
-        if strict:
-            raise DegenerateDenominatorError(
-                f"effective df {df:.6g} reached the grid size {h}; GCV undefined"
-            )
         gcv = float("inf")
         sigma2 = float("inf")
     else:
@@ -184,7 +173,7 @@ def _diagnostics(system: SystemMatrix, design, Y, fitted, strict: bool) -> FitDi
         sigma2 = sse / (n * denom)
     return FitDiagnostics(
         df=df, sse=sse, gcv=gcv, sigma2=sigma2, per_curve_sse=per_curve,
-        gcv_degenerate=degenerate,
+        residuals=residual, gcv_degenerate=degenerate,
     )
 
 
@@ -195,25 +184,11 @@ def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec, config: Penalt
     The sample grid must lie inside the spec's domain, and the design must
     have full column rank or the penalty weights must make H positive
     definite.  A perfect fit leaves the GCV slot at +inf (flagged) because
-    its denominator vanishes; :func:`hat_diagnostics` raises instead.
+    its denominator vanishes.
     """
     design = eval_design(spec, dataset.t)
     system = assemble_system(design, config, penalties=penalties)
     Y = dataset.values
     C = system.solve(design.values.T @ Y)
-    fitted = design.values @ C
-    diags = _diagnostics(system, design, Y, fitted, strict=False)
+    diags = _diagnostics(system, Y, design.values @ C)
     return FitModel(spec=spec, config=config, coeffs=C, diagnostics=diags)
-
-
-def hat_diagnostics(model: FitModel, dataset: FunctionalDataset) -> tuple[float, float, float]:
-    """Recompute (df, gcv, sse) for a model on a dataset.
-
-    Raises DegenerateDenominatorError when the effective degrees of freedom
-    reach the grid size.
-    """
-    design = eval_design(model.spec, dataset.t)
-    system = assemble_system(design, model.config)
-    fitted = design.values @ model.coeffs
-    diags = _diagnostics(system, design, dataset.values, fitted, strict=True)
-    return diags.df, diags.gcv, diags.sse

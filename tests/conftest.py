@@ -24,6 +24,7 @@ def constant_curve_model(levels, domain=(0.0, 1.0)) -> FitModel:
         gcv=0.0,
         sigma2=0.0,
         per_curve_sse=np.zeros(levels.size),
+        residuals=np.zeros((0, levels.size)),
     )
     return FitModel(spec=spec, config=PenaltyConfig(), coeffs=coeffs, diagnostics=diag)
 
@@ -37,5 +38,6 @@ def coefficient_model(spec, coeffs) -> FitModel:
         gcv=0.0,
         sigma2=0.0,
         per_curve_sse=np.zeros(coeffs.shape[1]),
+        residuals=np.zeros((0, coeffs.shape[1])),
     )
     return FitModel(spec=spec, config=PenaltyConfig(), coeffs=coeffs, diagnostics=diag)

@@ -152,6 +152,17 @@ class TestExitCodes:
         assert code == 3
         assert self.stderr_report(capsys)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("row", ["curve_1,x", "curve_1", "curve_1,1,2"])
+    def test_bad_label_row_is_3(self, simdir, tmp_path, capsys, row):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"curve_id,label\n{row}\n")
+        code = run(["cluster", "--data", simdir / "dataset.csv", "--knots", "2.5",
+                    "--k", "2", "--restarts", "1", "--labels", labels, "--outdir", tmp_path])
+        assert code == 3
+        report = self.stderr_report(capsys)
+        assert report["error"] == "ParseError"
+        assert "row 2" in report["context"]
+
     def test_numerical_failure_is_4(self, tmp_path, capsys):
         small = tmp_path / "small.csv"
         rows = "\n".join(f"{t},{t * t}" for t in np.linspace(0, 1, 6))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -211,6 +212,51 @@ class TestKnotRecovery:
             KnotSearchConfig(grid_size=1)
         with pytest.raises(ConfigError):
             KnotSearchConfig(max_iterations=0)
+
+
+def assert_same_fit(model, ref):
+    """Knots, coefficients and every diagnostic equal bit for bit."""
+    assert np.array_equal(model.spec.interior_knots, ref.spec.interior_knots)
+    assert np.array_equal(model.coeffs, ref.coeffs)
+    for f in dataclasses.fields(ref.diagnostics):
+        assert np.array_equal(getattr(model.diagnostics, f.name),
+                              getattr(ref.diagnostics, f.name)), f.name
+
+
+def noisy_sine_dataset(seed=3, n=40, curves=3):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0, 1, n)
+    y = np.sin(np.outer(3.0 * t, 1.0 + np.arange(curves))) + 0.1 * rng.standard_normal((n, curves))
+    return FunctionalDataset(t=t, values=y)
+
+
+class TestFitReuse:
+    """The knot search hands on the fit it computed instead of refitting."""
+
+    cfg = PenaltyConfig(lambda1=1e-6, lambda2=1e-4)
+
+    def test_refine_model_is_the_fit_at_the_refined_knots(self):
+        ds = noisy_sine_dataset()
+        search = KnotSearchConfig(order=4, max_knots=3)
+        for tau in ([], [0.5], [0.2, 0.6], [0.1, 0.45, 0.8]):
+            res = gauss_newton_refine(jupp(np.array(tau), 0.0, 1.0), ds, self.cfg, search)
+            spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(res.coords))
+            assert_same_fit(res.model, fit_coefficients(ds, spec, self.cfg))
+            assert res.objective == pytest.approx(res.model.diagnostics.sse, rel=1e-12)
+
+    @pytest.mark.parametrize("fixed_p", [True, False])
+    def test_search_model_is_the_chosen_stage_fit(self, fixed_p):
+        ds = noisy_sine_dataset()
+        search = KnotSearchConfig(order=4, max_knots=5, grid_size=20, fixed_p=fixed_p)
+        result = add_knots_gradually(ds, self.cfg, search)
+        chosen = result.chosen
+        assert chosen is (result.stages[-1] if fixed_p else
+                          min(result.stages, key=lambda s: s.gcv))
+        spec = make_basis_spec(0.0, 1.0, 4, chosen.knots)
+        assert_same_fit(result.model, fit_coefficients(ds, spec, self.cfg))
+        d = result.model.diagnostics
+        assert (d.sse, d.gcv, d.df) == (chosen.objective, chosen.gcv, chosen.df)
+        assert result.model.knot_search is result
 
 
 class TestHighLevelFit:

@@ -32,6 +32,7 @@ class TestLambdaGrid:
     def test_from_exponents(self):
         grid = LambdaGrid.from_exponents([-2, 0, 2])
         assert grid.values == pytest.approx([0.01, 1.0, 100.0])
+        assert grid.size == 3
 
     def test_values_sorted_and_deduplicated_inputs_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,8 +10,7 @@ from fkspline import (
     ConfigError,
     DerivativeOrderTooHighError,
     PenaltyConfig,
-    SpecMismatchError,
-    combine,
+    assemble_system,
     eval_design,
     eval_spline,
     gram_matrix,
@@ -134,35 +133,32 @@ class TestStructure:
 
 
 class TestCombine:
+    """Weighted combination of penalty matrices in the system matrix H."""
+
+    @staticmethod
+    def system(spec, config):
+        design = eval_design(spec, np.linspace(0.0, 1.0, 30))
+        return assemble_system(design, config)
+
     def test_weighted_sum(self):
         spec = make_basis_spec(0.0, 1.0, 4, [0.5])
-        mats = [penalty_matrix(spec, order) for order in (1, 2)]
-        combined = combine(mats, PenaltyConfig(lambda1=2.0, lambda2=3.0))
-        expected = 2.0 * mats[0].values + 3.0 * mats[1].values
-        assert np.abs(combined - expected).max() < 1e-14
+        mats = [penalty_matrix(spec, order).values for order in (1, 2)]
+        system = self.system(spec, PenaltyConfig(lambda1=2.0, lambda2=3.0))
+        expected = system.btb + 2.0 * mats[0] + 3.0 * mats[1]
+        assert np.array_equal(system.values, expected)
 
     def test_zero_weights_give_zero_matrix(self):
         spec = make_basis_spec(0.0, 1.0, 4, [])
-        mats = [penalty_matrix(spec, order) for order in (1, 2)]
-        combined = combine(mats, PenaltyConfig())
-        assert np.abs(combined).max() == 0.0
+        system = self.system(spec, PenaltyConfig())
+        assert np.array_equal(system.values, system.btb)
+        assert system.penalty_terms == ()
 
     def test_general_weight_vector(self):
         spec = make_basis_spec(0.0, 1.0, 4, [0.5])
-        mats = [penalty_matrix(spec, order) for order in (0, 1, 2)]
-        combined = combine(mats, PenaltyConfig(alphas=(1.0, 2.0, 3.0)))
-        expected = mats[0].values + 2.0 * mats[1].values + 3.0 * mats[2].values
-        assert np.abs(combined - expected).max() < 1e-14
-
-    def test_mismatched_specs_rejected(self):
-        a = penalty_matrix(make_basis_spec(0.0, 1.0, 4, []), 1)
-        b = penalty_matrix(make_basis_spec(0.0, 1.0, 4, [0.5]), 2)
-        with pytest.raises(SpecMismatchError):
-            combine([a, b], PenaltyConfig(lambda1=1.0, lambda2=1.0))
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ConfigError):
-            combine([], PenaltyConfig())
+        mats = [penalty_matrix(spec, order).values for order in (0, 1, 2)]
+        system = self.system(spec, PenaltyConfig(alphas=(1.0, 2.0, 3.0)))
+        expected = system.btb + 1.0 * mats[0] + 2.0 * mats[1] + 3.0 * mats[2]
+        assert np.array_equal(system.values, expected)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ConfigError):
