@@ -38,10 +38,11 @@ from .errors import (
     ParseError,
 )
 from .freeknot import KnotSearchConfig, fit_free_knot
+from .ingest import _read_rows, load_csv
 from .lambda_select import LambdaGrid, gcv_grid_search
 from .metrics import TailRegions, model_isse
 from .penalty import PenaltyConfig
-from .simulate import ScenarioConfig, benchmark_config, generate_scenario, mean_function
+from .simulate import ScenarioConfig, benchmark_config, generate_scenario, group_means
 from .smoother import fit_coefficients, variant_config
 
 THREADS_ENV = "FKSPLINE_THREADS"
@@ -70,41 +71,20 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def _read_dataset(path) -> tuple[FunctionalDataset, list[str]]:
-    """Parse a dataset CSV (header t,curve_1,...; '#' lines skipped)."""
-    import csv as _csv
-
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open dataset {path}: {exc}") from exc
-    with fh:
-        rows = [r for r in _csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows or len(rows[0]) < 2:
-        raise DataError(f"{path}: expected header t,curve_1,...")
-    curve_ids = [c.strip() for c in rows[0][1:]]
-    t = []
-    values = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(curve_ids) + 1:
-            raise ParseError(f"{path}: row {i} has {len(row)} cells", row=i, column=None)
-        try:
-            t.append(float(row[0]))
-            values.append([float(c) for c in row[1:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {i}: {exc}", row=i, column=None) from exc
-    return FunctionalDataset(t=np.array(t), values=np.array(values)), curve_ids
+def _load_dataset(path) -> tuple[FunctionalDataset, list[str]]:
+    """The wide-layout dataset CSV at path, on the sample grid as read."""
+    table = load_csv(path, "wide")
+    if table.n_times < 2:
+        raise DataError(f"{path}: need at least 2 data rows, found {table.n_times}")
+    finite = np.isfinite(table.values).all(axis=1) & np.isfinite(table.time_index)
+    if not finite.all():
+        label = table.time_labels[int(np.argmin(finite))]
+        raise DataError(f"{path}: missing or non-finite cell in the row t={label}")
+    return FunctionalDataset(t=table.time_index, values=table.values), table.series_ids
 
 
 def _read_labels(path, curve_ids: list[str]) -> np.ndarray:
-    import csv as _csv
-
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open labels {path}: {exc}") from exc
-    with fh:
-        rows = [r for r in _csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    rows = [r for r in _read_rows(path) if r]
     mapping = {}
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
@@ -270,15 +250,6 @@ def _fit_model(dataset, args, config):
     return model, search
 
 
-def _truth_from_labels(labels: np.ndarray):
-    def truth(t):
-        t = np.asarray(t, dtype=float)
-        by_group = {g: mean_function(int(g), t) for g in set(labels.tolist())}
-        return np.stack([by_group[int(g)] for g in labels], axis=1)
-
-    return truth
-
-
 def _discrete_tail_sse(t, residuals, tails: TailRegions):
     resid2 = residuals ** 2
     lower = resid2[(t >= tails.lower[0]) & (t <= tails.lower[1])].sum()
@@ -288,7 +259,7 @@ def _discrete_tail_sse(t, residuals, tails: TailRegions):
 
 def _cmd_fit(args) -> None:
     seed = int(_resolve(args, "seed", 0))
-    dataset, curve_ids = _read_dataset(_require(args, "data"))
+    dataset, curve_ids = _load_dataset(_require(args, "data"))
     config = _penalty_from_args(args)
     model, search = _fit_model(dataset, args, config)
     tail_frac = float(_resolve(args, "tail_frac", 0.1))
@@ -297,7 +268,7 @@ def _cmd_fit(args) -> None:
     truth_labels_path = _resolve(args, "truth_labels", None)
     if truth_labels_path is not None:
         labels = _read_labels(truth_labels_path, curve_ids)
-        isse = model_isse(model, _truth_from_labels(labels), tails)
+        isse = model_isse(model, lambda t: group_means(labels, t), tails)
         isse_kind = "quadrature_vs_truth"
     else:
         inf, sup = _discrete_tail_sse(dataset.t, model.diagnostics.residuals, tails)
@@ -358,7 +329,7 @@ def _require(args, key):
 
 def _cmd_gcv(args) -> None:
     seed = int(_resolve(args, "seed", 0))
-    dataset, _ = _read_dataset(_require(args, "data"))
+    dataset, _ = _load_dataset(_require(args, "data"))
     mode = str(_resolve(args, "mode", "fixed"))
     exponents = _parse_exponents(_resolve(args, "exponents", "-8:4"))
     grid = LambdaGrid.from_exponents(exponents)
@@ -423,7 +394,7 @@ def _cmd_gcv(args) -> None:
 
 def _cmd_cluster(args) -> None:
     seed = int(_resolve(args, "seed", 0))
-    dataset, curve_ids = _read_dataset(_require(args, "data"))
+    dataset, curve_ids = _load_dataset(_require(args, "data"))
     config = _penalty_from_args(args)
     model, _ = _fit_model(dataset, args, config)
     method = str(_resolve(args, "method", "kmeans"))
@@ -557,6 +528,7 @@ def _cmd_replicate(args) -> None:
             "restarts": int(_resolve(args, "restarts", 20)),
             "tail_frac": float(_resolve(args, "tail_frac", 0.1)),
         })
+    n_threads = _threads(args)
     resolved = {
         "subcommand": "replicate",
         "replications": R,
@@ -567,10 +539,9 @@ def _cmd_replicate(args) -> None:
         "n_basis": nbasis,
         "noise_sd": tasks[0]["scenario"]["noise_sd"],
         "seed": seed,
-        "threads": _threads(args),
+        "threads": n_threads,
     }
     _echo(resolved)
-    n_threads = _threads(args)
     if n_threads > 1:
         with ProcessPoolExecutor(max_workers=n_threads) as pool:
             results = list(pool.map(_replicate_one, tasks))
@@ -620,22 +591,28 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON file with default values for any flag")
 
 
-def _fit_flags() -> argparse.ArgumentParser:
-    """Flags of the spline fit that both fit and cluster run."""
+def _basis_flags() -> argparse.ArgumentParser:
+    """Dataset and spline basis flags shared by fit, gcv and cluster."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--data", help="dataset CSV (t,curve_1,...)")
-    flags.add_argument("--variant", choices=["fs0", "fs1", "fs2"])
-    flags.add_argument("--lambda1", type=float)
-    flags.add_argument("--lambda2", type=float)
     flags.add_argument("--order", type=int)
     flags.add_argument("--nbasis", type=int)
-    flags.add_argument("--knots", help="fixed interior knots (comma list) instead of a search")
+    flags.add_argument("--knots", help="fixed interior knots (comma list)")
     flags.add_argument("--grid-size", dest="grid_size", type=int)
     return flags
 
 
+def _penalty_flags() -> argparse.ArgumentParser:
+    """Penalty flags of the spline fit that fit and cluster run."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--variant", choices=["fs0", "fs1", "fs2"])
+    flags.add_argument("--lambda1", type=float)
+    flags.add_argument("--lambda2", type=float)
+    return flags
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    fit_flags = _fit_flags()
+    basis_flags, penalty_flags = _basis_flags(), _penalty_flags()
     parser = argparse.ArgumentParser(
         prog="fkspline",
         description="Free-knot spline smoothing, regularization selection, and curve clustering",
@@ -653,7 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--domain", help="lo,hi (default 0,5)")
     sim.set_defaults(func=_cmd_simulate)
 
-    fit = subs.add_parser("fit", parents=[fit_flags],
+    fit = subs.add_parser("fit", parents=[basis_flags, penalty_flags],
                           help="fit a spline family to a dataset CSV")
     _add_common(fit)
     fit.add_argument("--truth-labels", dest="truth_labels",
@@ -661,20 +638,16 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--tail-frac", dest="tail_frac", type=float)
     fit.set_defaults(func=_cmd_fit)
 
-    gcv = subs.add_parser("gcv", help="GCV grid search for the penalty weights")
+    gcv = subs.add_parser("gcv", parents=[basis_flags],
+                          help="GCV grid search for the penalty weights")
     _add_common(gcv)
-    gcv.add_argument("--data")
     gcv.add_argument("--mode", choices=["fixed", "free"])
     gcv.add_argument("--exponents", help="'lo:hi' or comma list of base-10 exponents")
-    gcv.add_argument("--order", type=int)
-    gcv.add_argument("--nbasis", type=int)
-    gcv.add_argument("--knots")
     gcv.add_argument("--pin-lambda1", dest="pin_lambda1", type=float,
                      help="pin lambda1 (e.g. 0) and scan lambda2 only")
-    gcv.add_argument("--grid-size", dest="grid_size", type=int)
     gcv.set_defaults(func=_cmd_gcv)
 
-    clu = subs.add_parser("cluster", parents=[fit_flags],
+    clu = subs.add_parser("cluster", parents=[basis_flags, penalty_flags],
                           help="fit then cluster the curves")
     _add_common(clu)
     clu.add_argument("--method", choices=["kmeans", "ward", "complete", "average"])

@@ -130,14 +130,34 @@ def _lloyd(z: np.ndarray, centers: np.ndarray):
     return labels, centers, w, it
 
 
-def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20,
-                      extra_inits=()) -> ClusterResult:
+def _kmeans_z(z: np.ndarray, k: int, seed: int, restarts: int, inits=()):
+    """Lowest-dispersion Lloyd run in z-space over the given initial centers
+    followed by `restarts` seeded distance-weighted ones; exact ties keep
+    the earliest start.
+
+    Returns the partition, its centers (k, n_basis) in z-space with row j
+    belonging to label j + 1, the dispersion W and the iteration count.
+    """
+    starts = list(inits)
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        starts.append(_seed_centers(z, k, rng))
+    best = None
+    for centers0 in starts:
+        labels, centers, w, iters = _lloyd(z, centers0.copy())
+        if best is None or w < best[0]:
+            best = (w, labels, centers, iters)
+    w, labels, centers, iters = best
+    partition, seen = _as_partition(labels)
+    return partition, centers[seen], w, iters
+
+
+def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20) -> ClusterResult:
     """k-means on the L2 geometry of the fitted curves.
 
-    Runs `restarts` seeded distance-weighted initializations (plus any
-    explicitly supplied initial center arrays) and keeps the lowest
-    dispersion; exact ties keep the earliest candidate, so results are
-    deterministic for a fixed seed.
+    Runs `restarts` seeded distance-weighted initializations and keeps the
+    lowest dispersion; exact ties keep the earliest candidate, so results
+    are deterministic for a fixed seed.
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
@@ -145,19 +165,9 @@ def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20
     n = z.shape[0]
     if n < k:
         raise TooFewCurvesError(f"cannot form {k} clusters from {n} curves")
-    best = None
-    inits = [np.asarray(c, dtype=float) for c in extra_inits]
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        inits.append(_seed_centers(z, k, rng))
-    for centers0 in inits:
-        labels, centers, w, iters = _lloyd(z, centers0.copy())
-        if best is None or w < best[0]:
-            best = (w, labels, centers, iters)
-    w, labels, centers, iters = best
-    partition, seen = _as_partition(labels)
+    partition, centers, w, iters = _kmeans_z(z, k, seed, restarts)
     return ClusterResult(
-        partition=partition, centroids=_z_to_coeffs(L, centers[seen]), w=w,
+        partition=partition, centroids=_z_to_coeffs(L, centers), w=w,
         iterations=iters, seed=seed, method="kmeans",
     )
 
@@ -213,28 +223,24 @@ class ElbowResult:
 def elbow_curve(model: FitModel, k_max: int, seed: int = 0, restarts: int = 20) -> ElbowResult:
     """Dispersion-vs-k curve with the elbow (max second difference) marked.
 
-    Each k reuses the previous solution's centroids (plus the worst-served
-    point) as one initialization candidate, which makes W non-increasing
-    in k.  The suggestion is flagged low-confidence when the strongest
-    curvature is below 5% of W(1).
+    The curves are embedded once; each k reuses the previous solution's
+    centroids (plus the worst-served point) as one initialization
+    candidate, which makes W non-increasing in k.  The suggestion is
+    flagged low-confidence when the strongest curvature is below 5% of W(1).
     """
     if k_max < 2:
         raise ConfigError("k_max must be at least 2")
-    z, L = _embedding(model)
-    if z.shape[0] < k_max:
-        raise TooFewCurvesError(f"k_max={k_max} exceeds the {z.shape[0]} curves")
+    z, _ = _embedding(model)
+    n = z.shape[0]
+    if n < k_max:
+        raise TooFewCurvesError(f"k_max={k_max} exceeds the {n} curves")
     w = np.empty(k_max)
-    prev = None
+    inits = ()
     for k in range(1, k_max + 1):
-        extra = []
-        if prev is not None:
-            labels, centers = prev
-            d2 = _sq_dists(z, centers)
-            worst = d2[np.arange(z.shape[0]), labels].argmax()
-            extra.append(np.vstack([centers, z[worst]]))
-        result = functional_kmeans(model, k, seed=seed, restarts=restarts, extra_inits=extra)
-        prev = (result.partition.labels - 1, (L.T @ result.centroids).T)
-        w[k - 1] = result.w
+        partition, centers, w[k - 1], _ = _kmeans_z(z, k, seed, restarts, inits)
+        d2 = _sq_dists(z, centers)
+        worst = d2[np.arange(n), partition.labels - 1].argmax()
+        inits = (np.vstack([centers, z[worst]]),)
     if k_max < 3:
         return ElbowResult(w=w, suggested_k=k_max, low_confidence=True)
     curvature = w[:-2] - 2.0 * w[1:-1] + w[2:]

@@ -85,7 +85,7 @@ class ParseError(DataError):
 
 
 class DuplicateCellError(DataError):
-    """Same (series, time) pair appears twice in a long-layout file."""
+    """Same time (wide layout) or (series, time) pair (long layout) appears twice."""
 
 
 class EmptyTableError(DataError):

@@ -103,6 +103,20 @@ def jupp_inverse(coords: JuppCoords) -> np.ndarray:
     return coords.lo + (coords.hi - coords.lo) * cum
 
 
+# Gauss-Newton settings.  _OBJECTIVE_TOL is the relative-improvement floor:
+# a successful step gaining less than this fraction stops the refinement,
+# which also starves the slow knot-coalescence drift that plain least
+# squares rewards when data are noisy.
+_MAX_ITERATIONS = 30
+_STEP_TOL = 1e-5
+_OBJECTIVE_TOL = 1e-4
+_DAMPING = 1e-3
+_FD_STEP = 1e-6
+# GCV stopping rule of add_knots_gradually when fixed_p is off.
+_GCV_REL_TOL = 1e-3
+_GCV_PATIENCE = 2
+
+
 @dataclass(frozen=True)
 class KnotSearchConfig:
     """Settings for the knot search driver and its Gauss-Newton refiner."""
@@ -110,20 +124,7 @@ class KnotSearchConfig:
     order: int = 4
     max_knots: int = 8
     grid_size: int = 50
-    domain: tuple[float, float] | None = None
-    # Gauss-Newton settings.  objective_tol is the relative-improvement
-    # floor: a successful step gaining less than this fraction stops the
-    # refinement, which also starves the slow knot-coalescence drift that
-    # plain least squares rewards when data are noisy.
-    max_iterations: int = 30
-    step_tol: float = 1e-5
-    objective_tol: float = 1e-4
-    damping: float = 1e-3
-    fd_step: float = 1e-6
-    # stage selection
     fixed_p: bool = False
-    gcv_rel_tol: float = 1e-3
-    gcv_patience: int = 2
 
     def __post_init__(self):
         if int(self.order) != self.order or self.order < 2:
@@ -132,16 +133,6 @@ class KnotSearchConfig:
             raise ConfigError("max_knots must be at least 1")
         if self.grid_size < 2:
             raise ConfigError("grid_size must be at least 2")
-        if self.max_iterations < 1 or self.damping <= 0 or self.fd_step <= 0:
-            raise ConfigError("invalid Gauss-Newton settings")
-        if self.gcv_patience < 1 or not 0 < self.gcv_rel_tol < 1:
-            raise ConfigError("invalid stage selection settings")
-
-
-def _domain(dataset: FunctionalDataset, search: KnotSearchConfig) -> tuple[float, float]:
-    if search.domain is not None:
-        return float(search.domain[0]), float(search.domain[1])
-    return dataset.domain
 
 
 def _fit_at(coords: JuppCoords, dataset, config, order) -> FitModel:
@@ -176,7 +167,7 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     """Damped Gauss-Newton descent on the knot objective.
 
     The Jacobian of the residual vector is taken by forward differences with
-    per-component step fd_step * (1 + |k_i|).  The damping parameter grows
+    per-component step _FD_STEP * (1 + |k_i|).  The damping parameter grows
     tenfold when a step fails to decrease the objective and shrinks tenfold
     on success.  The best iterate seen is always returned, together with
     its fit, so the result never exceeds the starting objective.
@@ -190,14 +181,14 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     min_gap = _knot_radius(lo, hi, search)
     r = model.diagnostics.residuals.ravel()
     f = float(r @ r)
-    mu = search.damping
+    mu = _DAMPING
     iterations = 0
     converged = False
     step_failure = False
-    for iterations in range(1, search.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         jac = np.empty((r.size, p))
         for i in range(p):
-            step = search.fd_step * (1.0 + abs(k[i]))
+            step = _FD_STEP * (1.0 + abs(k[i]))
             # a perturbed point can be infeasible in floating point (knot
             # gaps underflow); fall back to a backward step, then to zero
             jac[:, i] = 0.0
@@ -244,7 +235,7 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
                 k, r, f, model = k_new, r_new, f_new, trial
                 mu = max(mu / 10.0, 1e-12)
                 improved = True
-                if step_norm < search.step_tol or rel_drop < search.objective_tol:
+                if step_norm < _STEP_TOL or rel_drop < _OBJECTIVE_TOL:
                     converged = True
                 break
             mu *= 10.0
@@ -332,11 +323,11 @@ def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
     Each round inserts every surviving grid candidate into the accepted
     knots, starts Gauss-Newton from the best insertion, and records the
     refined stage.  With fixed_p the final stage is selected; otherwise the
-    search stops once the GCV score has failed to improve by gcv_rel_tol
-    (relative) for gcv_patience consecutive rounds, and the best-GCV stage
-    is selected.
+    search stops once the GCV score has failed to improve by _GCV_REL_TOL
+    (relative) for _GCV_PATIENCE consecutive rounds, and the best-GCV stage
+    is selected.  Knots are placed inside the dataset's domain.
     """
-    lo, hi = _domain(dataset, search)
+    lo, hi = dataset.domain
     order = search.order
     result = FreeKnotResult()
     coords = JuppCoords(np.empty(0), lo, hi)
@@ -371,14 +362,14 @@ def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
         model = refined.model
         record = _stage_record(refined.coords, model)
         result.stages.append(record)
-        if record.gcv < best.gcv * (1.0 - search.gcv_rel_tol):
+        if record.gcv < best.gcv * (1.0 - _GCV_REL_TOL):
             best, best_model = record, model
             bad_streak = 0
         else:
             if record.gcv < best.gcv:
                 best, best_model = record, model
             bad_streak += 1
-            if not search.fixed_p and bad_streak >= search.gcv_patience:
+            if not search.fixed_p and bad_streak >= _GCV_PATIENCE:
                 result.stopped_early = True
                 break
     if search.fixed_p:

@@ -17,6 +17,7 @@ import numpy as np
 from .data import FunctionalDataset
 from .errors import (
     ConfigError,
+    DataError,
     DuplicateCellError,
     EmptyTableError,
     ParseError,
@@ -78,16 +79,20 @@ def _parse_value(token: str, row: int, col: int) -> float:
         ) from None
 
 
-def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if row and row[0].lstrip().startswith("#"):
-                continue
-            yield row
+def _read_rows(path) -> list[list[str]]:
+    """The rows of a CSV file, lines starting with '#' skipped."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return [row for row in rows if not (row and row[0].lstrip().startswith("#"))]
 
 
 def _load_wide(path) -> RawSeriesTable:
-    rows = list(_read_rows(path))
+    rows = _read_rows(path)
     if not rows or len(rows[0]) < 2:
         raise EmptyTableError(f"{path}: no series columns found")
     series_ids = [c.strip() for c in rows[0][1:]]
@@ -119,7 +124,7 @@ def _load_wide(path) -> RawSeriesTable:
 
 
 def _load_long(path) -> RawSeriesTable:
-    rows = list(_read_rows(path))
+    rows = _read_rows(path)
     if not rows:
         raise EmptyTableError(f"{path}: empty file")
     start = 0
@@ -169,7 +174,8 @@ def load_csv(path, layout: str = "wide") -> RawSeriesTable:
     """Parse a CSV file into an aligned series table.
 
     Lines starting with '#' are skipped.  Duplicate (series, time) pairs
-    raise; missing cells are masked, not dropped.
+    raise; missing cells are masked, not dropped.  An unreadable file
+    raises DataError.
     """
     if layout == "wide":
         return _load_wide(path)

@@ -20,6 +20,7 @@ __all__ = [
     "ScenarioConfig",
     "Scenario",
     "mean_function",
+    "group_means",
     "generate_scenario",
     "benchmark_config",
 ]
@@ -39,6 +40,13 @@ def mean_function(group_id: int, t) -> np.ndarray:
     if group_id == 4:
         return 1.2 * np.cos(t) * np.log(t + 0.5) * np.sqrt(t + 0.5)
     raise UnknownGroupError(f"group id must be one of {GROUP_IDS}, got {group_id}")
+
+
+def group_means(labels, t) -> np.ndarray:
+    """Noiseless mean of each curve, given its group id, at t: (len(t), n)."""
+    t = np.asarray(t, dtype=float)
+    by_group = {g: mean_function(g, t) for g in set(labels.tolist())}
+    return np.stack([by_group[g] for g in labels], axis=1)
 
 
 @dataclass(frozen=True)
@@ -77,9 +85,7 @@ class Scenario:
 
     def truth(self, t) -> np.ndarray:
         """Noiseless mean of every curve at the given points, (len(t), n)."""
-        t = np.asarray(t, dtype=float)
-        by_group = {g: mean_function(g, t) for g in set(self.labels.tolist())}
-        return np.stack([by_group[g] for g in self.labels], axis=1)
+        return group_means(self.labels, t)
 
     def group_truth(self, group_id: int):
         """Callable evaluator of one group's mean."""

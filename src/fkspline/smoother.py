@@ -68,8 +68,8 @@ class SystemMatrix:
         eigenvalues of the penalty matrices; upper bound analogous with the
         largest eigenvalues.
         """
-        lo = float(np.linalg.eigvalsh(self.btb)[0])
-        hi = float(np.linalg.eigvalsh(self.btb)[-1])
+        eigs = np.linalg.eigvalsh(self.btb)
+        lo, hi = float(eigs[0]), float(eigs[-1])
         for weight, mat in self.penalty_terms:
             eigs = np.linalg.eigvalsh(mat)
             lo += weight * float(eigs[0])
@@ -104,6 +104,9 @@ def assemble_system(design: DesignMatrix, config: PenaltyConfig, penalties=None)
         weight = config.weight_for(l)
         H += weight * pm.values
         terms.append((weight, pm.values))
+    if not np.all(np.isfinite(H)):
+        # a knot span so narrow that the derivative penalties overflow
+        raise NotPositiveDefiniteError("system matrix has non-finite entries")
     try:
         cho = cho_factor(H, lower=True, check_finite=False)
     except LinAlgError as exc:

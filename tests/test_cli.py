@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkspline.cli import main
 
@@ -117,6 +122,19 @@ class TestFit:
         assert report["isse"] >= 0
         assert report["isse_inf"] >= 0 and report["isse_sup"] >= 0
 
+    def test_row_order_does_not_matter(self, simdir, tmp_path):
+        lines = (simdir / "dataset.csv").read_text().splitlines(keepends=True)
+        body = lines[2:]  # after the config comment and the header
+        rng = np.random.default_rng(0)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("".join(lines[:2] + [body[i] for i in rng.permutation(len(body))]))
+        reports = []
+        for data, out in ((simdir / "dataset.csv", tmp_path / "a"), (shuffled, tmp_path / "b")):
+            assert run(["fit", "--data", data, "--nbasis", "6", "--outdir", out]) == 0
+            reports.append(json.loads((out / "fit.json").read_text()))
+        for key in ("df", "sse", "knots"):
+            assert reports[0][key] == reports[1][key]
+
     def test_byte_identical_rerun(self, simdir, tmp_path):
         args = ["fit", "--data", simdir / "dataset.csv", "--nbasis", "6"]
         a, b = tmp_path / "a", tmp_path / "b"
@@ -128,7 +146,8 @@ class TestFit:
 class TestExitCodes:
     def stderr_report(self, capsys) -> dict:
         err = capsys.readouterr().err.strip().splitlines()
-        report = json.loads(err[-1])
+        assert len(err) == 1
+        report = json.loads(err[0])
         assert set(report) == {"module", "error", "context"}
         return report
 
@@ -152,6 +171,21 @@ class TestExitCodes:
         assert code == 3
         assert self.stderr_report(capsys)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("text", [
+        "t,c1\n0.0,1.0\n0.5,nan\n1.0,2.0\n",
+        "t,c1\n0.0,1.0\n0.5,\n1.0,2.0\n",
+        "t,c1\n0.0,1.0\n0.5,inf\n1.0,2.0\n",
+        "t,c1\n0.0,1.0\n0.0,2.0\n1.0,2.0\n",
+        "t,c1\n",
+        "t,c1\n0.0,1.0\n",
+    ], ids=["nan-cell", "empty-cell", "inf-cell", "duplicate-t", "header-only", "one-row"])
+    def test_bad_dataset_is_3(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = run(["fit", "--data", bad, "--nbasis", "4", "--outdir", tmp_path])
+        assert code == 3
+        self.stderr_report(capsys)
+
     @pytest.mark.parametrize("row", ["curve_1,x", "curve_1", "curve_1,1,2"])
     def test_bad_label_row_is_3(self, simdir, tmp_path, capsys, row):
         labels = tmp_path / "labels.csv"
@@ -172,6 +206,62 @@ class TestExitCodes:
         assert code == 4
         report = self.stderr_report(capsys)
         assert report["error"] == "NotPositiveDefiniteError"
+
+    def test_overflowing_penalty_is_4(self, tmp_path, capsys):
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("t,c1\n0.0,0.0\n1e-187,1.0\n")
+        code = run(["fit", "--data", narrow, "--nbasis", "4", "--outdir", tmp_path])
+        assert code == 4
+        assert self.stderr_report(capsys)["error"] == "NotPositiveDefiniteError"
+
+
+CELL_TOKENS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "x", "2024-01-01", "2024-02-30"]),
+    st.floats(-10.0, 10.0).map(repr),
+    st.integers(-3, 10).map(str),
+)
+
+
+@st.composite
+def corrupted_dataset(draw) -> str:
+    """A small valid wide-layout dataset with cells replaced, dropped or
+    added, and rows duplicated."""
+    n_rows = draw(st.integers(2, 8))
+    n_curves = draw(st.integers(1, 3))
+    rows = [[repr(0.5 * i)] + [repr(float(i * (j + 1) % 5)) for j in range(n_curves)]
+            for i in range(n_rows)]
+    edits = st.tuples(st.sampled_from(["replace", "drop", "add", "duplicate"]),
+                      st.integers(0, n_rows - 1), st.integers(0, n_curves), CELL_TOKENS)
+    for kind, i, j, token in draw(st.lists(edits, max_size=4)):
+        i %= len(rows)
+        if kind == "replace" and rows[i]:
+            rows[i][j % len(rows[i])] = token
+        elif kind == "drop" and rows[i]:
+            del rows[i][j % len(rows[i])]
+        elif kind == "add":
+            rows[i].insert(j, token)
+        elif kind == "duplicate":
+            rows.insert(i, list(rows[i]))
+    header = ["t"] + [f"curve_{j + 1}" for j in range(n_curves)]
+    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=corrupted_dataset())
+def test_corrupted_dataset_exit_contract(text):
+    """Any corrupted dataset exits 0, 2, 3 or 4 with one JSON line on
+    stderr, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.csv"
+        data.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["fit", "--data", str(data), "--nbasis", "4", "--outdir", tmp])
+    assert code in (0, 2, 3, 4)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"module", "error", "context"}
 
 
 class TestGcv:

@@ -28,6 +28,8 @@ from fkspline import (
     rand_index,
 )
 
+import fkspline.cluster
+
 from conftest import coefficient_model, constant_curve_model
 
 
@@ -343,6 +345,30 @@ class TestElbow:
         model = coefficient_model(spec, rng.standard_normal((spec.n_basis, 150)))
         result = elbow_curve(model, 6, seed=0, restarts=5)
         assert result.low_confidence
+
+    def test_curves_are_embedded_once(self, monkeypatch):
+        calls = []
+
+        def counting_gram_matrix(spec):
+            calls.append(spec)
+            return gram_matrix(spec)
+
+        monkeypatch.setattr(fkspline.cluster, "gram_matrix", counting_gram_matrix)
+        rng = np.random.default_rng(10)
+        model = constant_curve_model(rng.normal(0.0, 1.0, 20))
+        elbow_curve(model, 6)
+        assert len(calls) == 1
+
+    def test_no_worse_than_plain_kmeans_at_each_k(self):
+        # Each k runs the same seeded restarts as functional_kmeans plus one
+        # start from the previous solution, so W can only be lower.
+        rng = np.random.default_rng(5)
+        spec = make_basis_spec(0.0, 1.0, 4, [0.3, 0.7])
+        model = coefficient_model(spec, rng.standard_normal((spec.n_basis, 40)))
+        result = elbow_curve(model, 6, seed=2, restarts=4)
+        plain = [functional_kmeans(model, k, seed=2, restarts=4).w for k in range(1, 7)]
+        assert result.w[0] == plain[0]
+        assert np.all(result.w <= np.array(plain))
 
     def test_k_max_validation(self):
         model = constant_curve_model([0.0, 1.0, 2.0])

@@ -210,8 +210,6 @@ class TestKnotRecovery:
             KnotSearchConfig(max_knots=-1)
         with pytest.raises(ConfigError):
             KnotSearchConfig(grid_size=1)
-        with pytest.raises(ConfigError):
-            KnotSearchConfig(max_iterations=0)
 
 
 def assert_same_fit(model, ref):

@@ -7,6 +7,7 @@ import pytest
 
 from fkspline import (
     ConfigError,
+    DataError,
     DuplicateCellError,
     EmptyTableError,
     ParseError,
@@ -109,6 +110,14 @@ class TestLoading:
             load_csv(write(tmp_path, "e.csv", ""), layout="wide")
         with pytest.raises(EmptyTableError):
             load_csv(write(tmp_path, "h.csv", "time,a\n"), layout="wide")
+
+    def test_unreadable_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError):
+            load_csv(tmp_path / "absent.csv", layout="wide")
+        binary = tmp_path / "latin1.csv"
+        binary.write_bytes(b"time,a\n0,\xff\n")
+        with pytest.raises(ParseError):
+            load_csv(binary, layout="wide")
 
     def test_unknown_layout(self, tmp_path):
         with pytest.raises(ConfigError):
