@@ -3,8 +3,9 @@
 The basis of order r (degree r - 1) over domain [a, b] with p strictly
 increasing interior knots is built on the clamped knot vector that repeats
 each boundary r times, giving n_basis = p + r functions.  Evaluation uses
-the Cox-de Boor triangle vectorized over evaluation points; derivatives come
-from the standard difference recurrence applied to a lower-order basis.
+the Cox-de Boor triangle vectorized over evaluation points and over a stack
+of knot vectors (one basis is the one-row stack); derivatives come from the
+standard difference recurrence applied to a lower-order basis.
 
 Conventions: the last span is right-closed, so evaluating at t = b returns
 the limiting values and every row of a design matrix sums to one exactly.
@@ -97,12 +98,6 @@ class DesignMatrix:
     spec: BasisSpec
 
 
-def _find_spans(full_knots: np.ndarray, order: int, t: np.ndarray) -> np.ndarray:
-    """Index mu of the nonempty span with T[mu] <= t < T[mu+1] (right-closed at b)."""
-    spans = np.searchsorted(full_knots, t, side="right") - 1
-    return np.clip(spans, order - 1, full_knots.size - order - 1)
-
-
 def _deboor_columns(full_knots, k, t, spans):
     """Values of the k nonzero order-k basis functions at each point.
 
@@ -127,13 +122,45 @@ def _deboor_columns(full_knots, k, t, spans):
     return values
 
 
-def _dense_design(full_knots, k, t, spans):
-    """Scatter the de Boor columns of the order-k basis into a dense matrix."""
-    cols = _deboor_columns(full_knots, k, t, spans)
-    dense = np.zeros((t.size, full_knots.size - k))
-    idx = spans[:, None] + np.arange(1 - k, 1)[None, :]
-    dense[np.arange(t.size)[:, None], idx] = cols
-    return dense
+def design_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivative: int = 0) -> np.ndarray:
+    """Basis (derivative) values for a stack of knot vectors of one order.
+
+    full_knots is (C, m): C clamped knot vectors with boundary multiplicity
+    `order`.  t is (C, h): row c holds points inside the domain of knot
+    vector c.  Returns the (C, h, m - order) design matrices, row c of the
+    stack being eval_design of basis c at points t[c]; no input is checked.
+    """
+    C, m = full_knots.shape
+    h = t.shape[1]
+    k = order - derivative
+    # Span mu of each point: T[mu] <= t < T[mu+1], right-closed at b.
+    if C == 1:
+        spans = np.searchsorted(full_knots[0], t[0], side="right") - 1
+    else:
+        spans = np.count_nonzero(full_knots[:, None, :] <= t[:, :, None], axis=2).ravel() - 1
+    spans = np.minimum(np.maximum(spans, order - 1), m - order - 1)
+    # The triangle runs on all C * h points at once, each row's spans
+    # offset into its own stretch of the flattened knot stack.
+    flat_spans = spans + np.repeat(m * np.arange(C), h) if C > 1 else spans
+    cols = _deboor_columns(full_knots.ravel(), k, t.ravel(), flat_spans)
+    dense = np.zeros((C * h, m - k))
+    idx = spans[:, None] + np.arange(1 - k, 1)
+    dense[np.arange(C * h)[:, None], idx] = cols
+    # Lift the order-k values through d difference steps.  At step order kk
+    # the support widths T[i+kk-1] - T[i] of the order-(kk-1) functions
+    # divide columns i and i+1; zero-length spans at the clamped ends belong
+    # to identically-zero functions, their reciprocal is taken as zero.
+    # Spans narrow enough to overflow leave non-finite entries, which the
+    # system assembly refuses.  A single knot vector's reciprocals broadcast
+    # over its rows; a stack's are repeated row by row.
+    rows = slice(None) if C == 1 else np.repeat(np.arange(C), h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kk in range(k + 1, order + 1):
+            w = m - kk
+            widths = full_knots[:, kk - 1 :] - full_knots[:, : w + 1]
+            inv = np.where(widths > 0, 1.0 / np.where(widths > 0, widths, 1.0), 0.0)[rows]
+            dense = (kk - 1) * (dense[:, :w] * inv[:, :w] - dense[:, 1:] * inv[:, 1:])
+    return dense.reshape(C, h, m - order)
 
 
 def _check_points(spec: BasisSpec, t) -> np.ndarray:
@@ -163,20 +190,7 @@ def eval_design(spec: BasisSpec, t, derivative: int = 0) -> DesignMatrix:
             f"derivative order must satisfy 0 <= d < {r}, got {derivative}"
         )
     t = _check_points(spec, t)
-    full = spec._full_arr
-    spans = _find_spans(full, r, t)
-    dense = _dense_design(full, r - d, t, spans)
-    # Lift the order-(r-d) values through d difference steps; zero-length
-    # spans at the clamped ends correspond to identically-zero functions,
-    # their reciprocal is taken as zero.
-    for step in range(d):
-        k = r - d + step + 1
-        w = full.size - k
-        g1 = full[k - 1 : k - 1 + w] - full[:w]
-        g2 = full[k : k + w] - full[1 : 1 + w]
-        inv1 = np.where(g1 > 0, 1.0 / np.where(g1 > 0, g1, 1.0), 0.0)
-        inv2 = np.where(g2 > 0, 1.0 / np.where(g2 > 0, g2, 1.0), 0.0)
-        dense = (k - 1) * (dense[:, :w] * inv1 - dense[:, 1 : w + 1] * inv2)
+    dense = design_stack(spec._full_arr[None, :], r, t[None, :], d)[0]
     return DesignMatrix(values=dense, points=t, derivative=d, spec=spec)
 
 

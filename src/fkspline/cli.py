@@ -42,7 +42,7 @@ from .ingest import _read_rows, load_csv
 from .lambda_select import LambdaGrid, gcv_grid_search
 from .metrics import TailRegions, model_isse
 from .penalty import PenaltyConfig
-from .simulate import ScenarioConfig, benchmark_config, generate_scenario, group_means
+from .simulate import GROUP_IDS, ScenarioConfig, benchmark_config, generate_scenario, group_means
 from .smoother import fit_coefficients, variant_config
 
 THREADS_ENV = "FKSPLINE_THREADS"
@@ -268,6 +268,11 @@ def _cmd_fit(args) -> None:
     truth_labels_path = _resolve(args, "truth_labels", None)
     if truth_labels_path is not None:
         labels = _read_labels(truth_labels_path, curve_ids)
+        unknown = ~np.isin(labels, GROUP_IDS)
+        if unknown.any():
+            i = int(np.argmax(unknown))
+            raise DataError(f"{truth_labels_path}: curve {curve_ids[i]} has group id "
+                            f"{labels[i]}, expected one of {GROUP_IDS}")
         isse = model_isse(model, lambda t: group_means(labels, t), tails)
         isse_kind = "quadrature_vs_truth"
     else:

@@ -14,7 +14,6 @@ GCV rule or continues to a fixed count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     NonIncreasingKnotsError,
 )
 from .penalty import PenaltyConfig
-from .smoother import FitModel, fit_coefficients
+from .smoother import FitModel, fit_coefficients, sse_stack
 
 __all__ = [
     "JuppCoords",
@@ -67,6 +66,32 @@ class JuppCoords:
         return self.values.size
 
 
+def _gap_ratios(tau: np.ndarray, lo: float, hi: float):
+    """Gaps and log gap ratios of each row of knots (..., p) on [lo, hi].
+
+    Rows whose gaps are not all positive get non-finite ratios.
+    """
+    ends = np.ones(tau.shape[:-1] + (1,))
+    gaps = np.diff(np.concatenate([lo * ends, tau, hi * ends], axis=-1), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return gaps, np.diff(np.log(gaps), axis=-1)
+
+
+def _knots_from_ratios(k: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Interior knots of each row of log gap ratios (..., p) on [lo, hi].
+
+    Gap weights are normalized through a shifted softmax, so each row is
+    strictly increasing for any finite input that does not underflow the
+    gap widths.
+    """
+    # log of gap i relative to gap 0 is the cumulative sum of k.
+    logw = np.concatenate([np.zeros(k.shape[:-1] + (1,)), np.cumsum(k, axis=-1)], axis=-1)
+    logw -= logw.max(axis=-1, keepdims=True)
+    w = np.exp(logw)
+    cum = np.cumsum(w[..., :-1], axis=-1) / w.sum(axis=-1, keepdims=True)
+    return lo + (hi - lo) * cum
+
+
 def jupp(knots, lo: float, hi: float) -> JuppCoords:
     """Map strictly increasing interior knots to log gap ratios.
 
@@ -76,31 +101,20 @@ def jupp(knots, lo: float, hi: float) -> JuppCoords:
     tau = np.asarray(knots, dtype=float).reshape(-1)
     if not np.all(np.isfinite(tau)):
         raise NonFiniteInputError("knots must be finite")
-    full = np.concatenate([[lo], tau, [hi]])
-    gaps = np.diff(full)
+    gaps, ratios = _gap_ratios(tau, lo, hi)
     if np.any(gaps <= 0):
         raise NonIncreasingKnotsError(
             "knots must be strictly increasing and strictly inside the domain"
         )
-    return JuppCoords(values=np.diff(np.log(gaps)), lo=float(lo), hi=float(hi))
+    return JuppCoords(values=ratios, lo=float(lo), hi=float(hi))
 
 
 def jupp_inverse(coords: JuppCoords) -> np.ndarray:
     """Reconstruct the interior knots from log gap ratios.
 
-    Stable for large components: gap weights are normalized through a
-    shifted softmax, so the result is strictly increasing for any finite
-    input that does not underflow the gap widths.
+    Stable for large components (see _knots_from_ratios).
     """
-    k = coords.values
-    if k.size == 0:
-        return np.empty(0)
-    # log of gap i relative to gap 0 is the cumulative sum of k.
-    logw = np.concatenate([[0.0], np.cumsum(k)])
-    logw -= logw.max()
-    w = np.exp(logw)
-    cum = np.cumsum(w[:-1]) / w.sum()
-    return coords.lo + (coords.hi - coords.lo) * cum
+    return _knots_from_ratios(coords.values, coords.lo, coords.hi)
 
 
 # Gauss-Newton settings.  _OBJECTIVE_TOL is the relative-improvement floor:
@@ -316,16 +330,44 @@ def _stage_record(coords: JuppCoords, model: FitModel) -> StageRecord:
     )
 
 
+def _scan(existing: np.ndarray, dataset: FunctionalDataset, config: PenaltyConfig,
+          search: KnotSearchConfig):
+    """Score the insertion of every grid candidate into the accepted knots.
+
+    Row c of the returned (C, p + 1) array holds the log gap ratios of the
+    knots with candidate c inserted, jupp of those knots; entry c of the
+    scores is objective_f at those coordinates up to roundoff, or nan where
+    objective_f would raise.  All candidates of a round are scored in one
+    stacked evaluation.
+    """
+    lo, hi = dataset.domain
+    order = search.order
+    grid = _candidate_grid(lo, hi, existing, search)
+    tau = np.sort(np.column_stack([np.broadcast_to(existing, (grid.size, existing.size)), grid]),
+                  axis=1)
+    gaps, ratios = _gap_ratios(tau, lo, hi)
+    built = np.flatnonzero(np.all(gaps > 0, axis=1) & np.all(np.isfinite(ratios), axis=1))
+    # objective_f fits the clamped knot vectors of jupp_inverse's knots,
+    # where those are strictly increasing inside the domain
+    ends = np.ones((built.size, order))
+    full = np.concatenate([lo * ends, _knots_from_ratios(ratios[built], lo, hi), hi * ends], axis=1)
+    valid = np.all(np.diff(full[:, order - 1 : full.shape[1] - order + 1], axis=1) > 0, axis=1)
+    scores = np.full(grid.size, np.nan)
+    scores[built[valid]] = sse_stack(full[valid], order, dataset, config)
+    return ratios, scores
+
+
 def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
                         search: KnotSearchConfig) -> FreeKnotResult:
     """Grow the interior knot vector one knot per round.
 
     Each round inserts every surviving grid candidate into the accepted
-    knots, starts Gauss-Newton from the best insertion, and records the
-    refined stage.  With fixed_p the final stage is selected; otherwise the
-    search stops once the GCV score has failed to improve by _GCV_REL_TOL
-    (relative) for _GCV_PATIENCE consecutive rounds, and the best-GCV stage
-    is selected.  Knots are placed inside the dataset's domain.
+    knots, starts Gauss-Newton from the best insertion (the first of equal
+    scores), and records the refined stage.  With fixed_p the final stage
+    is selected; otherwise the search stops once the GCV score has failed
+    to improve by _GCV_REL_TOL (relative) for _GCV_PATIENCE consecutive
+    rounds, and the best-GCV stage is selected.  Knots are placed inside the
+    dataset's domain.
     """
     lo, hi = dataset.domain
     order = search.order
@@ -336,28 +378,19 @@ def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
     result.stages.append(best)
     bad_streak = 0
     for _ in range(search.max_knots):
-        existing = result.stages[-1].knots
-        grid = _candidate_grid(lo, hi, existing, search)
-        best_cand = None
-        best_f = math.inf
-        failures = 0
-        for s in grid:
-            tau = np.sort(np.append(existing, s))
-            try:
-                cand = jupp(tau, lo, hi)
-                f = objective_f(cand, dataset, config, order)
-            except (FkSplineError, np.linalg.LinAlgError):
-                failures += 1
-                continue
-            if f < best_f:
-                best_f = f
-                best_cand = cand
-        if best_cand is None:
+        last = result.stages[-1]
+        ratios, scores = _scan(last.knots, dataset, config, search)
+        scored = np.flatnonzero(np.isfinite(scores))
+        if scored.size == 0:
+            failures = int(np.isnan(scores).sum())
             if failures:
                 raise AllCandidatesSingularError(
-                    f"all {failures} candidate knots failed at p={existing.size + 1}"
+                    f"all {failures} candidate knots failed at p={last.p + 1}; "
+                    f"the last feasible stage has p={last.p} and knots "
+                    f"{[float(x) for x in last.knots]}"
                 )
             break  # grid exhausted by exclusion zones
+        best_cand = JuppCoords(ratios[scored[np.argmin(scores[scored])]], lo, hi)
         refined = gauss_newton_refine(best_cand, dataset, config, search)
         model = refined.model
         record = _stage_record(refined.coords, model)

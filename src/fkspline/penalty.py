@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisSpec, eval_design
+from .basis import BasisSpec, design_stack
 from .errors import ConfigError, DerivativeOrderTooHighError
 
 __all__ = ["PenaltyMatrix", "PenaltyConfig", "penalty_matrix", "gram_matrix"]
@@ -61,6 +61,31 @@ class PenaltyConfig:
         return {1: float(self.lambda1), 2: float(self.lambda2)}.get(derivative_order, 0.0)
 
 
+def penalty_stack(full_knots: np.ndarray, order: int, l: int,
+                  n_nodes: int | None = None) -> np.ndarray:
+    """Order-l penalty matrices of a stack of bases by Gauss-Legendre quadrature.
+
+    full_knots is (C, m): C clamped knot vectors of spline order `order`.
+    Every nonempty span of each basis gets n_nodes nodes (default order - l,
+    which is exact); returns the (C, n_basis, n_basis) stack.  Inputs are
+    not checked.
+    """
+    nodes, weights = _gauss_legendre(max(1, order - l) if n_nodes is None else n_nodes)
+    C, m = full_knots.shape
+    edges = full_knots[:, order - 1 : m - order + 1]  # a, interior knots, b
+    half = 0.5 * np.diff(edges, axis=1)  # (C, n_spans)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    # All spans of a basis evaluated in one pass: points (C, n_spans * n_nodes).
+    n_points = half.shape[1] * nodes.size
+    pts = (mid[:, :, None] + half[:, :, None] * nodes).reshape(C, n_points)
+    pts = np.minimum(np.maximum(pts, edges[:, :1]), edges[:, -1:])
+    w = (half[:, :, None] * weights).reshape(C, n_points)
+    design = design_stack(full_knots, order, pts, derivative=l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = design.transpose(0, 2, 1) @ (design * w[:, :, None])
+        return 0.5 * (values + values.transpose(0, 2, 1))
+
+
 def penalty_matrix(spec: BasisSpec, order: int, quad_points: int | None = None) -> PenaltyMatrix:
     """Assemble the order-`order` roughness penalty matrix by exact quadrature.
 
@@ -73,19 +98,10 @@ def penalty_matrix(spec: BasisSpec, order: int, quad_points: int | None = None) 
         raise DerivativeOrderTooHighError(
             f"penalty derivative order must satisfy 0 <= l < {spec.order}, got {order}"
         )
-    n_nodes = max(1, spec.order - l) if quad_points is None else int(quad_points)
-    if n_nodes < 1:
+    n_nodes = None if quad_points is None else int(quad_points)
+    if n_nodes is not None and n_nodes < 1:
         raise ConfigError("quadrature needs at least one node per span")
-    nodes, weights = _gauss_legendre(n_nodes)
-    edges = np.asarray(spec.span_edges)
-    half = 0.5 * np.diff(edges)  # (n_spans,)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    # All spans evaluated in one design call: points (n_spans * n_nodes,).
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    design = eval_design(spec, pts, derivative=l).values
-    values = design.T @ (design * w[:, None])
-    values = 0.5 * (values + values.T)
+    values = penalty_stack(spec._full_arr[None, :], spec.order, l, n_nodes)[0]
     return PenaltyMatrix(order=l, values=values, spec=spec)
 
 

@@ -14,10 +14,10 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .basis import BasisSpec, DesignMatrix, eval_design
+from .basis import BasisSpec, DesignMatrix, design_stack, eval_design
 from .data import FunctionalDataset
 from .errors import ConfigError, NotPositiveDefiniteError
-from .penalty import PenaltyConfig, penalty_matrix
+from .penalty import PenaltyConfig, penalty_matrix, penalty_stack
 
 __all__ = [
     "SystemMatrix",
@@ -80,6 +80,29 @@ class SystemMatrix:
         return cho_solve(self.cho, rhs, check_finite=False)
 
 
+def _penalty_orders(config: PenaltyConfig) -> list[int]:
+    """Derivative orders whose penalty enters the system: positive weights."""
+    if config.alphas is not None:
+        return [l for l, a in enumerate(config.alphas) if a > 0.0]
+    return [l for l in (1, 2) if config.weight_for(l) > 0.0]
+
+
+def _refused(H: np.ndarray) -> np.ndarray:
+    """Which matrices of a (C, nb, nb) stack of systems the fit refuses.
+
+    A system is refused when it has a non-finite entry (a knot span so narrow
+    that the derivative penalties overflow) or when its smallest eigenvalue
+    is not positive or its condition number is past 1e10: the solve would
+    keep fewer than six reliable digits, so such a system (knot spans with
+    little or no data) is numerically indefinite even when a Cholesky
+    factorization goes through.
+    """
+    # a non-finite matrix is zeroed, so that its smallest eigenvalue is 0
+    finite = np.isfinite(H).all(axis=(1, 2))
+    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], H, 0.0))
+    return (eigs[:, 0] <= 0.0) | (eigs[:, -1] > 1e10 * eigs[:, 0])
+
+
 def assemble_system(design: DesignMatrix, config: PenaltyConfig, penalties=None) -> SystemMatrix:
     """Build and factor the system matrix for one basis and penalty config.
 
@@ -90,22 +113,19 @@ def assemble_system(design: DesignMatrix, config: PenaltyConfig, penalties=None)
     spec = design.spec
     B = design.values
     btb = B.T @ B
-    if config.alphas is not None:
-        orders = [l for l, a in enumerate(config.alphas) if a > 0.0]
-    else:
-        orders = [l for l in (1, 2) if config.weight_for(l) > 0.0]
     supplied = {p.order: p for p in (penalties or ())}
     terms = []
     H = btb.copy()
-    for l in orders:
+    for l in _penalty_orders(config):
         pm = supplied.get(l)
         if pm is None:
             pm = penalty_matrix(spec, l)
         weight = config.weight_for(l)
         H += weight * pm.values
         terms.append((weight, pm.values))
-    if not np.all(np.isfinite(H)):
-        # a knot span so narrow that the derivative penalties overflow
+    # the factorization must not see non-finite entries, so that part of
+    # the refusal rule is tested first
+    if not np.isfinite(H).all():
         raise NotPositiveDefiniteError("system matrix has non-finite entries")
     try:
         cho = cho_factor(H, lower=True, check_finite=False)
@@ -114,11 +134,7 @@ def assemble_system(design: DesignMatrix, config: PenaltyConfig, penalties=None)
             "system matrix is not positive definite; add a penalty or drop "
             "redundant sample points"
         ) from exc
-    # A condition number past 1e10 means the solve keeps fewer than six
-    # reliable digits; such a system (knot spans with little or no data)
-    # is numerically indefinite even when the factorization goes through.
-    eigs = np.linalg.eigvalsh(H)
-    if eigs[0] <= 0.0 or eigs[-1] > 1e10 * eigs[0]:
+    if _refused(H[None])[0]:
         raise NotPositiveDefiniteError(
             "system matrix is numerically singular; a basis function has "
             "little or no data in its support"
@@ -195,3 +211,29 @@ def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec, config: Penalt
     C = system.solve(design.values.T @ Y)
     diags = _diagnostics(system, Y, design.values @ C)
     return FitModel(spec=spec, config=config, coeffs=C, diagnostics=diags)
+
+
+def sse_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
+              config: PenaltyConfig) -> np.ndarray:
+    """Residual sum of squares of the penalized fit at each knot vector of a stack.
+
+    full_knots is (C, m): C clamped knot vectors of one spline order over
+    the dataset's domain.  The systems H = B'B + sum of weighted penalties
+    are built and checked as one stack; those assemble_system would refuse
+    score nan, the others are solved one by one.  A score equals the sse of
+    fit_coefficients at that knot vector up to roundoff.  Inputs are not
+    checked: the penalized derivative orders must be below `order`.
+    """
+    C = full_knots.shape[0]
+    Y = dataset.values
+    B = design_stack(full_knots, order, np.broadcast_to(dataset.t, (C, dataset.t.size)))
+    H = B.transpose(0, 2, 1) @ B
+    for l in _penalty_orders(config):
+        H += config.weight_for(l) * penalty_stack(full_knots, order, l)
+    sse = np.full(C, np.nan)
+    # One solve and one residual at a time: a batched solve took as long
+    # and its (C, nb, n) coefficient stack raised the peak memory.
+    for i in np.flatnonzero(~_refused(H)):
+        residual = Y - B[i] @ np.linalg.solve(H[i], B[i].T @ Y)
+        sse[i] = np.einsum("ij,ij->j", residual, residual).sum()
+    return sse

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,23 @@ class TestExitCodes:
         assert report["error"] == "ParseError"
         assert "row 2" in report["context"]
 
+    def test_unknown_truth_group_is_3(self, simdir, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        rows = (simdir / "labels.csv").read_text().splitlines()
+        curve = rows[-1].split(",")[0]
+        rows[-1] = f"{curve},7"
+        labels.write_text("\n".join(rows) + "\n")
+        code = run(["fit", "--data", simdir / "dataset.csv", "--nbasis", "5",
+                    "--truth-labels", labels, "--outdir", tmp_path])
+        assert code == 3
+        report = self.stderr_report(capsys)
+        assert report["error"] == "DataError"
+        assert f"curve {curve} has group id 7" in report["context"]
+        # cluster scoring compares partitions, so any integer ids are labels
+        assert run(["cluster", "--data", simdir / "dataset.csv", "--knots", "2.5",
+                    "--k", "2", "--restarts", "1", "--labels", labels,
+                    "--outdir", tmp_path / "cluster"]) == 0
+
     def test_numerical_failure_is_4(self, tmp_path, capsys):
         small = tmp_path / "small.csv"
         rows = "\n".join(f"{t},{t * t}" for t in np.linspace(0, 1, 6))
@@ -210,8 +228,12 @@ class TestExitCodes:
     def test_overflowing_penalty_is_4(self, tmp_path, capsys):
         narrow = tmp_path / "narrow.csv"
         narrow.write_text("t,c1\n0.0,0.0\n1e-187,1.0\n")
-        code = run(["fit", "--data", narrow, "--nbasis", "4", "--outdir", tmp_path])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["fit", "--data", narrow, "--nbasis", "4", "--outdir", tmp_path])
         assert code == 4
+        # the overflow is reported once, as the error line, not as warnings
+        assert [str(w.message) for w in caught] == []
         assert self.stderr_report(capsys)["error"] == "NotPositiveDefiniteError"
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from fkspline import (
     AllCandidatesSingularError,
     ConfigError,
+    FkSplineError,
     FunctionalDataset,
     JuppCoords,
     KnotSearchConfig,
@@ -27,6 +29,7 @@ from fkspline import (
     make_basis_spec,
     objective_f,
 )
+from fkspline import freeknot
 
 
 def hinge_dataset(knot=0.37, n=41, lo=0.0, hi=1.0):
@@ -200,8 +203,21 @@ class TestKnotRecovery:
         t = np.array([0.0, 1 / 3, 2 / 3, 1.0])
         ds = FunctionalDataset(t=t, values=np.array([[0.0], [1.0], [0.5], [0.0]]))
         search = KnotSearchConfig(order=4, max_knots=1, fixed_p=True)
-        with pytest.raises(AllCandidatesSingularError):
+        with pytest.raises(AllCandidatesSingularError,
+                           match=r"failed at p=1; the last feasible stage has p=0 and knots \[\]"):
             add_knots_gradually(ds, PenaltyConfig(), search)
+        # Five points carry a linear spline with up to three knots; the
+        # message names the last stage that could be fitted.
+        t = np.linspace(0.0, 1.0, 5)
+        ds = FunctionalDataset(t=t, values=np.array([[0.0], [1.0], [0.0], [1.0], [0.0]]))
+        search = KnotSearchConfig(order=2, max_knots=4, fixed_p=True)
+        with pytest.raises(AllCandidatesSingularError) as info:
+            add_knots_gradually(ds, PenaltyConfig(), search)
+        found = re.search(r"failed at p=4; the last feasible stage has p=3 and knots \[(.*)\]",
+                          str(info.value))
+        assert found is not None, str(info.value)
+        knots = [float(x) for x in found.group(1).split(",")]
+        assert len(knots) == 3 and 0.0 < knots[0] < knots[1] < knots[2] < 1.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -255,6 +271,97 @@ class TestFitReuse:
         d = result.model.diagnostics
         assert (d.sse, d.gcv, d.df) == (chosen.objective, chosen.gcv, chosen.df)
         assert result.model.knot_search is result
+
+
+class TestStackedScan:
+    """One stacked evaluation per round scores the candidates as objective_f would."""
+
+    @staticmethod
+    def scan_by_objective_f(existing, ds, config, search):
+        """Reference: each candidate through its own objective_f refit."""
+        lo, hi = ds.domain
+        coords, scores = [], []
+        for s in freeknot._candidate_grid(lo, hi, existing, search):
+            cand, score = None, np.nan
+            try:
+                cand = jupp(np.sort(np.append(existing, s)), lo, hi)
+                score = objective_f(cand, ds, config, search.order)
+            except (FkSplineError, np.linalg.LinAlgError):
+                pass
+            coords.append(cand)
+            scores.append(score)
+        return coords, np.array(scores)
+
+    # each config with the spline orders that carry its highest penalty
+    @pytest.mark.parametrize("config, orders", [
+        (PenaltyConfig(), (2, 3, 4)),
+        (PenaltyConfig(lambda1=1e-7, lambda2=1e-5), (3, 4)),
+        (PenaltyConfig(alphas=(0.0, 1e-4, 1e-3, 1e-6)), (4,)),
+    ], ids=["fs0", "fs2", "alphas"])
+    def test_scores_refusals_and_winner_match_objective_f(self, config, orders):
+        rng = np.random.default_rng(17)
+        refusals = 0
+        for trial in range(30):
+            n = int(rng.integers(8, 30))
+            t = np.sort(rng.uniform(0.0, 2.0, n))
+            t[0], t[-1] = 0.0, 2.0
+            y = np.sin(np.outer(2.0 * t, 1.0 + np.arange(2))) + 0.2 * rng.standard_normal((n, 2))
+            # every fifth domain is so narrow that derivative penalties overflow
+            scale = 1e-120 if trial % 5 == 0 else 1.0
+            ds = FunctionalDataset(t=scale * t, values=y)
+            existing = scale * np.sort(rng.choice(np.linspace(0.1, 1.9, 19),
+                                                  int(rng.integers(1, 4)), replace=False))
+            search = KnotSearchConfig(order=int(rng.choice(orders)), max_knots=6,
+                                      grid_size=int(rng.integers(5, 40)))
+            ratios, scores = freeknot._scan(existing, ds, config, search)
+            coords, ref = self.scan_by_objective_f(existing, ds, config, search)
+            refused = np.isnan(ref)
+            refusals += int(refused.sum())
+            assert np.array_equal(np.isnan(scores), refused)
+            assert np.all(np.abs(scores[~refused] - ref[~refused]) <= 1e-12 * ref[~refused])
+            if refused.all():
+                continue
+            # the loop rule the scan replaced: strict <, refused skipped
+            winner, best = None, math.inf
+            for i, f in enumerate(ref):
+                if f < best:
+                    winner, best = i, f
+            chosen = np.flatnonzero(~refused)[np.argmin(scores[~refused])]
+            assert chosen == winner
+            assert np.array_equal(ratios[chosen], coords[winner].values)
+        assert refusals > 0  # the refusal rule was exercised
+        # a grid used up by exclusion zones scores nothing
+        search = KnotSearchConfig(order=max(orders), max_knots=3, grid_size=2)
+        ratios, scores = freeknot._scan(np.array([0.3, 0.7]), hinge_dataset(), config, search)
+        assert ratios.shape == (0, 3) and scores.shape == (0,)
+
+    def test_search_scores_without_per_candidate_refits(self, monkeypatch):
+        calls = {"objective_f": 0, "fits": 0, "refine_fits": 0}
+        fit, objective, refine = (freeknot.fit_coefficients, freeknot.objective_f,
+                                  freeknot.gauss_newton_refine)
+
+        def counting_fit(*args, **kwargs):
+            calls["fits"] += 1
+            return fit(*args, **kwargs)
+
+        def counting_objective(*args, **kwargs):
+            calls["objective_f"] += 1
+            return objective(*args, **kwargs)
+
+        def counting_refine(*args, **kwargs):
+            before = calls["fits"]
+            result = refine(*args, **kwargs)
+            calls["refine_fits"] += calls["fits"] - before
+            return result
+
+        monkeypatch.setattr(freeknot, "fit_coefficients", counting_fit)
+        monkeypatch.setattr(freeknot, "objective_f", counting_objective)
+        monkeypatch.setattr(freeknot, "gauss_newton_refine", counting_refine)
+        search = KnotSearchConfig(order=4, max_knots=3, grid_size=20, fixed_p=True)
+        add_knots_gradually(noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5), search)
+        assert calls["objective_f"] == 0
+        # one fit for the knot-free stage, every other one in the refiner
+        assert calls["fits"] == calls["refine_fits"] + 1
 
 
 class TestHighLevelFit:
