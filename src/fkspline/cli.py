@@ -235,19 +235,18 @@ def _fit_model(dataset, args, config):
     if knots_arg is not None:
         knots = [float(x) for x in _comma_list(knots_arg)]
         spec = make_basis_spec(lo, hi, order, knots)
-        return fit_coefficients(dataset, spec, config), None
+        return fit_coefficients(dataset, spec, config)
     p = nbasis - order
     if p < 0:
         raise ConfigError(f"nbasis {nbasis} is below the order {order}")
     if p == 0:
         spec = make_basis_spec(lo, hi, order, [])
-        return fit_coefficients(dataset, spec, config), None
+        return fit_coefficients(dataset, spec, config)
     search = KnotSearchConfig(
         order=order, max_knots=p, fixed_p=True,
         grid_size=int(_resolve(args, "grid_size", 50)),
     )
-    model = fit_free_knot(dataset, config, search)
-    return model, search
+    return fit_free_knot(dataset, config, search)
 
 
 def _discrete_tail_sse(t, residuals, tails: TailRegions):
@@ -261,7 +260,8 @@ def _cmd_fit(args) -> None:
     seed = int(_resolve(args, "seed", 0))
     dataset, curve_ids = _load_dataset(_require(args, "data"))
     config = _penalty_from_args(args)
-    model, search = _fit_model(dataset, args, config)
+    # the tail regions and the truth labels are checked before the fit,
+    # which can be a whole free-knot search
     tail_frac = float(_resolve(args, "tail_frac", 0.1))
     lo, hi = dataset.domain
     tails = TailRegions.fraction(lo, hi, tail_frac)
@@ -273,6 +273,8 @@ def _cmd_fit(args) -> None:
             i = int(np.argmax(unknown))
             raise DataError(f"{truth_labels_path}: curve {curve_ids[i]} has group id "
                             f"{labels[i]}, expected one of {GROUP_IDS}")
+    model = _fit_model(dataset, args, config)
+    if truth_labels_path is not None:
         isse = model_isse(model, lambda t: group_means(labels, t), tails)
         isse_kind = "quadrature_vs_truth"
     else:
@@ -401,7 +403,7 @@ def _cmd_cluster(args) -> None:
     seed = int(_resolve(args, "seed", 0))
     dataset, curve_ids = _load_dataset(_require(args, "data"))
     config = _penalty_from_args(args)
-    model, _ = _fit_model(dataset, args, config)
+    model = _fit_model(dataset, args, config)
     method = str(_resolve(args, "method", "kmeans"))
     restarts = int(_resolve(args, "restarts", 20))
     kmax = _resolve(args, "kmax", None)

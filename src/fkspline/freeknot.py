@@ -23,12 +23,11 @@ from .data import FunctionalDataset
 from .errors import (
     AllCandidatesSingularError,
     ConfigError,
-    FkSplineError,
     NonFiniteInputError,
     NonIncreasingKnotsError,
 )
 from .penalty import PenaltyConfig
-from .smoother import FitModel, fit_coefficients, sse_stack
+from .smoother import FitModel, fit_coefficients, residual_stack, sse_stack
 
 __all__ = [
     "JuppCoords",
@@ -176,15 +175,77 @@ class GaussNewtonResult:
     step_failure: bool = False  # no damped step improved the objective
 
 
+def _fittable_rows(ratios: np.ndarray, lo: float, hi: float, order: int):
+    """The rows of log gap ratios (C, p) that a fit accepts, with their clamped knots.
+
+    A row is accepted when its ratios are finite and the clamped knot vector
+    of its knots (jupp_inverse) is strictly increasing from lo to hi, the
+    rule JuppCoords and make_basis_spec enforce.  Returns the indices of
+    those rows and their (kept, p + 2 * order) clamped knot vectors.
+    """
+    finite = np.flatnonzero(np.all(np.isfinite(ratios), axis=1))
+    ends = np.ones((finite.size, order))
+    full = np.concatenate([lo * ends, _knots_from_ratios(ratios[finite], lo, hi), hi * ends],
+                          axis=1)
+    valid = np.all(np.diff(full[:, order - 1 : full.shape[1] - order + 1], axis=1) > 0, axis=1)
+    return finite[valid], full[valid]
+
+
+def _residual_rows(ratios: np.ndarray, lo: float, hi: float, dataset: FunctionalDataset,
+                   config: PenaltyConfig, order: int) -> list:
+    """Raveled residuals of the fit at each row of log gap ratios (C, p), in one stack.
+
+    Entry c is None where the row cannot be fitted or its system is refused,
+    that is where the fit at those coordinates would raise.
+    """
+    out = [None] * len(ratios)
+    kept, full = _fittable_rows(ratios, lo, hi, order)
+    for i, residual in residual_stack(full, order, dataset, config):
+        out[kept[i]] = residual.ravel()
+    return out
+
+
+def _jacobian(k: np.ndarray, r: np.ndarray, residuals):
+    """Residual and forward-difference Jacobian at log gap ratios k, as stacks.
+
+    residuals maps a (C, p) stack of coordinates to a list of raveled
+    residual vectors, None where a row cannot be fitted (_residual_rows).
+    Row 0 of one (p + 1)-row stack is the current point and row i + 1 is
+    k + step_i e_i, step_i = _FD_STEP * (1 + |k_i|): column i is row i + 1
+    minus row 0 over step_i.  A perturbed point that cannot be fitted (knot
+    gaps underflow, or the system is refused) gets a backward step, all of
+    them in one second stack; a column that fails both ways is zero.  r,
+    the residual at k from an earlier fit, stands in for row 0 if the stack
+    refuses that by roundoff.
+    """
+    p = k.size
+    steps = _FD_STEP * (1.0 + np.abs(k))
+    forward = residuals(k + np.vstack([np.zeros(p), np.diag(steps)]))
+    r = r if forward[0] is None else forward[0]
+    failed = [i for i in range(p) if forward[i + 1] is None]
+    backward = dict(zip(failed, residuals(k - np.diag(steps)[failed]))) if failed else {}
+    jac = np.zeros((r.size, p))
+    for i in range(p):
+        resid, step = forward[i + 1], steps[i]
+        if resid is None:
+            resid, step = backward[i], -step
+        if resid is not None:
+            jac[:, i] = (resid - r) / step
+    return r, jac
+
+
 def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
                         config: PenaltyConfig, search: KnotSearchConfig) -> GaussNewtonResult:
     """Damped Gauss-Newton descent on the knot objective.
 
-    The Jacobian of the residual vector is taken by forward differences with
-    per-component step _FD_STEP * (1 + |k_i|).  The damping parameter grows
-    tenfold when a step fails to decrease the objective and shrinks tenfold
-    on success.  The best iterate seen is always returned, together with
-    its fit, so the result never exceeds the starting objective.
+    Each iteration takes the residual and its forward-difference Jacobian
+    from one stacked evaluation (smoother.residual_stack) of the current
+    point and its p perturbed points (see _jacobian), and trial steps are
+    one-row stacks, so no per-column fit is made.  The damping parameter
+    grows tenfold when a step fails to decrease the objective and shrinks
+    tenfold on success.  The best iterate seen is always returned, so the
+    result never exceeds the starting objective; only it is fitted with
+    fit_coefficients, and the objective is the sse of that fit.
     """
     k = coords.values.copy()
     lo, hi = coords.lo, coords.hi
@@ -193,6 +254,10 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     if p == 0:
         return GaussNewtonResult(coords, model.diagnostics.sse, 0, True, model)
     min_gap = _knot_radius(lo, hi, search)
+
+    def residuals(rows):
+        return _residual_rows(rows, lo, hi, dataset, config, search.order)
+
     r = model.diagnostics.residuals.ravel()
     f = float(r @ r)
     mu = _DAMPING
@@ -200,22 +265,7 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     converged = False
     step_failure = False
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        jac = np.empty((r.size, p))
-        for i in range(p):
-            step = _FD_STEP * (1.0 + abs(k[i]))
-            # a perturbed point can be infeasible in floating point (knot
-            # gaps underflow); fall back to a backward step, then to zero
-            jac[:, i] = 0.0
-            for signed in (step, -step):
-                k_pert = k.copy()
-                k_pert[i] += signed
-                try:
-                    pert = _fit_at(JuppCoords(k_pert, lo, hi), dataset, config, search.order)
-                except FkSplineError:
-                    continue
-                r_pert = pert.diagnostics.residuals.ravel()
-                jac[:, i] = (r_pert - r) / signed
-                break
+        r, jac = _jacobian(k, r, residuals)
         g = jac.T @ r
         jtj = jac.T @ jac
         if np.linalg.norm(g) <= 1e-14 * (1.0 + f):
@@ -229,24 +279,20 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
                 mu *= 10.0
                 continue
             k_new = k + delta
-            new_coords = JuppCoords(k_new, lo, hi)
             # knots drifting together chase noise through high-leverage
             # spans; such trial points are treated as infeasible
-            tau_new = jupp_inverse(new_coords)
-            if p >= 2 and float(np.diff(tau_new).min()) < min_gap:
+            if p >= 2 and float(np.diff(_knots_from_ratios(k_new, lo, hi)).min()) < min_gap:
                 mu *= 10.0
                 continue
-            try:
-                trial = _fit_at(new_coords, dataset, config, search.order)
-            except FkSplineError:
+            (r_new,) = residuals(k_new[None])
+            if r_new is None:
                 mu *= 10.0
                 continue
-            r_new = trial.diagnostics.residuals.ravel()
             f_new = float(r_new @ r_new)
             if f_new < f:
                 step_norm = float(np.max(np.abs(delta)))
                 rel_drop = (f - f_new) / max(f, 1e-300)
-                k, r, f, model = k_new, r_new, f_new, trial
+                k, r, f, model = k_new, r_new, f_new, None
                 mu = max(mu / 10.0, 1e-12)
                 improved = True
                 if step_norm < _STEP_TOL or rel_drop < _OBJECTIVE_TOL:
@@ -258,8 +304,11 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
             break
         if converged:
             break
+    best = JuppCoords(k, lo, hi)
+    if model is None:  # a step was taken: fit the best iterate
+        model = _fit_at(best, dataset, config, search.order)
     return GaussNewtonResult(
-        coords=JuppCoords(k, lo, hi), objective=f, iterations=iterations,
+        coords=best, objective=model.diagnostics.sse, iterations=iterations,
         converged=converged, model=model, step_failure=step_failure,
     )
 
@@ -345,15 +394,12 @@ def _scan(existing: np.ndarray, dataset: FunctionalDataset, config: PenaltyConfi
     grid = _candidate_grid(lo, hi, existing, search)
     tau = np.sort(np.column_stack([np.broadcast_to(existing, (grid.size, existing.size)), grid]),
                   axis=1)
-    gaps, ratios = _gap_ratios(tau, lo, hi)
-    built = np.flatnonzero(np.all(gaps > 0, axis=1) & np.all(np.isfinite(ratios), axis=1))
-    # objective_f fits the clamped knot vectors of jupp_inverse's knots,
-    # where those are strictly increasing inside the domain
-    ends = np.ones((built.size, order))
-    full = np.concatenate([lo * ends, _knots_from_ratios(ratios[built], lo, hi), hi * ends], axis=1)
-    valid = np.all(np.diff(full[:, order - 1 : full.shape[1] - order + 1], axis=1) > 0, axis=1)
+    # a zero gap (knots that coincide in floating point) gives a
+    # non-finite ratio, which _fittable_rows turns away
+    _, ratios = _gap_ratios(tau, lo, hi)
+    kept, full = _fittable_rows(ratios, lo, hi, order)
     scores = np.full(grid.size, np.nan)
-    scores[built[valid]] = sse_stack(full[valid], order, dataset, config)
+    scores[kept] = sse_stack(full, order, dataset, config)
     return ratios, scores
 
 

@@ -213,14 +213,15 @@ def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec, config: Penalt
     return FitModel(spec=spec, config=config, coeffs=C, diagnostics=diags)
 
 
-def sse_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
-              config: PenaltyConfig) -> np.ndarray:
-    """Residual sum of squares of the penalized fit at each knot vector of a stack.
+def residual_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
+                   config: PenaltyConfig):
+    """Residuals of the penalized fit at each knot vector of a stack.
 
     full_knots is (C, m): C clamped knot vectors of one spline order over
     the dataset's domain.  The systems H = B'B + sum of weighted penalties
-    are built and checked as one stack; those assemble_system would refuse
-    score nan, the others are solved one by one.  A score equals the sse of
+    are built and checked as one stack.  Yields (c, residual) for each row
+    c that assemble_system would not refuse, in row order; residual is the
+    (h, n) matrix data minus fitted values, equal to the residuals of
     fit_coefficients at that knot vector up to roundoff.  Inputs are not
     checked: the penalized derivative orders must be below `order`.
     """
@@ -230,10 +231,22 @@ def sse_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
     H = B.transpose(0, 2, 1) @ B
     for l in _penalty_orders(config):
         H += config.weight_for(l) * penalty_stack(full_knots, order, l)
-    sse = np.full(C, np.nan)
-    # One solve and one residual at a time: a batched solve took as long
-    # and its (C, nb, n) coefficient stack raised the peak memory.
+    # One solve and one residual at a time, each handed on before the next
+    # is formed: a batched solve took as long, its (C, nb, n) coefficient
+    # stack raised the peak memory, and a (C, h, n) residual stack would
+    # be larger still.
     for i in np.flatnonzero(~_refused(H)):
-        residual = Y - B[i] @ np.linalg.solve(H[i], B[i].T @ Y)
+        yield int(i), Y - B[i] @ np.linalg.solve(H[i], B[i].T @ Y)
+
+
+def sse_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
+              config: PenaltyConfig) -> np.ndarray:
+    """Residual sum of squares of the penalized fit at each knot vector of a stack.
+
+    The rows residual_stack refuses score nan.  A score equals the sse of
+    fit_coefficients at that knot vector up to roundoff.
+    """
+    sse = np.full(full_knots.shape[0], np.nan)
+    for i, residual in residual_stack(full_knots, order, dataset, config):
         sse[i] = np.einsum("ij,ij->j", residual, residual).sum()
     return sse

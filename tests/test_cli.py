@@ -215,6 +215,27 @@ class TestExitCodes:
                     "--k", "2", "--restarts", "1", "--labels", labels,
                     "--outdir", tmp_path / "cluster"]) == 0
 
+    @pytest.mark.parametrize("flags, code, error", [
+        (["--truth-labels", "bad-group"], 3, "DataError"),
+        (["--truth-labels", "bad-row"], 3, "ParseError"),
+        (["--tail-frac", "0.7"], 2, "EmptyIntervalError"),
+    ], ids=["group-id", "label-row", "tail-frac"])
+    def test_bad_fit_inputs_exit_before_fitting(self, simdir, tmp_path, capsys, monkeypatch,
+                                                flags, code, error):
+        import fkspline.cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the knot search ran before the inputs were checked")
+
+        monkeypatch.setattr(fkspline.cli, "fit_free_knot", no_fit)
+        rows = (simdir / "labels.csv").read_text().splitlines()
+        (tmp_path / "bad-group").write_text("\n".join(rows[:-1] + [rows[-1][:-1] + "7"]) + "\n")
+        (tmp_path / "bad-row").write_text("\n".join(rows[:-1] + [rows[-1] + ",1"]) + "\n")
+        flags = [tmp_path / f if f.startswith("bad-") else f for f in flags]
+        assert run(["fit", "--data", simdir / "dataset.csv", "--nbasis", "5",
+                    *flags, "--outdir", tmp_path / "out"]) == code
+        assert self.stderr_report(capsys)["error"] == error
+
     def test_numerical_failure_is_4(self, tmp_path, capsys):
         small = tmp_path / "small.csv"
         rows = "\n".join(f"{t},{t * t}" for t in np.linspace(0, 1, 6))

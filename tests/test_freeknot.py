@@ -274,23 +274,27 @@ class TestFitReuse:
 
 
 class TestStackedScan:
-    """One stacked evaluation per round scores the candidates as objective_f would."""
+    """One stacked evaluation per round scores the candidates as objective_f would,
+    from the residuals fit_coefficients would give."""
 
     @staticmethod
     def scan_by_objective_f(existing, ds, config, search):
-        """Reference: each candidate through its own objective_f refit."""
+        """Reference: each candidate through its own objective_f refit, and its residuals."""
         lo, hi = ds.domain
-        coords, scores = [], []
+        coords, scores, residuals = [], [], []
         for s in freeknot._candidate_grid(lo, hi, existing, search):
-            cand, score = None, np.nan
+            cand, score, residual = None, np.nan, None
             try:
                 cand = jupp(np.sort(np.append(existing, s)), lo, hi)
                 score = objective_f(cand, ds, config, search.order)
+                spec = make_basis_spec(lo, hi, search.order, jupp_inverse(cand))
+                residual = fit_coefficients(ds, spec, config).diagnostics.residuals
             except (FkSplineError, np.linalg.LinAlgError):
                 pass
             coords.append(cand)
             scores.append(score)
-        return coords, np.array(scores)
+            residuals.append(residual)
+        return coords, np.array(scores), residuals
 
     # each config with the spline orders that carry its highest penalty
     @pytest.mark.parametrize("config, orders", [
@@ -314,11 +318,19 @@ class TestStackedScan:
             search = KnotSearchConfig(order=int(rng.choice(orders)), max_knots=6,
                                       grid_size=int(rng.integers(5, 40)))
             ratios, scores = freeknot._scan(existing, ds, config, search)
-            coords, ref = self.scan_by_objective_f(existing, ds, config, search)
+            coords, ref, ref_residuals = self.scan_by_objective_f(existing, ds, config, search)
             refused = np.isnan(ref)
             refusals += int(refused.sum())
             assert np.array_equal(np.isnan(scores), refused)
             assert np.all(np.abs(scores[~refused] - ref[~refused]) <= 1e-12 * ref[~refused])
+            # the residual evaluator behind the scores refuses the same rows
+            # and keeps each fit's residual matrix
+            rows = freeknot._residual_rows(ratios, *ds.domain, ds, config, search.order)
+            assert [row is None for row in rows] == [r is None for r in ref_residuals]
+            assert [r is None for r in ref_residuals] == list(refused)
+            for row, r in zip(rows, ref_residuals):
+                if r is not None:
+                    assert np.linalg.norm(row - r.ravel()) <= 1e-10 * np.linalg.norm(r)
             if refused.all():
                 continue
             # the loop rule the scan replaced: strict <, refused skipped
@@ -362,6 +374,106 @@ class TestStackedScan:
         assert calls["objective_f"] == 0
         # one fit for the knot-free stage, every other one in the refiner
         assert calls["fits"] == calls["refine_fits"] + 1
+
+
+def column_jacobian(k, ds, config, order, sign=1.0):
+    """Reference: the residual at k and each difference column from its own fit.
+
+    sign=1 gives the forward differences the refiner takes, sign=-1 the
+    backward differences of its fallback.
+    """
+    lo, hi = ds.domain
+
+    def fit_residual(values):
+        spec = make_basis_spec(lo, hi, order, jupp_inverse(JuppCoords(values, lo, hi)))
+        return fit_coefficients(ds, spec, config).diagnostics.residuals.ravel()
+
+    r = fit_residual(k)
+    jac = np.empty((r.size, k.size))
+    for i in range(k.size):
+        step = sign * freeknot._FD_STEP * (1.0 + abs(k[i]))
+        pert = k.copy()
+        pert[i] += step
+        jac[:, i] = (fit_residual(pert) - r) / step
+    return r, jac
+
+
+class TestStackedJacobian:
+    """The refiner takes its Jacobian and trial steps from stacked evaluations."""
+
+    @pytest.mark.parametrize("config", [
+        PenaltyConfig(), PenaltyConfig(lambda1=1e-7, lambda2=1e-5),
+    ], ids=["fs0", "fs2"])
+    def test_matches_column_by_column_forward_differences(self, config):
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            ds = noisy_sine_dataset(seed=trial, n=int(rng.integers(25, 60)), curves=3)
+            order = int(rng.choice([3, 4]))
+            p = int(rng.integers(1, 6))
+            # log-gap draws keep every knot span wide enough to hold data
+            gaps = np.exp(rng.uniform(-0.7, 0.7, p + 1))
+            k = jupp(np.cumsum(gaps)[:-1] / gaps.sum(), 0.0, 1.0).values
+            ref_r, ref = column_jacobian(k, ds, config, order)
+
+            def residuals(rows):
+                return freeknot._residual_rows(rows, 0.0, 1.0, ds, config, order)
+
+            r, jac = freeknot._jacobian(k, ref_r, residuals)
+            assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
+            assert np.linalg.norm(jac - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_refused_forward_rows_fall_back_to_backward_steps_then_zero(self, monkeypatch):
+        # the current point's residual then comes from its earlier evaluation
+        ds = noisy_sine_dataset()
+        config = PenaltyConfig(lambda2=1e-5)
+        search = KnotSearchConfig(order=4, max_knots=3)
+        rows_of, jacobian = freeknot._residual_rows, freeknot._jacobian
+        seen = []
+
+        def refusing(rows, *args):
+            out = rows_of(rows, *args)
+            if len(rows) == 4:  # forward stack: refuse the current point and columns 0, 1
+                out[0] = out[1] = out[2] = None
+            elif len(rows) == 2:  # backward stack of columns 0 and 1: refuse column 1
+                out[1] = None
+            return out
+
+        def recording(k, r, residuals):
+            out = jacobian(k, r, residuals)
+            seen.append((k.copy(), *out))
+            return out
+
+        monkeypatch.setattr(freeknot, "_residual_rows", refusing)
+        monkeypatch.setattr(freeknot, "_jacobian", recording)
+        start = jupp(np.array([0.2, 0.5, 0.8]), 0.0, 1.0)
+        res = gauss_newton_refine(start, ds, config, search)
+        assert seen
+        for k, r, jac in seen:
+            _, forward = column_jacobian(k, ds, config, search.order)
+            _, backward = column_jacobian(k, ds, config, search.order, sign=-1.0)
+            assert np.linalg.norm(jac[:, 0] - backward[:, 0]) <= 1e-8 * np.linalg.norm(backward)
+            assert np.all(jac[:, 1] == 0.0)
+            assert np.linalg.norm(jac[:, 2] - forward[:, 2]) <= 1e-8 * np.linalg.norm(forward)
+        # the refiner still descends and hands on the fit at its result
+        assert res.objective <= objective_f(start, ds, config, search.order)
+        spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(res.coords))
+        assert_same_fit(res.model, fit_coefficients(ds, spec, config))
+
+    def test_refiner_fits_only_its_start_and_its_result(self, monkeypatch):
+        fits = []
+        fit = freeknot.fit_coefficients
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args[1].interior_knots)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(freeknot, "fit_coefficients", counting_fit)
+        start = jupp(np.array([0.2, 0.45, 0.8]), 0.0, 1.0)
+        res = gauss_newton_refine(start, noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5),
+                                  KnotSearchConfig(order=4, max_knots=3))
+        assert res.iterations > 1
+        assert fits == [tuple(jupp_inverse(start)), res.model.spec.interior_knots]
+        assert res.objective == res.model.diagnostics.sse
 
 
 class TestHighLevelFit:
