@@ -10,6 +10,7 @@ same flags is byte-identical.  Exit codes: 0 ok, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -41,11 +42,11 @@ from .freeknot import KnotSearchConfig, fit_free_knot
 from .ingest import _read_rows, load_csv
 from .lambda_select import LambdaGrid, gcv_grid_search
 from .metrics import TailRegions, model_isse
-from .penalty import PenaltyConfig
 from .simulate import GROUP_IDS, ScenarioConfig, benchmark_config, generate_scenario, group_means
 from .smoother import fit_coefficients, variant_config
 
 THREADS_ENV = "FKSPLINE_THREADS"
+METHODS = ("kmeans", "ward", "complete", "average")
 _DENSE_POINTS = 200
 
 
@@ -73,6 +74,8 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _load_dataset(path) -> tuple[FunctionalDataset, list[str]]:
     """The wide-layout dataset CSV at path, on the sample grid as read."""
+    if path is None:
+        raise ConfigError("--data is required")
     table = load_csv(path, "wide")
     if table.n_times < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {table.n_times}")
@@ -100,8 +103,6 @@ def _read_labels(path, curve_ids: list[str]) -> np.ndarray:
 
 
 def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -114,44 +115,84 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _resolve(args, key, default):
-    """flags > config file > defaults."""
-    value = getattr(args, key, None)
-    if value is not None:
+def _config_defaults(parser, args) -> None:
+    """Make the values of the --config file the subcommand's defaults.
+
+    Keys are flag dests.  A value is converted as its flag's text would be:
+    a string or number goes through the flag's type and choices as
+    str(value), and a bool can only set a switch.  A key that only another
+    subcommand has is ignored, so one file can serve several subcommands.
+    """
+    cfg = _load_config_file(args.config)
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {name: {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
+             for name, sub in subparsers.items()}
+    own = flags[args.subcommand]
+    defaults = {}
+    for key, value in cfg.items():
+        if key in own:
+            defaults[key] = _config_value(args.config, key, value, own[key])
+        elif not any(key in dests for dests in flags.values()):
+            raise ConfigError(f"config {args.config}: unknown key {key!r}")
+    subparsers[args.subcommand].set_defaults(**defaults)
+
+
+def _config_value(path, key, value, action):
+    """value converted as the flag text str(value) would be; a bool only sets a switch."""
+    switch = action.nargs == 0
+    if isinstance(value, bool) and switch:
         return value
-    cfg = getattr(args, "_file_config", {})
-    if key in cfg:
-        return cfg[key]
-    return default
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool) and not switch:
+        with contextlib.suppress(ValueError, argparse.ArgumentTypeError):
+            converted = action.type(str(value)) if action.type else str(value)
+            if action.choices is None or converted in action.choices:
+                return converted
+    raise ConfigError(f"config {path}: key {key!r} cannot take the value {json.dumps(value)}")
 
 
 def _comma_list(text: str) -> list[str]:
-    return [part.strip() for part in str(text).split(",") if part.strip()]
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in _comma_list(text)]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in _comma_list(text)]
 
 
 def _parse_exponents(text: str) -> list[float]:
     """Either 'lo:hi' (inclusive integer range) or a comma list."""
-    text = str(text).strip()
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [float(x) for x in _comma_list(text)]
+        return [float(e) for e in range(int(lo), int(hi) + 1)]
+    return _float_list(text)
+
+
+def _method_list(text: str) -> list[str]:
+    methods = _comma_list(text)
+    for m in methods:
+        if m not in METHODS:
+            raise argparse.ArgumentTypeError(f"unknown method {m!r}")
+    return methods
 
 
 def _outdir(args) -> Path:
-    out = Path(_resolve(args, "outdir", "."))
+    out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _threads(args) -> int:
-    value = _resolve(args, "threads", None)
-    if value is None:
+    n = args.threads
+    if n is None:
         value = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(f"thread count must be an integer, got {value!r}") from None
+        try:
+            n = int(value)
+        except ValueError:
+            raise ConfigError(f"thread count must be an integer, got {value!r}") from None
     if n < 1:
         raise ConfigError("thread count must be at least 1")
     return n
@@ -166,21 +207,16 @@ def _echo(config: dict) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    seed = int(_resolve(args, "seed", 0))
-    groups = tuple(int(g) for g in _comma_list(_resolve(args, "groups", "1,2,3,4")))
-    domain = [float(x) for x in _comma_list(_resolve(args, "domain", "0,5"))]
-    if len(domain) != 2:
+    if len(args.domain) != 2:
         raise ConfigError("--domain needs two comma-separated numbers")
-    noise_sd = _resolve(args, "noise_sd", None)
-    base = benchmark_config(seed=seed)
     config = ScenarioConfig(
-        groups=groups,
-        curves_per_group=int(_resolve(args, "curves_per_group", 50)),
-        points_per_curve=int(_resolve(args, "points", 50)),
-        domain=(domain[0], domain[1]),
-        noise_sd=float(noise_sd) if noise_sd is not None else base.noise_sd,
-        heteroscedastic=not bool(_resolve(args, "homoscedastic", False)),
-        seed=seed,
+        groups=tuple(args.groups),
+        curves_per_group=args.curves_per_group,
+        points_per_curve=args.points,
+        domain=tuple(args.domain),
+        noise_sd=args.noise_sd,
+        heteroscedastic=not args.homoscedastic,
+        seed=args.seed,
     )
     scenario = generate_scenario(config)
     resolved = {
@@ -216,37 +252,19 @@ def _cmd_simulate(args) -> None:
 # fit
 
 
-def _penalty_from_args(args) -> PenaltyConfig:
-    variant = str(_resolve(args, "variant", "fs2"))
-    l1 = _resolve(args, "lambda1", None)
-    l2 = _resolve(args, "lambda2", None)
-    return variant_config(
-        variant,
-        lambda1=float(l1) if l1 is not None else None,
-        lambda2=float(l2) if l2 is not None else None,
-    )
-
-
 def _fit_model(dataset, args, config):
-    order = int(_resolve(args, "order", 4))
-    knots_arg = _resolve(args, "knots", None)
-    nbasis = int(_resolve(args, "nbasis", 12))
     lo, hi = dataset.domain
-    if knots_arg is not None:
-        knots = [float(x) for x in _comma_list(knots_arg)]
-        spec = make_basis_spec(lo, hi, order, knots)
-        return fit_coefficients(dataset, spec, config)
-    p = nbasis - order
-    if p < 0:
-        raise ConfigError(f"nbasis {nbasis} is below the order {order}")
-    if p == 0:
-        spec = make_basis_spec(lo, hi, order, [])
-        return fit_coefficients(dataset, spec, config)
-    search = KnotSearchConfig(
-        order=order, max_knots=p, fixed_p=True,
-        grid_size=int(_resolve(args, "grid_size", 50)),
-    )
-    return fit_free_knot(dataset, config, search)
+    knots = args.knots
+    if knots is None:
+        p = args.nbasis - args.order
+        if p < 0:
+            raise ConfigError(f"nbasis {args.nbasis} is below the order {args.order}")
+        if p > 0:
+            search = KnotSearchConfig(order=args.order, max_knots=p, fixed_p=True,
+                                      grid_size=args.grid_size)
+            return fit_free_knot(dataset, config, search)
+        knots = []
+    return fit_coefficients(dataset, make_basis_spec(lo, hi, args.order, knots), config)
 
 
 def _discrete_tail_sse(t, residuals, tails: TailRegions):
@@ -257,24 +275,21 @@ def _discrete_tail_sse(t, residuals, tails: TailRegions):
 
 
 def _cmd_fit(args) -> None:
-    seed = int(_resolve(args, "seed", 0))
-    dataset, curve_ids = _load_dataset(_require(args, "data"))
-    config = _penalty_from_args(args)
+    dataset, curve_ids = _load_dataset(args.data)
+    config = variant_config(args.variant, lambda1=args.lambda1, lambda2=args.lambda2)
     # the tail regions and the truth labels are checked before the fit,
     # which can be a whole free-knot search
-    tail_frac = float(_resolve(args, "tail_frac", 0.1))
     lo, hi = dataset.domain
-    tails = TailRegions.fraction(lo, hi, tail_frac)
-    truth_labels_path = _resolve(args, "truth_labels", None)
-    if truth_labels_path is not None:
-        labels = _read_labels(truth_labels_path, curve_ids)
+    tails = TailRegions.fraction(lo, hi, args.tail_frac)
+    if args.truth_labels is not None:
+        labels = _read_labels(args.truth_labels, curve_ids)
         unknown = ~np.isin(labels, GROUP_IDS)
         if unknown.any():
             i = int(np.argmax(unknown))
-            raise DataError(f"{truth_labels_path}: curve {curve_ids[i]} has group id "
+            raise DataError(f"{args.truth_labels}: curve {curve_ids[i]} has group id "
                             f"{labels[i]}, expected one of {GROUP_IDS}")
     model = _fit_model(dataset, args, config)
-    if truth_labels_path is not None:
+    if args.truth_labels is not None:
         isse = model_isse(model, lambda t: group_means(labels, t), tails)
         isse_kind = "quadrature_vs_truth"
     else:
@@ -283,14 +298,14 @@ def _cmd_fit(args) -> None:
         isse_kind = "discrete_residual"
     resolved = {
         "subcommand": "fit",
-        "data": str(_require(args, "data")),
-        "variant": str(_resolve(args, "variant", "fs2")),
+        "data": args.data,
+        "variant": args.variant,
         "lambda1": config.lambda1,
         "lambda2": config.lambda2,
-        "order": int(_resolve(args, "order", 4)),
+        "order": args.order,
         "n_basis": model.spec.n_basis,
-        "tail_frac": tail_frac,
-        "seed": seed,
+        "tail_frac": args.tail_frac,
+        "seed": args.seed,
         "isse_kind": isse_kind,
     }
     _echo(resolved)
@@ -309,7 +324,7 @@ def _cmd_fit(args) -> None:
         "lambda2": config.lambda2,
         "knots": [float(x) for x in model.spec.interior_knots],
         "n_basis": model.spec.n_basis,
-        "seed": seed,
+        "seed": args.seed,
     })
     _write_csv(
         out / "coefficients.csv", resolved, ["basis_index"] + curve_ids,
@@ -323,55 +338,37 @@ def _cmd_fit(args) -> None:
     )
 
 
-def _require(args, key):
-    value = _resolve(args, key, None)
-    if value is None:
-        raise ConfigError(f"--{key.replace('_', '-')} is required")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # gcv
 
 
 def _cmd_gcv(args) -> None:
-    seed = int(_resolve(args, "seed", 0))
-    dataset, _ = _load_dataset(_require(args, "data"))
-    mode = str(_resolve(args, "mode", "fixed"))
-    exponents = _parse_exponents(_resolve(args, "exponents", "-8:4"))
-    grid = LambdaGrid.from_exponents(exponents)
-    order = int(_resolve(args, "order", 4))
-    nbasis = int(_resolve(args, "nbasis", 12))
-    pin = _resolve(args, "pin_lambda1", None)
+    dataset, _ = _load_dataset(args.data)
+    grid = LambdaGrid.from_exponents(args.exponents)
     lo, hi = dataset.domain
     spec = None
     search = None
-    if mode == "fixed":
-        knots_arg = _resolve(args, "knots", None)
-        if knots_arg is not None:
-            knots = [float(x) for x in _comma_list(knots_arg)]
-        else:
-            knots = np.linspace(lo, hi, nbasis - order + 2)[1:-1]
-        spec = make_basis_spec(lo, hi, order, knots)
+    if args.mode == "fixed":
+        knots = args.knots
+        if knots is None:
+            if args.nbasis < args.order:
+                raise ConfigError(f"nbasis {args.nbasis} is below the order {args.order}")
+            knots = np.linspace(lo, hi, args.nbasis - args.order + 2)[1:-1]
+        spec = make_basis_spec(lo, hi, args.order, knots)
     else:
-        p = max(1, nbasis - order)
-        search = KnotSearchConfig(
-            order=order, max_knots=p, fixed_p=True,
-            grid_size=int(_resolve(args, "grid_size", 50)),
-        )
-    result = gcv_grid_search(
-        dataset, grid=grid, spec=spec, search=search, mode=mode,
-        lambda1_pinned=float(pin) if pin is not None else None,
-    )
+        search = KnotSearchConfig(order=args.order, max_knots=max(1, args.nbasis - args.order),
+                                  fixed_p=True, grid_size=args.grid_size)
+    result = gcv_grid_search(dataset, grid=grid, spec=spec, search=search, mode=args.mode,
+                             lambda1_pinned=args.pin_lambda1)
     resolved = {
         "subcommand": "gcv",
-        "data": str(_require(args, "data")),
-        "mode": mode,
-        "exponents": [float(e) for e in exponents],
-        "order": order,
-        "n_basis": nbasis,
-        "pin_lambda1": float(pin) if pin is not None else None,
-        "seed": seed,
+        "data": args.data,
+        "mode": args.mode,
+        "exponents": args.exponents,
+        "order": args.order,
+        "n_basis": args.nbasis,
+        "pin_lambda1": args.pin_lambda1,
+        "seed": args.seed,
     }
     _echo(resolved)
     out = _outdir(args)
@@ -391,7 +388,7 @@ def _cmd_gcv(args) -> None:
         "lambda2": result.lambda2,
         "gcv": result.gcv,
         "failures": [list(f) for f in result.failures],
-        "seed": seed,
+        "seed": args.seed,
     })
 
 
@@ -400,43 +397,39 @@ def _cmd_gcv(args) -> None:
 
 
 def _cmd_cluster(args) -> None:
-    seed = int(_resolve(args, "seed", 0))
-    dataset, curve_ids = _load_dataset(_require(args, "data"))
-    config = _penalty_from_args(args)
-    model = _fit_model(dataset, args, config)
-    method = str(_resolve(args, "method", "kmeans"))
-    restarts = int(_resolve(args, "restarts", 20))
-    kmax = _resolve(args, "kmax", None)
-    k_arg = _resolve(args, "k", None)
+    dataset, curve_ids = _load_dataset(args.data)
+    model = _fit_model(dataset, args,
+                       variant_config(args.variant, lambda1=args.lambda1, lambda2=args.lambda2))
+    seed, restarts = args.seed, args.restarts
     out = _outdir(args)
     resolved = {
         "subcommand": "cluster",
-        "data": str(_require(args, "data")),
-        "variant": str(_resolve(args, "variant", "fs2")),
-        "method": method,
-        "k": int(k_arg) if k_arg is not None else None,
-        "kmax": int(kmax) if kmax is not None else None,
+        "data": args.data,
+        "variant": args.variant,
+        "method": args.method,
+        "k": args.k,
+        "kmax": args.kmax,
         "restarts": restarts,
         "seed": seed,
     }
     _echo(resolved)
     elbow = None
-    if kmax is not None:
-        elbow = elbow_curve(model, int(kmax), seed=seed, restarts=restarts)
+    if args.kmax is not None:
+        elbow = elbow_curve(model, args.kmax, seed=seed, restarts=restarts)
         _write_csv(
             out / "elbow.csv", resolved, ["k", "w"],
-            ([str(k + 1), _fmt(elbow.w[k])] for k in range(int(kmax))),
+            ([str(k + 1), _fmt(elbow.w[k])] for k in range(args.kmax)),
         )
-    if k_arg is not None:
-        k = int(k_arg)
+    if args.k is not None:
+        k = args.k
     elif elbow is not None:
         k = elbow.suggested_k
     else:
         k = 4
-    if method == "kmeans":
+    if args.method == "kmeans":
         result = functional_kmeans(model, k, seed=seed, restarts=restarts)
     else:
-        result = hierarchical_cluster(model, k, linkage=method)
+        result = hierarchical_cluster(model, k, linkage=args.method)
     _write_csv(
         out / "partition.csv", resolved, ["curve_id", "label"],
         ([curve_ids[i], str(int(result.partition.labels[i]))] for i in range(len(curve_ids))),
@@ -444,15 +437,14 @@ def _cmd_cluster(args) -> None:
     metrics = {
         "config": resolved,
         "k": k,
-        "method": method,
+        "method": args.method,
         "w": result.w,
         "seed": seed,
         "suggested_k": elbow.suggested_k if elbow is not None else None,
         "elbow_low_confidence": elbow.low_confidence if elbow is not None else None,
     }
-    labels_path = _resolve(args, "labels", None)
-    if labels_path is not None:
-        truth = _read_labels(labels_path, curve_ids)
+    if args.labels is not None:
+        truth = _read_labels(args.labels, curve_ids)
         tp, tn, fp, fn = confusion_counts(result.partition.labels, truth)
         metrics.update({
             "rand_index": rand_index(result.partition.labels, truth),
@@ -501,50 +493,31 @@ def _replicate_one(task: dict) -> dict:
 
 
 def _cmd_replicate(args) -> None:
-    seed = int(_resolve(args, "seed", 0))
-    R = int(_resolve(args, "replications", 30))
-    if R < 1:
+    seed, variants, methods = args.seed, args.variants, args.methods
+    if args.replications < 1:
         raise ConfigError("need at least one replication")
-    variants = _comma_list(_resolve(args, "variants", "fs0,fs2"))
-    methods = _comma_list(_resolve(args, "methods", "kmeans,ward"))
-    for m in methods:
-        if m not in ("kmeans", "ward", "complete", "average"):
-            raise ConfigError(f"unknown method {m!r}")
-    noise_sd = _resolve(args, "noise_sd", None)
-    base = benchmark_config(seed=seed)
-    order = int(_resolve(args, "order", 4))
-    nbasis = int(_resolve(args, "nbasis", 12))
-    p = nbasis - order
+    p = args.nbasis - args.order
     if p < 1:
-        raise ConfigError(f"nbasis {nbasis} leaves no free knots at order {order}")
-    tasks = []
-    for i in range(R):
-        cfg = ScenarioConfig(
-            noise_sd=float(noise_sd) if noise_sd is not None else base.noise_sd,
-            heteroscedastic=base.heteroscedastic,
-            seed=seed + i,
-        )
-        tasks.append({
-            "scenario": dataclasses.asdict(cfg),
-            "variants": variants,
-            "methods": methods,
-            "k": int(_resolve(args, "k", 4)),
-            "order": order,
-            "p": p,
-            "grid_size": int(_resolve(args, "grid_size", 50)),
-            "restarts": int(_resolve(args, "restarts", 20)),
-            "tail_frac": float(_resolve(args, "tail_frac", 0.1)),
-        })
+        raise ConfigError(f"nbasis {args.nbasis} leaves no free knots at order {args.order}")
+    task = {
+        "variants": variants, "methods": methods, "k": args.k, "order": args.order, "p": p,
+        "grid_size": args.grid_size, "restarts": args.restarts, "tail_frac": args.tail_frac,
+    }
+    tasks = [
+        dict(task, scenario=dataclasses.asdict(ScenarioConfig(noise_sd=args.noise_sd,
+                                                               seed=seed + i)))
+        for i in range(args.replications)
+    ]
     n_threads = _threads(args)
     resolved = {
         "subcommand": "replicate",
-        "replications": R,
+        "replications": args.replications,
         "variants": variants,
         "methods": methods,
-        "k": tasks[0]["k"],
-        "order": order,
-        "n_basis": nbasis,
-        "noise_sd": tasks[0]["scenario"]["noise_sd"],
+        "k": args.k,
+        "order": args.order,
+        "n_basis": args.nbasis,
+        "noise_sd": args.noise_sd,
         "seed": seed,
         "threads": n_threads,
     }
@@ -592,91 +565,85 @@ def _cmd_replicate(args) -> None:
 # parser
 
 
-def _add_common(sub):
-    sub.add_argument("--outdir", help="output directory (default .)")
-    sub.add_argument("--seed", type=int, help="random seed recorded in outputs")
-    sub.add_argument("--config", help="JSON file with default values for any flag")
-
-
-def _basis_flags() -> argparse.ArgumentParser:
-    """Dataset and spline basis flags shared by fit, gcv and cluster."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--data", help="dataset CSV (t,curve_1,...)")
-    flags.add_argument("--order", type=int)
-    flags.add_argument("--nbasis", type=int)
-    flags.add_argument("--knots", help="fixed interior knots (comma list)")
-    flags.add_argument("--grid-size", dest="grid_size", type=int)
-    return flags
-
-
-def _penalty_flags() -> argparse.ArgumentParser:
-    """Penalty flags of the spline fit that fit and cluster run."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--variant", choices=["fs0", "fs1", "fs2"])
-    flags.add_argument("--lambda1", type=float)
-    flags.add_argument("--lambda2", type=float)
-    return flags
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    basis_flags, penalty_flags = _basis_flags(), _penalty_flags()
+    """A fresh parser: --config values are set on it as defaults."""
     parser = argparse.ArgumentParser(
         prog="fkspline",
         description="Free-knot spline smoothing, regularization selection, and curve clustering",
     )
     subs = parser.add_subparsers(dest="subcommand")
 
-    sim = subs.add_parser("simulate", help="generate the four-group synthetic scenario")
-    _add_common(sim)
-    sim.add_argument("--groups", help="comma list of group ids (default 1,2,3,4)")
-    sim.add_argument("--curves-per-group", dest="curves_per_group", type=int)
-    sim.add_argument("--points", type=int, help="points per curve (default 50)")
-    sim.add_argument("--noise-sd", dest="noise_sd", type=float)
-    sim.add_argument("--homoscedastic", action="store_const", const=True,
+    def add(name, help, parents=()):
+        sub = subs.add_parser(name, help=help, parents=parents,
+                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sub.add_argument("--outdir", default=".", help="output directory")
+        sub.add_argument("--seed", type=int, default=0, help="random seed recorded in outputs")
+        sub.add_argument("--config", help="JSON file with default values for any flag")
+        return sub
+
+    # parent parsers of the flags that several subcommands share
+    data, spline, penalty, noise, tails, restarts = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    data.add_argument("--data", help="dataset CSV (t,curve_1,...)")
+    data.add_argument("--knots", type=_float_list,
+                      help="fixed interior knots (comma list) instead of a knot search")
+    spline.add_argument("--order", type=int, default=4, help="spline order")
+    spline.add_argument("--nbasis", type=int, default=12, help="number of basis functions")
+    spline.add_argument("--grid-size", dest="grid_size", type=int, default=50,
+                        help="knot candidates per search round")
+    penalty.add_argument("--variant", choices=["fs0", "fs1", "fs2"], default="fs2",
+                         help="named penalty weights")
+    penalty.add_argument("--lambda1", type=float,
+                         help="first-derivative weight, overrides --variant")
+    penalty.add_argument("--lambda2", type=float,
+                         help="second-derivative weight, overrides --variant")
+    noise.add_argument("--noise-sd", dest="noise_sd", type=float,
+                       default=benchmark_config().noise_sd, help="noise standard deviation")
+    tails.add_argument("--tail-frac", dest="tail_frac", type=float, default=0.1,
+                       help="share of the domain in each tail region")
+    restarts.add_argument("--restarts", type=int, default=20, help="k-means restarts")
+
+    sim = add("simulate", "generate the four-group synthetic scenario", [noise])
+    sim.add_argument("--groups", type=_int_list, default="1,2,3,4", help="comma list of group ids")
+    sim.add_argument("--curves-per-group", dest="curves_per_group", type=int, default=50,
+                     help="curves per group")
+    sim.add_argument("--points", type=int, default=50, help="points per curve")
+    sim.add_argument("--homoscedastic", action="store_true",
                      help="constant noise SD instead of mean-scaled")
-    sim.add_argument("--domain", help="lo,hi (default 0,5)")
+    sim.add_argument("--domain", type=_float_list, default="0,5", help="lo,hi")
     sim.set_defaults(func=_cmd_simulate)
 
-    fit = subs.add_parser("fit", parents=[basis_flags, penalty_flags],
-                          help="fit a spline family to a dataset CSV")
-    _add_common(fit)
+    fit = add("fit", "fit a spline family to a dataset CSV", [data, spline, penalty, tails])
     fit.add_argument("--truth-labels", dest="truth_labels",
                      help="labels CSV; enables quadrature ISSE against the scenario means")
-    fit.add_argument("--tail-frac", dest="tail_frac", type=float)
     fit.set_defaults(func=_cmd_fit)
 
-    gcv = subs.add_parser("gcv", parents=[basis_flags],
-                          help="GCV grid search for the penalty weights")
-    _add_common(gcv)
-    gcv.add_argument("--mode", choices=["fixed", "free"])
-    gcv.add_argument("--exponents", help="'lo:hi' or comma list of base-10 exponents")
+    gcv = add("gcv", "GCV grid search for the penalty weights", [data, spline])
+    gcv.add_argument("--mode", choices=["fixed", "free"], default="fixed",
+                     help="fixed knots, or a knot search in every grid cell")
+    gcv.add_argument("--exponents", type=_parse_exponents, default="-8:4",
+                     help="'lo:hi' or comma list of base-10 exponents")
     gcv.add_argument("--pin-lambda1", dest="pin_lambda1", type=float,
                      help="pin lambda1 (e.g. 0) and scan lambda2 only")
     gcv.set_defaults(func=_cmd_gcv)
 
-    clu = subs.add_parser("cluster", parents=[basis_flags, penalty_flags],
-                          help="fit then cluster the curves")
-    _add_common(clu)
-    clu.add_argument("--method", choices=["kmeans", "ward", "complete", "average"])
-    clu.add_argument("--k", type=int)
+    clu = add("cluster", "fit then cluster the curves", [data, spline, penalty, restarts])
+    clu.add_argument("--method", choices=METHODS, default="kmeans", help="clustering method")
+    clu.add_argument("--k", type=int,
+                     help="cluster count; when unset, the elbow's pick with --kmax, else 4")
     clu.add_argument("--kmax", type=int, help="also trace the elbow curve up to this k")
-    clu.add_argument("--restarts", type=int)
     clu.add_argument("--labels", help="truth labels CSV for RI/ARI scoring")
     clu.set_defaults(func=_cmd_cluster)
 
-    rep = subs.add_parser("replicate", help="repeat simulate/fit/cluster over seeds")
-    _add_common(rep)
-    rep.add_argument("-R", "--replications", dest="replications", type=int)
-    rep.add_argument("--variants", help="comma list (default fs0,fs2)")
-    rep.add_argument("--methods", help="comma list of kmeans,ward,complete,average")
-    rep.add_argument("--k", type=int)
-    rep.add_argument("--order", type=int)
-    rep.add_argument("--nbasis", type=int)
-    rep.add_argument("--noise-sd", dest="noise_sd", type=float)
-    rep.add_argument("--grid-size", dest="grid_size", type=int)
-    rep.add_argument("--restarts", type=int)
-    rep.add_argument("--tail-frac", dest="tail_frac", type=float)
-    rep.add_argument("--threads", type=int, help=f"worker count (default ${THREADS_ENV} or 1)")
+    rep = add("replicate", "repeat simulate/fit/cluster over seeds",
+              [spline, noise, restarts, tails])
+    rep.add_argument("-R", "--replications", dest="replications", type=int, default=30,
+                     help="number of seeds")
+    rep.add_argument("--variants", type=_comma_list, default="fs0,fs2", help="comma list")
+    rep.add_argument("--methods", type=_method_list, default="kmeans,ward",
+                     help="comma list of " + ",".join(METHODS))
+    rep.add_argument("--k", type=int, default=4, help="cluster count")
+    rep.add_argument("--threads", type=int, help=f"worker count; when unset, ${THREADS_ENV} or 1")
     rep.set_defaults(func=_cmd_replicate)
 
     return parser
@@ -689,7 +656,11 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        args._file_config = _load_config_file(getattr(args, "config", None))
+        if args.config is not None:
+            # flags > config file > defaults: the file's values become the
+            # defaults of a second parse
+            _config_defaults(parser, args)
+            args = parser.parse_args(argv)
         args.func(args)
     except ConfigError as exc:
         return _fail(args, exc, 2)

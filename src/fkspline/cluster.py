@@ -138,6 +138,10 @@ def _kmeans_z(z: np.ndarray, k: int, seed: int, restarts: int, inits=()):
     Returns the partition, its centers (k, n_basis) in z-space with row j
     belonging to label j + 1, the dispersion W and the iteration count.
     """
+    if restarts < 1:
+        raise ConfigError("restarts must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     starts = list(inits)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])

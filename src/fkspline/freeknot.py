@@ -281,10 +281,13 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
             k_new = k + delta
             # knots drifting together chase noise through high-leverage
             # spans; such trial points are treated as infeasible
-            if p >= 2 and float(np.diff(_knots_from_ratios(k_new, lo, hi)).min()) < min_gap:
+            kept, full = _fittable_rows(k_new[None], lo, hi, search.order)
+            interior = full[:, search.order : full.shape[1] - search.order]
+            if not kept.size or (p >= 2 and float(np.diff(interior).min()) < min_gap):
                 mu *= 10.0
                 continue
-            (r_new,) = residuals(k_new[None])
+            r_new = next((res.ravel() for _, res in
+                          residual_stack(full, search.order, dataset, config)), None)
             if r_new is None:
                 mu *= 10.0
                 continue

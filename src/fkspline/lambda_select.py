@@ -38,7 +38,11 @@ class LambdaGrid:
 
     @classmethod
     def from_exponents(cls, exponents) -> "LambdaGrid":
-        return cls(np.array([10.0**float(l) for l in exponents]))
+        try:
+            values = [10.0**float(l) for l in exponents]
+        except OverflowError:
+            raise ConfigError("lambda grid values must be positive and finite") from None
+        return cls(np.array(values))
 
     @property
     def size(self) -> int:

@@ -66,10 +66,14 @@ class ScenarioConfig:
             raise ConfigError("need at least 1 curve per group and 2 points per curve")
         if self.noise_sd < 0:
             raise ConfigError("noise_sd must be nonnegative")
-        if not self.domain[0] < self.domain[1]:
-            raise ConfigError("domain must have positive length")
+        if not self.domain[0] < self.domain[1] or not np.all(np.isfinite(self.domain)):
+            raise ConfigError("domain must have positive, finite length")
         if self.domain[0] < 0:
             raise ConfigError("domain must start at t >= 0 (log(t + 0.5) terms)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not self.groups:
+            raise ConfigError("need at least one group")
         for g in self.groups:
             if g not in GROUP_IDS:
                 raise UnknownGroupError(f"group id must be one of {GROUP_IDS}, got {g}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkspline.cli import main
+from fkspline.cli import _build_parser, main
 
 
 def run(argv, tmp_path=None):
@@ -34,6 +35,41 @@ def dir_bytes(d: Path) -> dict[str, bytes]:
 def last_echo(capsys) -> dict:
     out = capsys.readouterr().out.strip().splitlines()
     return json.loads(out[-1])["resolved_config"]
+
+
+def error_report(capsys) -> dict:
+    """The one JSON line a failing run prints on stderr."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    report = json.loads(err[0])
+    assert set(report) == {"module", "error", "context"}
+    return report
+
+
+def write_config(path: Path, cfg: dict) -> Path:
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def as_config(argv) -> tuple[list, dict]:
+    """argv split into its subcommand and the config file holding every flag
+    but --outdir: keys are the flags' dests, numbers are JSON numbers."""
+    subcommand, flags, cfg = argv[0], [str(a) for a in argv[1:]], {}
+    while flags:
+        flag = flags.pop(0)
+        if "=" in flag:
+            flag, text = flag.split("=", 1)
+        elif flag == "--homoscedastic":
+            text = True
+        else:
+            text = flags.pop(0)
+        key = "replications" if flag == "-R" else flag.lstrip("-").replace("-", "_")
+        for number in (int, float) if isinstance(text, str) else ():
+            with contextlib.suppress(ValueError):
+                text = number(text)
+                break
+        cfg[key] = text
+    return [subcommand], cfg
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +95,26 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             run(["fit", "--data", simdir / "dataset.csv", "--variant", "fs9"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("subcommand, flag, text", [
+        ("simulate", "--groups", "1,x"),
+        ("simulate", "--domain", "0,x"),
+        ("gcv", "--exponents", "a:b"),
+        ("fit", "--knots", "1,x"),
+        ("replicate", "--methods", "kmeans,x"),
+    ])
+    def test_bad_list_item_is_usage_error(self, tmp_path, capsys, subcommand, flag, text):
+        with pytest.raises(SystemExit) as exc_info:
+            run([subcommand, f"{flag}={text}", "--outdir", tmp_path])
+        assert exc_info.value.code == 2
+        capsys.readouterr()
+        # the same text in a config file is a configuration error
+        key = flag[2:]
+        cfg = write_config(tmp_path / "cfg.json", {key: text})
+        assert run([subcommand, "--config", cfg, "--outdir", tmp_path]) == 2
+        report = error_report(capsys)
+        assert report["error"] == "ConfigError"
+        assert repr(key) in report["context"]
 
 
 class TestSimulate:
@@ -146,11 +202,7 @@ class TestFit:
 
 class TestExitCodes:
     def stderr_report(self, capsys) -> dict:
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        report = json.loads(err[0])
-        assert set(report) == {"module", "error", "context"}
-        return report
+        return error_report(capsys)
 
     def test_config_error_is_2(self, simdir, tmp_path, capsys):
         code = run(["fit", "--data", simdir / "dataset.csv", "--nbasis", "2",
@@ -236,6 +288,21 @@ class TestExitCodes:
                     *flags, "--outdir", tmp_path / "out"]) == code
         assert self.stderr_report(capsys)["error"] == error
 
+    @pytest.mark.parametrize("flags", [
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--groups", ""],
+        ["simulate", "--domain", "0,inf"],
+        ["cluster", "--knots", "2.5", "--restarts", "0"],
+        ["cluster", "--knots", "2.5", "--seed", "-1"],
+        ["gcv", "--knots", "2.5", "--exponents=400:401"],
+        ["gcv", "--nbasis", "-3"],
+    ], ids=["negative-seed", "no-groups", "infinite-domain", "no-restarts",
+            "negative-kmeans-seed", "overflowing-lambda", "nbasis-below-order"])
+    def test_bad_setting_is_2(self, simdir, tmp_path, capsys, flags):
+        data = [] if flags[0] == "simulate" else ["--data", simdir / "dataset.csv"]
+        assert run([*flags, *data, "--outdir", tmp_path]) == 2
+        assert self.stderr_report(capsys)["error"] == "ConfigError"
+
     def test_numerical_failure_is_4(self, tmp_path, capsys):
         small = tmp_path / "small.csv"
         rows = "\n".join(f"{t},{t * t}" for t in np.linspace(0, 1, 6))
@@ -256,6 +323,19 @@ class TestExitCodes:
         # the overflow is reported once, as the error line, not as warnings
         assert [str(w.message) for w in caught] == []
         assert self.stderr_report(capsys)["error"] == "NotPositiveDefiniteError"
+
+
+def exit_contract(argv) -> None:
+    """main(argv) exits 0, 2, 3 or 4, with one JSON line on stderr on
+    failure and never a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code in (0, 2, 3, 4)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"module", "error", "context"}
 
 
 CELL_TOKENS = st.one_of(
@@ -297,14 +377,66 @@ def test_corrupted_dataset_exit_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data.csv"
         data.write_text(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["fit", "--data", str(data), "--nbasis", "4", "--outdir", tmp])
-    assert code in (0, 2, 3, 4)
-    if code:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"module", "error", "context"}
+        exit_contract(["fit", "--data", data, "--nbasis", "4", "--outdir", tmp])
+
+
+def config_keys() -> list[str]:
+    """Every subcommand's flag dests."""
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    return sorted({a.dest for sub in subs.values() for a in sub._actions
+                   if a.default is not argparse.SUPPRESS})
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([float("nan"), float("inf"), 1e308, 0.5, 2.0]),
+    st.sampled_from(["", "x", "no", "true", "0", "2.5", "1,2", "0,5", "-1:0", "1:x",
+                     "fs0", "fs9", "free", "kmeans", "ward,x"]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.just("a"), st.integers(0, 3), max_size=1),
+)
+
+# Flags that keep each run cheap; config values for them are still checked.
+CHEAP_RUNS = {
+    "simulate": ["simulate"],
+    "fit": ["fit", "--data", "{data}", "--knots", "2.5"],
+    "gcv": ["gcv", "--data", "{data}", "--knots", "2.5", "--nbasis", "4", "--exponents=-1:0"],
+    "cluster": ["cluster", "--data", "{data}", "--knots", "2.5"],
+    "replicate": ["replicate", "-R", "1", "--variants", "fs0", "--methods", "kmeans",
+                  "--nbasis", "5", "--grid-size", "10", "--restarts", "1", "--threads", "1"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(subcommand=st.sampled_from(sorted(CHEAP_RUNS)),
+       cfg=st.dictionaries(st.sampled_from(config_keys() + ["n_basis", "points_per_curve",
+                                                            "subcommand", "bogus"]),
+                           JSON_VALUES, max_size=4))
+def test_config_file_exit_contract(simdir, subcommand, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp) / "cfg.json", cfg)
+        argv = [a.format(data=simdir / "dataset.csv") for a in CHEAP_RUNS[subcommand]]
+        exit_contract(argv + ["--config", config, "--outdir", tmp])
+
+
+LABEL_CELLS = st.sampled_from(["curve_1", "curve_2", "curve_8", "curve_99", "", "x", " 3",
+                               "-1", "0", "1", "2", "4", "7", "1.5", "nan"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(flag=st.sampled_from(["--labels", "--truth-labels"]),
+       rows=st.lists(st.lists(LABEL_CELLS, max_size=3), max_size=10))
+def test_label_file_exit_contract(simdir, flag, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        labels = Path(tmp) / "labels.csv"
+        labels.write_text("\n".join(",".join(row) for row in [["curve_id", "label"], *rows]))
+        subcommand = ["cluster", "--k", "2", "--restarts", "1"] if flag == "--labels" else ["fit"]
+        exit_contract([*subcommand, "--data", simdir / "dataset.csv", "--knots", "2.5",
+                       flag, labels, "--outdir", tmp])
 
 
 class TestGcv:
@@ -473,3 +605,83 @@ class TestConfigFile:
     def test_missing_config_file_is_3(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "absent.json",
                     "--outdir", tmp_path]) == 3
+
+    @pytest.mark.parametrize("subcommand, cfg", [
+        ("replicate", {"k": "x"}),
+        ("replicate", {"tail_frac": None}),
+        ("simulate", {"seed": [1]}),
+        ("simulate", {"seed": 1.7}),
+        ("simulate", {"points": 9.0}),
+        ("simulate", {"homoscedastic": "no"}),
+        ("simulate", {"curves_per_group": True}),
+        ("simulate", {"groups": {"a": 1}}),
+        ("simulate", {"points_per_curve": 9}),
+        ("fit", {"n_basis": 6}),
+    ])
+    def test_bad_key_or_value_is_2(self, simdir, tmp_path, capsys, monkeypatch, subcommand, cfg):
+        import fkspline.cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the config file was checked")
+
+        monkeypatch.setattr(fkspline.cli, "fit_free_knot", no_fit)
+        monkeypatch.setattr(fkspline.cli, "fit_coefficients", no_fit)
+        config = write_config(tmp_path / "cfg.json", cfg)
+        data = ["--data", simdir / "dataset.csv"] if subcommand == "fit" else []
+        assert run([subcommand, *data, "--config", config, "--outdir", tmp_path]) == 2
+        report = error_report(capsys)
+        assert report["error"] == "ConfigError"
+        (key,) = cfg
+        assert repr(key) in report["context"]
+
+    def test_other_subcommands_keys_are_ignored(self, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", {"nbasis": 6, "curves_per_group": 1})
+        assert run(["simulate", "--config", config, "--outdir", tmp_path]) == 0
+        assert last_echo(capsys)["curves_per_group"] == 1
+
+    def test_switch_takes_a_bool(self, tmp_path, capsys):
+        for value in (True, False):
+            config = write_config(tmp_path / "cfg.json",
+                                  {"homoscedastic": value, "curves_per_group": 1})
+            assert run(["simulate", "--config", config, "--outdir", tmp_path]) == 0
+            assert last_echo(capsys)["heteroscedastic"] is not value
+
+    def test_config_does_not_outlive_its_call(self, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", {"seed": 7, "points": 9})
+        assert run(["simulate", "--config", config, "--curves-per-group", "1",
+                    "--outdir", tmp_path / "a"]) == 0
+        assert last_echo(capsys)["seed"] == 7
+        assert run(["simulate", "--curves-per-group", "1", "--outdir", tmp_path / "b"]) == 0
+        echo = last_echo(capsys)
+        assert echo["seed"] == 0 and echo["points_per_curve"] == 50
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "0"],
+        ["simulate", "--seed", "3", "--groups", "1,3", "--curves-per-group", "2", "--points", "9",
+         "--noise-sd", "0.05", "--homoscedastic", "--domain", "0.5,4"],
+        ["fit", "--nbasis", "6"],
+        ["fit", "--knots", "1,2,3,4"],
+        ["fit", "--nbasis", "6", "--truth-labels", "{labels}"],
+        ["fit", "--nbasis", "6", "--order", "3", "--variant", "fs0", "--lambda2", "0.01",
+         "--grid-size", "10", "--tail-frac", "0.2", "--seed", "4"],
+        ["gcv", "--exponents=-2:0"],
+        ["gcv", "--mode", "free", "--nbasis", "5", "--grid-size", "10", "--exponents=-1:0"],
+        ["gcv", "--knots", "2.5", "--exponents=-2,-1.5,0", "--pin-lambda1", "0"],
+        ["cluster", "--nbasis", "6", "--kmax", "5", "--restarts", "3", "--labels", "{labels}"],
+        ["cluster", "--knots", "2.5", "--method", "ward"],
+        REPL_ARGS + ["--threads", "1"],
+        REPL_ARGS + ["--threads", "2"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_config_file_equals_flags(self, simdir, tmp_path, capsys, argv):
+        """Every flag but --outdir moved into the config file gives the same
+        stdout and byte-identical output files."""
+        argv = [a.format(labels=simdir / "labels.csv") for a in argv]
+        if argv[0] != "simulate" and argv[0] != "replicate":
+            argv[1:1] = ["--data", str(simdir / "dataset.csv")]
+        assert run(argv + ["--outdir", tmp_path / "flags"]) == 0
+        stdout = capsys.readouterr().out
+        subcommand, cfg = as_config(argv)
+        config = write_config(tmp_path / "cfg.json", cfg)
+        assert run(subcommand + ["--config", config, "--outdir", tmp_path / "config"]) == 0
+        assert capsys.readouterr().out == stdout
+        assert dir_bytes(tmp_path / "config") == dir_bytes(tmp_path / "flags")
