@@ -267,6 +267,14 @@ def _fit_model(dataset, args, config):
     return fit_coefficients(dataset, make_basis_spec(lo, hi, args.order, knots), config)
 
 
+def _free_knots(args) -> int:
+    """Knot count of the free-knot search that --nbasis asks for at --order."""
+    p = args.nbasis - args.order
+    if p < 1:
+        raise ConfigError(f"nbasis {args.nbasis} leaves no free knots at order {args.order}")
+    return p
+
+
 def _discrete_tail_sse(t, residuals, tails: TailRegions):
     resid2 = residuals ** 2
     lower = resid2[(t >= tails.lower[0]) & (t <= tails.lower[1])].sum()
@@ -356,7 +364,7 @@ def _cmd_gcv(args) -> None:
             knots = np.linspace(lo, hi, args.nbasis - args.order + 2)[1:-1]
         spec = make_basis_spec(lo, hi, args.order, knots)
     else:
-        search = KnotSearchConfig(order=args.order, max_knots=max(1, args.nbasis - args.order),
+        search = KnotSearchConfig(order=args.order, max_knots=_free_knots(args),
                                   fixed_p=True, grid_size=args.grid_size)
     result = gcv_grid_search(dataset, grid=grid, spec=spec, search=search, mode=args.mode,
                              lambda1_pinned=args.pin_lambda1)
@@ -366,7 +374,7 @@ def _cmd_gcv(args) -> None:
         "mode": args.mode,
         "exponents": args.exponents,
         "order": args.order,
-        "n_basis": args.nbasis,
+        "n_basis": args.nbasis if spec is None else spec.n_basis,
         "pin_lambda1": args.pin_lambda1,
         "seed": args.seed,
     }
@@ -496,9 +504,7 @@ def _cmd_replicate(args) -> None:
     seed, variants, methods = args.seed, args.variants, args.methods
     if args.replications < 1:
         raise ConfigError("need at least one replication")
-    p = args.nbasis - args.order
-    if p < 1:
-        raise ConfigError(f"nbasis {args.nbasis} leaves no free knots at order {args.order}")
+    p = _free_knots(args)
     task = {
         "variants": variants, "methods": methods, "k": args.k, "order": args.order, "p": p,
         "grid_size": args.grid_size, "restarts": args.restarts, "tail_frac": args.tail_frac,

@@ -4,7 +4,7 @@ Distances between curves are true L2 distances between the fitted splines:
 with shared basis and Gram matrix G, d(x_i, x_j)^2 = (c_i - c_j)' G
 (c_i - c_j).  Factoring G = L L' turns this into plain Euclidean geometry on
 the whitened vectors z = L' c, which is where Lloyd iterations, linkage, and
-dispersions are computed.
+dispersions are computed.  Only the functions that use scipy import it.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
-from scipy.linalg import cholesky, solve_triangular
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import pdist
 
 from .errors import ConfigError, LengthMismatchError, TooFewCurvesError
 from .penalty import gram_matrix
@@ -75,6 +71,7 @@ class ClusterResult:
 
 def _embedding(model: FitModel) -> tuple[np.ndarray, np.ndarray]:
     """Whitened curve vectors (n, n_basis) and the Gram Cholesky factor."""
+    from scipy.linalg import cholesky
     G = gram_matrix(model.spec).values
     L = cholesky(G, lower=True, check_finite=False)
     return (L.T @ model.coeffs).T, L
@@ -82,6 +79,7 @@ def _embedding(model: FitModel) -> tuple[np.ndarray, np.ndarray]:
 
 def _z_to_coeffs(L: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Map z-space centroids (k, n_basis) back to coefficient columns."""
+    from scipy.linalg import solve_triangular
     return solve_triangular(L.T, centers.T, lower=False, check_finite=False)
 
 
@@ -190,6 +188,8 @@ def _as_partition(raw_labels: np.ndarray) -> tuple[Partition, np.ndarray]:
 
 def hierarchical_cluster(model: FitModel, k: int, linkage: str = "ward") -> ClusterResult:
     """Agglomerative clustering of the fitted curves, cut at k clusters."""
+    from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
+    from scipy.spatial.distance import pdist
     if linkage not in _LINKAGES:
         raise ConfigError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
     if k < 1:
@@ -341,6 +341,7 @@ def matched_confusion(predicted, truth) -> dict:
     (Hungarian assignment); each predicted cluster reports its cardinality,
     matched group, and false positives (members outside the matched group).
     """
+    from scipy.optimize import linear_sum_assignment
     a, b = _check_pair(predicted, truth)
     pred_ids = np.unique(a)
     truth_ids = np.unique(b)

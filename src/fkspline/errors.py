@@ -105,7 +105,8 @@ class NumericalError(FkSplineError):
 
 
 class NotPositiveDefiniteError(NumericalError):
-    """System matrix has a nonpositive Cholesky pivot."""
+    """System matrix is refused: a non-finite entry, a nonpositive smallest
+    eigenvalue, or a condition number past 1e10."""
 
 
 class AllCandidatesSingularError(NumericalError):

@@ -107,6 +107,13 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     grid = grid or LambdaGrid()
     if mode not in ("fixed", "free"):
         raise ConfigError(f"mode must be 'fixed' or 'free', got {mode!r}")
+    if lambda1_pinned is None:
+        l1_values = tuple(grid.values)
+    else:
+        if not 0 <= lambda1_pinned < np.inf:
+            raise ConfigError("pinned lambda1 must be nonnegative and finite")
+        l1_values = (float(lambda1_pinned),)
+    l2_values = tuple(grid.values)
     if mode == "fixed":
         if spec is None:
             raise ConfigError("fixed-knots mode needs a basis spec")
@@ -115,14 +122,6 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
         if search is None:
             raise ConfigError("free-knots mode needs a knot search config")
         warm_starts = _free_knot_warm_starts(dataset, search)
-
-    if lambda1_pinned is None:
-        l1_values = tuple(grid.values)
-    else:
-        if lambda1_pinned < 0:
-            raise ConfigError("pinned lambda1 must be nonnegative")
-        l1_values = (float(lambda1_pinned),)
-    l2_values = tuple(grid.values)
 
     shape = (len(l1_values), len(l2_values))
     scores = np.full(shape, np.nan)

@@ -48,10 +48,10 @@ class PenaltyConfig:
     alphas: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("penalty weights must be nonnegative")
-        if self.alphas is not None and any(a < 0 for a in self.alphas):
-            raise ConfigError("penalty weights must be nonnegative")
+        weights = (self.lambda1, self.lambda2, *(self.alphas if self.alphas is not None else ()))
+        # written so that nan fails it too
+        if not all(0 <= w < np.inf for w in weights):
+            raise ConfigError("penalty weights must be nonnegative and finite")
 
     def weight_for(self, derivative_order: int) -> float:
         if self.alphas is not None:

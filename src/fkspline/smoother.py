@@ -1,9 +1,9 @@
 """Penalized least-squares spline smoothing of curve families.
 
 All curves in a dataset share one basis and one system matrix
-H = B'B + lambda1 R1 + lambda2 R2, factored once by Cholesky and reused for
-every curve's right-hand side.  Effective degrees of freedom come from the
-trace of the hat matrix and feed the GCV score used for model selection.
+H = B'B + lambda1 R1 + lambda2 R2, checked by its eigenvalues and solved by LU
+for every curve at once.  Effective degrees of freedom come from the trace of
+the hat matrix and feed the GCV score used for model selection.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .basis import BasisSpec, DesignMatrix, design_stack, eval_design
 from .data import FunctionalDataset
@@ -53,10 +52,9 @@ def variant_config(name: str, lambda1: float | None = None, lambda2: float | Non
 
 @dataclass(eq=False)
 class SystemMatrix:
-    """Factored system H = B'B + sum of weighted penalty matrices."""
+    """System H = B'B + sum of weighted penalty matrices that _refused kept."""
 
     values: np.ndarray
-    cho: tuple
     btb: np.ndarray
     penalty_terms: tuple  # ((weight, matrix), ...)
 
@@ -77,7 +75,7 @@ class SystemMatrix:
         return lo, hi
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self.cho, rhs, check_finite=False)
+        return np.linalg.solve(self.values, rhs)
 
 
 def _penalty_orders(config: PenaltyConfig) -> list[int]:
@@ -87,24 +85,36 @@ def _penalty_orders(config: PenaltyConfig) -> list[int]:
     return [l for l in (1, 2) if config.weight_for(l) > 0.0]
 
 
-def _refused(H: np.ndarray) -> np.ndarray:
-    """Which matrices of a (C, nb, nb) stack of systems the fit refuses.
+def _refused(H: np.ndarray) -> list[str]:
+    """Why each matrix of a (C, nb, nb) stack of systems is refused, "" if it is kept.
 
     A system is refused when it has a non-finite entry (a knot span so narrow
-    that the derivative penalties overflow) or when its smallest eigenvalue
-    is not positive or its condition number is past 1e10: the solve would
+    that the derivative penalties overflow), when its smallest eigenvalue is
+    not positive, or when its condition number is past 1e10: the solve would
     keep fewer than six reliable digits, so such a system (knot spans with
-    little or no data) is numerically indefinite even when a Cholesky
-    factorization goes through.
+    little or no data) is numerically indefinite even when a factorization
+    goes through.
     """
     # a non-finite matrix is zeroed, so that its smallest eigenvalue is 0
     finite = np.isfinite(H).all(axis=(1, 2))
     eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], H, 0.0))
-    return (eigs[:, 0] <= 0.0) | (eigs[:, -1] > 1e10 * eigs[:, 0])
+    why = []
+    for ok, lo, hi in zip(finite.tolist(), eigs[:, 0].tolist(), eigs[:, -1].tolist()):
+        if not ok:
+            why.append("system matrix has non-finite entries")
+        elif lo <= 0.0:
+            why.append("system matrix is not positive definite; add a penalty or drop "
+                       "redundant sample points")
+        elif hi > 1e10 * lo:
+            why.append("system matrix is numerically singular; a basis function has "
+                       "little or no data in its support")
+        else:
+            why.append("")
+    return why
 
 
 def assemble_system(design: DesignMatrix, config: PenaltyConfig, penalties=None) -> SystemMatrix:
-    """Build and factor the system matrix for one basis and penalty config.
+    """Build and check the system matrix for one basis and penalty config.
 
     penalties may carry precomputed :class:`~fkspline.penalty.PenaltyMatrix`
     objects; missing ones are assembled on demand for every derivative order
@@ -123,23 +133,10 @@ def assemble_system(design: DesignMatrix, config: PenaltyConfig, penalties=None)
         weight = config.weight_for(l)
         H += weight * pm.values
         terms.append((weight, pm.values))
-    # the factorization must not see non-finite entries, so that part of
-    # the refusal rule is tested first
-    if not np.isfinite(H).all():
-        raise NotPositiveDefiniteError("system matrix has non-finite entries")
-    try:
-        cho = cho_factor(H, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "system matrix is not positive definite; add a penalty or drop "
-            "redundant sample points"
-        ) from exc
-    if _refused(H[None])[0]:
-        raise NotPositiveDefiniteError(
-            "system matrix is numerically singular; a basis function has "
-            "little or no data in its support"
-        )
-    return SystemMatrix(values=H, cho=cho, btb=btb, penalty_terms=tuple(terms))
+    reason = _refused(H[None])[0]
+    if reason:
+        raise NotPositiveDefiniteError(reason)
+    return SystemMatrix(values=H, btb=btb, penalty_terms=tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -235,8 +232,9 @@ def residual_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDatase
     # is formed: a batched solve took as long, its (C, nb, n) coefficient
     # stack raised the peak memory, and a (C, h, n) residual stack would
     # be larger still.
-    for i in np.flatnonzero(~_refused(H)):
-        yield int(i), Y - B[i] @ np.linalg.solve(H[i], B[i].T @ Y)
+    for i, why in enumerate(_refused(H)):
+        if not why:
+            yield i, Y - B[i] @ np.linalg.solve(H[i], B[i].T @ Y)
 
 
 def sse_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,

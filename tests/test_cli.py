@@ -6,6 +6,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fkspline
 from fkspline.cli import _build_parser, main
 
 
@@ -296,8 +300,12 @@ class TestExitCodes:
         ["cluster", "--knots", "2.5", "--seed", "-1"],
         ["gcv", "--knots", "2.5", "--exponents=400:401"],
         ["gcv", "--nbasis", "-3"],
+        ["fit", "--knots", "2.5", "--lambda1", "nan"],
+        ["gcv", "--knots", "2.5", "--pin-lambda1", "nan"],
+        ["fit", "--lambda1", "inf"],
     ], ids=["negative-seed", "no-groups", "infinite-domain", "no-restarts",
-            "negative-kmeans-seed", "overflowing-lambda", "nbasis-below-order"])
+            "negative-kmeans-seed", "overflowing-lambda", "nbasis-below-order",
+            "nan-lambda1", "nan-pinned-lambda1", "infinite-lambda1"])
     def test_bad_setting_is_2(self, simdir, tmp_path, capsys, flags):
         data = [] if flags[0] == "simulate" else ["--data", simdir / "dataset.csv"]
         assert run([*flags, *data, "--outdir", tmp_path]) == 2
@@ -471,6 +479,28 @@ class TestGcv:
         selected = json.loads((out / "selected.json").read_text())
         assert selected["lambda1"] in {0.1, 1.0}
 
+    def test_fixed_knots_report_their_basis(self, simdir, tmp_path):
+        # --nbasis is ignored when --knots is given
+        out = tmp_path / "g"
+        assert run(["gcv", "--data", simdir / "dataset.csv", "--knots", "1.5,2.5",
+                    "--nbasis", "-3", "--exponents=-1:0", "--outdir", out]) == 0
+        assert json.loads((out / "selected.json").read_text())["config"]["n_basis"] == 6
+        header = (out / "gcv_table.csv").read_text().splitlines()[0]
+        assert json.loads(header.removeprefix("# "))["n_basis"] == 6
+
+    def test_free_mode_without_free_knots_is_2(self, simdir, tmp_path, capsys, monkeypatch):
+        import fkspline.cli
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the grid search ran before the basis was checked")
+
+        monkeypatch.setattr(fkspline.cli, "gcv_grid_search", no_search)
+        assert run(["gcv", "--data", simdir / "dataset.csv", "--mode", "free",
+                    "--nbasis", "4", "--outdir", tmp_path]) == 2
+        report = error_report(capsys)
+        assert report["error"] == "ConfigError"
+        assert "leaves no free knots" in report["context"]
+
     def test_byte_identical_rerun(self, simdir, tmp_path):
         args = ["gcv", "--data", simdir / "dataset.csv", "--knots", "2.5",
                 "--exponents=-2:0"]
@@ -523,6 +553,49 @@ class TestCluster:
         assert run(args + ["--outdir", a]) == 0
         assert run(args + ["--outdir", b]) == 0
         assert dir_bytes(a) == dir_bytes(b)
+
+
+def scipy_loaded_by(*commands) -> list[str]:
+    """scipy modules a fresh interpreter has loaded after importing fkspline
+    and fkspline.cli and running the CLI commands in an empty directory."""
+    script = (
+        "import json, sys\n"
+        "import fkspline, fkspline.cli\n"
+        f"for argv in {[list(c) for c in commands]!r}:\n"
+        "    assert fkspline.cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    src = str(Path(fkspline.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+SIMULATE = ["simulate", "--curves-per-group", "2", "--points", "12", "--outdir", "sim"]
+
+
+class TestScipyLoading:
+    """scipy is loaded only by the clustering steps that use it."""
+
+    def test_simulate_fit_and_gcv_load_no_scipy(self):
+        data = ["--data", "sim/dataset.csv"]
+        assert scipy_loaded_by(
+            SIMULATE,
+            ["fit", *data, "--nbasis", "6", "--grid-size", "10", "--outdir", "fit"],
+            ["gcv", *data, "--knots", "2.5", "--exponents=-1:0", "--outdir", "gcv"],
+            ["gcv", *data, "--mode", "free", "--nbasis", "5", "--grid-size", "10",
+             "--exponents=-1:0", "--outdir", "gcv-free"],
+        ) == []
+
+    def test_kmeans_without_labels_loads_no_hierarchy_or_assignment(self):
+        loaded = scipy_loaded_by(SIMULATE, ["cluster", "--data", "sim/dataset.csv", "--knots",
+                                            "2.5", "--k", "2", "--restarts", "2",
+                                            "--outdir", "clu"])
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith(("scipy.cluster", "scipy.optimize"))]
 
 
 REPL_ARGS = ["replicate", "-R", "2", "--variants", "fs0", "--methods", "kmeans",

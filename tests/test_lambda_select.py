@@ -159,5 +159,6 @@ class TestFreeKnotMode:
             gcv_grid_search(ds, mode="fixed")  # fixed mode needs a spec
         with pytest.raises(ConfigError):
             gcv_grid_search(ds, mode="free")  # free mode needs a search config
-        with pytest.raises(ConfigError):
-            gcv_grid_search(ds, spec=spec, mode="fixed", lambda1_pinned=-1.0)
+        for pinned in (-1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                gcv_grid_search(ds, spec=spec, mode="fixed", lambda1_pinned=pinned)

@@ -165,3 +165,8 @@ class TestCombine:
             PenaltyConfig(lambda1=-1.0)
         with pytest.raises(ConfigError):
             PenaltyConfig(alphas=(1.0, -2.0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                PenaltyConfig(lambda2=bad)
+            with pytest.raises(ConfigError):
+                PenaltyConfig(alphas=(0.0, bad))
