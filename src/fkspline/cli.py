@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -31,23 +32,19 @@ from .cluster import (
     rand_index,
 )
 from .data import FunctionalDataset
-from .errors import (
-    ConfigError,
-    DataError,
-    FkSplineError,
-    NumericalError,
-    ParseError,
-)
+from .errors import ConfigError, DataError, DuplicateCellError, FkSplineError, ParseError
 from .freeknot import KnotSearchConfig, fit_free_knot
 from .ingest import _read_rows, load_csv
 from .lambda_select import LambdaGrid, gcv_grid_search
 from .metrics import TailRegions, model_isse
 from .simulate import GROUP_IDS, ScenarioConfig, benchmark_config, generate_scenario, group_means
-from .smoother import fit_coefficients, variant_config
+from .smoother import VARIANTS, fit_coefficients, variant_config
 
 THREADS_ENV = "FKSPLINE_THREADS"
 METHODS = ("kmeans", "ward", "complete", "average")
 _DENSE_POINTS = 200
+# per-fit columns of replicate's fits.csv
+_FIT_KEYS = ("df", "gcv", "sse", "isse", "isse_inf", "isse_sup")
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +61,12 @@ def _write_csv(path: Path, comment: dict, header: list[str], rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+
+
+def _write_table(path: Path, comment: dict, key: str, index, ids: list[str], values) -> None:
+    """One row per entry of index (already text): the entry, then one value per curve."""
+    _write_csv(path, comment, [key] + ids,
+               ([i] + [_fmt(v) for v in row] for i, row in zip(index, values)))
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -87,17 +90,23 @@ def _load_dataset(path) -> tuple[FunctionalDataset, list[str]]:
 
 
 def _read_labels(path, curve_ids: list[str]) -> np.ndarray:
+    """The label of each curve; every curve is named on one row only."""
     rows = [r for r in _read_rows(path) if r]
-    mapping = {}
+    mapping = {}  # curve id -> (row, label)
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise ParseError(f"{path}: row {i} has {len(row)} cells, expected 2", row=i)
         try:
-            mapping[row[0].strip()] = int(row[1])
+            label = int(row[1])
         except ValueError as exc:
             raise ParseError(f"{path}: row {i}: {exc}", row=i, column=2) from exc
+        curve = row[0].strip()
+        if curve in mapping:
+            raise DuplicateCellError(
+                f"{path}: curve {curve} is labelled in row {mapping[curve][0]} and in row {i}")
+        mapping[curve] = (i, label)
     try:
-        return np.array([mapping[c] for c in curve_ids])
+        return np.array([mapping[c][1] for c in curve_ids])
     except KeyError as exc:
         raise DataError(f"{path}: no label for curve {exc}") from exc
 
@@ -171,15 +180,19 @@ def _parse_exponents(text: str) -> list[float]:
     return _float_list(text)
 
 
-def _method_list(text: str) -> list[str]:
-    methods = _comma_list(text)
-    for m in methods:
-        if m not in METHODS:
-            raise argparse.ArgumentTypeError(f"unknown method {m!r}")
-    return methods
+def _choice_list(choices):
+    """Flag type of a non-empty comma list whose items are all in choices."""
+    def parse(text: str) -> list[str]:
+        items = _comma_list(text)
+        if not items or not set(items) <= set(choices):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of {','.join(choices)}")
+        return items
+    return parse
 
 
-def _outdir(args) -> Path:
+def _outdir(args, resolved: dict) -> Path:
+    """The output directory, made after the resolved configuration is echoed."""
+    print(json.dumps({"resolved_config": resolved}, sort_keys=True))
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -196,10 +209,6 @@ def _threads(args) -> int:
     if n < 1:
         raise ConfigError("thread count must be at least 1")
     return n
-
-
-def _echo(config: dict) -> None:
-    print(json.dumps({"resolved_config": config}, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -219,60 +228,43 @@ def _cmd_simulate(args) -> None:
         seed=args.seed,
     )
     scenario = generate_scenario(config)
-    resolved = {
-        "subcommand": "simulate",
-        "groups": list(config.groups),
-        "curves_per_group": config.curves_per_group,
-        "points_per_curve": config.points_per_curve,
-        "domain": list(config.domain),
-        "noise_sd": config.noise_sd,
-        "heteroscedastic": config.heteroscedastic,
-        "seed": config.seed,
-    }
-    _echo(resolved)
-    out = _outdir(args)
+    resolved = {"subcommand": "simulate", **dataclasses.asdict(config)}
+    out = _outdir(args, resolved)
     ids = [f"curve_{i + 1}" for i in range(scenario.dataset.n_curves)]
     t = scenario.dataset.t
-    _write_csv(
-        out / "dataset.csv", resolved, ["t"] + ids,
-        ([_fmt(t[i])] + [_fmt(v) for v in scenario.dataset.values[i]] for i in range(t.size)),
-    )
+    _write_table(out / "dataset.csv", resolved, "t", map(_fmt, t), ids, scenario.dataset.values)
     _write_csv(
         out / "labels.csv", resolved, ["curve_id", "label"],
         ([ids[j], str(int(scenario.labels[j]))] for j in range(len(ids))),
     )
-    means = scenario.truth(t)
-    _write_csv(
-        out / "means.csv", resolved, ["t"] + ids,
-        ([_fmt(t[i])] + [_fmt(v) for v in means[i]] for i in range(t.size)),
-    )
+    _write_table(out / "means.csv", resolved, "t", map(_fmt, t), ids, scenario.truth(t))
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 
-def _fit_model(dataset, args, config):
-    lo, hi = dataset.domain
-    knots = args.knots
-    if knots is None:
-        p = args.nbasis - args.order
-        if p < 0:
-            raise ConfigError(f"nbasis {args.nbasis} is below the order {args.order}")
-        if p > 0:
-            search = KnotSearchConfig(order=args.order, max_knots=p, fixed_p=True,
-                                      grid_size=args.grid_size)
-            return fit_free_knot(dataset, config, search)
-        knots = []
-    return fit_coefficients(dataset, make_basis_spec(lo, hi, args.order, knots), config)
-
-
-def _free_knots(args) -> int:
-    """Knot count of the free-knot search that --nbasis asks for at --order."""
+def _knot_count(args, free: bool = False) -> int:
+    """Interior knot count that --nbasis asks for at --order; a free-knot
+    search needs at least one knot."""
     p = args.nbasis - args.order
-    if p < 1:
+    if free and p < 1:
         raise ConfigError(f"nbasis {args.nbasis} leaves no free knots at order {args.order}")
+    if p < 0:
+        raise ConfigError(f"nbasis {args.nbasis} is below the order {args.order}")
     return p
+
+
+def _fit_model(dataset, config, args, knots=None):
+    """The fit on the given interior knots; without knots, a search for the
+    knot count of --nbasis (or the fit without interior knots if it is 0)."""
+    p = _knot_count(args) if knots is None else 0
+    if p > 0:
+        search = KnotSearchConfig(order=args.order, max_knots=p, fixed_p=True,
+                                  grid_size=args.grid_size)
+        return fit_free_knot(dataset, config, search)
+    lo, hi = dataset.domain
+    return fit_coefficients(dataset, make_basis_spec(lo, hi, args.order, knots or []), config)
 
 
 def _discrete_tail_sse(t, residuals, tails: TailRegions):
@@ -296,7 +288,7 @@ def _cmd_fit(args) -> None:
             i = int(np.argmax(unknown))
             raise DataError(f"{args.truth_labels}: curve {curve_ids[i]} has group id "
                             f"{labels[i]}, expected one of {GROUP_IDS}")
-    model = _fit_model(dataset, args, config)
+    model = _fit_model(dataset, config, args, args.knots)
     if args.truth_labels is not None:
         isse = model_isse(model, lambda t: group_means(labels, t), tails)
         isse_kind = "quadrature_vs_truth"
@@ -316,17 +308,14 @@ def _cmd_fit(args) -> None:
         "seed": args.seed,
         "isse_kind": isse_kind,
     }
-    _echo(resolved)
-    out = _outdir(args)
+    out = _outdir(args, resolved)
     d = model.diagnostics
     _write_json(out / "fit.json", {
         "config": resolved,
         "df": d.df,
         "gcv": d.gcv,
         "sse": d.sse,
-        "isse": isse["isse"],
-        "isse_inf": isse["isse_inf"],
-        "isse_sup": isse["isse_sup"],
+        **isse,
         "isse_kind": isse_kind,
         "lambda1": config.lambda1,
         "lambda2": config.lambda2,
@@ -334,16 +323,11 @@ def _cmd_fit(args) -> None:
         "n_basis": model.spec.n_basis,
         "seed": args.seed,
     })
-    _write_csv(
-        out / "coefficients.csv", resolved, ["basis_index"] + curve_ids,
-        ([str(i + 1)] + [_fmt(v) for v in model.coeffs[i]] for i in range(model.spec.n_basis)),
-    )
+    _write_table(out / "coefficients.csv", resolved, "basis_index",
+                 map(str, range(1, model.spec.n_basis + 1)), curve_ids, model.coeffs)
     dense = np.linspace(lo, hi, _DENSE_POINTS)
-    curves = model.predict(dense)
-    _write_csv(
-        out / "curves.csv", resolved, ["t"] + curve_ids,
-        ([_fmt(dense[i])] + [_fmt(v) for v in curves[i]] for i in range(dense.size)),
-    )
+    _write_table(out / "curves.csv", resolved, "t", map(_fmt, dense), curve_ids,
+                 model.predict(dense))
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +343,10 @@ def _cmd_gcv(args) -> None:
     if args.mode == "fixed":
         knots = args.knots
         if knots is None:
-            if args.nbasis < args.order:
-                raise ConfigError(f"nbasis {args.nbasis} is below the order {args.order}")
-            knots = np.linspace(lo, hi, args.nbasis - args.order + 2)[1:-1]
+            knots = np.linspace(lo, hi, _knot_count(args) + 2)[1:-1]
         spec = make_basis_spec(lo, hi, args.order, knots)
     else:
-        search = KnotSearchConfig(order=args.order, max_knots=_free_knots(args),
+        search = KnotSearchConfig(order=args.order, max_knots=_knot_count(args, free=True),
                                   fixed_p=True, grid_size=args.grid_size)
     result = gcv_grid_search(dataset, grid=grid, spec=spec, search=search, mode=args.mode,
                              lambda1_pinned=args.pin_lambda1)
@@ -378,8 +360,7 @@ def _cmd_gcv(args) -> None:
         "pin_lambda1": args.pin_lambda1,
         "seed": args.seed,
     }
-    _echo(resolved)
-    out = _outdir(args)
+    out = _outdir(args, resolved)
 
     def rows():
         for i, l1 in enumerate(result.lambda1_values):
@@ -404,12 +385,17 @@ def _cmd_gcv(args) -> None:
 # cluster
 
 
+def _cluster(model, method: str, k: int, seed: int, restarts: int):
+    """Partition of the fitted curves into k clusters by the named method."""
+    if method == "kmeans":
+        return functional_kmeans(model, k, seed=seed, restarts=restarts)
+    return hierarchical_cluster(model, k, linkage=method)
+
+
 def _cmd_cluster(args) -> None:
     dataset, curve_ids = _load_dataset(args.data)
-    model = _fit_model(dataset, args,
-                       variant_config(args.variant, lambda1=args.lambda1, lambda2=args.lambda2))
-    seed, restarts = args.seed, args.restarts
-    out = _outdir(args)
+    config = variant_config(args.variant, lambda1=args.lambda1, lambda2=args.lambda2)
+    model = _fit_model(dataset, config, args, args.knots)
     resolved = {
         "subcommand": "cluster",
         "data": args.data,
@@ -417,13 +403,13 @@ def _cmd_cluster(args) -> None:
         "method": args.method,
         "k": args.k,
         "kmax": args.kmax,
-        "restarts": restarts,
-        "seed": seed,
+        "restarts": args.restarts,
+        "seed": args.seed,
     }
-    _echo(resolved)
+    out = _outdir(args, resolved)
     elbow = None
     if args.kmax is not None:
-        elbow = elbow_curve(model, args.kmax, seed=seed, restarts=restarts)
+        elbow = elbow_curve(model, args.kmax, seed=args.seed, restarts=args.restarts)
         _write_csv(
             out / "elbow.csv", resolved, ["k", "w"],
             ([str(k + 1), _fmt(elbow.w[k])] for k in range(args.kmax)),
@@ -434,10 +420,7 @@ def _cmd_cluster(args) -> None:
         k = elbow.suggested_k
     else:
         k = 4
-    if args.method == "kmeans":
-        result = functional_kmeans(model, k, seed=seed, restarts=restarts)
-    else:
-        result = hierarchical_cluster(model, k, linkage=args.method)
+    result = _cluster(model, args.method, k, args.seed, args.restarts)
     _write_csv(
         out / "partition.csv", resolved, ["curve_id", "label"],
         ([curve_ids[i], str(int(result.partition.labels[i]))] for i in range(len(curve_ids))),
@@ -447,7 +430,7 @@ def _cmd_cluster(args) -> None:
         "k": k,
         "method": args.method,
         "w": result.w,
-        "seed": seed,
+        "seed": args.seed,
         "suggested_k": elbow.suggested_k if elbow is not None else None,
         "elbow_low_confidence": elbow.low_confidence if elbow is not None else None,
     }
@@ -467,32 +450,19 @@ def _cmd_cluster(args) -> None:
 # replicate
 
 
-def _replicate_one(task: dict) -> dict:
+def _replicate_one(args, seed: int) -> dict:
     """One seed of the simulate -> fit -> cluster pipeline (worker-safe)."""
-    scenario = generate_scenario(ScenarioConfig(**task["scenario"]))
+    scenario = generate_scenario(ScenarioConfig(noise_sd=args.noise_sd, seed=seed))
     dataset = scenario.dataset
-    lo, hi = dataset.domain
-    tails = TailRegions.fraction(lo, hi, task["tail_frac"])
-    search = KnotSearchConfig(
-        order=task["order"], max_knots=task["p"], fixed_p=True, grid_size=task["grid_size"],
-    )
-    out = {"seed": task["scenario"]["seed"], "fits": {}, "clusters": {}}
-    for variant in task["variants"]:
-        config = variant_config(variant)
-        model = fit_free_knot(dataset, config, search)
-        isse = model_isse(model, scenario.truth, tails)
+    tails = TailRegions.fraction(*dataset.domain, args.tail_frac)
+    out = {"seed": seed, "fits": {}, "clusters": {}}
+    for variant in args.variants:
+        model = _fit_model(dataset, variant_config(variant), args)
         d = model.diagnostics
-        out["fits"][variant] = {
-            "df": d.df, "gcv": d.gcv, "sse": d.sse,
-            "isse": isse["isse"], "isse_inf": isse["isse_inf"], "isse_sup": isse["isse_sup"],
-        }
-        for method in task["methods"]:
-            if method == "kmeans":
-                result = functional_kmeans(
-                    model, task["k"], seed=task["scenario"]["seed"], restarts=task["restarts"],
-                )
-            else:
-                result = hierarchical_cluster(model, task["k"], linkage=method)
+        out["fits"][variant] = {"df": d.df, "gcv": d.gcv, "sse": d.sse,
+                                **model_isse(model, scenario.truth, tails)}
+        for method in args.methods:
+            result = _cluster(model, method, args.k, seed, args.restarts)
             out["clusters"][(variant, method)] = {
                 "ri": rand_index(result.partition.labels, scenario.labels),
                 "ari": adjusted_rand_index(result.partition.labels, scenario.labels),
@@ -501,39 +471,30 @@ def _replicate_one(task: dict) -> dict:
 
 
 def _cmd_replicate(args) -> None:
-    seed, variants, methods = args.seed, args.variants, args.methods
     if args.replications < 1:
         raise ConfigError("need at least one replication")
-    p = _free_knots(args)
-    task = {
-        "variants": variants, "methods": methods, "k": args.k, "order": args.order, "p": p,
-        "grid_size": args.grid_size, "restarts": args.restarts, "tail_frac": args.tail_frac,
-    }
-    tasks = [
-        dict(task, scenario=dataclasses.asdict(ScenarioConfig(noise_sd=args.noise_sd,
-                                                               seed=seed + i)))
-        for i in range(args.replications)
-    ]
+    _knot_count(args, free=True)  # checked before any seed runs
     n_threads = _threads(args)
     resolved = {
         "subcommand": "replicate",
         "replications": args.replications,
-        "variants": variants,
-        "methods": methods,
+        "variants": args.variants,
+        "methods": args.methods,
         "k": args.k,
         "order": args.order,
         "n_basis": args.nbasis,
         "noise_sd": args.noise_sd,
-        "seed": seed,
+        "seed": args.seed,
         "threads": n_threads,
     }
-    _echo(resolved)
+    out = _outdir(args, resolved)
+    one = functools.partial(_replicate_one, args)
+    seeds = range(args.seed, args.seed + args.replications)
     if n_threads > 1:
         with ProcessPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(_replicate_one, tasks))
+            results = list(pool.map(one, seeds))
     else:
-        results = [_replicate_one(task) for task in tasks]
-    out = _outdir(args)
+        results = [one(s) for s in seeds]
 
     def cluster_rows():
         for res in results:
@@ -545,22 +506,18 @@ def _cmd_replicate(args) -> None:
     def fit_rows():
         for res in results:
             for variant, d in res["fits"].items():
-                yield [str(res["seed"]), variant] + [
-                    _fmt(d[key]) for key in ("df", "gcv", "sse", "isse", "isse_inf", "isse_sup")
-                ]
+                yield [str(res["seed"]), variant] + [_fmt(d[key]) for key in _FIT_KEYS]
 
-    _write_csv(
-        out / "fits.csv", resolved,
-        ["seed", "variant", "df", "gcv", "sse", "isse", "isse_inf", "isse_sup"], fit_rows(),
-    )
-    aggregate = {"config": resolved, "seed": seed, "ari": {}, "ri": {}, "isse_median": {}}
-    for variant in variants:
-        for method in methods:
-            aris = [res["clusters"][(variant, method)]["ari"] for res in results]
-            ris = [res["clusters"][(variant, method)]["ri"] for res in results]
-            key = f"{variant}.{method}"
-            aggregate["ari"][key] = {"mean": float(np.mean(aris)), "sd": float(np.std(aris, ddof=1)) if len(aris) > 1 else 0.0}
-            aggregate["ri"][key] = {"mean": float(np.mean(ris)), "sd": float(np.std(ris, ddof=1)) if len(ris) > 1 else 0.0}
+    _write_csv(out / "fits.csv", resolved, ["seed", "variant", *_FIT_KEYS], fit_rows())
+    aggregate = {"config": resolved, "seed": args.seed, "ari": {}, "ri": {}, "isse_median": {}}
+    for variant in args.variants:
+        for method in args.methods:
+            for score in ("ari", "ri"):
+                values = [res["clusters"][(variant, method)][score] for res in results]
+                aggregate[score][f"{variant}.{method}"] = {
+                    "mean": float(np.mean(values)),
+                    "sd": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
+                }
         for key in ("isse", "isse_inf", "isse_sup", "df", "gcv"):
             values = [res["fits"][variant][key] for res in results]
             aggregate["isse_median"].setdefault(variant, {})[key] = float(np.median(values))
@@ -597,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spline.add_argument("--nbasis", type=int, default=12, help="number of basis functions")
     spline.add_argument("--grid-size", dest="grid_size", type=int, default=50,
                         help="knot candidates per search round")
-    penalty.add_argument("--variant", choices=["fs0", "fs1", "fs2"], default="fs2",
+    penalty.add_argument("--variant", choices=VARIANTS, default="fs2",
                          help="named penalty weights")
     penalty.add_argument("--lambda1", type=float,
                          help="first-derivative weight, overrides --variant")
@@ -645,8 +602,9 @@ def _build_parser() -> argparse.ArgumentParser:
               [spline, noise, restarts, tails])
     rep.add_argument("-R", "--replications", dest="replications", type=int, default=30,
                      help="number of seeds")
-    rep.add_argument("--variants", type=_comma_list, default="fs0,fs2", help="comma list")
-    rep.add_argument("--methods", type=_method_list, default="kmeans,ward",
+    rep.add_argument("--variants", type=_choice_list(VARIANTS), default="fs0,fs2",
+                     help="comma list of " + ",".join(VARIANTS))
+    rep.add_argument("--methods", type=_choice_list(METHODS), default="kmeans,ward",
                      help="comma list of " + ",".join(METHODS))
     rep.add_argument("--k", type=int, default=4, help="cluster count")
     rep.add_argument("--threads", type=int, help=f"worker count; when unset, ${THREADS_ENV} or 1")
@@ -668,14 +626,9 @@ def main(argv=None) -> int:
             _config_defaults(parser, args)
             args = parser.parse_args(argv)
         args.func(args)
-    except ConfigError as exc:
-        return _fail(args, exc, 2)
-    except DataError as exc:
-        return _fail(args, exc, 3)
-    except NumericalError as exc:
-        return _fail(args, exc, 4)
     except FkSplineError as exc:
-        return _fail(args, exc, 4)
+        code = 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DataError) else 4
+        return _fail(args, exc, code)
     return 0
 
 

@@ -316,12 +316,8 @@ def adjusted_rand_index(predicted, truth) -> float:
     adjustment denominator vanishes: the score is then 1 for equal
     partitions and 0 otherwise, with a warning.
     """
-    a, b = _check_pair(predicted, truth)
-    table = _contingency(a, b)
-    index = int(_pairs(table).sum())
-    same_pred = int(_pairs(table.sum(axis=1)).sum())
-    same_truth = int(_pairs(table.sum(axis=0)).sum())
-    total = int(_pairs(np.int64(a.size)))
+    tp, tn, fp, fn = confusion_counts(predicted, truth)
+    same_pred, same_truth, total = tp + fp, tp + fn, tp + tn + fp + fn
     expected = same_pred * same_truth / total
     max_index = 0.5 * (same_pred + same_truth)
     denom = max_index - expected
@@ -330,8 +326,8 @@ def adjusted_rand_index(predicted, truth) -> float:
             "both partitions are trivial; adjusted Rand index is degenerate",
             stacklevel=2,
         )
-        return 1.0 if partitions_equal(a, b) else 0.0
-    return (index - expected) / denom
+        return 1.0 if partitions_equal(predicted, truth) else 0.0
+    return (tp - expected) / denom
 
 
 def matched_confusion(predicted, truth) -> dict:

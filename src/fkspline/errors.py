@@ -34,11 +34,6 @@ class PointOutOfDomainError(ConfigError):
     """Evaluation point outside the closed domain interval."""
 
 
-# Some call sites validate the sample grid rather than a single point; the
-# condition is the same, keep one class under both names.
-DomainError = PointOutOfDomainError
-
-
 class DerivativeOrderTooHighError(ConfigError):
     """Requested derivative order >= spline order."""
 

@@ -349,14 +349,6 @@ class FreeKnotResult:
     def coords(self) -> JuppCoords:
         return self.chosen.coords
 
-    @property
-    def objective_trace(self) -> np.ndarray:
-        return np.array([s.objective for s in self.stages])
-
-    @property
-    def gcv_trace(self) -> np.ndarray:
-        return np.array([s.gcv for s in self.stages])
-
 
 def _knot_radius(lo, hi, search) -> float:
     """Minimum spacing enforced between knots: a quarter of the mean

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fkspline
+from fkspline import errors
 from fkspline.cli import _build_parser, main
 
 
@@ -106,6 +107,9 @@ class TestParser:
         ("gcv", "--exponents", "a:b"),
         ("fit", "--knots", "1,x"),
         ("replicate", "--methods", "kmeans,x"),
+        ("replicate", "--methods", ","),
+        ("replicate", "--variants", ","),
+        ("replicate", "--variants", "fs0,fs9"),
     ])
     def test_bad_list_item_is_usage_error(self, tmp_path, capsys, subcommand, flag, text):
         with pytest.raises(SystemExit) as exc_info:
@@ -253,6 +257,37 @@ class TestExitCodes:
         report = self.stderr_report(capsys)
         assert report["error"] == "ParseError"
         assert "row 2" in report["context"]
+
+    @pytest.mark.parametrize("flag", ["--labels", "--truth-labels"])
+    def test_duplicate_label_curve_is_3(self, simdir, tmp_path, capsys, flag):
+        rows = (simdir / "labels.csv").read_text().splitlines()
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(rows[1:] + ["curve_1,3"]) + "\n")  # header is row 1
+        subcommand = ["cluster", "--k", "2", "--restarts", "1"] if flag == "--labels" else ["fit"]
+        code = run([*subcommand, "--data", simdir / "dataset.csv", "--knots", "2.5",
+                    flag, labels, "--outdir", tmp_path / "out"])
+        assert code == 3
+        report = self.stderr_report(capsys)
+        assert report["error"] == "DuplicateCellError"
+        assert "curve curve_1" in report["context"]
+        assert "row 2" in report["context"] and f"row {len(rows)}" in report["context"]
+
+    @pytest.mark.parametrize("kind, code", [
+        (errors.EmptyIntervalError, 2),
+        (errors.DuplicateCellError, 3),
+        (errors.NumericalError, 4),
+        (errors.FkSplineError, 4),
+    ])
+    def test_error_kind_sets_exit_code(self, tmp_path, capsys, monkeypatch, kind, code):
+        import fkspline.cli
+
+        def fail(args):
+            raise kind("injected")
+
+        monkeypatch.setattr(fkspline.cli, "_cmd_simulate", fail)
+        assert run(["simulate", "--outdir", tmp_path]) == code
+        assert self.stderr_report(capsys) == {
+            "module": "simulate", "error": kind.__name__, "context": "injected"}
 
     def test_unknown_truth_group_is_3(self, simdir, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
@@ -616,6 +651,31 @@ class TestReplicate:
         assert set(aggregate["ari"]) == {"fs0.kmeans"}
         assert -0.5 <= aggregate["ari"]["fs0.kmeans"]["mean"] <= 1.0
         assert aggregate["isse_median"]["fs0"]["isse"] > 0
+
+    def test_matches_simulate_fit_and_cluster(self, tmp_path):
+        """One seed of replicate equals simulate, then fit --truth-labels and
+        cluster --labels on the written dataset, bit for bit."""
+        seed, fit_flags = "3", ["--variant", "fs2", "--nbasis", "6", "--grid-size", "10"]
+        assert run(["replicate", "-R", "1", "--seed", seed, "--variants", "fs2",
+                    "--methods", "kmeans,ward", "--restarts", "2", *fit_flags[2:],
+                    "--outdir", tmp_path / "rep"]) == 0
+        assert run(["simulate", "--seed", seed, "--outdir", tmp_path / "sim"]) == 0
+        data = ["--data", tmp_path / "sim" / "dataset.csv", *fit_flags]
+        assert run(["fit", *data, "--truth-labels", tmp_path / "sim" / "labels.csv",
+                    "--outdir", tmp_path / "fit"]) == 0
+        report = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        (fits,) = [r.split(",") for r in data_rows(tmp_path / "rep" / "fits.csv")]
+        keys = ["df", "gcv", "sse", "isse", "isse_inf", "isse_sup"]
+        assert fits[:2] == [seed, "fs2"]
+        assert [float(x) for x in fits[2:]] == [report[key] for key in keys]
+        runs = {r.split(",")[2]: r.split(",") for r in data_rows(tmp_path / "rep" / "runs.csv")}
+        for method in ("kmeans", "ward"):
+            out = tmp_path / method
+            assert run(["cluster", *data, "--method", method, "--k", "4", "--restarts", "2",
+                        "--seed", seed, "--labels", tmp_path / "sim" / "labels.csv", "--outdir", out]) == 0
+            metrics = json.loads((out / "metrics.json").read_text())
+            assert float(runs[method][3]) == metrics["rand_index"]
+            assert float(runs[method][4]) == metrics["adjusted_rand_index"]
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         one, two_a, two_b = tmp_path / "t1", tmp_path / "t2a", tmp_path / "t2b"
