@@ -181,11 +181,12 @@ def _parse_exponents(text: str) -> list[float]:
 
 
 def _choice_list(choices):
-    """Flag type of a non-empty comma list whose items are all in choices."""
+    """Flag type of a non-empty comma list of distinct items, all in choices."""
     def parse(text: str) -> list[str]:
         items = _comma_list(text)
-        if not items or not set(items) <= set(choices):
-            raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of {','.join(choices)}")
+        if not items or not set(items) <= set(choices) or len(set(items)) < len(items):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a comma list of distinct items of {','.join(choices)}")
         return items
     return parse
 
@@ -194,7 +195,10 @@ def _outdir(args, resolved: dict) -> Path:
     """The output directory, made after the resolved configuration is echoed."""
     print(json.dumps({"resolved_config": resolved}, sort_keys=True))
     out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make the output directory {out}: {exc}") from exc
     return out
 
 
@@ -395,6 +399,9 @@ def _cluster(model, method: str, k: int, seed: int, restarts: int):
 def _cmd_cluster(args) -> None:
     dataset, curve_ids = _load_dataset(args.data)
     config = variant_config(args.variant, lambda1=args.lambda1, lambda2=args.lambda2)
+    # the labels are checked before the fit, which can be a whole
+    # free-knot search, and before any output is written
+    truth = None if args.labels is None else _read_labels(args.labels, curve_ids)
     model = _fit_model(dataset, config, args, args.knots)
     resolved = {
         "subcommand": "cluster",
@@ -434,8 +441,7 @@ def _cmd_cluster(args) -> None:
         "suggested_k": elbow.suggested_k if elbow is not None else None,
         "elbow_low_confidence": elbow.low_confidence if elbow is not None else None,
     }
-    if args.labels is not None:
-        truth = _read_labels(args.labels, curve_ids)
+    if truth is not None:
         tp, tn, fp, fn = confusion_counts(result.partition.labels, truth)
         metrics.update({
             "rand_index": rand_index(result.partition.labels, truth),

@@ -2,11 +2,41 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import LengthMismatchError, NonFiniteInputError, NonIncreasingKnotsError
+
+
+def _orthonormal_basis(A: np.ndarray) -> np.ndarray:
+    """Q (m, k) with orthonormal columns and A = Q Q' A, for A (m, k), m > k.
+
+    The Q of a Householder QR of A, written with numpy's elementwise and
+    einsum kernels.  LAPACK's QR (numpy.linalg.qr) agrees to roundoff, but
+    at 200 x 50 it wakes OpenBLAS's thread pool, and right after scipy's own
+    OpenBLAS has run (clustering, in the replicate pipeline) each call
+    stalled for 75-150 ms on a 2-core machine, against 3 ms here.
+    """
+    A = A.copy()
+    m, k = A.shape
+    reflectors = []
+    for j in range(k):
+        v = A[j:, j].copy()
+        v[0] += math.copysign(math.sqrt(np.einsum("i,i", v, v)), v[0])
+        norm = math.sqrt(np.einsum("i,i", v, v))
+        v = v / norm if norm > 0.0 else None  # a zero column needs no reflection
+        if v is not None:
+            A[j:, j + 1:] -= 2.0 * v[:, None] * np.einsum("i,ij->j", v, A[j:, j + 1:])
+        reflectors.append(v)
+    Q = np.eye(m, k)
+    for j in reversed(range(k)):
+        v = reflectors[j]
+        if v is not None:
+            Q[j:, j:] -= 2.0 * v[:, None] * np.einsum("i,ij->j", v, Q[j:, j:])
+    return Q
 
 
 @dataclass(frozen=True)
@@ -49,3 +79,22 @@ class FunctionalDataset:
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.t[0]), float(self.t[-1])
+
+    @cached_property
+    def row_basis(self) -> np.ndarray | None:
+        """Orthonormal (n, h) basis Q of the row space of values when n > h, else None.
+
+        values = values Q Q', so a matrix M = A values keeps its Frobenius
+        norm, and a pair of them their inner product, as M Q: the knot
+        search scores residuals on h columns however many curves there are.
+        Computed on first use and kept on this instance only.
+        """
+        if self.n_curves <= self.n_points:
+            return None
+        return _orthonormal_basis(self.values.T)
+
+    def reduce(self, M: np.ndarray) -> np.ndarray:
+        """M @ row_basis, an (h, h) stand-in for an (h, n) matrix A values;
+        M itself when there is no row basis."""
+        Q = self.row_basis
+        return M if Q is None else M @ Q

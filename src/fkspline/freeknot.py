@@ -195,6 +195,7 @@ def _residual_rows(ratios: np.ndarray, lo: float, hi: float, dataset: Functional
                    config: PenaltyConfig, order: int) -> list:
     """Raveled residuals of the fit at each row of log gap ratios (C, p), in one stack.
 
+    The residuals are in the dataset's reduced space (residual_stack).
     Entry c is None where the row cannot be fitted or its system is refused,
     that is where the fit at those coordinates would raise.
     """
@@ -241,7 +242,9 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     Each iteration takes the residual and its forward-difference Jacobian
     from one stacked evaluation (smoother.residual_stack) of the current
     point and its p perturbed points (see _jacobian), and trial steps are
-    one-row stacks, so no per-column fit is made.  The damping parameter
+    one-row stacks, so no per-column fit is made.  Residuals are taken in
+    the dataset's reduced space (FunctionalDataset.reduce), which keeps
+    every norm and inner product the step uses.  The damping parameter
     grows tenfold when a step fails to decrease the objective and shrinks
     tenfold on success.  The best iterate seen is always returned, so the
     result never exceeds the starting objective; only it is fitted with
@@ -258,7 +261,9 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     def residuals(rows):
         return _residual_rows(rows, lo, hi, dataset, config, search.order)
 
-    r = model.diagnostics.residuals.ravel()
+    # residuals and objectives live in the dataset's reduced space, where
+    # residual_stack forms them; only the fits report the full residuals
+    r = dataset.reduce(model.diagnostics.residuals).ravel()
     f = float(r @ r)
     mu = _DAMPING
     iterations = 0

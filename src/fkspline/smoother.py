@@ -131,7 +131,10 @@ def assemble_system(design: DesignMatrix, config: PenaltyConfig, penalties=None)
         if pm is None:
             pm = penalty_matrix(spec, l)
         weight = config.weight_for(l)
-        H += weight * pm.values
+        # overflowed penalties may add infinities of opposite signs; _refused
+        # turns the resulting nan away
+        with np.errstate(over="ignore", invalid="ignore"):
+            H += weight * pm.values
         terms.append((weight, pm.values))
     reason = _refused(H[None])[0]
     if reason:
@@ -218,16 +221,19 @@ def residual_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDatase
     the dataset's domain.  The systems H = B'B + sum of weighted penalties
     are built and checked as one stack.  Yields (c, residual) for each row
     c that assemble_system would not refuse, in row order; residual is the
-    (h, n) matrix data minus fitted values, equal to the residuals of
-    fit_coefficients at that knot vector up to roundoff.  Inputs are not
-    checked: the penalized derivative orders must be below `order`.
+    fit's residual matrix in the dataset's reduced space: equal up to
+    roundoff to dataset.reduce of the residuals of fit_coefficients at that
+    knot vector, so (h, min(h, n)), with the same Frobenius norm and the
+    same inner product with any other row's.  Inputs are not checked: the
+    penalized derivative orders must be below `order`.
     """
     C = full_knots.shape[0]
-    Y = dataset.values
+    Y = dataset.reduce(dataset.values)
     B = design_stack(full_knots, order, np.broadcast_to(dataset.t, (C, dataset.t.size)))
     H = B.transpose(0, 2, 1) @ B
     for l in _penalty_orders(config):
-        H += config.weight_for(l) * penalty_stack(full_knots, order, l)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in assemble_system
+            H += config.weight_for(l) * penalty_stack(full_knots, order, l)
     # One solve and one residual at a time, each handed on before the next
     # is formed: a batched solve took as long, its (C, nb, n) coefficient
     # stack raised the peak memory, and a (C, h, n) residual stack would

@@ -110,6 +110,8 @@ class TestParser:
         ("replicate", "--methods", ","),
         ("replicate", "--variants", ","),
         ("replicate", "--variants", "fs0,fs9"),
+        ("replicate", "--variants", "fs0,fs0"),
+        ("replicate", "--methods", "kmeans,kmeans"),
     ])
     def test_bad_list_item_is_usage_error(self, tmp_path, capsys, subcommand, flag, text):
         with pytest.raises(SystemExit) as exc_info:
@@ -326,6 +328,34 @@ class TestExitCodes:
         assert run(["fit", "--data", simdir / "dataset.csv", "--nbasis", "5",
                     *flags, "--outdir", tmp_path / "out"]) == code
         assert self.stderr_report(capsys)["error"] == error
+
+    @pytest.mark.parametrize("row", ["curve_1,x", "curve_1,1,2"])
+    def test_bad_cluster_labels_exit_before_fitting(self, simdir, tmp_path, capsys, monkeypatch,
+                                                    row):
+        import fkspline.cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the knot search ran before the labels were checked")
+
+        monkeypatch.setattr(fkspline.cli, "fit_free_knot", no_fit)
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"curve_id,label\n{row}\n")
+        out = tmp_path / "out"
+        assert run(["cluster", "--data", simdir / "dataset.csv", "--nbasis", "5",
+                    "--k", "2", "--labels", labels, "--outdir", out]) == 3
+        assert self.stderr_report(capsys)["error"] == "ParseError"
+        assert not (out / "partition.csv").exists()
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "fit"])
+    def test_outdir_naming_a_file_is_3(self, simdir, tmp_path, capsys, subcommand):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        flags = ["--curves-per-group", "1", "--points", "3"] if subcommand == "simulate" else \
+            ["--data", simdir / "dataset.csv", "--knots", "2.5"]
+        assert run([subcommand, *flags, "--outdir", afile]) == 3
+        report = self.stderr_report(capsys)
+        assert report["error"] == "DataError"
+        assert str(afile) in report["context"]
 
     @pytest.mark.parametrize("flags", [
         ["simulate", "--seed", "-1"],

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from fkspline import (
     make_basis_spec,
     objective_f,
 )
-from fkspline import freeknot
+from fkspline import data, freeknot
 
 
 def hinge_dataset(knot=0.37, n=41, lo=0.0, hi=1.0):
@@ -297,22 +299,37 @@ class TestStackedScan:
         return coords, np.array(scores), residuals
 
     # each config with the spline orders that carry its highest penalty
-    @pytest.mark.parametrize("config, orders", [
+    CONFIGS = pytest.mark.parametrize("config, orders", [
         (PenaltyConfig(), (2, 3, 4)),
         (PenaltyConfig(lambda1=1e-7, lambda2=1e-5), (3, 4)),
         (PenaltyConfig(alphas=(0.0, 1e-4, 1e-3, 1e-6)), (4,)),
     ], ids=["fs0", "fs2", "alphas"])
+
+    @CONFIGS
     def test_scores_refusals_and_winner_match_objective_f(self, config, orders):
+        self.check_scan(config, orders, lambda rng, n: 2)
+
+    @CONFIGS
+    def test_more_curves_than_points_scan_in_the_reduced_space(self, config, orders):
+        self.check_scan(config, orders, lambda rng, n: n + int(rng.integers(1, 40)))
+
+    def check_scan(self, config, orders, curves):
+        """The scan against scan_by_objective_f on 30 random datasets; a
+        trial with n points has curves(rng, n) curves.  With more curves
+        than points the rows are in the reduced space, equal to the reduced
+        fit residuals up to roundoff; otherwise they are the fit residuals."""
         rng = np.random.default_rng(17)
         refusals = 0
         for trial in range(30):
             n = int(rng.integers(8, 30))
+            m = curves(rng, n)
             t = np.sort(rng.uniform(0.0, 2.0, n))
             t[0], t[-1] = 0.0, 2.0
-            y = np.sin(np.outer(2.0 * t, 1.0 + np.arange(2))) + 0.2 * rng.standard_normal((n, 2))
+            y = np.sin(np.outer(2.0 * t, 1.0 + np.arange(m))) + 0.2 * rng.standard_normal((n, m))
             # every fifth domain is so narrow that derivative penalties overflow
             scale = 1e-120 if trial % 5 == 0 else 1.0
             ds = FunctionalDataset(t=scale * t, values=y)
+            assert (ds.row_basis is None) == (m <= n)
             existing = scale * np.sort(rng.choice(np.linspace(0.1, 1.9, 19),
                                                   int(rng.integers(1, 4)), replace=False))
             search = KnotSearchConfig(order=int(rng.choice(orders)), max_knots=6,
@@ -322,15 +339,29 @@ class TestStackedScan:
             refused = np.isnan(ref)
             refusals += int(refused.sum())
             assert np.array_equal(np.isnan(scores), refused)
-            assert np.all(np.abs(scores[~refused] - ref[~refused]) <= 1e-12 * ref[~refused])
+            # a fit that (nearly) interpolates the data leaves residuals at
+            # roundoff level, where the full and the reduced space round
+            # differently (by up to 4e-13 |y| on unpenalized fits): size
+            # bounds that difference, and a score moves by at most
+            # size * (2 |residual| + size)
+            size = 0.0 if ds.row_basis is None else 1e-11 * np.linalg.norm(y)
+            kept = ref[~refused]
+            assert np.all(np.abs(scores - ref)[~refused]
+                          <= 1e-12 * kept + size * (2.0 * np.sqrt(kept) + size))
             # the residual evaluator behind the scores refuses the same rows
             # and keeps each fit's residual matrix
             rows = freeknot._residual_rows(ratios, *ds.domain, ds, config, search.order)
             assert [row is None for row in rows] == [r is None for r in ref_residuals]
             assert [r is None for r in ref_residuals] == list(refused)
             for row, r in zip(rows, ref_residuals):
-                if r is not None:
+                if r is None:
+                    continue
+                if ds.row_basis is None:
                     assert np.array_equal(row, r.ravel())
+                else:
+                    reduced = ds.reduce(r).ravel()
+                    assert row.shape == reduced.shape == (n * n,)
+                    assert np.linalg.norm(row - reduced) <= 1e-10 * np.linalg.norm(reduced) + size
             if refused.all():
                 continue
             # the loop rule the scan replaced: strict <, refused skipped
@@ -339,7 +370,13 @@ class TestStackedScan:
                 if f < best:
                     winner, best = i, f
             chosen = np.flatnonzero(~refused)[np.argmin(scores[~refused])]
-            assert chosen == winner
+            if chosen != winner:
+                # only a tie may go the other way in the reduced space, such as
+                # candidates in one gap between sample points of an unpenalized
+                # order-2 fit, which fit the data alike
+                assert ds.row_basis is not None
+                assert ref[chosen] - best <= 1e-12 * best + 4.0 * size * (np.sqrt(best) + size)
+                continue
             assert np.array_equal(ratios[chosen], coords[winner].values)
         assert refusals > 0  # the refusal rule was exercised
         # a grid used up by exclusion zones scores nothing
@@ -422,6 +459,53 @@ class TestStackedJacobian:
             assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
             assert np.linalg.norm(jac - ref) <= 1e-8 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("config", [
+        PenaltyConfig(), PenaltyConfig(lambda1=1e-7, lambda2=1e-5),
+    ], ids=["fs0", "fs2"])
+    def test_more_curves_than_points_differences_in_the_reduced_space(self, config):
+        rng = np.random.default_rng(6)
+        for trial in range(10):
+            h = int(rng.integers(25, 60))
+            ds = noisy_sine_dataset(seed=trial, n=h, curves=h + int(rng.integers(1, 40)))
+            assert ds.row_basis is not None
+            order = int(rng.choice([3, 4]))
+            p = int(rng.integers(1, 6))
+            gaps = np.exp(rng.uniform(-0.7, 0.7, p + 1))
+            k = jupp(np.cumsum(gaps)[:-1] / gaps.sum(), 0.0, 1.0).values
+            full_r, full = column_jacobian(k, ds, config, order)
+
+            def reduced(v):
+                return ds.reduce(v.reshape(h, -1)).ravel()
+
+            ref_r, ref = reduced(full_r), np.column_stack([reduced(c) for c in full.T])
+
+            def residuals(rows):
+                return freeknot._residual_rows(rows, 0.0, 1.0, ds, config, order)
+
+            r, jac = freeknot._jacobian(k, ref_r, residuals)
+            assert jac.shape == (h * h, p)
+            assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
+            assert np.linalg.norm(jac - ref) <= 1e-8 * np.linalg.norm(ref)
+            # the step's normal equations are those of the full space
+            assert np.linalg.norm(jac.T @ jac - full.T @ full) <= 1e-8 * np.linalg.norm(full) ** 2
+            assert np.linalg.norm(jac.T @ r - full.T @ full_r) <= (
+                1e-8 * np.linalg.norm(full) * np.linalg.norm(full_r))
+
+    @pytest.mark.parametrize("config", [
+        PenaltyConfig(), PenaltyConfig(lambda1=1e-7, lambda2=1e-5),
+    ], ids=["fs0", "fs2"])
+    def test_more_curves_than_points_refine_as_unreduced(self, monkeypatch, config):
+        ds = noisy_sine_dataset(n=30, curves=80)
+        search = KnotSearchConfig(order=4, max_knots=3)
+        starts = [jupp(np.array(tau), 0.0, 1.0) for tau in ([0.5], [0.2, 0.45, 0.8])]
+        reduced = [gauss_newton_refine(start, ds, config, search) for start in starts]
+        monkeypatch.setattr(FunctionalDataset, "row_basis", property(lambda self: None))
+        for start, res in zip(starts, reduced):
+            plain = gauss_newton_refine(start, ds, config, search)
+            assert res.iterations == plain.iterations > 1
+            assert np.max(np.abs(jupp_inverse(res.coords) - jupp_inverse(plain.coords))) <= 1e-8
+            assert res.objective == pytest.approx(plain.objective, rel=1e-10)
+
     def test_refused_forward_rows_fall_back_to_backward_steps_then_zero(self, monkeypatch):
         # the current point's residual then comes from its earlier evaluation
         ds = noisy_sine_dataset()
@@ -474,6 +558,62 @@ class TestStackedJacobian:
         assert res.iterations > 1
         assert fits == [tuple(jupp_inverse(start)), res.model.spec.interior_knots]
         assert res.objective == res.model.diagnostics.sse
+
+
+class TestRowBasis:
+    """The knot search works on one row-space factor per dataset, kept by the dataset."""
+
+    def test_reduce_keeps_norms_and_inner_products(self):
+        ds = noisy_sine_dataset(n=20, curves=50)
+        a, b = np.random.default_rng(0).standard_normal((2, 20, 20))
+        A, B = a @ ds.values, b @ ds.values
+        assert ds.row_basis.shape == (50, 20)
+        assert ds.reduce(A).shape == (20, 20)
+        assert np.vdot(ds.reduce(A), ds.reduce(B)) == pytest.approx(np.vdot(A, B), rel=1e-12)
+        assert np.linalg.norm(ds.reduce(A)) == pytest.approx(np.linalg.norm(A), rel=1e-12)
+        few = noisy_sine_dataset(n=20, curves=20)
+        M = A[:, :20]
+        assert few.row_basis is None and few.reduce(M) is M
+
+    @pytest.mark.parametrize("rank", [20, 3, 0])
+    def test_factor_is_an_orthonormal_basis_of_the_row_space(self, rank):
+        rng = np.random.default_rng(rank)
+        values = rng.standard_normal((20, rank)) @ rng.standard_normal((rank, 50))
+        Q = FunctionalDataset(t=np.linspace(0.0, 1.0, 20), values=values).row_basis
+        assert Q.shape == (50, 20)
+        assert np.abs(Q.T @ Q - np.eye(20)).max() <= 1e-14
+        assert np.abs(values @ Q @ Q.T - values).max() <= 1e-13 * max(1.0, np.abs(values).max())
+        if rank == 20:  # the basis LAPACK's QR gives, up to the sign of each column
+            assert np.abs(np.abs(Q) - np.abs(np.linalg.qr(values.T)[0])).max() <= 1e-13
+
+    def test_factor_is_computed_once_per_dataset(self, monkeypatch):
+        calls = []
+        basis = data._orthonormal_basis
+
+        def counting_basis(a):
+            calls.append(a.shape)
+            return basis(a)
+
+        monkeypatch.setattr(data, "_orthonormal_basis", counting_basis)
+        search = KnotSearchConfig(order=4, max_knots=3, grid_size=10, fixed_p=True)
+        config = PenaltyConfig(lambda2=1e-5)
+        ds = noisy_sine_dataset(n=30, curves=40)
+        fit_free_knot(ds, config, search)
+        assert calls == [(40, 30)]
+        fit_free_knot(ds, config, search)
+        assert calls == [(40, 30)]
+        fit_free_knot(noisy_sine_dataset(n=30, curves=3), config, search)
+        assert calls == [(40, 30)]
+
+    def test_factor_is_freed_with_its_dataset(self):
+        ds = noisy_sine_dataset(n=30, curves=40)
+        fit_free_knot(ds, PenaltyConfig(lambda2=1e-5),
+                      KnotSearchConfig(order=4, max_knots=2, grid_size=10, fixed_p=True))
+        assert ds.row_basis is not None
+        dataset, factor = weakref.ref(ds), weakref.ref(ds.row_basis)
+        del ds
+        gc.collect()
+        assert dataset() is None and factor() is None
 
 
 class TestHighLevelFit:

@@ -18,6 +18,7 @@ from fkspline import (
     penalty_matrix,
     variant_config,
 )
+from fkspline.smoother import sse_stack
 
 
 def penalized_objective(dataset, spec, config, coeffs):
@@ -79,6 +80,19 @@ class TestSystemMatrix:
         eigs = np.linalg.eigvalsh(system.values)
         assert lo <= eigs.min() + 1e-10 * abs(hi)
         assert eigs.max() <= hi * (1 + 1e-12)
+
+    def test_penalties_overflowing_to_opposite_infinities_refused_quietly(self):
+        # On a domain this narrow the order-1 and order-2 penalties overflow
+        # to infinities of opposite signs in one entry; their sum is nan,
+        # which the refusal rule rejects without a numpy warning (an error
+        # under this suite's warning filter).
+        t = 1e-120 * np.linspace(0.0, 2.0, 8)
+        ds = FunctionalDataset(t=t, values=np.sin(np.outer(1e120 * t, [1.0, 2.0])))
+        spec = make_basis_spec(0.0, 2e-120, 4, [4e-121, 1e-120])
+        config = PenaltyConfig(alphas=(0.0, 1e-4, 1e-3, 1e-6))
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            fit_coefficients(ds, spec, config)
+        assert np.isnan(sse_stack(spec._full_arr[None, :], 4, ds, config)).all()
 
     def test_rank_deficient_unpenalized_system_rejected(self):
         # Fewer distinct points than basis functions, no penalty.
