@@ -30,10 +30,10 @@ for i, d in enumerate(days):
     cell = "" if i == 17 else f"{north:.4f}"  # one gap, later interpolated
     rows.append(f"{d},{cell},{south:.4f},5.0")
 
-path = Path(tempfile.mkdtemp()) / "series.csv"
-path.write_text("\n".join(rows) + "\n")
-
-table = load_csv(path, layout="wide")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "series.csv"
+    path.write_text("\n".join(rows) + "\n")
+    table = load_csv(path, layout="wide")
 print(f"loaded {table.n_series} series x {table.n_times} times, "
       f"{int((~table.mask).sum())} missing cell(s)")
 

@@ -261,12 +261,19 @@ def _knot_count(args, free: bool = False) -> int:
 
 def _fit_model(dataset, config, args, knots=None):
     """The fit on the given interior knots; without knots, a search for the
-    knot count of --nbasis (or the fit without interior knots if it is 0)."""
+    knot count of --nbasis (or the fit without interior knots if it is 0),
+    which must place them all."""
     p = _knot_count(args) if knots is None else 0
     if p > 0:
         search = KnotSearchConfig(order=args.order, max_knots=p, fixed_p=True,
                                   grid_size=args.grid_size)
-        return fit_free_knot(dataset, config, search)
+        model = fit_free_knot(dataset, config, search)
+        placed = model.knot_search.chosen.p
+        if placed < p:  # exclusion zones used up the candidate grid
+            raise ConfigError(f"the knot search placed {placed} of the {p} interior knots "
+                              f"--nbasis {args.nbasis} asks for; use a --grid-size larger "
+                              f"than {args.grid_size}")
+        return model
     lo, hi = dataset.domain
     return fit_coefficients(dataset, make_basis_spec(lo, hi, args.order, knots or []), config)
 

@@ -93,6 +93,12 @@ class FunctionalDataset:
             return None
         return _orthonormal_basis(self.values.T)
 
+    @cached_property
+    def reduced_values(self) -> np.ndarray:
+        """reduce(values), the data every stacked fit of the knot search
+        solves for; computed on first use and kept on this instance only."""
+        return self.reduce(self.values)
+
     def reduce(self, M: np.ndarray) -> np.ndarray:
         """M @ row_basis, an (h, h) stand-in for an (h, n) matrix A values;
         M itself when there is no row basis."""

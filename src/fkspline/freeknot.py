@@ -14,20 +14,23 @@ GCV rule or continues to a fixed count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import make_basis_spec
+from .basis import BasisSpec, _check_points, make_basis_spec
 from .data import FunctionalDataset
 from .errors import (
     AllCandidatesSingularError,
     ConfigError,
+    FkSplineError,
     NonFiniteInputError,
     NonIncreasingKnotsError,
+    NotPositiveDefiniteError,
 )
 from .penalty import PenaltyConfig
-from .smoother import FitModel, fit_coefficients, residual_stack, sse_stack
+from .smoother import FitModel, fit_coefficients, fit_stack, penalty_weights, sse_stack
 
 __all__ = [
     "JuppCoords",
@@ -128,6 +131,8 @@ _FD_STEP = 1e-6
 # GCV stopping rule of add_knots_gradually when fixed_p is off.
 _GCV_REL_TOL = 1e-3
 _GCV_PATIENCE = 2
+# Scan scores this many ulp (relative) above the best tie with it.
+_TIE_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -148,9 +153,8 @@ class KnotSearchConfig:
             raise ConfigError("grid_size must be at least 2")
 
 
-def _fit_at(coords: JuppCoords, dataset, config, order) -> FitModel:
-    spec = make_basis_spec(coords.lo, coords.hi, order, jupp_inverse(coords))
-    return fit_coefficients(dataset, spec, config)
+def _spec(coords: JuppCoords, order: int) -> BasisSpec:
+    return make_basis_spec(coords.lo, coords.hi, order, jupp_inverse(coords))
 
 
 def objective_f(coords: JuppCoords, dataset: FunctionalDataset, config: PenaltyConfig,
@@ -160,7 +164,7 @@ def objective_f(coords: JuppCoords, dataset: FunctionalDataset, config: PenaltyC
     The coefficients are projected out exactly, so this equals the sse
     reported by the fit at the reconstructed knot vector.
     """
-    return _fit_at(coords, dataset, config, order).diagnostics.sse
+    return fit_coefficients(dataset, _spec(coords, order), config).diagnostics.sse
 
 
 @dataclass(frozen=True)
@@ -191,48 +195,254 @@ def _fittable_rows(ratios: np.ndarray, lo: float, hi: float, order: int):
     return finite[valid], full[valid]
 
 
-def _residual_rows(ratios: np.ndarray, lo: float, hi: float, dataset: FunctionalDataset,
-                   config: PenaltyConfig, order: int) -> list:
-    """Raveled residuals of the fit at each row of log gap ratios (C, p), in one stack.
+def _clamped(ratios, lo: float, hi: float, order: int) -> list:
+    """Clamped knot vector of each row of log gap ratios, rows of any lengths;
+    None where the row cannot be fitted (_fittable_rows)."""
+    knots = [None] * len(ratios)
+    by_size = {}
+    for c, row in enumerate(ratios):
+        by_size.setdefault(row.size, []).append(c)
+    for p, rows in by_size.items():
+        kept, full = _fittable_rows(np.array([ratios[c] for c in rows]).reshape(len(rows), p),
+                                    lo, hi, order)
+        for i, row in zip(kept.tolist(), full):
+            knots[rows[i]] = row
+    return knots
 
-    The residuals are in the dataset's reduced space (residual_stack).
-    Entry c is None where the row cannot be fitted or its system is refused,
-    that is where the fit at those coordinates would raise.
+
+def _stacked_fits(knots, weights: np.ndarray, dataset: FunctionalDataset, order: int,
+                  full: bool = False):
+    """Fits at clamped knot vectors of any lengths, one stack (smoother.fit_stack) per length.
+
+    knots holds C clamped knot vectors, None for a row that cannot be
+    fitted, and weights (C, order) the penalty weights of each row
+    (penalty_weights).  Yields (c, why, fit) for every row c as fit_stack
+    does, in no set order; a row without knots yields why "knots cannot be
+    fitted" and fit None.
     """
-    out = [None] * len(ratios)
-    kept, full = _fittable_rows(ratios, lo, hi, order)
-    for i, residual in residual_stack(full, order, dataset, config):
-        out[kept[i]] = residual.ravel()
-    return out
+    by_length = {}
+    for c, row in enumerate(knots):
+        if row is None:
+            yield c, "knots cannot be fitted", None
+        else:
+            by_length.setdefault(row.size, []).append(c)
+    for rows in by_length.values():
+        stack = np.array([knots[c] for c in rows])
+        for i, why, fit in fit_stack(stack, order, dataset, weights[rows], full=full):
+            yield rows[i], why, fit
 
 
-def _jacobian(k: np.ndarray, r: np.ndarray, residuals):
-    """Residual and forward-difference Jacobian at log gap ratios k, as stacks.
+def _residual_rows(ratios, weights: np.ndarray, lo: float, hi: float,
+                   dataset: FunctionalDataset, order: int):
+    """Raveled residuals of the fit at each row of log gap ratios, in stacks.
 
-    residuals maps a (C, p) stack of coordinates to a list of raveled
-    residual vectors, None where a row cannot be fitted (_residual_rows).
-    Row 0 of one (p + 1)-row stack is the current point and row i + 1 is
-    k + step_i e_i, step_i = _FD_STEP * (1 + |k_i|): column i is row i + 1
-    minus row 0 over step_i.  A perturbed point that cannot be fitted (knot
-    gaps underflow, or the system is refused) gets a backward step, all of
-    them in one second stack; a column that fails both ways is zero.  r,
-    the residual at k from an earlier fit, stands in for row 0 if the stack
-    refuses that by roundoff.
+    Yields (c, residual) for every row c, in no set order; residuals are
+    in the dataset's reduced space, and None where the row cannot be
+    fitted or its system is refused, that is where the fit at those
+    coordinates would raise.
     """
-    p = k.size
-    steps = _FD_STEP * (1.0 + np.abs(k))
-    forward = residuals(k + np.vstack([np.zeros(p), np.diag(steps)]))
-    r = r if forward[0] is None else forward[0]
-    failed = [i for i in range(p) if forward[i + 1] is None]
-    backward = dict(zip(failed, residuals(k - np.diag(steps)[failed]))) if failed else {}
-    jac = np.zeros((r.size, p))
-    for i in range(p):
-        resid, step = forward[i + 1], steps[i]
-        if resid is None:
-            resid, step = backward[i], -step
-        if resid is not None:
-            jac[:, i] = (resid - r) / step
-    return r, jac
+    for c, _, residual in _stacked_fits(_clamped(ratios, lo, hi, order), weights, dataset, order):
+        yield c, None if residual is None else residual.ravel()
+
+
+def _jacobian(points, weights: np.ndarray, residuals, fallback):
+    """Residuals and forward-difference Jacobians at a batch of points, as stacks.
+
+    points holds log gap ratios k and weights (P, order) their penalty
+    weights.  residuals(rows, weights) yields (c, residual) for each of a
+    list of coordinate rows with their penalty weights, in any order,
+    residual None where the row cannot be fitted (_residual_rows).  One
+    stack holds the p + 1 rows of every point: the point itself and
+    k + step_i e_i, step_i = _FD_STEP * (1 + |k_i|), so column i is row
+    i + 1 minus the point's residual over step_i.  Perturbed rows that
+    cannot be fitted (knot gaps underflow, or the system is refused) get
+    backward steps, all of them in one second stack; a column that fails
+    both ways is zero.  Where the stack refuses a point itself, its
+    residual is fallback(index of the point).
+
+    Yields (i, r, jac) for each point i as soon as its rows are in, so that
+    only one point's rows are held at a time (and the rows of points that
+    wait for backward steps); (i, None, None) where fallback gave None.
+    """
+    steps = [_FD_STEP * (1.0 + np.abs(k)) for k in points]
+    rows, owners, first = [], [], []
+    for i, (k, step) in enumerate(zip(points, steps)):
+        first.append(len(rows))
+        rows.extend(k + np.vstack([np.zeros(k.size), np.diag(step)]))
+        owners.extend([i] * (k.size + 1))
+
+    def columns(i, forward, backward):
+        r = fallback(i) if forward[0] is None else forward[0]
+        if r is None:
+            return i, None, None
+        jac = np.zeros((r.size, points[i].size))
+        for j in range(points[i].size):
+            resid, step = forward[j + 1], steps[i][j]
+            if resid is None:
+                resid, step = backward.get(j), -step
+            if resid is not None:
+                jac[:, j] = (resid - r) / step
+        return i, r, jac
+
+    got, waiting = {}, {}
+    for c, residual in residuals(rows, weights[owners]):
+        i = owners[c]
+        forward = got.setdefault(i, {})
+        forward[c - first[i]] = residual
+        if len(forward) == points[i].size + 1:
+            forward = [forward[j] for j in range(len(forward))]
+            del got[i]
+            if any(resid is None for resid in forward[1:]):
+                waiting[i] = forward
+            else:
+                yield columns(i, forward, {})
+    failed = [(i, j) for i, forward in waiting.items() for j in range(len(forward) - 1)
+              if forward[j + 1] is None]
+    back = [points[i] - np.diag(steps[i])[j] for i, j in failed]
+    backward = {}
+    for c, residual in residuals(back, weights[[i for i, _ in failed]]):
+        backward.setdefault(failed[c][0], {})[failed[c][1]] = residual
+    for i, forward in waiting.items():
+        yield columns(i, forward, backward.get(i, {}))
+
+
+@dataclass(eq=False)
+class _Descent:
+    """State of one (start, config) pair's damped Gauss-Newton descent.
+
+    The residual at k is not kept between rounds: row 0 of each Jacobian
+    stack evaluates it again, and a few hundred pairs of (h, min(h, n))
+    residuals would raise the peak memory of a grid search.
+    """
+
+    config: PenaltyConfig
+    k: np.ndarray  # log gap ratios of the best iterate
+    weights: np.ndarray | None = None  # penalty_weights of config
+    f: float = math.inf  # objective at k
+    mu: float = _DAMPING
+    iterations: int = 0
+    trials: int = 0  # damped steps tried in this iteration
+    converged: bool = False
+    step_failure: bool = False  # no damped step improved the objective
+    g: np.ndarray | None = None  # gradient and Gauss-Newton matrix at k
+    jtj: np.ndarray | None = None
+    error: Exception | None = None  # what ended the pair: its weights or a fit raised it
+
+
+def _propose(pair: _Descent, lo: float, hi: float, order: int, min_gap: float):
+    """The pair's next damped step that can be fitted, (k_new, delta, its
+    clamped knots), or None once its 12 trials are spent.
+
+    A step whose solve fails, whose knots cannot be fitted, or that brings
+    two knots closer than min_gap costs a trial and no evaluation.
+    """
+    p = pair.k.size
+    while pair.trials < 12:
+        try:
+            delta = np.linalg.solve(pair.jtj + pair.mu * np.eye(p), -pair.g)
+        except np.linalg.LinAlgError:
+            delta = None
+        if delta is not None:
+            k_new = pair.k + delta
+            # knots drifting together chase noise through high-leverage
+            # spans; such trial points are treated as infeasible
+            kept, full = _fittable_rows(k_new[None], lo, hi, order)
+            interior = full[:, order : full.shape[1] - order]
+            if kept.size and not (p >= 2 and float(np.diff(interior).min()) < min_gap):
+                return k_new, delta, full[0]
+        pair.mu *= 10.0
+        pair.trials += 1
+    return None
+
+
+def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConfig) -> list:
+    """Damped Gauss-Newton descent from every (start, config) pair, in lockstep.
+
+    starts are coordinates on one domain.  Each pair runs the sequential
+    rule of gauss_newton_refine on its own state (_Descent); only the
+    evaluations are shared.  Each round makes one Jacobian stack over the
+    pairs that begin an iteration (_jacobian, its backward sub-stack
+    included) and one trial stack over the pairs that try a damped step; a
+    failed trial retries at ten times the damping in the next round.  A
+    pair's objective at its start comes from row 0 of its first Jacobian
+    stack.  Where row 0 is refused (by roundoff: a fit that raises
+    refuses it too) the point is fitted with fit_coefficients, whose error,
+    if it raises, ends the pair.  Returns the pairs' final states in input
+    order.
+    """
+    lo, hi = starts[0].lo, starts[0].hi
+    order = search.order
+    _check_points(make_basis_spec(lo, hi, order), dataset.t)
+    min_gap = _knot_radius(lo, hi, search)
+    pairs = []
+    for start, config in zip(starts, configs):
+        pair = _Descent(config, start.values.copy())
+        try:
+            pair.weights = penalty_weights(config, order)
+        except FkSplineError as exc:
+            pair.error = exc
+        pair.converged = pair.k.size == 0
+        pairs.append(pair)
+
+    def residuals(rows, weights):
+        return _residual_rows(rows, weights, lo, hi, dataset, order)
+
+    def weights(batch):
+        return np.array([pair.weights for pair in batch]).reshape(len(batch), order)
+
+    def refit(pair):
+        try:
+            fit = fit_coefficients(dataset, _spec(JuppCoords(pair.k, lo, hi), order), pair.config)
+        except (FkSplineError, np.linalg.LinAlgError) as exc:
+            pair.error = exc
+            return None
+        return dataset.reduce(fit.diagnostics.residuals).ravel()
+
+    jacobian = [pair for pair in pairs if pair.error is None and pair.k.size]
+    trial = []
+    while jacobian or trial:
+        for pair in jacobian:
+            pair.iterations += 1
+        for i, r, jac in _jacobian([pair.k for pair in jacobian], weights(jacobian), residuals,
+                                   lambda i: refit(jacobian[i])):
+            pair = jacobian[i]
+            if r is None:
+                continue
+            if pair.iterations == 1:
+                pair.f = float(r @ r)
+            pair.g = jac.T @ r
+            if np.linalg.norm(pair.g) <= 1e-14 * (1.0 + pair.f):
+                pair.converged = True
+                continue
+            pair.jtj = jac.T @ jac
+            pair.trials = 0
+            trial.append(pair)
+        jacobian, proposed = [], []
+        for pair in trial:
+            step = _propose(pair, lo, hi, order, min_gap)
+            if step is None:
+                pair.step_failure = True
+            else:
+                proposed.append((pair, *step))
+        trial = []
+        for c, _, r_new in _stacked_fits([step[3] for step in proposed],
+                                         weights([step[0] for step in proposed]), dataset, order):
+            pair, k_new, delta, _ = proposed[c]
+            f_new = None if r_new is None else float(r_new.ravel() @ r_new.ravel())
+            if f_new is None or not f_new < pair.f:
+                pair.mu *= 10.0
+                pair.trials += 1
+                trial.append(pair)
+                continue
+            step_norm = float(np.max(np.abs(delta)))
+            rel_drop = (pair.f - f_new) / max(pair.f, 1e-300)
+            pair.k, pair.f = k_new, f_new
+            pair.mu = max(pair.mu / 10.0, 1e-12)
+            if step_norm < _STEP_TOL or rel_drop < _OBJECTIVE_TOL:
+                pair.converged = True
+            elif pair.iterations < _MAX_ITERATIONS:
+                jacobian.append(pair)
+    return pairs
 
 
 def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
@@ -240,85 +450,50 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     """Damped Gauss-Newton descent on the knot objective.
 
     Each iteration takes the residual and its forward-difference Jacobian
-    from one stacked evaluation (smoother.residual_stack) of the current
-    point and its p perturbed points (see _jacobian), and trial steps are
-    one-row stacks, so no per-column fit is made.  Residuals are taken in
-    the dataset's reduced space (FunctionalDataset.reduce), which keeps
-    every norm and inner product the step uses.  The damping parameter
-    grows tenfold when a step fails to decrease the objective and shrinks
-    tenfold on success.  The best iterate seen is always returned, so the
-    result never exceeds the starting objective; only it is fitted with
-    fit_coefficients, and the objective is the sse of that fit.
+    from one stacked evaluation (smoother.fit_stack) of the current point
+    and its p perturbed points (see _jacobian), and trial steps are one-row
+    stacks, so no per-column fit is made.  Residuals are taken in the
+    dataset's reduced space (FunctionalDataset.reduce), which keeps every
+    norm and inner product the step uses.  The damping parameter grows
+    tenfold when a step fails to decrease the objective and shrinks tenfold
+    on success.  The best iterate seen is always returned, so the result
+    never exceeds the starting objective.  Only the result is fitted, with
+    fit_coefficients (it is the start when no step is taken), and the
+    objective is the sse of that fit.  This is the one-pair case of the
+    lockstep descent (_descend).
     """
-    k = coords.values.copy()
-    lo, hi = coords.lo, coords.hi
-    p = k.size
-    model = _fit_at(coords, dataset, config, search.order)
-    if p == 0:
-        return GaussNewtonResult(coords, model.diagnostics.sse, 0, True, model)
-    min_gap = _knot_radius(lo, hi, search)
-
-    def residuals(rows):
-        return _residual_rows(rows, lo, hi, dataset, config, search.order)
-
-    # residuals and objectives live in the dataset's reduced space, where
-    # residual_stack forms them; only the fits report the full residuals
-    r = dataset.reduce(model.diagnostics.residuals).ravel()
-    f = float(r @ r)
-    mu = _DAMPING
-    iterations = 0
-    converged = False
-    step_failure = False
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        r, jac = _jacobian(k, r, residuals)
-        g = jac.T @ r
-        jtj = jac.T @ jac
-        if np.linalg.norm(g) <= 1e-14 * (1.0 + f):
-            converged = True
-            break
-        improved = False
-        for _ in range(12):
-            try:
-                delta = np.linalg.solve(jtj + mu * np.eye(p), -g)
-            except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            k_new = k + delta
-            # knots drifting together chase noise through high-leverage
-            # spans; such trial points are treated as infeasible
-            kept, full = _fittable_rows(k_new[None], lo, hi, search.order)
-            interior = full[:, search.order : full.shape[1] - search.order]
-            if not kept.size or (p >= 2 and float(np.diff(interior).min()) < min_gap):
-                mu *= 10.0
-                continue
-            r_new = next((res.ravel() for _, res in
-                          residual_stack(full, search.order, dataset, config)), None)
-            if r_new is None:
-                mu *= 10.0
-                continue
-            f_new = float(r_new @ r_new)
-            if f_new < f:
-                step_norm = float(np.max(np.abs(delta)))
-                rel_drop = (f - f_new) / max(f, 1e-300)
-                k, r, f, model = k_new, r_new, f_new, None
-                mu = max(mu / 10.0, 1e-12)
-                improved = True
-                if step_norm < _STEP_TOL or rel_drop < _OBJECTIVE_TOL:
-                    converged = True
-                break
-            mu *= 10.0
-        if not improved:
-            step_failure = True
-            break
-        if converged:
-            break
-    best = JuppCoords(k, lo, hi)
-    if model is None:  # a step was taken: fit the best iterate
-        model = _fit_at(best, dataset, config, search.order)
+    (pair,) = _descend([coords], [config], dataset, search)
+    if pair.error is not None:
+        raise pair.error
+    best = JuppCoords(pair.k, coords.lo, coords.hi)
+    model = fit_coefficients(dataset, _spec(best, search.order), config)
     return GaussNewtonResult(
-        coords=best, objective=model.diagnostics.sse, iterations=iterations,
-        converged=converged, model=model, step_failure=step_failure,
+        coords=best, objective=model.diagnostics.sse, iterations=pair.iterations,
+        converged=pair.converged, model=model, step_failure=pair.step_failure,
     )
+
+
+def refine_fits(starts, configs, dataset: FunctionalDataset, search: KnotSearchConfig):
+    """Refine every (start, config) pair in lockstep (_descend) and fit each result.
+
+    The fits are stacked (smoother.fit_stack) and agree with the model
+    gauss_newton_refine returns for that pair.  Yields (i, pair, fit) for
+    every pair i, one at a time in no set order: pair is its final
+    _Descent, fit (coefficients, FitDiagnostics), or None where pair.error
+    says why the pair failed.
+    """
+    pairs = _descend(starts, configs, dataset, search)
+    live = [i for i, pair in enumerate(pairs) if pair.error is None]
+    for i, pair in enumerate(pairs):
+        if pair.error is not None:
+            yield i, pair, None
+    weights = np.array([pairs[i].weights for i in live]).reshape(len(live), search.order)
+    knots = _clamped([pairs[i].k for i in live], starts[0].lo, starts[0].hi, search.order)
+    for c, why, fit in _stacked_fits(knots, weights, dataset, search.order, full=True):
+        pair = pairs[live[c]]
+        if why:
+            pair.error = NotPositiveDefiniteError(why)
+        yield live[c], pair, fit
 
 
 @dataclass(frozen=True)
@@ -403,13 +578,24 @@ def _scan(existing: np.ndarray, dataset: FunctionalDataset, config: PenaltyConfi
     return ratios, scores
 
 
+def _first_best(scores: np.ndarray) -> int:
+    """Index of the first score within _TIE_ULPS ulp (relative) of the smallest.
+
+    Candidates that fit the data alike, such as unpenalized order-2
+    candidates inside one gap between sample points, score a few ulp apart
+    in an order roundoff decides; the first of them wins in either space.
+    """
+    best = scores.min()
+    return int(np.flatnonzero(scores <= best + _TIE_ULPS * np.finfo(float).eps * abs(best))[0])
+
+
 def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
                         search: KnotSearchConfig) -> FreeKnotResult:
     """Grow the interior knot vector one knot per round.
 
     Each round inserts every surviving grid candidate into the accepted
     knots, starts Gauss-Newton from the best insertion (the first of equal
-    scores), and records the refined stage.  With fixed_p the final stage
+    scores, equal up to a few ulp; _first_best), and records the refined stage.  With fixed_p the final stage
     is selected; otherwise the search stops once the GCV score has failed
     to improve by _GCV_REL_TOL (relative) for _GCV_PATIENCE consecutive
     rounds, and the best-GCV stage is selected.  Knots are placed inside the
@@ -419,7 +605,7 @@ def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
     order = search.order
     result = FreeKnotResult()
     coords = JuppCoords(np.empty(0), lo, hi)
-    model = best_model = _fit_at(coords, dataset, config, order)
+    model = best_model = fit_coefficients(dataset, _spec(coords, order), config)
     best = _stage_record(coords, model)
     result.stages.append(best)
     bad_streak = 0
@@ -436,7 +622,7 @@ def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
                     f"{[float(x) for x in last.knots]}"
                 )
             break  # grid exhausted by exclusion zones
-        best_cand = JuppCoords(ratios[scored[np.argmin(scores[scored])]], lo, hi)
+        best_cand = JuppCoords(ratios[scored[_first_best(scores[scored])]], lo, hi)
         refined = gauss_newton_refine(best_cand, dataset, config, search)
         model = refined.model
         record = _stage_record(refined.coords, model)

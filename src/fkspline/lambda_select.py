@@ -8,10 +8,10 @@ import numpy as np
 
 from .basis import BasisSpec
 from .data import FunctionalDataset
-from .errors import AllCellsFailedError, ConfigError, FkSplineError
-from .freeknot import KnotSearchConfig, add_knots_gradually, gauss_newton_refine
-from .penalty import PenaltyConfig, penalty_matrix
-from .smoother import fit_coefficients
+from .errors import AllCellsFailedError, ConfigError, FkSplineError, NotPositiveDefiniteError
+from .freeknot import KnotSearchConfig, add_knots_gradually, refine_fits
+from .penalty import PenaltyConfig
+from .smoother import fit_spec, penalty_weights
 
 __all__ = ["LambdaGrid", "GridSearchResult", "gcv_grid_search"]
 
@@ -84,12 +84,6 @@ def _select_best(scores: np.ndarray, l1_values, l2_values):
     return best
 
 
-def _free_knot_warm_starts(dataset, search):
-    """FS0 knot trajectory, p = 0 included, reused as starting points for every cell."""
-    base = add_knots_gradually(dataset, PenaltyConfig(), search)
-    return [stage.coords for stage in base.stages]
-
-
 def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
                     spec: BasisSpec | None = None,
                     search: KnotSearchConfig | None = None,
@@ -114,37 +108,31 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
             raise ConfigError("pinned lambda1 must be nonnegative and finite")
         l1_values = (float(lambda1_pinned),)
     l2_values = tuple(grid.values)
+    configs = [PenaltyConfig(lambda1=float(l1), lambda2=float(l2))
+               for l1 in l1_values for l2 in l2_values]
     if mode == "fixed":
         if spec is None:
             raise ConfigError("fixed-knots mode needs a basis spec")
-        penalties = [penalty_matrix(spec, 1), penalty_matrix(spec, 2)]
+        fits = _fixed_fits(dataset, spec, configs)
     else:
         if search is None:
             raise ConfigError("free-knots mode needs a knot search config")
-        warm_starts = _free_knot_warm_starts(dataset, search)
+        fits = _free_fits(dataset, search, configs)
 
     shape = (len(l1_values), len(l2_values))
     scores = np.full(shape, np.nan)
     dfs = np.full(shape, np.nan)
     sses = np.full(shape, np.nan)
     failures = []
-    for i, l1 in enumerate(l1_values):
-        for j, l2 in enumerate(l2_values):
-            config = PenaltyConfig(lambda1=float(l1), lambda2=float(l2))
-            try:
-                if mode == "fixed":
-                    model = fit_coefficients(dataset, spec, config, penalties=penalties)
-                else:
-                    model = _fit_cell_free(dataset, config, search, warm_starts)
-                d = model.diagnostics
-                if d.gcv_degenerate:
-                    raise FkSplineError("degenerate GCV denominator")
-            except (FkSplineError, np.linalg.LinAlgError) as exc:
-                failures.append((float(l1), float(l2), f"{type(exc).__name__}: {exc}"))
-                continue
-            scores[i, j] = d.gcv
-            dfs[i, j] = d.df
-            sses[i, j] = d.sse
+    for (i, j), fit in zip(np.ndindex(shape), fits):
+        if not isinstance(fit, Exception) and fit.gcv_degenerate:
+            fit = FkSplineError("degenerate GCV denominator")
+        if isinstance(fit, Exception):
+            failures.append((l1_values[i], l2_values[j], f"{type(fit).__name__}: {fit}"))
+            continue
+        scores[i, j] = fit.gcv
+        dfs[i, j] = fit.df
+        sses[i, j] = fit.sse
     best_gcv, best_l1, best_l2, _, _ = _select_best(scores, l1_values, l2_values)
     return GridSearchResult(
         lambda1=float(best_l1), lambda2=float(best_l2), gcv=float(best_gcv),
@@ -153,7 +141,51 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     )
 
 
-def _fit_cell_free(dataset, config, search, warm_starts):
-    """Best fit for one cell: refine each warm-start knot set under this config."""
-    fits = (gauss_newton_refine(coords, dataset, config, search).model for coords in warm_starts)
-    return min(fits, key=lambda model: model.diagnostics.gcv)
+@dataclass(frozen=True)
+class _CellFit:
+    """The numbers a grid cell keeps of its fit."""
+
+    gcv: float
+    df: float
+    sse: float
+    gcv_degenerate: bool
+
+    @classmethod
+    def of(cls, d) -> "_CellFit":
+        return cls(d.gcv, d.df, d.sse, d.gcv_degenerate)
+
+
+def _fixed_fits(dataset, spec, configs) -> list:
+    """Each cell's fit at the spec's knots, or the error the fit raised.
+
+    All cells are one stack on one basis (smoother.fit_spec).
+    """
+    weights = np.array([penalty_weights(config, spec.order) for config in configs])
+    try:
+        fits = fit_spec(dataset, spec, weights)
+    except FkSplineError as exc:  # the sample grid does not fit the spec: no cell fits
+        return [exc] * len(configs)
+    return [NotPositiveDefiniteError(why) if why else _CellFit.of(fit[1]) for _, why, fit in fits]
+
+
+def _free_fits(dataset, search, configs) -> list:
+    """Each cell's best refined fit over the warm starts, or the error of the
+    first warm start whose refinement raised.
+
+    The warm starts are the stages of the zero-penalty knot search, p = 0
+    included.  Every (warm start, cell) pair is refined in one lockstep
+    batch (freeknot.refine_fits); a cell keeps the first warm start of
+    smallest GCV.
+    """
+    warm = [stage.coords for stage in add_knots_gradually(dataset, PenaltyConfig(), search).stages]
+    cells = len(configs)
+    outcomes = [None] * (len(warm) * cells)
+    for i, pair, fit in refine_fits([coords for coords in warm for _ in configs],
+                                    configs * len(warm), dataset, search):
+        outcomes[i] = pair.error if fit is None else _CellFit.of(fit[1])
+    fits = []
+    for c in range(cells):
+        tried = outcomes[c::cells]
+        failed = [fit for fit in tried if isinstance(fit, Exception)]
+        fits.append(failed[0] if failed else min(tried, key=lambda fit: fit.gcv))
+    return fits

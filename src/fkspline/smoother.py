@@ -3,7 +3,9 @@
 All curves in a dataset share one basis and one system matrix
 H = B'B + lambda1 R1 + lambda2 R2, checked by its eigenvalues and solved by LU
 for every curve at once.  Effective degrees of freedom come from the trace of
-the hat matrix and feed the GCV score used for model selection.
+the hat matrix and feed the GCV score used for model selection.  fit_stack
+fits a whole stack of (knot vector, penalty weights) rows at once; a single
+fit is its one-row case.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisSpec, DesignMatrix, design_stack, eval_design
+from .basis import BasisSpec, DesignMatrix, _check_points, design_stack, eval_design
 from .data import FunctionalDataset
-from .errors import ConfigError, NotPositiveDefiniteError
-from .penalty import PenaltyConfig, penalty_matrix, penalty_stack
+from .errors import ConfigError, DerivativeOrderTooHighError, NotPositiveDefiniteError
+from .penalty import PenaltyConfig, penalty_stack
 
 __all__ = [
     "SystemMatrix",
@@ -78,11 +80,23 @@ class SystemMatrix:
         return np.linalg.solve(self.values, rhs)
 
 
-def _penalty_orders(config: PenaltyConfig) -> list[int]:
-    """Derivative orders whose penalty enters the system: positive weights."""
-    if config.alphas is not None:
-        return [l for l, a in enumerate(config.alphas) if a > 0.0]
-    return [l for l in (1, 2) if config.weight_for(l) > 0.0]
+def penalty_weights(config: PenaltyConfig, order: int) -> np.ndarray:
+    """Weight of each derivative order 0 .. order - 1 in a config's penalty.
+
+    A row of these is the penalty config of one row of :func:`fit_stack`.
+    A positive weight on an order the splines of this order cannot carry
+    is refused as penalty_matrix refuses it.
+    """
+    weights = np.zeros(order)
+    terms = config.alphas if config.alphas is not None else (0.0, config.lambda1, config.lambda2)
+    for l, weight in enumerate(terms):
+        if weight > 0.0:
+            if l >= order:
+                raise DerivativeOrderTooHighError(
+                    f"penalty derivative order must satisfy 0 <= l < {order}, got {l}"
+                )
+            weights[l] = weight
+    return weights
 
 
 def _refused(H: np.ndarray) -> list[str]:
@@ -113,33 +127,46 @@ def _refused(H: np.ndarray) -> list[str]:
     return why
 
 
-def assemble_system(design: DesignMatrix, config: PenaltyConfig, penalties=None) -> SystemMatrix:
-    """Build and check the system matrix for one basis and penalty config.
+def _systems(btb: np.ndarray, full_knots: np.ndarray, order: int, weights: np.ndarray,
+             rows: np.ndarray | None = None):
+    """The one place systems H = B'B + sum_l w_l R_l are formed.
 
-    penalties may carry precomputed :class:`~fkspline.penalty.PenaltyMatrix`
-    objects; missing ones are assembled on demand for every derivative order
-    with a nonzero weight.
+    btb (K, nb, nb) holds B'B of each knot vector of full_knots (K, m); row
+    c of the stack pairs knot vector rows[c] (c itself when rows is None)
+    with the penalty weights weights[c] (penalty_weights).  The order-l
+    penalty matrices are built once per knot vector, and only if some row
+    weights order l positively.  A row that does not weight order l gets
+    nothing added, not 0 * R, which is nan where R overflowed.  Returns H
+    (C, nb, nb) and, per penalized order, the weights and matrices of every
+    row.
     """
-    spec = design.spec
-    B = design.values
-    btb = B.T @ B
-    supplied = {p.order: p for p in (penalties or ())}
+    H = btb.copy() if rows is None else btb[rows]
     terms = []
-    H = btb.copy()
-    for l in _penalty_orders(config):
-        pm = supplied.get(l)
-        if pm is None:
-            pm = penalty_matrix(spec, l)
-        weight = config.weight_for(l)
+    for l in np.flatnonzero((weights > 0.0).any(axis=0)).tolist():
+        R = penalty_stack(full_knots, order, l)
+        R = R if rows is None else R[rows]
+        w = weights[:, l, None, None]
         # overflowed penalties may add infinities of opposite signs; _refused
         # turns the resulting nan away
         with np.errstate(over="ignore", invalid="ignore"):
-            H += weight * pm.values
-        terms.append((weight, pm.values))
-    reason = _refused(H[None])[0]
+            add = w * R
+            H += add if (w > 0.0).all() else np.where(w > 0.0, add, 0.0)
+        terms.append((weights[:, l], R))
+    return H, terms
+
+
+def assemble_system(design: DesignMatrix, config: PenaltyConfig) -> SystemMatrix:
+    """Build and check the system matrix for one basis and penalty config."""
+    spec = design.spec
+    B = design.values
+    btb = B.T @ B
+    H, terms = _systems(btb[None], spec._full_arr[None], spec.order,
+                        penalty_weights(config, spec.order)[None])
+    reason = _refused(H)[0]
     if reason:
         raise NotPositiveDefiniteError(reason)
-    return SystemMatrix(values=H, btb=btb, penalty_terms=tuple(terms))
+    return SystemMatrix(values=H[0], btb=btb,
+                        penalty_terms=tuple((float(w[0]), R[0]) for w, R in terms))
 
 
 @dataclass(frozen=True)
@@ -175,13 +202,13 @@ class FitModel:
         return design.values @ self.coeffs
 
 
-def _diagnostics(system: SystemMatrix, Y, fitted) -> FitDiagnostics:
+def _diagnostics(H: np.ndarray, btb: np.ndarray, Y, fitted) -> FitDiagnostics:
     """The one place a fit's residuals, sse, df and GCV are formed."""
     h, n = Y.shape
     residual = Y - fitted
     per_curve = np.einsum("ij,ij->j", residual, residual)
     sse = float(per_curve.sum())
-    df = float(np.trace(system.solve(system.btb)))
+    df = float(np.trace(np.linalg.solve(H, btb)))
     denom = h - df
     degenerate = denom <= 1e-8 * max(h, 1)
     if degenerate:
@@ -196,61 +223,102 @@ def _diagnostics(system: SystemMatrix, Y, fitted) -> FitDiagnostics:
     )
 
 
-def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec, config: PenaltyConfig,
-                     penalties=None) -> FitModel:
+# Rows evaluated per stack.  On the benchmark data a stacked row costs
+# 311 us alone and 46-58 us in stacks of 50 to 250 rows, so past a few
+# hundred rows a larger stack only holds more memory.
+_CHUNK = 256
+
+
+def fit_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
+              weights: np.ndarray, full: bool = False, t: np.ndarray | None = None):
+    """Penalized fits at a stack of (knot vector, penalty weights) rows.
+
+    full_knots is (C, m): clamped knot vectors of one spline order over the
+    dataset's domain, repeats allowed; weights is (C, order), row c the
+    penalty_weights of row c's config.  The stack is evaluated in chunks of
+    _CHUNK rows.  Within a chunk the design, B'B and each needed penalty
+    matrix are built once per distinct knot vector, H once per row
+    (_systems), and rows are refused by _refused.  t, the sample points
+    (default the dataset's), must lie inside every knot vector's domain;
+    nothing is checked.
+
+    Yields (c, why, fit) for every row c, in row order, one at a time: why
+    is "" or the reason the row's system is refused, and fit is None for a
+    refused row.  Otherwise fit is the residual matrix in the dataset's
+    reduced space (FunctionalDataset.reduce): (h, min(h, n)), with the
+    Frobenius norm and the inner products of the full residuals.  With
+    full=True it is instead (coefficients, FitDiagnostics) on the full
+    data, what fit_coefficients reports at that row.
+    """
+    t = dataset.t if t is None else t
+    Y = dataset.values if full else dataset.reduced_values
+    for start in range(0, len(full_knots), _CHUNK):
+        chunk = full_knots[start:start + _CHUNK]
+        first = {}
+        owner = [first.setdefault(row.tobytes(), i) for i, row in enumerate(chunk)]
+        rows, knots = None, chunk
+        if len(first) < len(chunk):
+            distinct = list(first.values())
+            rows = np.searchsorted(distinct, owner)
+            knots = chunk[distinct]
+        B = design_stack(knots, order, np.broadcast_to(t, (len(knots), t.size)))
+        btb = B.transpose(0, 2, 1) @ B
+        H, _ = _systems(btb, knots, order, weights[start:start + _CHUNK], rows)
+        # One solve and one residual at a time, each handed on before the
+        # next is formed: a batched solve took as long, and a (C, nb, n)
+        # right-hand side or a (C, h, n) residual stack would raise the
+        # peak memory.
+        for c, why in enumerate(_refused(H)):
+            if why:
+                yield start + c, why, None
+                continue
+            j = c if rows is None else rows[c]
+            coeffs = np.linalg.solve(H[c], B[j].T @ Y)
+            fitted = B[j] @ coeffs
+            if full:
+                yield start + c, "", (coeffs, _diagnostics(H[c], btb[j], Y, fitted))
+            else:
+                yield start + c, "", Y - fitted
+
+
+def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec,
+                     config: PenaltyConfig) -> FitModel:
     """Fit all curves of a dataset in one shared penalized system.
 
     The sample grid must lie inside the spec's domain, and the design must
     have full column rank or the penalty weights must make H positive
     definite.  A perfect fit leaves the GCV slot at +inf (flagged) because
-    its denominator vanishes.
+    its denominator vanishes.  This is the one-row case of fit_stack.
     """
-    design = eval_design(spec, dataset.t)
-    system = assemble_system(design, config, penalties=penalties)
-    Y = dataset.values
-    C = system.solve(design.values.T @ Y)
-    diags = _diagnostics(system, Y, design.values @ C)
-    return FitModel(spec=spec, config=config, coeffs=C, diagnostics=diags)
+    weights = penalty_weights(config, spec.order)[None]
+    ((_, why, fit),) = fit_spec(dataset, spec, weights)
+    if why:
+        raise NotPositiveDefiniteError(why)
+    coeffs, diags = fit
+    return FitModel(spec=spec, config=config, coeffs=coeffs, diagnostics=diags)
 
 
-def residual_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
-                   config: PenaltyConfig):
-    """Residuals of the penalized fit at each knot vector of a stack.
+def fit_spec(dataset: FunctionalDataset, spec: BasisSpec, weights: np.ndarray):
+    """fit_stack with full=True on one basis under each row of penalty weights.
 
-    full_knots is (C, m): C clamped knot vectors of one spline order over
-    the dataset's domain.  The systems H = B'B + sum of weighted penalties
-    are built and checked as one stack.  Yields (c, residual) for each row
-    c that assemble_system would not refuse, in row order; residual is the
-    fit's residual matrix in the dataset's reduced space: equal up to
-    roundoff to dataset.reduce of the residuals of fit_coefficients at that
-    knot vector, so (h, min(h, n)), with the same Frobenius norm and the
-    same inner product with any other row's.  Inputs are not checked: the
-    penalized derivative orders must be below `order`.
+    The sample grid is checked against the spec's domain first (as
+    eval_design checks it).
     """
-    C = full_knots.shape[0]
-    Y = dataset.reduce(dataset.values)
-    B = design_stack(full_knots, order, np.broadcast_to(dataset.t, (C, dataset.t.size)))
-    H = B.transpose(0, 2, 1) @ B
-    for l in _penalty_orders(config):
-        with np.errstate(over="ignore", invalid="ignore"):  # as in assemble_system
-            H += config.weight_for(l) * penalty_stack(full_knots, order, l)
-    # One solve and one residual at a time, each handed on before the next
-    # is formed: a batched solve took as long, its (C, nb, n) coefficient
-    # stack raised the peak memory, and a (C, h, n) residual stack would
-    # be larger still.
-    for i, why in enumerate(_refused(H)):
-        if not why:
-            yield i, Y - B[i] @ np.linalg.solve(H[i], B[i].T @ Y)
+    t = _check_points(spec, dataset.t)
+    knots = np.broadcast_to(spec._full_arr, (len(weights), spec._full_arr.size))
+    return fit_stack(knots, spec.order, dataset, weights, full=True, t=t)
 
 
 def sse_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
               config: PenaltyConfig) -> np.ndarray:
     """Residual sum of squares of the penalized fit at each knot vector of a stack.
 
-    The rows residual_stack refuses score nan.  A score equals the sse of
+    The rows fit_stack refuses score nan.  A score equals the sse of
     fit_coefficients at that knot vector up to roundoff.
     """
-    sse = np.full(full_knots.shape[0], np.nan)
-    for i, residual in residual_stack(full_knots, order, dataset, config):
-        sse[i] = np.einsum("ij,ij->j", residual, residual).sum()
+    weights = np.broadcast_to(penalty_weights(config, order), (len(full_knots), order))
+    sse = np.full(len(full_knots), np.nan)
+    for i, _, residual in fit_stack(full_knots, order, dataset, weights):
+        if residual is not None:
+            sse[i] = np.einsum("ij,ij->j", residual, residual).sum()
     return sse

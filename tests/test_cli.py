@@ -376,6 +376,19 @@ class TestExitCodes:
         assert run([*flags, *data, "--outdir", tmp_path]) == 2
         assert self.stderr_report(capsys)["error"] == "ConfigError"
 
+    def test_knot_shortfall_is_2(self, tmp_path, capsys):
+        # on a 5-point candidate grid the exclusion zones around the placed
+        # knots leave no candidate after 6 of the 8 knots --nbasis 12 asks for
+        assert run(["simulate", "--seed", "0", "--outdir", tmp_path / "sim"]) == 0
+        capsys.readouterr()
+        code = run(["fit", "--data", tmp_path / "sim" / "dataset.csv", "--nbasis", "12",
+                    "--grid-size", "5", "--outdir", tmp_path / "fit"])
+        assert code == 2
+        report = self.stderr_report(capsys)
+        assert report["error"] == "ConfigError"
+        assert "placed 6 of the 8 interior knots" in report["context"]
+        assert "--grid-size larger than 5" in report["context"]
+
     def test_numerical_failure_is_4(self, tmp_path, capsys):
         small = tmp_path / "small.csv"
         rows = "\n".join(f"{t},{t * t}" for t in np.linspace(0, 1, 6))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import math
 import re
 import weakref
@@ -32,6 +33,22 @@ from fkspline import (
     objective_f,
 )
 from fkspline import data, freeknot
+from fkspline.smoother import penalty_weights
+
+
+def row_weights(config, order, rows):
+    """The penalty weights of `rows` stacked rows that share one config."""
+    return np.tile(penalty_weights(config, order), (rows, 1))
+
+
+def jacobian_at(k, r, ds, config, order):
+    """_jacobian at one point, r standing in for the point's own residual."""
+    def residuals(rows, weights):
+        return freeknot._residual_rows(rows, weights, *ds.domain, ds, order)
+
+    [(_, r, jac)] = freeknot._jacobian([k], row_weights(config, order, 1), residuals,
+                                       lambda i: r)
+    return r, jac
 
 
 def hinge_dataset(knot=0.37, n=41, lo=0.0, hi=1.0):
@@ -313,13 +330,10 @@ class TestStackedScan:
     def test_more_curves_than_points_scan_in_the_reduced_space(self, config, orders):
         self.check_scan(config, orders, lambda rng, n: n + int(rng.integers(1, 40)))
 
-    def check_scan(self, config, orders, curves):
-        """The scan against scan_by_objective_f on 30 random datasets; a
-        trial with n points has curves(rng, n) curves.  With more curves
-        than points the rows are in the reduced space, equal to the reduced
-        fit residuals up to roundoff; otherwise they are the fit residuals."""
+    @staticmethod
+    def scan_trials(orders, curves):
+        """The 30 random (dataset, accepted knots, search) trials of check_scan."""
         rng = np.random.default_rng(17)
-        refusals = 0
         for trial in range(30):
             n = int(rng.integers(8, 30))
             m = curves(rng, n)
@@ -328,12 +342,40 @@ class TestStackedScan:
             y = np.sin(np.outer(2.0 * t, 1.0 + np.arange(m))) + 0.2 * rng.standard_normal((n, m))
             # every fifth domain is so narrow that derivative penalties overflow
             scale = 1e-120 if trial % 5 == 0 else 1.0
-            ds = FunctionalDataset(t=scale * t, values=y)
-            assert (ds.row_basis is None) == (m <= n)
             existing = scale * np.sort(rng.choice(np.linspace(0.1, 1.9, 19),
                                                   int(rng.integers(1, 4)), replace=False))
             search = KnotSearchConfig(order=int(rng.choice(orders)), max_knots=6,
                                       grid_size=int(rng.integers(5, 40)))
+            yield FunctionalDataset(t=scale * t, values=y), existing, search
+
+    def test_first_of_tied_scores_wins_in_either_space(self, monkeypatch):
+        # Trial 20 of the fs0 many-curve scan: 11 points, 39 curves, order 2,
+        # grid 25.  Its first candidates sit in one gap between sample points
+        # and fit the data alike; their scores differ by an ulp, in one order
+        # in the full space and in another in the reduced space.
+        trials = self.scan_trials((2, 3, 4), lambda rng, n: n + int(rng.integers(1, 40)))
+        ds, existing, search = next(itertools.islice(trials, 20, None))
+        assert ds.values.shape == (11, 39) and search.order == 2 and search.grid_size == 25
+        assert ds.row_basis is not None
+        _, reduced = freeknot._scan(existing, ds, PenaltyConfig(), search)
+        monkeypatch.setattr(FunctionalDataset, "row_basis", property(lambda self: None))
+        _, full = freeknot._scan(existing, ds, PenaltyConfig(), search)
+        assert np.array_equal(np.isnan(reduced), np.isnan(full))
+        scored = np.flatnonzero(~np.isnan(full))
+        picks = [scored[freeknot._first_best(scores[scored])] for scores in (reduced, full)]
+        assert picks == [scored[0], scored[0]]
+        assert np.ptp(full[scored[:3]]) <= 4 * np.spacing(full[scored[0]])
+
+    def check_scan(self, config, orders, curves):
+        """The scan against scan_by_objective_f on 30 random datasets; a
+        trial with n points has curves(rng, n) curves.  With more curves
+        than points the rows are in the reduced space, equal to the reduced
+        fit residuals up to roundoff; otherwise they are the fit residuals."""
+        refusals = 0
+        for ds, existing, search in self.scan_trials(orders, curves):
+            n, m = ds.values.shape
+            y = ds.values
+            assert (ds.row_basis is None) == (m <= n)
             ratios, scores = freeknot._scan(existing, ds, config, search)
             coords, ref, ref_residuals = self.scan_by_objective_f(existing, ds, config, search)
             refused = np.isnan(ref)
@@ -350,7 +392,10 @@ class TestStackedScan:
                           <= 1e-12 * kept + size * (2.0 * np.sqrt(kept) + size))
             # the residual evaluator behind the scores refuses the same rows
             # and keeps each fit's residual matrix
-            rows = freeknot._residual_rows(ratios, *ds.domain, ds, config, search.order)
+            rows = dict(freeknot._residual_rows(
+                ratios, row_weights(config, search.order, len(ratios)), *ds.domain, ds,
+                search.order))
+            rows = [rows[c] for c in range(len(ratios))]
             assert [row is None for row in rows] == [r is None for r in ref_residuals]
             assert [r is None for r in ref_residuals] == list(refused)
             for row, r in zip(rows, ref_residuals):
@@ -451,11 +496,7 @@ class TestStackedJacobian:
             gaps = np.exp(rng.uniform(-0.7, 0.7, p + 1))
             k = jupp(np.cumsum(gaps)[:-1] / gaps.sum(), 0.0, 1.0).values
             ref_r, ref = column_jacobian(k, ds, config, order)
-
-            def residuals(rows):
-                return freeknot._residual_rows(rows, 0.0, 1.0, ds, config, order)
-
-            r, jac = freeknot._jacobian(k, ref_r, residuals)
+            r, jac = jacobian_at(k, ref_r, ds, config, order)
             assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
             assert np.linalg.norm(jac - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -478,11 +519,7 @@ class TestStackedJacobian:
                 return ds.reduce(v.reshape(h, -1)).ravel()
 
             ref_r, ref = reduced(full_r), np.column_stack([reduced(c) for c in full.T])
-
-            def residuals(rows):
-                return freeknot._residual_rows(rows, 0.0, 1.0, ds, config, order)
-
-            r, jac = freeknot._jacobian(k, ref_r, residuals)
+            r, jac = jacobian_at(k, ref_r, ds, config, order)
             assert jac.shape == (h * h, p)
             assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
             assert np.linalg.norm(jac - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -507,7 +544,7 @@ class TestStackedJacobian:
             assert res.objective == pytest.approx(plain.objective, rel=1e-10)
 
     def test_refused_forward_rows_fall_back_to_backward_steps_then_zero(self, monkeypatch):
-        # the current point's residual then comes from its earlier evaluation
+        # the current point's residual then comes from a fit at that point
         ds = noisy_sine_dataset()
         config = PenaltyConfig(lambda2=1e-5)
         search = KnotSearchConfig(order=4, max_knots=3)
@@ -515,17 +552,17 @@ class TestStackedJacobian:
         seen = []
 
         def refusing(rows, *args):
-            out = rows_of(rows, *args)
-            if len(rows) == 4:  # forward stack: refuse the current point and columns 0, 1
-                out[0] = out[1] = out[2] = None
-            elif len(rows) == 2:  # backward stack of columns 0 and 1: refuse column 1
-                out[1] = None
-            return out
+            # forward stack: refuse the current point and columns 0, 1;
+            # backward stack of columns 0 and 1: refuse column 1
+            refused = {4: {0, 1, 2}, 2: {1}}.get(len(rows), set())
+            for c, residual in rows_of(rows, *args):
+                yield c, None if c in refused else residual
 
-        def recording(k, r, residuals):
-            out = jacobian(k, r, residuals)
-            seen.append((k.copy(), *out))
-            return out
+        def recording(points, weights, residuals, fallback):
+            [k] = points
+            for i, r, jac in jacobian(points, weights, residuals, fallback):
+                seen.append((k.copy(), r, jac))
+                yield i, r, jac
 
         monkeypatch.setattr(freeknot, "_residual_rows", refusing)
         monkeypatch.setattr(freeknot, "_jacobian", recording)
@@ -543,7 +580,8 @@ class TestStackedJacobian:
         spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(res.coords))
         assert_same_fit(res.model, fit_coefficients(ds, spec, config))
 
-    def test_refiner_fits_only_its_start_and_its_result(self, monkeypatch):
+    def test_refiner_fits_only_its_result(self, monkeypatch):
+        # the start's residual and objective come from the first Jacobian stack
         fits = []
         fit = freeknot.fit_coefficients
 
@@ -556,8 +594,26 @@ class TestStackedJacobian:
         res = gauss_newton_refine(start, noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5),
                                   KnotSearchConfig(order=4, max_knots=3))
         assert res.iterations > 1
-        assert fits == [tuple(jupp_inverse(start)), res.model.spec.interior_knots]
+        assert fits == [res.model.spec.interior_knots]
         assert res.objective == res.model.diagnostics.sse
+
+    def test_refiner_without_a_step_fits_its_start(self, monkeypatch):
+        fits = []
+        fit = freeknot.fit_coefficients
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args[1].interior_knots)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(freeknot, "fit_coefficients", counting_fit)
+        monkeypatch.setattr(freeknot, "_propose", lambda *args: None)
+        ds, config = noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5)
+        start = jupp(np.array([0.2, 0.45, 0.8]), 0.0, 1.0)
+        res = gauss_newton_refine(start, ds, config, KnotSearchConfig(order=4, max_knots=3))
+        assert res.step_failure and res.iterations == 1
+        assert fits == [tuple(jupp_inverse(start))]
+        assert np.array_equal(res.coords.values, start.values)
+        assert_same_fit(res.model, fit(ds, make_basis_spec(0.0, 1.0, 4, jupp_inverse(start)), config))
 
 
 class TestRowBasis:

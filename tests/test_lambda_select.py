@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fkspline import (
     AllCellsFailedError,
     ConfigError,
+    FkSplineError,
     FunctionalDataset,
+    KnotSearchConfig,
     LambdaGrid,
+    PenaltyConfig,
+    add_knots_gradually,
     eval_spline,
+    gauss_newton_refine,
     gcv_grid_search,
+    jupp,
     make_basis_spec,
 )
+from fkspline import lambda_select, smoother
+from fkspline.freeknot import refine_fits
 from fkspline.lambda_select import _select_best
 
 
@@ -162,3 +172,109 @@ class TestFreeKnotMode:
         for pinned in (-1.0, np.nan, np.inf):
             with pytest.raises(ConfigError):
                 gcv_grid_search(ds, spec=spec, mode="fixed", lambda1_pinned=pinned)
+
+
+def per_pair_grid(ds, grid, search, warm):
+    """Reference for free mode: each cell refines its warm starts one at a time
+    with gauss_newton_refine, fails with the first warm start that raises, and
+    otherwise keeps the first warm start of smallest GCV.  Returns the score
+    table, the failures and the iteration count of every (warm start, cell)
+    pair that ran, warm start by warm start."""
+    scores = np.full((grid.size, grid.size), np.nan)
+    failures, iterations = [], {}
+    for i, l1 in enumerate(grid.values):
+        for j, l2 in enumerate(grid.values):
+            config = PenaltyConfig(lambda1=l1, lambda2=l2)
+            try:
+                fits = []
+                for w, coords in enumerate(warm):
+                    res = gauss_newton_refine(coords, ds, config, search)
+                    iterations[w, i, j] = res.iterations
+                    fits.append(res.model.diagnostics)
+                best = min(fits, key=lambda d: d.gcv)
+                if best.gcv_degenerate:
+                    raise FkSplineError("degenerate GCV denominator")
+            except (FkSplineError, np.linalg.LinAlgError) as exc:
+                failures.append((l1, l2, f"{type(exc).__name__}: {exc}"))
+                continue
+            scores[i, j] = best.gcv
+    return scores, failures, [iterations[key] for key in sorted(iterations)]
+
+
+def noisy_curves(curves, n=30, seed=4):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0, 1, n)
+    y = np.sin(np.outer(3.0 * t, 1.0 + np.arange(curves) / curves))
+    return FunctionalDataset(t=t, values=y + 0.1 * rng.standard_normal((n, curves)))
+
+
+class TestLockstepGrid:
+    """Free mode refines every (cell, warm start) pair in one lockstep batch;
+    each pair must come out as gauss_newton_refine alone would leave it."""
+
+    search = KnotSearchConfig(order=4, max_knots=3, grid_size=20, fixed_p=True)
+
+    @pytest.mark.parametrize("exponents, curves", [([-6, -2], 3), ([-6, -4, -2], 60)],
+                             ids=["2x2", "3x3-more-curves-than-points"])
+    def test_matches_per_pair_refines(self, exponents, curves):
+        ds = noisy_curves(curves)
+        grid = LambdaGrid.from_exponents(exponents)
+        warm = [stage.coords for stage in add_knots_gradually(ds, PenaltyConfig(), self.search).stages]
+        ref_scores, ref_failures, ref_iterations = per_pair_grid(ds, grid, self.search, warm)
+        res = gcv_grid_search(ds, grid=grid, search=self.search, mode="free")
+        _, l1, l2, _, _ = _select_best(ref_scores, grid.values, grid.values)
+        assert (res.lambda1, res.lambda2) == (l1, l2)
+        np.testing.assert_allclose(res.scores, ref_scores, rtol=1e-9)
+        assert res.failures == ref_failures == []
+        configs = [PenaltyConfig(lambda1=a, lambda2=b) for a in grid.values for b in grid.values]
+        iterations = {i: pair.iterations for i, pair, _ in
+                      refine_fits([w for w in warm for _ in configs], configs * len(warm), ds,
+                                  self.search)}
+        assert [iterations[i] for i in range(len(iterations))] == ref_iterations
+        assert max(ref_iterations) > 1
+
+    @pytest.mark.parametrize("knots, exponents, reasons", [
+        # lambda2 = 1e8 first refuses the second warm start's systems (5
+        # basis functions), 1e10 already the first's (4)
+        (([], [0.5], [0.3, 0.6]), [-12, 8, 10], {"nb=4", "nb=5"}),
+        # 5 basis functions on 5 points interpolate at the smallest weights
+        (([0.5], [0.3]), [-12, -1], {"degenerate"}),
+    ], ids=["refused-start", "degenerate-gcv"])
+    def test_failures_match_per_pair_refines(self, monkeypatch, knots, exponents, reasons):
+        t = np.linspace(0.0, 1.0, 5)
+        ds = FunctionalDataset(t=t, values=np.column_stack([np.sin(3 * t), np.cos(2 * t)]))
+        warm = [jupp(np.array(k), 0.0, 1.0) for k in knots]
+        stages = SimpleNamespace(stages=[SimpleNamespace(coords=coords) for coords in warm])
+        monkeypatch.setattr(lambda_select, "add_knots_gradually", lambda *args: stages)
+        # the size of a refused system tells which warm start failed
+        refused = smoother._refused
+        monkeypatch.setattr(smoother, "_refused",
+                            lambda H: [why and f"{why} (nb={H.shape[-1]})" for why in refused(H)])
+        grid = LambdaGrid.from_exponents(exponents)
+        ref_scores, ref_failures, _ = per_pair_grid(ds, grid, self.search, warm)
+        res = gcv_grid_search(ds, grid=grid, search=self.search, mode="free")
+        assert res.failures == ref_failures
+        assert {reason for reason in reasons
+                if any(reason in message for _, _, message in res.failures)} == reasons
+        assert np.array_equal(res.scores, ref_scores, equal_nan=True)
+        assert np.isfinite(res.scores).any()
+
+    def test_pinned_first_weight_leaves_its_penalty_out(self, monkeypatch):
+        # with lambda1 pinned to 0 no row weights the order-1 penalty, so an
+        # order-1 matrix that overflowed must not enter any row as 0 * inf
+        ds = noisy_curves(3)
+        grid = LambdaGrid.from_exponents([-6, -2])
+        plain = gcv_grid_search(ds, grid=grid, search=self.search, mode="free",
+                                lambda1_pinned=0.0)
+        stack = smoother.penalty_stack
+
+        def overflowing(full_knots, order, l, *args):
+            values = stack(full_knots, order, l, *args)
+            return np.full_like(values, np.inf) if l == 1 else values
+
+        monkeypatch.setattr(smoother, "penalty_stack", overflowing)
+        pinned = gcv_grid_search(ds, grid=grid, search=self.search, mode="free",
+                                 lambda1_pinned=0.0)
+        assert pinned.failures == []
+        assert np.array_equal(pinned.scores, plain.scores)
+        assert (pinned.lambda1, pinned.lambda2) == (plain.lambda1, plain.lambda2)

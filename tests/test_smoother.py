@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from fkspline import (
     penalty_matrix,
     variant_config,
 )
-from fkspline.smoother import sse_stack
+from fkspline import smoother
+from fkspline.smoother import fit_stack, penalty_weights, sse_stack
 
 
 def penalized_objective(dataset, spec, config, coeffs):
@@ -32,6 +35,55 @@ def penalized_objective(dataset, spec, config, coeffs):
             m = penalty_matrix(spec, order).values
             total += lam * float(np.trace(coeffs.T @ m @ coeffs))
     return total
+
+
+class TestFitStack:
+    """One stacked evaluator: a penalty config per row, shared knot vectors built once."""
+
+    @staticmethod
+    def rows():
+        specs = [make_basis_spec(0.0, 1.0, 4, k) for k in ([0.3, 0.6], [0.2, 0.5])]
+        configs = [PenaltyConfig(), PenaltyConfig(lambda1=1e-3, lambda2=1e-2),
+                   PenaltyConfig(alphas=(1e-4, 0.0, 1e-3))]
+        return [(spec, config) for config in configs for spec in specs]
+
+    @pytest.mark.parametrize("chunk", [256, 2])
+    def test_rows_are_the_fits_of_their_own_config(self, monkeypatch, chunk):
+        monkeypatch.setattr(smoother, "_CHUNK", chunk)
+        rng = np.random.default_rng(2)
+        t = np.linspace(0.0, 1.0, 25)
+        y = np.sin(np.outer(t, [2.0, 5.0])) + 0.1 * rng.standard_normal((25, 2))
+        ds = FunctionalDataset(t=t, values=y)
+        rows = self.rows()
+        knots = np.array([spec._full_arr for spec, _ in rows])
+        weights = np.array([penalty_weights(config, 4) for _, config in rows])
+        for (_, why, fit), (spec, config) in zip(fit_stack(knots, 4, ds, weights, full=True), rows):
+            ref = fit_coefficients(ds, spec, config)
+            assert why == ""
+            assert np.array_equal(fit[0], ref.coeffs)
+            for field in dataclasses.fields(ref.diagnostics):
+                assert np.array_equal(getattr(fit[1], field.name),
+                                      getattr(ref.diagnostics, field.name)), field.name
+        for (_, _, residual), (spec, config) in zip(fit_stack(knots, 4, ds, weights), rows):
+            assert np.array_equal(residual, fit_coefficients(ds, spec, config).diagnostics.residuals)
+
+    def test_zero_weight_leaves_an_overflowed_penalty_out(self, monkeypatch):
+        # 0 * inf is nan: a row that does not weight an order must not get
+        # its matrix, even when another row on the same knots does
+        stack = smoother.penalty_stack
+
+        def overflowing(full_knots, order, l, *args):
+            values = stack(full_knots, order, l, *args)
+            return np.full_like(values, np.inf) if l == 1 else values
+
+        monkeypatch.setattr(smoother, "penalty_stack", overflowing)
+        t = np.linspace(0.0, 1.0, 20)
+        ds = FunctionalDataset(t=t, values=np.sin(3 * t)[:, None])
+        spec = make_basis_spec(0.0, 1.0, 4, [0.5])
+        knots = np.repeat(spec._full_arr[None], 2, axis=0)
+        weights = np.array([[0.0, 0.0, 1e-3, 0.0], [0.0, 1e-3, 1e-3, 0.0]])
+        out = [why for _, why, _ in fit_stack(knots, 4, ds, weights)]
+        assert out == ["", "system matrix has non-finite entries"]
 
 
 class TestVariantTable:
