@@ -329,30 +329,64 @@ class _Descent:
     error: Exception | None = None  # what ended the pair: its weights or a fit raised it
 
 
-def _propose(pair: _Descent, lo: float, hi: float, order: int, min_gap: float):
-    """The pair's next damped step that can be fitted, (k_new, delta, its
-    clamped knots), or None once its 12 trials are spent.
+def _solve_rows(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions (C, p) of a stack of systems (C, p, p) with right-hand sides
+    (C, p), in one stacked solve; a row whose system is singular is nan.
 
-    A step whose solve fails, whose knots cannot be fitted, or that brings
-    two knots closer than min_gap costs a trial and no evaluation.
+    When the stacked solve fails, each system is solved alone, so a
+    singular system costs only its own row.
     """
-    p = pair.k.size
-    while pair.trials < 12:
-        try:
-            delta = np.linalg.solve(pair.jtj + pair.mu * np.eye(p), -pair.g)
-        except np.linalg.LinAlgError:
-            delta = None
-        if delta is not None:
-            k_new = pair.k + delta
-            # knots drifting together chase noise through high-leverage
-            # spans; such trial points are treated as infeasible
-            kept, full = _fittable_rows(k_new[None], lo, hi, order)
-            interior = full[:, order : full.shape[1] - order]
-            if kept.size and not (p >= 2 and float(np.diff(interior).min()) < min_gap):
-                return k_new, delta, full[0]
-        pair.mu *= 10.0
-        pair.trials += 1
-    return None
+    try:
+        return np.linalg.solve(systems, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for c, (system, b) in enumerate(zip(systems, rhs)):
+            try:
+                out[c] = np.linalg.solve(system, b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _proposals(batch, lo: float, hi: float, order: int, min_gap: float) -> list:
+    """Each pair's next damped step that can be fitted, (k_new, delta, its
+    clamped knots), or None once its 12 trials are spent; in batch order.
+
+    The pairs of one p solve their damped systems (J'J + mu I) delta = -g in
+    one stacked solve (_solve_rows) and are checked in one _fittable_rows
+    call per pass.  A step whose solve fails, whose knots cannot be fitted,
+    or that brings two knots closer than min_gap costs its pair a trial
+    (tenfold damping) and no evaluation, and the pair tries again in the
+    next pass, as it would alone.
+    """
+    steps = [None] * len(batch)
+    groups = {}
+    for i, pair in enumerate(batch):
+        groups.setdefault(pair.k.size, []).append(i)
+    for p, group in groups.items():
+        eye = np.eye(p)
+        pending = [i for i in group if batch[i].trials < 12]
+        while pending:
+            pairs = [batch[i] for i in pending]
+            delta = _solve_rows(np.array([pair.jtj + pair.mu * eye for pair in pairs]),
+                                np.array([-pair.g for pair in pairs]))
+            # a singular system's nan step is not fittable
+            k_new = np.array([pair.k for pair in pairs]) + delta
+            kept, full = _fittable_rows(k_new, lo, hi, order)
+            if p >= 2:
+                # knots drifting together chase noise through high-leverage
+                # spans; such trial points are treated as infeasible
+                gaps = np.diff(full[:, order : full.shape[1] - order], axis=1)
+                spaced = ~(gaps.min(axis=1) < min_gap)
+                kept, full = kept[spaced], full[spaced]
+            for c, row in zip(kept.tolist(), full):
+                steps[pending[c]] = (k_new[c], delta[c], row)
+            for pair, i in zip(pairs, pending):
+                if steps[i] is None:
+                    pair.mu *= 10.0
+                    pair.trials += 1
+            pending = [i for i in pending if steps[i] is None and batch[i].trials < 12]
+    return steps
 
 
 def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConfig) -> list:
@@ -360,10 +394,12 @@ def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConf
 
     starts are coordinates on one domain.  Each pair runs the sequential
     rule of gauss_newton_refine on its own state (_Descent); only the
-    evaluations are shared.  Each round makes one Jacobian stack over the
-    pairs that begin an iteration (_jacobian, its backward sub-stack
-    included) and one trial stack over the pairs that try a damped step; a
-    failed trial retries at ten times the damping in the next round.  A
+    evaluations and the step proposals are shared.  Each round makes one
+    Jacobian stack over the pairs that begin an iteration (_jacobian, its
+    backward sub-stack included), one proposal pass over the pairs that try
+    a damped step (_proposals: a stacked solve and one feasibility check per
+    p), and one trial stack of the proposed steps; a trial that does not
+    lower the objective retries at ten times the damping in the next round.  A
     pair's objective at its start comes from row 0 of its first Jacobian
     stack.  Where row 0 is refused (by roundoff: a fit that raises
     refuses it too) the point is fitted with fit_coefficients, whose error,
@@ -418,8 +454,7 @@ def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConf
             pair.trials = 0
             trial.append(pair)
         jacobian, proposed = [], []
-        for pair in trial:
-            step = _propose(pair, lo, hi, order, min_gap)
+        for pair, step in zip(trial, _proposals(trial, lo, hi, order, min_gap)):
             if step is None:
                 pair.step_failure = True
             else:
@@ -451,8 +486,9 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
 
     Each iteration takes the residual and its forward-difference Jacobian
     from one stacked evaluation (smoother.fit_stack) of the current point
-    and its p perturbed points (see _jacobian), and trial steps are one-row
-    stacks, so no per-column fit is made.  Residuals are taken in the
+    and its p perturbed points (see _jacobian), and each trial step is
+    solved, checked (_proposals) and evaluated as a one-row stack, so no
+    per-column fit is made.  Residuals are taken in the
     dataset's reduced space (FunctionalDataset.reduce), which keeps every
     norm and inner product the step uses.  The damping parameter grows
     tenfold when a step fails to decrease the objective and shrinks tenfold
@@ -498,7 +534,12 @@ def refine_fits(starts, configs, dataset: FunctionalDataset, search: KnotSearchC
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One accepted stage of the gradual knot search."""
+    """One accepted stage of the gradual knot search.
+
+    iterations, converged and step_failure are those of the stage's
+    Gauss-Newton refinement (GaussNewtonResult); the p = 0 stage has no
+    knots to refine and records 0, True and False.
+    """
 
     p: int
     knots: np.ndarray
@@ -506,6 +547,9 @@ class StageRecord:
     objective: float
     gcv: float
     df: float
+    iterations: int = 0
+    converged: bool = True
+    step_failure: bool = False
 
 
 @dataclass(eq=False)
@@ -546,11 +590,11 @@ def _candidate_grid(lo, hi, existing, search) -> np.ndarray:
     return grid[dist > _knot_radius(lo, hi, search)]
 
 
-def _stage_record(coords: JuppCoords, model: FitModel) -> StageRecord:
+def _stage_record(coords: JuppCoords, model: FitModel, **refinement) -> StageRecord:
     d = model.diagnostics
     return StageRecord(
         p=coords.p, knots=jupp_inverse(coords), coords=coords,
-        objective=d.sse, gcv=d.gcv, df=d.df,
+        objective=d.sse, gcv=d.gcv, df=d.df, **refinement,
     )
 
 
@@ -625,7 +669,9 @@ def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
         best_cand = JuppCoords(ratios[scored[_first_best(scores[scored])]], lo, hi)
         refined = gauss_newton_refine(best_cand, dataset, config, search)
         model = refined.model
-        record = _stage_record(refined.coords, model)
+        record = _stage_record(refined.coords, model, iterations=refined.iterations,
+                               converged=refined.converged,
+                               step_failure=refined.step_failure)
         result.stages.append(record)
         if record.gcv < best.gcv * (1.0 - _GCV_REL_TOL):
             best, best_model = record, model

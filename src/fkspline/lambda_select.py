@@ -95,8 +95,9 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     mode "free" reruns the knot placement per cell, warm-started from the
     zero-penalty trajectory.  Pinning lambda1 (e.g. to 0 for a single
     second-derivative penalty) turns the search into a 1-D scan over
-    lambda2.  Failed cells are recorded and skipped; if every cell fails the
-    search raises.
+    lambda2.  A weight on a derivative order the splines cannot carry raises
+    DerivativeOrderTooHighError before any cell is fitted.  Failed cells are
+    recorded and skipped; if every cell fails the search raises.
     """
     grid = grid or LambdaGrid()
     if mode not in ("fixed", "free"):
@@ -110,13 +111,16 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     l2_values = tuple(grid.values)
     configs = [PenaltyConfig(lambda1=float(l1), lambda2=float(l2))
                for l1 in l1_values for l2 in l2_values]
+    if mode == "fixed" and spec is None:
+        raise ConfigError("fixed-knots mode needs a basis spec")
+    if mode == "free" and search is None:
+        raise ConfigError("free-knots mode needs a knot search config")
+    # a penalty the splines cannot carry is a config error before any work
+    order = spec.order if mode == "fixed" else search.order
+    weights = np.array([penalty_weights(config, order) for config in configs])
     if mode == "fixed":
-        if spec is None:
-            raise ConfigError("fixed-knots mode needs a basis spec")
-        fits = _fixed_fits(dataset, spec, configs)
+        fits = _fixed_fits(dataset, spec, weights)
     else:
-        if search is None:
-            raise ConfigError("free-knots mode needs a knot search config")
         fits = _free_fits(dataset, search, configs)
 
     shape = (len(l1_values), len(l2_values))
@@ -155,16 +159,16 @@ class _CellFit:
         return cls(d.gcv, d.df, d.sse, d.gcv_degenerate)
 
 
-def _fixed_fits(dataset, spec, configs) -> list:
+def _fixed_fits(dataset, spec, weights) -> list:
     """Each cell's fit at the spec's knots, or the error the fit raised.
 
-    All cells are one stack on one basis (smoother.fit_spec).
+    Row c of weights holds cell c's penalty_weights; all cells are one
+    stack on one basis (smoother.fit_spec).
     """
-    weights = np.array([penalty_weights(config, spec.order) for config in configs])
     try:
         fits = fit_spec(dataset, spec, weights)
     except FkSplineError as exc:  # the sample grid does not fit the spec: no cell fits
-        return [exc] * len(configs)
+        return [exc] * len(weights)
     return [NotPositiveDefiniteError(why) if why else _CellFit.of(fit[1]) for _, why, fit in fits]
 
 

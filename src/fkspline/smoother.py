@@ -202,13 +202,16 @@ class FitModel:
         return design.values @ self.coeffs
 
 
-def _diagnostics(H: np.ndarray, btb: np.ndarray, Y, fitted) -> FitDiagnostics:
-    """The one place a fit's residuals, sse, df and GCV are formed."""
+def _diagnostics(influence: np.ndarray, Y, fitted) -> FitDiagnostics:
+    """The one place a fit's residuals, sse, df and GCV are formed.
+
+    influence is H^-1 B'B, whose trace is the trace of the hat matrix.
+    """
     h, n = Y.shape
     residual = Y - fitted
     per_curve = np.einsum("ij,ij->j", residual, residual)
     sse = float(per_curve.sum())
-    df = float(np.trace(np.linalg.solve(H, btb)))
+    df = float(np.trace(influence))
     denom = h - df
     degenerate = denom <= 1e-8 * max(h, 1)
     if degenerate:
@@ -225,8 +228,16 @@ def _diagnostics(H: np.ndarray, btb: np.ndarray, Y, fitted) -> FitDiagnostics:
 
 # Rows evaluated per stack.  On the benchmark data a stacked row costs
 # 311 us alone and 46-58 us in stacks of 50 to 250 rows, so past a few
-# hundred rows a larger stack only holds more memory.
+# hundred rows a larger stack only holds more memory.  Its designs, B'B,
+# penalty matrices and systems are held for the whole chunk.
 _CHUNK = 256
+# Coefficient values (rows x nb x n) per stacked solve, so that a block's
+# right-hand sides and coefficients stay under 128 KiB each for any number
+# of curves n: 20 rows of 12 basis functions on 50 reduced curves, 5 rows on
+# 200 curves.  A fixed 16 rows took fresh pages for every block of the
+# 200-curve fixed-knot GCV grid (1,265 page faults against 122, 7% slower),
+# and larger blocks raise the peak memory.
+_BLOCK_VALUES = 12_000
 
 
 def fit_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
@@ -238,7 +249,8 @@ def fit_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
     penalty_weights of row c's config.  The stack is evaluated in chunks of
     _CHUNK rows.  Within a chunk the design, B'B and each needed penalty
     matrix are built once per distinct knot vector, H once per row
-    (_systems), and rows are refused by _refused.  t, the sample points
+    (_systems), and rows are refused by _refused; the kept rows are solved
+    in stacked solves of _BLOCK_VALUES coefficients.  t, the sample points
     (default the dataset's), must lie inside every knot vector's domain;
     nothing is checked.
 
@@ -252,6 +264,7 @@ def fit_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
     """
     t = dataset.t if t is None else t
     Y = dataset.values if full else dataset.reduced_values
+    block_rows = max(1, _BLOCK_VALUES // ((full_knots.shape[1] - order) * Y.shape[1]))
     for start in range(0, len(full_knots), _CHUNK):
         chunk = full_knots[start:start + _CHUNK]
         first = {}
@@ -264,21 +277,26 @@ def fit_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
         B = design_stack(knots, order, np.broadcast_to(t, (len(knots), t.size)))
         btb = B.transpose(0, 2, 1) @ B
         H, _ = _systems(btb, knots, order, weights[start:start + _CHUNK], rows)
-        # One solve and one residual at a time, each handed on before the
-        # next is formed: a batched solve took as long, and a (C, nb, n)
-        # right-hand side or a (C, h, n) residual stack would raise the
-        # peak memory.
-        for c, why in enumerate(_refused(H)):
-            if why:
-                yield start + c, why, None
-                continue
-            j = c if rows is None else rows[c]
-            coeffs = np.linalg.solve(H[c], B[j].T @ Y)
-            fitted = B[j] @ coeffs
-            if full:
-                yield start + c, "", (coeffs, _diagnostics(H[c], btb[j], Y, fitted))
-            else:
-                yield start + c, "", Y - fitted
+        refused = _refused(H)
+        # One stacked solve per block of rows; residuals are formed and
+        # handed on one row at a time, so no (C, h, n) stack is held.
+        for first_row in range(0, len(chunk), block_rows):
+            block = range(first_row, min(first_row + block_rows, len(chunk)))
+            kept = [c for c in block if not refused[c]]
+            vectors = kept if rows is None else rows[kept]  # each kept row's knot vector
+            coeffs = np.linalg.solve(H[kept], B[vectors].transpose(0, 2, 1) @ Y)
+            influence = np.linalg.solve(H[kept], btb[vectors]) if full else None
+            i = 0
+            for c in block:
+                if refused[c]:
+                    yield start + c, refused[c], None
+                    continue
+                fitted = B[vectors[i]] @ coeffs[i]
+                if full:
+                    yield start + c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted))
+                else:
+                    yield start + c, "", Y - fitted
+                i += 1
 
 
 def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec,

@@ -579,6 +579,22 @@ class TestGcv:
         assert report["error"] == "ConfigError"
         assert "leaves no free knots" in report["context"]
 
+    def test_penalty_beyond_the_order_is_2_in_both_modes(self, simdir, tmp_path, capsys,
+                                                         monkeypatch):
+        from fkspline import lambda_select
+
+        def no_search(*args):
+            raise AssertionError("the knot search ran before the weights were checked")
+
+        monkeypatch.setattr(lambda_select, "add_knots_gradually", no_search)
+        reports = []
+        for mode in ("free", "fixed"):
+            assert run(["gcv", "--data", simdir / "dataset.csv", "--mode", mode, "--order", "2",
+                        "--nbasis", "4", "--exponents=-2:0", "--outdir", tmp_path / mode]) == 2
+            reports.append(error_report(capsys))
+        assert reports[0] == reports[1]
+        assert reports[0]["error"] == "DerivativeOrderTooHighError"
+
     def test_byte_identical_rerun(self, simdir, tmp_path):
         args = ["gcv", "--data", simdir / "dataset.csv", "--knots", "2.5",
                 "--exponents=-2:0"]

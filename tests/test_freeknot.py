@@ -606,7 +606,7 @@ class TestStackedJacobian:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(freeknot, "fit_coefficients", counting_fit)
-        monkeypatch.setattr(freeknot, "_propose", lambda *args: None)
+        monkeypatch.setattr(freeknot, "_proposals", lambda batch, *args: [None] * len(batch))
         ds, config = noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5)
         start = jupp(np.array([0.2, 0.45, 0.8]), 0.0, 1.0)
         res = gauss_newton_refine(start, ds, config, KnotSearchConfig(order=4, max_knots=3))
@@ -614,6 +614,132 @@ class TestStackedJacobian:
         assert fits == [tuple(jupp_inverse(start))]
         assert np.array_equal(res.coords.values, start.values)
         assert_same_fit(res.model, fit(ds, make_basis_spec(0.0, 1.0, 4, jupp_inverse(start)), config))
+
+
+def sequential_propose(pair, lo, hi, order, min_gap):
+    """Reference: one pair's next damped step, trial by trial, (k_new, delta,
+    its clamped knots) or None once its 12 trials are spent."""
+    p = pair.k.size
+    while pair.trials < 12:
+        try:
+            delta = np.linalg.solve(pair.jtj + pair.mu * np.eye(p), -pair.g)
+        except np.linalg.LinAlgError:
+            delta = None
+        if delta is not None:
+            k_new = pair.k + delta
+            kept, full = freeknot._fittable_rows(k_new[None], lo, hi, order)
+            interior = full[:, order : full.shape[1] - order]
+            if kept.size and not (p >= 2 and float(np.diff(interior).min()) < min_gap):
+                return k_new, delta, full[0]
+        pair.mu *= 10.0
+        pair.trials += 1
+    return None
+
+
+def proposal_batch():
+    """Descent states of p = 1, 2 and 3 whose undamped steps are far too long,
+    so most pairs spend several trials; one has spent them all, and one's
+    damped system is singular at its first trial."""
+    rng = np.random.default_rng(11)
+    batch = []
+    for p in [2, 1, 3, 2, 3, 1, 2, 3]:
+        a = rng.standard_normal((p + 2, p))
+        k = jupp(np.sort(rng.uniform(0.1, 0.9, p)), 0.0, 1.0).values
+        pair = freeknot._Descent(PenaltyConfig(), k, jtj=a.T @ a,
+                                 g=rng.standard_normal(p) * 10.0 ** rng.integers(0, 5))
+        pair.mu = 10.0 ** -rng.integers(1, 4)
+        batch.append(pair)
+    batch[3].trials = 12
+    batch[4].jtj = -batch[4].mu * np.eye(3)
+    return batch
+
+
+class TestBatchedProposals:
+    """One proposal pass per round makes each pair's step as the pair alone would."""
+
+    lo, hi, order, min_gap = 0.0, 1.0, 4, 0.02
+
+    def propose(self, batch):
+        return freeknot._proposals(batch, self.lo, self.hi, self.order, self.min_gap)
+
+    def assert_same(self, step, ref):
+        if ref is None:
+            assert step is None
+        else:
+            for got, want in zip(step, ref):
+                assert np.array_equal(got, want)
+
+    def test_matches_the_sequential_rule(self):
+        batch, ref_batch = proposal_batch(), proposal_batch()
+        steps = self.propose(batch)
+        refs = [sequential_propose(pair, self.lo, self.hi, self.order, self.min_gap)
+                for pair in ref_batch]
+        for step, ref, pair, ref_pair in zip(steps, refs, batch, ref_batch):
+            self.assert_same(step, ref)
+            assert (pair.mu, pair.trials) == (ref_pair.mu, ref_pair.trials)
+        trials = [pair.trials for pair in ref_batch]
+        assert max(trials[:3] + trials[5:]) > 1  # steps were retried
+        assert refs[3] is None and trials[3] == 12
+        assert trials[4] >= 1 and refs[4] is not None
+        assert len({pair.k.size for pair, ref in zip(ref_batch, refs) if ref is not None}) == 3
+
+    def test_a_singular_pair_costs_only_itself_a_trial(self, monkeypatch):
+        def batch_with_a_short_step():
+            batch = proposal_batch()
+            batch[4].jtj = 1e6 * np.eye(3)  # its first step is feasible
+            return batch
+
+        ref_batch = batch_with_a_short_step()
+        refs = self.propose(ref_batch)
+        assert ref_batch[4].trials == 0 and refs[4] is not None
+        batch = batch_with_a_short_step()
+        singular = batch[4].jtj + batch[4].mu * np.eye(3)
+        solve = np.linalg.solve
+        failed = []
+
+        def failing(a, b):
+            if a.shape[-1] == 3 and any(np.array_equal(m, singular) for m in a.reshape(-1, 3, 3)):
+                failed.append(a.ndim)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        steps = self.propose(batch)
+        monkeypatch.undo()
+        assert failed == [3, 2]  # the group's stacked solve, then the pair's own
+        for i, (step, ref) in enumerate(zip(steps, refs)):
+            if i != 4:
+                self.assert_same(step, ref)
+                assert (batch[i].mu, batch[i].trials) == (ref_batch[i].mu, ref_batch[i].trials)
+        assert batch[4].trials == 1 and batch[4].mu == 10.0 * ref_batch[4].mu
+        alone = batch_with_a_short_step()[4]
+        alone.mu, alone.trials = batch[4].mu, 1
+        self.assert_same(steps[4], sequential_propose(alone, self.lo, self.hi, self.order,
+                                                      self.min_gap))
+
+
+class TestStageRecords:
+    """Each stage carries the facts of its Gauss-Newton refinement."""
+
+    def test_stages_record_their_refinement(self, monkeypatch):
+        refined = []
+        refine = freeknot.gauss_newton_refine
+
+        def recording(*args):
+            refined.append(refine(*args))
+            return refined[-1]
+
+        monkeypatch.setattr(freeknot, "gauss_newton_refine", recording)
+        result = add_knots_gradually(noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5),
+                                     KnotSearchConfig(order=4, max_knots=4, fixed_p=True))
+        stage0, *stages = result.stages
+        assert (stage0.p, stage0.iterations, stage0.converged, stage0.step_failure) == (
+            0, 0, True, False)
+        assert len(stages) == len(refined) == 4
+        for stage, res in zip(stages, refined):
+            assert (stage.iterations, stage.converged, stage.step_failure) == (
+                res.iterations, res.converged, res.step_failure)
+        assert max(stage.iterations for stage in stages) > 1
 
 
 class TestRowBasis:

@@ -10,6 +10,7 @@ import pytest
 from fkspline import (
     AllCellsFailedError,
     ConfigError,
+    DerivativeOrderTooHighError,
     FkSplineError,
     FunctionalDataset,
     KnotSearchConfig,
@@ -22,7 +23,7 @@ from fkspline import (
     jupp,
     make_basis_spec,
 )
-from fkspline import lambda_select, smoother
+from fkspline import freeknot, lambda_select, smoother
 from fkspline.freeknot import refine_fits
 from fkspline.lambda_select import _select_best
 
@@ -173,6 +174,21 @@ class TestFreeKnotMode:
             with pytest.raises(ConfigError):
                 gcv_grid_search(ds, spec=spec, mode="fixed", lambda1_pinned=pinned)
 
+    def test_penalty_beyond_the_order_is_refused_before_the_search(self, monkeypatch):
+        # order-2 splines cannot carry the second-derivative penalty
+        def no_search(*args):
+            raise AssertionError("the knot search ran before the weights were checked")
+
+        monkeypatch.setattr(lambda_select, "add_knots_gradually", no_search)
+        ds, _ = spline_dataset()
+        grid = LambdaGrid.from_exponents([-2, 0])
+        with pytest.raises(DerivativeOrderTooHighError) as free:
+            gcv_grid_search(ds, grid=grid, mode="free",
+                            search=KnotSearchConfig(order=2, max_knots=2, fixed_p=True))
+        with pytest.raises(DerivativeOrderTooHighError) as fixed:
+            gcv_grid_search(ds, grid=grid, mode="fixed", spec=make_basis_spec(0.0, 1.0, 2, [0.5]))
+        assert str(free.value) == str(fixed.value)
+
 
 def per_pair_grid(ds, grid, search, warm):
     """Reference for free mode: each cell refines its warm starts one at a time
@@ -258,6 +274,36 @@ class TestLockstepGrid:
                 if any(reason in message for _, _, message in res.failures)} == reasons
         assert np.array_equal(res.scores, ref_scores, equal_nan=True)
         assert np.isfinite(res.scores).any()
+
+    def test_feasibility_is_checked_once_per_group_not_per_proposal(self, monkeypatch):
+        # proposals: the rows of the trial stacks, every stack of fits that
+        # neither Jacobian rows (_clamped) nor full fits make
+        calls, proposals, clamped_lists = [0], [0], []
+        fittable, clamped, stacked = (freeknot._fittable_rows, freeknot._clamped,
+                                      freeknot._stacked_fits)
+
+        def counting_fittable(*args):
+            calls[0] += 1
+            return fittable(*args)
+
+        def recording_clamped(*args):
+            clamped_lists.append(clamped(*args))
+            return clamped_lists[-1]
+
+        def counting_stacked(knots, *args, full=False):
+            if not full and not any(knots is rows for rows in clamped_lists):
+                proposals[0] += len(knots)
+            return stacked(knots, *args, full=full)
+
+        ds = noisy_curves(60)
+        grid = LambdaGrid.from_exponents([-6, -4, -2])
+        plain = gcv_grid_search(ds, grid=grid, search=self.search, mode="free")
+        monkeypatch.setattr(freeknot, "_fittable_rows", counting_fittable)
+        monkeypatch.setattr(freeknot, "_clamped", recording_clamped)
+        monkeypatch.setattr(freeknot, "_stacked_fits", counting_stacked)
+        res = gcv_grid_search(ds, grid=grid, search=self.search, mode="free")
+        assert np.array_equal(res.scores, plain.scores)
+        assert 0 < calls[0] < proposals[0]
 
     def test_pinned_first_weight_leaves_its_penalty_out(self, monkeypatch):
         # with lambda1 pinned to 0 no row weights the order-1 penalty, so an

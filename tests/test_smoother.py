@@ -47,25 +47,54 @@ class TestFitStack:
                    PenaltyConfig(alphas=(1e-4, 0.0, 1e-3))]
         return [(spec, config) for config in configs for spec in specs]
 
-    @pytest.mark.parametrize("chunk", [256, 2])
-    def test_rows_are_the_fits_of_their_own_config(self, monkeypatch, chunk):
+    # ids: the chunk size, then the rows per block where a block is smaller
+    # than the chunk
+    @pytest.mark.parametrize("chunk, block", [(256, None), (2, None), (256, 2), (256, 3),
+                                              (2, 2), (3, 3), (3, 2), (2, 3)],
+                             ids=["256", "2", "256-2", "256-3", "2-2", "3-3", "3-2", "2-3"])
+    def test_rows_are_the_fits_of_their_own_config(self, monkeypatch, chunk, block):
         monkeypatch.setattr(smoother, "_CHUNK", chunk)
+        if block:
+            # a row holds 6 basis functions x 2 curves of coefficients
+            monkeypatch.setattr(smoother, "_BLOCK_VALUES", block * 6 * 2)
         rng = np.random.default_rng(2)
         t = np.linspace(0.0, 1.0, 25)
         y = np.sin(np.outer(t, [2.0, 5.0])) + 0.1 * rng.standard_normal((25, 2))
         ds = FunctionalDataset(t=t, values=y)
         rows = self.rows()
+        # unpenalized knots past the last sample point but one leave a basis
+        # function without data: refused, the middle row of a block of 3 and
+        # the first of a block of 2
+        rows.insert(4, (make_basis_spec(0.0, 1.0, 4, [0.97, 0.99]), PenaltyConfig()))
         knots = np.array([spec._full_arr for spec, _ in rows])
         weights = np.array([penalty_weights(config, 4) for _, config in rows])
-        for (_, why, fit), (spec, config) in zip(fit_stack(knots, 4, ds, weights, full=True), rows):
-            ref = fit_coefficients(ds, spec, config)
+        solve, solves = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+        out = list(fit_stack(knots, 4, ds, weights, full=True))
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        # two stacked solves (coefficients, influence) per block of each chunk
+        per_block = block or chunk
+        assert len(solves) == 2 * sum(-(-min(chunk, len(knots) - first) // per_block)
+                                      for first in range(0, len(knots), chunk))
+        assert [c for c, _, _ in out] == list(range(len(rows)))
+        for (_, why, fit), (spec, config) in zip(out, rows):
+            try:
+                ref = fit_coefficients(ds, spec, config)
+            except NotPositiveDefiniteError as exc:
+                assert (why, fit) == (str(exc), None)
+                continue
             assert why == ""
             assert np.array_equal(fit[0], ref.coeffs)
             for field in dataclasses.fields(ref.diagnostics):
                 assert np.array_equal(getattr(fit[1], field.name),
                                       getattr(ref.diagnostics, field.name)), field.name
-        for (_, _, residual), (spec, config) in zip(fit_stack(knots, 4, ds, weights), rows):
-            assert np.array_equal(residual, fit_coefficients(ds, spec, config).diagnostics.residuals)
+        assert sum(fit is None for _, _, fit in out) == 1
+        for (_, why, residual), (spec, config) in zip(fit_stack(knots, 4, ds, weights), rows):
+            if why:
+                assert residual is None
+            else:
+                ref = fit_coefficients(ds, spec, config).diagnostics.residuals
+                assert np.array_equal(residual, ref)
 
     def test_zero_weight_leaves_an_overflowed_penalty_out(self, monkeypatch):
         # 0 * inf is nan: a row that does not weight an order must not get
