@@ -4,7 +4,8 @@ Distances between curves are true L2 distances between the fitted splines:
 with shared basis and Gram matrix G, d(x_i, x_j)^2 = (c_i - c_j)' G
 (c_i - c_j).  Factoring G = L L' turns this into plain Euclidean geometry on
 the whitened vectors z = L' c, which is where Lloyd iterations, linkage, and
-dispersions are computed.  Only the functions that use scipy import it.
+dispersions are computed.  Clustering runs on numpy alone; only
+``matched_confusion`` imports scipy, for its assignment solver.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 _LLOYD_MAX_ITER = 100
+_DIFF_VALUES = 1 << 18  # 2 MB of point-center differences per batch
 _LINKAGES = ("ward", "complete", "average")
 
 
@@ -62,30 +64,36 @@ class ClusterResult:
     """One clustering of the curves in a fitted model."""
 
     partition: Partition
-    centroids: np.ndarray  # (n_basis, k) coefficient vectors in the shared basis
+    centroids: np.ndarray  # (n_basis, k) member means of the coefficient vectors
     w: float  # within-cluster dispersion, sum of squared L2 curve distances
     iterations: int
     seed: int | None
     method: str
 
 
-def _embedding(model: FitModel) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened curve vectors (n, n_basis) and the Gram Cholesky factor."""
-    from scipy.linalg import cholesky
-    G = gram_matrix(model.spec).values
-    L = cholesky(G, lower=True, check_finite=False)
-    return (L.T @ model.coeffs).T, L
-
-
-def _z_to_coeffs(L: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Map z-space centroids (k, n_basis) back to coefficient columns."""
-    from scipy.linalg import solve_triangular
-    return solve_triangular(L.T, centers.T, lower=False, check_finite=False)
+def _embedding(model: FitModel) -> np.ndarray:
+    """Whitened curve vectors z = L' c (n, n_basis), with G = L L'."""
+    L = np.linalg.cholesky(gram_matrix(model.spec).values)
+    return (L.T @ model.coeffs).T
 
 
 def _sq_dists(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = z[:, None, :] - centers[None, :, :]
-    return np.einsum("ikj,ikj->ik", diff, diff)
+    """Squared distances (..., n, k) from the points z (n, d) to each set of
+    centers (..., k, d).  A stack of sets (s, k, d) is taken a few sets at a
+    time, so that about _DIFF_VALUES differences at most are held at once."""
+    if centers.ndim == 3:
+        s, step = centers.shape[0], max(1, _DIFF_VALUES // (centers.shape[1] * z.size))
+        if s > step:
+            return np.concatenate([_sq_dists(z, centers[i:i + step]) for i in range(0, s, step)])
+    diff = z[:, None, :] - centers[..., None, :, :]
+    return np.einsum("...ikj,...ikj->...ik", diff, diff)
+
+
+def _dispersion(z: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Sum of squared distances (...) from each point to its own center, for
+    labels (..., n) in 0..k-1 and centers (..., k, d)."""
+    served = np.take_along_axis(_sq_dists(z, centers), labels[..., None], axis=-1)
+    return served[..., 0].sum(axis=-1)
 
 
 def _seed_centers(z: np.ndarray, k: int, rng) -> np.ndarray:
@@ -105,27 +113,67 @@ def _seed_centers(z: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def _lloyd(z: np.ndarray, centers: np.ndarray):
-    """Lloyd iterations from the given centers; returns labels, centers, W, iters."""
-    n, k = z.shape[0], centers.shape[0]
-    labels = np.full(n, -1)
+def _reseed_empty(z: np.ndarray, d2: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
+    """Give each empty cluster, in label order, its own point: the
+    worst-served point not already taken this iteration.  Updates labels (n,)
+    and centers (k, d) in place; d2 (n, k) holds the distances labels came from.
+    """
+    served = d2[np.arange(labels.size), labels]
+    for j in range(centers.shape[0]):
+        if not np.any(labels == j):
+            worst = served.argmax()
+            labels[worst] = j
+            centers[j] = z[worst]
+            served[worst] = -np.inf
+
+
+def _group_means(z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Member means (s, k, d) of z (n, d) under each row of labels (s, n).
+
+    bincount adds each group's points in point order, as numpy's
+    ``z[labels == j].mean(axis=0)`` does for d >= 2, so the two agree bit for
+    bit there; with d = 1 numpy sums pairwise and they agree to roundoff.
+    """
+    s, (n, d) = labels.shape[0], z.shape
+    group = np.arange(s)[:, None] * k + labels
+    sums = np.bincount((group[:, :, None] * d + np.arange(d)).ravel(),
+                       weights=np.broadcast_to(z, (s, n, d)).ravel(), minlength=s * k * d)
+    counts = np.bincount(group.ravel(), minlength=s * k)
+    return (sums.reshape(s * k, d) / counts[:, None]).reshape(s, k, d)
+
+
+def _centroids(model: FitModel, partition: Partition) -> np.ndarray:
+    """Member means (n_basis, k) of the curves' coefficient vectors."""
+    return _group_means(model.coeffs.T, partition.labels[None] - 1, partition.k)[0].T
+
+
+def _lloyd_lockstep(z: np.ndarray, starts: np.ndarray):
+    """Lloyd iterations from every stack of initial centers (s, k, d) at once.
+
+    Each start stops at the first iteration that leaves its labels unchanged
+    or at the iteration cap.  Returns labels (s, n) in 0..k-1, centers
+    (s, k, d), dispersions W (s,) and iteration counts (s,).
+    """
+    centers = np.array(starts, dtype=float)
+    s, k, _ = centers.shape
+    labels = np.full((s, z.shape[0]), -1)
+    iterations = np.zeros(s, dtype=int)
+    moving = np.arange(s)
     for it in range(1, _LLOYD_MAX_ITER + 1):
-        d2 = _sq_dists(z, centers)
-        new_labels = d2.argmin(axis=1)
-        # Re-seed empty clusters with the worst-served point.
-        for j in range(k):
-            if not np.any(new_labels == j):
-                worst = d2[np.arange(n), new_labels].argmax()
-                new_labels[worst] = j
-                centers[j] = z[worst]
-        if np.array_equal(new_labels, labels):
+        iterations[moving] = it
+        d2 = _sq_dists(z, centers[moving])
+        new_labels = d2.argmin(axis=2)
+        counts = np.bincount((np.arange(moving.size)[:, None] * k + new_labels).ravel(),
+                             minlength=moving.size * k).reshape(-1, k)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            _reseed_empty(z, d2[r], new_labels[r], centers[moving[r]])
+        changed = (new_labels != labels[moving]).any(axis=1)
+        moving, new_labels = moving[changed], new_labels[changed]
+        if moving.size == 0:
             break
-        labels = new_labels
-        for j in range(k):
-            centers[j] = z[labels == j].mean(axis=0)
-    d2 = _sq_dists(z, centers)
-    w = float(d2[np.arange(n), labels].sum())
-    return labels, centers, w, it
+        labels[moving] = new_labels
+        centers[moving] = _group_means(z, new_labels, k)
+    return labels, centers, _dispersion(z, centers, labels), iterations
 
 
 def _kmeans_z(z: np.ndarray, k: int, seed: int, restarts: int, inits=()):
@@ -144,14 +192,10 @@ def _kmeans_z(z: np.ndarray, k: int, seed: int, restarts: int, inits=()):
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         starts.append(_seed_centers(z, k, rng))
-    best = None
-    for centers0 in starts:
-        labels, centers, w, iters = _lloyd(z, centers0.copy())
-        if best is None or w < best[0]:
-            best = (w, labels, centers, iters)
-    w, labels, centers, iters = best
-    partition, seen = _as_partition(labels)
-    return partition, centers[seen], w, iters
+    labels, centers, w, iterations = _lloyd_lockstep(z, np.stack(starts))
+    best = int(np.argmin(w))
+    partition, seen = _as_partition(labels[best])
+    return partition, centers[best][seen], float(w[best]), int(iterations[best])
 
 
 def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20) -> ClusterResult:
@@ -163,13 +207,13 @@ def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
-    z, L = _embedding(model)
+    z = _embedding(model)
     n = z.shape[0]
     if n < k:
         raise TooFewCurvesError(f"cannot form {k} clusters from {n} curves")
-    partition, centers, w, iters = _kmeans_z(z, k, seed, restarts)
+    partition, _, w, iters = _kmeans_z(z, k, seed, restarts)
     return ClusterResult(
-        partition=partition, centroids=_z_to_coeffs(L, centers), w=w,
+        partition=partition, centroids=_centroids(model, partition), w=w,
         iterations=iters, seed=seed, method="kmeans",
     )
 
@@ -186,31 +230,99 @@ def _as_partition(raw_labels: np.ndarray) -> tuple[Partition, np.ndarray]:
     return Partition(labels=rank[inverse] + 1, k=ids.size), ids[order]
 
 
+def _agglomerate(z: np.ndarray, k: int, linkage: str) -> np.ndarray:
+    """Cluster ids (n,) of the agglomerative hierarchy of z (n, d) cut at k
+    clusters; each id is a member point's index.
+
+    Each round merges every pair of clusters that are each other's nearest
+    neighbour (Murtagh 1983).  For the reducible ward, complete and average
+    linkages this builds the hierarchy that merging one closest pair at a
+    time does.  A merged pair lives on in the lower of its two slots.  Ward
+    distances come from cluster sizes and centroids, kept squared:
+    d^2 = 2|A||B|/(|A|+|B|) |mu_A - mu_B|^2.  Complete and average ones are
+    the largest and the size-weighted mean point distance, combined for all
+    of a round's pairs at once, rows first and then the merged columns
+    (Lance & Williams 1967).  A merge's height is at least its parts'
+    heights, and the cut applies the n - k lowest merges (ties in merge
+    order), so exactly k clusters come back.
+    """
+    n = z.shape[0]
+    norms = np.einsum("ij,ij->i", z, z)
+    dist = z @ z.T  # squared point distances from inner products
+    dist *= -2.0
+    dist += norms
+    dist += norms[:, None]
+    np.maximum(dist, 0.0, out=dist)
+    if linkage != "ward":
+        np.sqrt(dist, out=dist)
+    np.fill_diagonal(dist, np.inf)
+    slot = np.arange(n)
+    sizes = np.ones(n)
+    heights = np.zeros(n)  # height of the merge that formed each cluster
+    means = z.copy()
+    kept, absorbed, merge_heights = [slot[:0]], [slot[:0]], [heights[:0]]  # none for n = 1
+    while True:
+        nearest = dist.argmin(axis=1)  # an emptied slot's row is all inf: nearest 0
+        a = np.flatnonzero((nearest[nearest] == slot) & (slot < nearest))
+        if a.size == 0:
+            break
+        b = nearest[a]
+        h = np.maximum(dist[a, b], np.maximum(heights[a], heights[b]))
+        kept.append(a)
+        absorbed.append(b)
+        merge_heights.append(h)
+        sa, sb = sizes[a, None], sizes[b, None]
+        if linkage == "complete":
+            rows = np.maximum(dist[a], dist[b])
+            rows[:, a] = np.maximum(rows[:, a], rows[:, b])
+        elif linkage == "average":
+            rows = (sa * dist[a] + sb * dist[b]) / (sa + sb)
+            rows[:, a] = (rows[:, a] * sa.T + rows[:, b] * sb.T) / (sa + sb).T
+        sizes[a] += sizes[b]
+        heights[a] = h
+        dist[b] = np.inf
+        dist[:, b] = np.inf
+        if linkage == "ward":
+            means[a] = (sa * means[a] + sb * means[b]) / (sa + sb)
+            norms[a] = np.einsum("ij,ij->i", means[a], means[a])
+            norms[b] = np.inf  # so emptied slots stay at distance inf
+            rows = means[a] @ means.T
+            rows *= -2.0
+            rows += norms
+            rows += norms[a, None]
+            np.maximum(rows, 0.0, out=rows)
+            rows *= 2.0 / (1.0 / sizes[a, None] + 1.0 / sizes)
+        else:
+            rows[:, b] = np.inf
+        dist[a] = rows
+        dist[:, a] = rows.T
+        dist[a, a] = np.inf
+    kept, absorbed = np.concatenate(kept), np.concatenate(absorbed)
+    lowest = np.argsort(np.concatenate(merge_heights), kind="stable")[: n - k]
+    parent = np.arange(n)
+    parent[absorbed[lowest]] = kept[lowest]
+    while True:
+        root = parent[parent]
+        if np.array_equal(root, parent):
+            return root
+        parent = root
+
+
 def hierarchical_cluster(model: FitModel, k: int, linkage: str = "ward") -> ClusterResult:
     """Agglomerative clustering of the fitted curves, cut at k clusters."""
-    from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
-    from scipy.spatial.distance import pdist
     if linkage not in _LINKAGES:
         raise ConfigError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
     if k < 1:
         raise ConfigError("k must be at least 1")
-    z, L = _embedding(model)
+    z = _embedding(model)
     n = z.shape[0]
     if n < k:
         raise TooFewCurvesError(f"cannot form {k} clusters from {n} curves")
-    if linkage == "ward":
-        merge_tree = scipy_linkage(z, method="ward")
-    else:
-        merge_tree = scipy_linkage(pdist(z), method=linkage)
-    labels = fcluster(merge_tree, t=k, criterion="maxclust")
-    partition, _ = _as_partition(labels)
-    centers = np.stack(
-        [z[partition.labels == j].mean(axis=0) for j in range(1, partition.k + 1)], axis=0
-    )
-    d2 = _sq_dists(z, centers)
-    w = float(d2[np.arange(n), partition.labels - 1].sum())
+    partition, _ = _as_partition(_agglomerate(z, k, linkage))
+    labels = partition.labels[None] - 1
+    w = _dispersion(z, _group_means(z, labels, partition.k), labels)[0]
     return ClusterResult(
-        partition=partition, centroids=_z_to_coeffs(L, centers), w=w,
+        partition=partition, centroids=_centroids(model, partition), w=float(w),
         iterations=0, seed=None, method=f"hier-{linkage}",
     )
 
@@ -234,7 +346,7 @@ def elbow_curve(model: FitModel, k_max: int, seed: int = 0, restarts: int = 20) 
     """
     if k_max < 2:
         raise ConfigError("k_max must be at least 2")
-    z, _ = _embedding(model)
+    z = _embedding(model)
     n = z.shape[0]
     if n < k_max:
         raise TooFewCurvesError(f"k_max={k_max} exceeds the {n} curves")

@@ -16,9 +16,11 @@ def _orthonormal_basis(A: np.ndarray) -> np.ndarray:
 
     The Q of a Householder QR of A, written with numpy's elementwise and
     einsum kernels.  LAPACK's QR (numpy.linalg.qr) agrees to roundoff, but
-    at 200 x 50 it wakes OpenBLAS's thread pool, and right after scipy's own
-    OpenBLAS has run (clustering, in the replicate pipeline) each call
-    stalled for 75-150 ms on a 2-core machine, against 3 ms here.
+    at 200 x 50 it wakes OpenBLAS's thread pool, which stalled a call for
+    75-150 ms on a 2-core machine, against 3 ms here, when a second OpenBLAS
+    had run in the same process (scipy's, which clustering then loaded).
+    Nothing on the replicate pipeline loads scipy now; this QR stays
+    because it keeps the outputs as they are and does not touch the pool.
     """
     A = A.copy()
     m, k = A.shape

@@ -648,6 +648,32 @@ class TestCluster:
         assert run(args + ["--outdir", b]) == 0
         assert dir_bytes(a) == dir_bytes(b)
 
+    @staticmethod
+    def twin_waves(path: Path) -> Path:
+        """Ten copies each of sin 2 pi t and cos 2 pi t on 30 points."""
+        t = np.linspace(0.0, 1.0, 30)
+        waves = [np.sin(2 * np.pi * t)] * 10 + [np.cos(2 * np.pi * t)] * 10
+        rows = ["t," + ",".join(f"c{i}" for i in range(20))]
+        rows += [",".join(repr(float(x)) for x in [t[i]] + [w[i] for w in waves])
+                 for i in range(t.size)]
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("method", ["kmeans", "ward", "complete", "average"])
+    def test_two_distinct_curves_split_into_k_4(self, method, tmp_path, capsys):
+        """k-means fills several empty clusters with distinct points, and a
+        hierarchical cut through tied zero heights still gives k clusters."""
+        out = tmp_path / "c"
+        assert run(["cluster", "--data", self.twin_waves(tmp_path / "twin.csv"),
+                    "--knots", "0.25,0.5,0.75", "--k", "4", "--method", method,
+                    "--outdir", out]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["k"] == 4 and metrics["w"] < 1e-20
+        labels = [int(r.split(",")[1]) for r in data_rows(out / "partition.csv")]
+        assert sorted(set(labels)) == [1, 2, 3, 4]
+        assert not set(labels[:10]) & set(labels[10:])
+
 
 def scipy_loaded_by(*commands) -> list[str]:
     """scipy modules a fresh interpreter has loaded after importing fkspline
@@ -672,7 +698,7 @@ SIMULATE = ["simulate", "--curves-per-group", "2", "--points", "12", "--outdir",
 
 
 class TestScipyLoading:
-    """scipy is loaded only by the clustering steps that use it."""
+    """Only the assignment behind ``cluster --labels`` loads scipy."""
 
     def test_simulate_fit_and_gcv_load_no_scipy(self):
         data = ["--data", "sim/dataset.csv"]
@@ -685,11 +711,32 @@ class TestScipyLoading:
         ) == []
 
     def test_kmeans_without_labels_loads_no_hierarchy_or_assignment(self):
+        assert scipy_loaded_by(SIMULATE, ["cluster", "--data", "sim/dataset.csv", "--knots",
+                                          "2.5", "--k", "2", "--restarts", "2",
+                                          "--outdir", "clu"]) == []
+
+    def test_linkages_and_elbow_load_no_scipy(self):
+        cluster = ["cluster", "--data", "sim/dataset.csv", "--knots", "2.5", "--restarts", "2"]
+        assert scipy_loaded_by(
+            SIMULATE,
+            *[[*cluster, "--k", "2", "--method", m, "--outdir", m]
+              for m in ("ward", "complete", "average")],
+            [*cluster, "--kmax", "4", "--outdir", "elbow"],
+        ) == []
+
+    def test_replicate_loads_no_scipy(self):
+        # at --threads 1 the clustering runs in this process, at 2 in workers
+        replicate = ["replicate", "-R", "2", "--variants", "fs0", "--methods", "kmeans,ward",
+                     "--nbasis", "5", "--grid-size", "10", "--restarts", "2"]
+        assert scipy_loaded_by(*[[*replicate, "--threads", t, "--outdir", f"rep{t}"]
+                                 for t in ("1", "2")]) == []
+
+    def test_labels_load_only_the_assignment_solver(self):
         loaded = scipy_loaded_by(SIMULATE, ["cluster", "--data", "sim/dataset.csv", "--knots",
-                                            "2.5", "--k", "2", "--restarts", "2",
-                                            "--outdir", "clu"])
-        assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith(("scipy.cluster", "scipy.optimize"))]
+                                            "2.5", "--k", "2", "--restarts", "2", "--labels",
+                                            "sim/labels.csv", "--outdir", "clu"])
+        assert "scipy.optimize" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.cluster")]
 
 
 REPL_ARGS = ["replicate", "-R", "2", "--variants", "fs0", "--methods", "kmeans",

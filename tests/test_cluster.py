@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.integrate import quad
+from scipy.spatial.distance import pdist
 
 from fkspline import (
     ConfigError,
@@ -29,6 +31,7 @@ from fkspline import (
 )
 
 import fkspline.cluster
+from fkspline.cluster import _agglomerate, _kmeans_z, _lloyd_lockstep, _seed_centers
 
 from conftest import coefficient_model, constant_curve_model
 
@@ -91,6 +94,45 @@ def all_partitions(n, max_blocks=3):
             seen.add(key)
             out.append(np.array(canon))
     return out
+
+
+def twin_wave_model():
+    """Ten copies each of sin 2 pi t and cos 2 pi t on 30 points, fitted on
+    knots 0.25, 0.5, 0.75: two distinct curves, so every partition into more
+    than two clusters that keeps the waves apart has W = 0."""
+    t = np.linspace(0.0, 1.0, 30)
+    waves = np.column_stack([np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
+    spec = make_basis_spec(0.0, 1.0, 4, [0.25, 0.5, 0.75])
+    dataset = FunctionalDataset(t=t, values=np.repeat(waves, 10, axis=1))
+    return fit_coefficients(dataset, spec, PenaltyConfig())
+
+
+def sequential_lloyd(z, centers):
+    """Reference: one start's Lloyd iterations, one cluster mean at a time;
+    each empty cluster, in label order, takes the worst-served point not
+    already taken.  Returns labels, centers, W and the iteration count."""
+    n, k = z.shape[0], centers.shape[0]
+    centers = centers.copy()
+    labels = np.full(n, -1)
+    for it in range(1, fkspline.cluster._LLOYD_MAX_ITER + 1):
+        diff = z[:, None, :] - centers[None, :, :]
+        d2 = np.einsum("ikj,ikj->ik", diff, diff)
+        new_labels = d2.argmin(axis=1)
+        served = d2[np.arange(n), new_labels]
+        for j in range(k):
+            if not np.any(new_labels == j):
+                worst = served.argmax()
+                new_labels[worst] = j
+                centers[j] = z[worst]
+                served[worst] = -np.inf
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            centers[j] = z[labels == j].mean(axis=0)
+    diff = z[:, None, :] - centers[None, :, :]
+    d2 = np.einsum("ikj,ikj->ik", diff, diff)
+    return labels, centers, float(d2[np.arange(n), labels].sum()), it
 
 
 class TestPairCounts:
@@ -235,12 +277,93 @@ class TestFunctionalKMeans:
         assert result.partition.labels[0] == result.partition.labels[1]
         assert result.partition.labels[0] != result.partition.labels[2]
 
+    def test_several_empty_clusters_each_get_their_own_point(self):
+        # Starts that leave two or more clusters empty must fill each with a
+        # different point; giving them all the same point left clusters
+        # empty, their means nan and W far from the optimum 0.
+        result = functional_kmeans(twin_wave_model(), 4, seed=0)
+        assert result.partition.k == 4
+        assert result.w < 1e-20
+        assert np.isfinite(result.centroids).all()
+
+    def test_centroids_are_member_means_of_the_coefficients(self):
+        rng = np.random.default_rng(12)
+        spec = make_basis_spec(0.0, 1.0, 4, [0.3, 0.7])
+        coeffs = rng.standard_normal((spec.n_basis, 30))
+        result = functional_kmeans(coefficient_model(spec, coeffs), 3, seed=1)
+        for j in range(1, 4):
+            members = coeffs[:, result.partition.labels == j]
+            np.testing.assert_allclose(result.centroids[:, j - 1], members.mean(axis=1),
+                                       rtol=1e-13, atol=1e-15)
+
     def test_k_validation(self):
         model = constant_curve_model([0.0, 1.0, 2.0])
         with pytest.raises(ConfigError):
             functional_kmeans(model, 0)
         with pytest.raises(TooFewCurvesError):
             functional_kmeans(model, 4)
+
+
+class TestLockstepLloyd:
+    """All starts' Lloyd iterations in lockstep equal running them one by one."""
+
+    @staticmethod
+    def starts(z, k, rng):
+        """Seeded starts, plus starts that leave clusters empty: centers far
+        outside the data and repeated centers."""
+        seeded = [_seed_centers(z, k, np.random.default_rng([7, r])) for r in range(6)]
+        far = z[rng.choice(z.shape[0], k, replace=False)].copy()
+        far[k // 2:] += 1e3
+        repeated = np.repeat(z[:1], k, axis=0)
+        return np.stack(seeded + [far, repeated])
+
+    def assert_matches_sequential(self, z, starts, exact=True):
+        labels, centers, w, iterations = _lloyd_lockstep(z, starts)
+        for s, start in enumerate(starts):
+            ref_labels, ref_centers, ref_w, ref_iterations = sequential_lloyd(z, start)
+            assert np.array_equal(labels[s], ref_labels)
+            assert iterations[s] == ref_iterations
+            if exact:
+                assert np.array_equal(centers[s], ref_centers)
+                assert w[s] == ref_w
+            else:
+                assert w[s] == pytest.approx(ref_w, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_matches_sequential_starts(self, case):
+        rng = np.random.default_rng(100 + case)
+        n, d, k = int(rng.integers(10, 200)), int(rng.integers(2, 13)), int(rng.integers(1, 9))
+        groups = rng.normal(0.0, 3.0, (k, d))
+        z = groups[rng.integers(0, k, n)] + rng.standard_normal((n, d))
+        self.assert_matches_sequential(z, self.starts(z, k, rng))
+
+    def test_one_coordinate_matches_to_roundoff(self):
+        # With one coordinate numpy's mean sums pairwise, not in point order.
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((150, 1))
+        self.assert_matches_sequential(z, self.starts(z, 4, rng), exact=False)
+
+    def test_several_empty_clusters_take_distinct_points(self):
+        z = np.arange(10.0)[:, None] * np.ones((1, 2))
+        start = np.array([[0.0, 0.0], [100.0, 100.0], [200.0, 200.0], [300.0, 300.0]])
+        labels, _, w, _ = _lloyd_lockstep(z, start[None])
+        assert np.unique(labels[0]).size == 4
+        assert np.isfinite(w[0])
+        self.assert_matches_sequential(z, start[None])
+
+    def test_elbow_inits_and_restarts_keep_the_first_lowest_start(self):
+        rng = np.random.default_rng(21)
+        z = rng.standard_normal((120, 5))
+        partition, centers, _, _ = _kmeans_z(z, 3, 4, 3)
+        diff = z[:, None, :] - centers[None, :, :]
+        worst = np.einsum("ikj,ikj->ik", diff, diff)[np.arange(120), partition.labels - 1].argmax()
+        inits = (np.vstack([centers, z[worst]]),)
+        partition, _, w, iterations = _kmeans_z(z, 4, 4, 5, inits)
+        starts = [inits[0]] + [_seed_centers(z, 4, np.random.default_rng([4, r])) for r in range(5)]
+        refs = [sequential_lloyd(z, start) for start in starts]
+        best = min(range(len(refs)), key=lambda s: (refs[s][2], s))
+        assert partitions_equal(partition.labels, refs[best][0])
+        assert (w, iterations) == (refs[best][2], refs[best][3])
 
 
 class TestHierarchical:
@@ -260,6 +383,45 @@ class TestHierarchical:
         model = constant_curve_model([0.0, 1.0, 2.0])
         result = hierarchical_cluster(model, 3, "ward")
         assert len(set(result.partition.labels.tolist())) == 3
+
+    @pytest.mark.parametrize("linkage", ["ward", "complete", "average"])
+    def test_one_curve_is_one_cluster(self, linkage):
+        result = hierarchical_cluster(constant_curve_model([1.0]), 1, linkage)
+        assert result.partition.labels.tolist() == [1] and result.w == 0.0
+
+    @pytest.mark.parametrize("linkage", ["ward", "complete", "average"])
+    def test_tied_heights_still_give_k_clusters(self, linkage):
+        # Eighteen merges at height 0: a cut that stops at tied heights
+        # returned 2 clusters for k = 4.
+        result = hierarchical_cluster(twin_wave_model(), 4, linkage)
+        assert result.partition.k == 4
+        assert not set(result.partition.labels[:10]) & set(result.partition.labels[10:])
+        assert result.w < 1e-20
+
+    @pytest.mark.parametrize("linkage", ["ward", "complete", "average"])
+    def test_matches_scipy_cut_on_tie_free_data(self, linkage):
+        rng = np.random.default_rng({"ward": 0, "complete": 1, "average": 2}[linkage])
+        cases = [(220, 12, 1), (220, 12, 4), (220, 12, 220), (7, 3, 7), (5, 1, 2)]
+        cases += [(int(rng.integers(5, 220)), int(rng.integers(1, 14)), int(rng.integers(1, 10)))
+                  for _ in range(40)]
+        for n, d, k in cases:
+            z = rng.standard_normal((n, d)) * np.exp(rng.uniform(-2.0, 2.0, d))
+            z[: n // 2] += 4.0  # some cluster structure
+            merges = scipy_linkage(z, "ward") if linkage == "ward" else scipy_linkage(pdist(z), linkage)
+            ref = fcluster(merges, t=min(k, n), criterion="maxclust")
+            got = _agglomerate(z, min(k, n), linkage)
+            assert np.unique(got).size == min(k, n)
+            assert partitions_equal(got, ref), (n, d, k)
+
+    def test_centroids_are_member_means_of_the_coefficients(self):
+        rng = np.random.default_rng(13)
+        spec = make_basis_spec(0.0, 1.0, 3, [0.5])
+        coeffs = rng.standard_normal((spec.n_basis, 25))
+        result = hierarchical_cluster(coefficient_model(spec, coeffs), 3, "average")
+        for j in range(1, 4):
+            members = coeffs[:, result.partition.labels == j]
+            np.testing.assert_allclose(result.centroids[:, j - 1], members.mean(axis=1),
+                                       rtol=1e-13, atol=1e-15)
 
     def test_unknown_linkage(self):
         model = constant_curve_model([0.0, 1.0, 2.0])
