@@ -486,8 +486,10 @@ def _replicate_one(args, seed: int) -> dict:
 def _cmd_replicate(args) -> None:
     if args.replications < 1:
         raise ConfigError("need at least one replication")
-    _knot_count(args, free=True)  # checked before any seed runs
+    _knot_count(args, free=True)  # checked before the echo and any seed runs
     n_threads = _threads(args)
+    scenario = ScenarioConfig(noise_sd=args.noise_sd, seed=args.seed)
+    TailRegions.fraction(*scenario.domain, args.tail_frac)
     resolved = {
         "subcommand": "replicate",
         "replications": args.replications,
@@ -503,8 +505,10 @@ def _cmd_replicate(args) -> None:
     out = _outdir(args, resolved)
     one = functools.partial(_replicate_one, args)
     seeds = range(args.seed, args.seed + args.replications)
-    if n_threads > 1:
-        with ProcessPoolExecutor(max_workers=n_threads) as pool:
+    # a pool forks all its workers at once, so it gets no more than the seeds
+    workers = min(n_threads, args.replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, seeds))
     else:
         results = [one(s) for s in seeds]

@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .penalty import PenaltyConfig
-from .smoother import FitModel, fit_coefficients, fit_stack, penalty_weights, sse_stack
+from .smoother import FitModel, fit_coefficients, fit_stack, penalty_weights
 
 __all__ = [
     "JuppCoords",
@@ -195,74 +195,55 @@ def _fittable_rows(ratios: np.ndarray, lo: float, hi: float, order: int):
     return finite[valid], full[valid]
 
 
-def _clamped(ratios, lo: float, hi: float, order: int) -> list:
-    """Clamped knot vector of each row of log gap ratios, rows of any lengths;
-    None where the row cannot be fitted (_fittable_rows)."""
-    knots = [None] * len(ratios)
-    by_size = {}
-    for c, row in enumerate(ratios):
-        by_size.setdefault(row.size, []).append(c)
-    for p, rows in by_size.items():
-        kept, full = _fittable_rows(np.array([ratios[c] for c in rows]).reshape(len(rows), p),
-                                    lo, hi, order)
-        for i, row in zip(kept.tolist(), full):
-            knots[rows[i]] = row
-    return knots
+def _by_size(rows):
+    """The rows (1-D arrays) of each size, as their indices and one (len, size)
+    stack of them; sizes in order of first appearance."""
+    groups = {}
+    for c, row in enumerate(rows):
+        groups.setdefault(row.size, []).append(c)
+    for p, group in groups.items():
+        yield group, np.array([rows[c] for c in group]).reshape(len(group), p)
 
 
-def _stacked_fits(knots, weights: np.ndarray, dataset: FunctionalDataset, order: int,
-                  full: bool = False):
-    """Fits at clamped knot vectors of any lengths, one stack (smoother.fit_stack) per length.
+def _fits(ratios, weights: np.ndarray, lo: float, hi: float, dataset: FunctionalDataset,
+          order: int, full: bool = False):
+    """Penalized fits at rows of log gap ratios of any lengths, in stacks.
 
-    knots holds C clamped knot vectors, None for a row that cannot be
-    fitted, and weights (C, order) the penalty weights of each row
-    (penalty_weights).  Yields (c, why, fit) for every row c as fit_stack
-    does, in no set order; a row without knots yields why "knots cannot be
-    fitted" and fit None.
+    ratios holds the rows and weights (C, order) the penalty weights of
+    each (penalty_weights).  The rows of each length are checked by one
+    _fittable_rows call and fitted as one stack (smoother.fit_stack).
+    Yields (c, why, fit) for every row c, one at a time in no set order:
+    why is "" or the reason the fit at that row would raise (its knots
+    cannot be fitted, or its system is refused), fit None where why is
+    set, else the residual matrix in the dataset's reduced space or, with
+    full=True, (coefficients, FitDiagnostics) on the full data.
     """
-    by_length = {}
-    for c, row in enumerate(knots):
-        if row is None:
-            yield c, "knots cannot be fitted", None
-        else:
-            by_length.setdefault(row.size, []).append(c)
-    for rows in by_length.values():
-        stack = np.array([knots[c] for c in rows])
-        for i, why, fit in fit_stack(stack, order, dataset, weights[rows], full=full):
+    for rows, stack in _by_size(ratios):
+        kept, knots = _fittable_rows(stack, lo, hi, order)
+        for c in set(range(len(rows))).difference(kept.tolist()):
+            yield rows[c], "knots cannot be fitted", None
+        rows = [rows[c] for c in kept.tolist()]
+        for i, why, fit in fit_stack(knots, order, dataset, weights[rows], full=full):
             yield rows[i], why, fit
 
 
-def _residual_rows(ratios, weights: np.ndarray, lo: float, hi: float,
-                   dataset: FunctionalDataset, order: int):
-    """Raveled residuals of the fit at each row of log gap ratios, in stacks.
-
-    Yields (c, residual) for every row c, in no set order; residuals are
-    in the dataset's reduced space, and None where the row cannot be
-    fitted or its system is refused, that is where the fit at those
-    coordinates would raise.
-    """
-    for c, _, residual in _stacked_fits(_clamped(ratios, lo, hi, order), weights, dataset, order):
-        yield c, None if residual is None else residual.ravel()
-
-
-def _jacobian(points, weights: np.ndarray, residuals, fallback):
+def _jacobian(points, weights: np.ndarray, lo: float, hi: float, dataset: FunctionalDataset,
+              order: int):
     """Residuals and forward-difference Jacobians at a batch of points, as stacks.
 
     points holds log gap ratios k and weights (P, order) their penalty
-    weights.  residuals(rows, weights) yields (c, residual) for each of a
-    list of coordinate rows with their penalty weights, in any order,
-    residual None where the row cannot be fitted (_residual_rows).  One
-    stack holds the p + 1 rows of every point: the point itself and
-    k + step_i e_i, step_i = _FD_STEP * (1 + |k_i|), so column i is row
-    i + 1 minus the point's residual over step_i.  Perturbed rows that
-    cannot be fitted (knot gaps underflow, or the system is refused) get
-    backward steps, all of them in one second stack; a column that fails
-    both ways is zero.  Where the stack refuses a point itself, its
-    residual is fallback(index of the point).
+    weights.  One stack (_fits) holds the p + 1 rows of every point: the
+    point itself and k + step_i e_i, step_i = _FD_STEP * (1 + |k_i|), so
+    column i is row i + 1 minus the point's residual over step_i.
+    Perturbed rows that cannot be fitted (knot gaps underflow, or the
+    system is refused) get backward steps, all of them in one second
+    stack; a column that fails both ways is zero.
 
-    Yields (i, r, jac) for each point i as soon as its rows are in, so that
-    only one point's rows are held at a time (and the rows of points that
-    wait for backward steps); (i, None, None) where fallback gave None.
+    Yields (i, why, fit) for each point i as soon as its rows are in, so
+    that only one point's rows are held at a time (and the rows of points
+    that wait for backward steps): fit is (r, jac), r the point's raveled
+    residual, or None where the stack refuses the point itself, why
+    saying why.
     """
     steps = [_FD_STEP * (1.0 + np.abs(k)) for k in points]
     rows, owners, first = [], [], []
@@ -272,27 +253,29 @@ def _jacobian(points, weights: np.ndarray, residuals, fallback):
         owners.extend([i] * (k.size + 1))
 
     def columns(i, forward, backward):
-        r = fallback(i) if forward[0] is None else forward[0]
-        if r is None:
-            return i, None, None
+        r = forward[0].ravel()
         jac = np.zeros((r.size, points[i].size))
         for j in range(points[i].size):
             resid, step = forward[j + 1], steps[i][j]
             if resid is None:
                 resid, step = backward.get(j), -step
             if resid is not None:
-                jac[:, j] = (resid - r) / step
-        return i, r, jac
+                jac[:, j] = (resid.ravel() - r) / step
+        return i, "", (r, jac)
 
-    got, waiting = {}, {}
-    for c, residual in residuals(rows, weights[owners]):
+    got, refused, waiting = {}, {}, {}
+    for c, why, residual in _fits(rows, weights[owners], lo, hi, dataset, order):
         i = owners[c]
+        if c == first[i] and why:
+            refused[i] = why
         forward = got.setdefault(i, {})
         forward[c - first[i]] = residual
         if len(forward) == points[i].size + 1:
             forward = [forward[j] for j in range(len(forward))]
             del got[i]
-            if any(resid is None for resid in forward[1:]):
+            if i in refused:
+                yield i, refused.pop(i), None
+            elif any(resid is None for resid in forward[1:]):
                 waiting[i] = forward
             else:
                 yield columns(i, forward, {})
@@ -300,7 +283,7 @@ def _jacobian(points, weights: np.ndarray, residuals, fallback):
               if forward[j + 1] is None]
     back = [points[i] - np.diag(steps[i])[j] for i, j in failed]
     backward = {}
-    for c, residual in residuals(back, weights[[i for i, _ in failed]]):
+    for c, _, residual in _fits(back, weights[[i for i, _ in failed]], lo, hi, dataset, order):
         backward.setdefault(failed[c][0], {})[failed[c][1]] = residual
     for i, forward in waiting.items():
         yield columns(i, forward, backward.get(i, {}))
@@ -315,7 +298,6 @@ class _Descent:
     residuals would raise the peak memory of a grid search.
     """
 
-    config: PenaltyConfig
     k: np.ndarray  # log gap ratios of the best iterate
     weights: np.ndarray | None = None  # penalty_weights of config
     f: float = math.inf  # objective at k
@@ -326,7 +308,7 @@ class _Descent:
     step_failure: bool = False  # no damped step improved the objective
     g: np.ndarray | None = None  # gradient and Gauss-Newton matrix at k
     jtj: np.ndarray | None = None
-    error: Exception | None = None  # what ended the pair: its weights or a fit raised it
+    error: Exception | None = None  # what ended the pair (see _descend)
 
 
 def _solve_rows(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -349,8 +331,8 @@ def _solve_rows(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _proposals(batch, lo: float, hi: float, order: int, min_gap: float) -> list:
-    """Each pair's next damped step that can be fitted, (k_new, delta, its
-    clamped knots), or None once its 12 trials are spent; in batch order.
+    """Each pair's next damped step that can be fitted, (k_new, delta), or
+    None once its 12 trials are spent; in batch order.
 
     The pairs of one p solve their damped systems (J'J + mu I) delta = -g in
     one stacked solve (_solve_rows) and are checked in one _fittable_rows
@@ -360,10 +342,8 @@ def _proposals(batch, lo: float, hi: float, order: int, min_gap: float) -> list:
     next pass, as it would alone.
     """
     steps = [None] * len(batch)
-    groups = {}
-    for i, pair in enumerate(batch):
-        groups.setdefault(pair.k.size, []).append(i)
-    for p, group in groups.items():
+    for group, stack in _by_size([pair.k for pair in batch]):
+        p = stack.shape[1]
         eye = np.eye(p)
         pending = [i for i in group if batch[i].trials < 12]
         while pending:
@@ -379,8 +359,8 @@ def _proposals(batch, lo: float, hi: float, order: int, min_gap: float) -> list:
                 gaps = np.diff(full[:, order : full.shape[1] - order], axis=1)
                 spaced = ~(gaps.min(axis=1) < min_gap)
                 kept, full = kept[spaced], full[spaced]
-            for c, row in zip(kept.tolist(), full):
-                steps[pending[c]] = (k_new[c], delta[c], row)
+            for c in kept.tolist():
+                steps[pending[c]] = (k_new[c], delta[c])
             for pair, i in zip(pairs, pending):
                 if steps[i] is None:
                     pair.mu *= 10.0
@@ -398,13 +378,15 @@ def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConf
     Jacobian stack over the pairs that begin an iteration (_jacobian, its
     backward sub-stack included), one proposal pass over the pairs that try
     a damped step (_proposals: a stacked solve and one feasibility check per
-    p), and one trial stack of the proposed steps; a trial that does not
-    lower the objective retries at ten times the damping in the next round.  A
-    pair's objective at its start comes from row 0 of its first Jacobian
-    stack.  Where row 0 is refused (by roundoff: a fit that raises
-    refuses it too) the point is fitted with fit_coefficients, whose error,
-    if it raises, ends the pair.  Returns the pairs' final states in input
-    order.
+    p), and one trial stack of the proposed steps (_fits); a trial that does
+    not lower the objective retries at ten times the damping in the next
+    round.  A pair's objective at its start comes from row 0 of its first
+    Jacobian stack.  A pair ends with pair.error set where its config's
+    penalty weights are refused (penalty_weights), where its start's knots
+    cannot be fitted (the error building their basis raises, checked for
+    all starts before the first round), or where the stack refuses the
+    system at its start (NotPositiveDefiniteError).  Returns the pairs'
+    final states in input order.
     """
     lo, hi = starts[0].lo, starts[0].hi
     order = search.order
@@ -412,38 +394,35 @@ def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConf
     min_gap = _knot_radius(lo, hi, search)
     pairs = []
     for start, config in zip(starts, configs):
-        pair = _Descent(config, start.values.copy())
+        pair = _Descent(start.values.copy())
         try:
             pair.weights = penalty_weights(config, order)
         except FkSplineError as exc:
             pair.error = exc
         pair.converged = pair.k.size == 0
         pairs.append(pair)
-
-    def residuals(rows, weights):
-        return _residual_rows(rows, weights, lo, hi, dataset, order)
-
-    def weights(batch):
-        return np.array([pair.weights for pair in batch]).reshape(len(batch), order)
-
-    def refit(pair):
-        try:
-            fit = fit_coefficients(dataset, _spec(JuppCoords(pair.k, lo, hi), order), pair.config)
-        except (FkSplineError, np.linalg.LinAlgError) as exc:
-            pair.error = exc
-            return None
-        return dataset.reduce(fit.diagnostics.residuals).ravel()
+    for group, stack in _by_size([pair.k for pair in pairs]):
+        kept, _ = _fittable_rows(stack, lo, hi, order)
+        for c in set(range(len(group))).difference(kept.tolist()):
+            pair = pairs[group[c]]
+            try:
+                _spec(starts[group[c]], order)
+            except FkSplineError as exc:
+                pair.error = pair.error or exc
 
     jacobian = [pair for pair in pairs if pair.error is None and pair.k.size]
     trial = []
     while jacobian or trial:
         for pair in jacobian:
             pair.iterations += 1
-        for i, r, jac in _jacobian([pair.k for pair in jacobian], weights(jacobian), residuals,
-                                   lambda i: refit(jacobian[i])):
+        for i, why, fit in _jacobian([pair.k for pair in jacobian],
+                                     np.array([pair.weights for pair in jacobian]),
+                                     lo, hi, dataset, order):
             pair = jacobian[i]
-            if r is None:
+            if why:
+                pair.error = NotPositiveDefiniteError(why)
                 continue
+            r, jac = fit
             if pair.iterations == 1:
                 pair.f = float(r @ r)
             pair.g = jac.T @ r
@@ -460,9 +439,10 @@ def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConf
             else:
                 proposed.append((pair, *step))
         trial = []
-        for c, _, r_new in _stacked_fits([step[3] for step in proposed],
-                                         weights([step[0] for step in proposed]), dataset, order):
-            pair, k_new, delta, _ = proposed[c]
+        for c, _, r_new in _fits([k_new for _, k_new, _ in proposed],
+                                 np.array([pair.weights for pair, _, _ in proposed]),
+                                 lo, hi, dataset, order):
+            pair, k_new, delta = proposed[c]
             f_new = None if r_new is None else float(r_new.ravel() @ r_new.ravel())
             if f_new is None or not f_new < pair.f:
                 pair.mu *= 10.0
@@ -493,16 +473,16 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     norm and inner product the step uses.  The damping parameter grows
     tenfold when a step fails to decrease the objective and shrinks tenfold
     on success.  The best iterate seen is always returned, so the result
-    never exceeds the starting objective.  Only the result is fitted, with
-    fit_coefficients (it is the start when no step is taken), and the
-    objective is the sse of that fit.  This is the one-pair case of the
-    lockstep descent (_descend).
+    never exceeds the starting objective.  Only the result is fitted on the
+    full data, as one more one-row stack (it is the start when no step is
+    taken), and the objective is the sse of that fit.  This is the one-pair
+    case of refine_fits.
     """
-    (pair,) = _descend([coords], [config], dataset, search)
+    ((_, pair, fit),) = refine_fits([coords], [config], dataset, search)
     if pair.error is not None:
         raise pair.error
     best = JuppCoords(pair.k, coords.lo, coords.hi)
-    model = fit_coefficients(dataset, _spec(best, search.order), config)
+    model = FitModel(_spec(best, search.order), config, *fit)
     return GaussNewtonResult(
         coords=best, objective=model.diagnostics.sse, iterations=pair.iterations,
         converged=pair.converged, model=model, step_failure=pair.step_failure,
@@ -512,9 +492,9 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
 def refine_fits(starts, configs, dataset: FunctionalDataset, search: KnotSearchConfig):
     """Refine every (start, config) pair in lockstep (_descend) and fit each result.
 
-    The fits are stacked (smoother.fit_stack) and agree with the model
-    gauss_newton_refine returns for that pair.  Yields (i, pair, fit) for
-    every pair i, one at a time in no set order: pair is its final
+    The result fits are one stack (_fits with full=True), each what
+    fit_coefficients reports at that pair's knots.  Yields (i, pair, fit)
+    for every pair i, one at a time in no set order: pair is its final
     _Descent, fit (coefficients, FitDiagnostics), or None where pair.error
     says why the pair failed.
     """
@@ -523,9 +503,8 @@ def refine_fits(starts, configs, dataset: FunctionalDataset, search: KnotSearchC
     for i, pair in enumerate(pairs):
         if pair.error is not None:
             yield i, pair, None
-    weights = np.array([pairs[i].weights for i in live]).reshape(len(live), search.order)
-    knots = _clamped([pairs[i].k for i in live], starts[0].lo, starts[0].hi, search.order)
-    for c, why, fit in _stacked_fits(knots, weights, dataset, search.order, full=True):
+    for c, why, fit in _fits([pairs[i].k for i in live], np.array([pairs[i].weights for i in live]),
+                             starts[0].lo, starts[0].hi, dataset, search.order, full=True):
         pair = pairs[live[c]]
         if why:
             pair.error = NotPositiveDefiniteError(why)
@@ -616,9 +595,11 @@ def _scan(existing: np.ndarray, dataset: FunctionalDataset, config: PenaltyConfi
     # a zero gap (knots that coincide in floating point) gives a
     # non-finite ratio, which _fittable_rows turns away
     _, ratios = _gap_ratios(tau, lo, hi)
-    kept, full = _fittable_rows(ratios, lo, hi, order)
+    weights = np.broadcast_to(penalty_weights(config, order), (grid.size, order))
     scores = np.full(grid.size, np.nan)
-    scores[kept] = sse_stack(full, order, dataset, config)
+    for c, _, residual in _fits(ratios, weights, lo, hi, dataset, order):
+        if residual is not None:
+            scores[c] = np.einsum("ij,ij->j", residual, residual).sum()
     return ratios, scores
 
 

@@ -53,13 +53,6 @@ class PenaltyConfig:
         if not all(0 <= w < np.inf for w in weights):
             raise ConfigError("penalty weights must be nonnegative and finite")
 
-    def weight_for(self, derivative_order: int) -> float:
-        if self.alphas is not None:
-            if derivative_order < len(self.alphas):
-                return float(self.alphas[derivative_order])
-            return 0.0
-        return {1: float(self.lambda1), 2: float(self.lambda2)}.get(derivative_order, 0.0)
-
 
 def penalty_stack(full_knots: np.ndarray, order: int, l: int,
                   n_nodes: int | None = None) -> np.ndarray:

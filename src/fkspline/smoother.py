@@ -76,9 +76,6 @@ class SystemMatrix:
             hi += weight * float(eigs[-1])
         return lo, hi
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.values, rhs)
-
 
 def penalty_weights(config: PenaltyConfig, order: int) -> np.ndarray:
     """Weight of each derivative order 0 .. order - 1 in a config's penalty.
@@ -326,17 +323,3 @@ def fit_spec(dataset: FunctionalDataset, spec: BasisSpec, weights: np.ndarray):
     knots = np.broadcast_to(spec._full_arr, (len(weights), spec._full_arr.size))
     return fit_stack(knots, spec.order, dataset, weights, full=True, t=t)
 
-
-def sse_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
-              config: PenaltyConfig) -> np.ndarray:
-    """Residual sum of squares of the penalized fit at each knot vector of a stack.
-
-    The rows fit_stack refuses score nan.  A score equals the sse of
-    fit_coefficients at that knot vector up to roundoff.
-    """
-    weights = np.broadcast_to(penalty_weights(config, order), (len(full_knots), order))
-    sse = np.full(len(full_knots), np.nan)
-    for i, _, residual in fit_stack(full_knots, order, dataset, weights):
-        if residual is not None:
-            sse[i] = np.einsum("ij,ij->j", residual, residual).sum()
-    return sse

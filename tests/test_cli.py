@@ -799,6 +799,48 @@ class TestReplicate:
         del agg1["config"]["threads"], agg2["config"]["threads"]
         assert agg1 == agg2
 
+    @pytest.mark.parametrize("threads, replications, workers", [("64", "1", []), ("64", "2", [2])],
+                             ids=["serial", "capped"])
+    def test_pool_has_no_more_workers_than_seeds(self, tmp_path, monkeypatch, capsys, threads,
+                                                 replications, workers):
+        import fkspline.cli
+
+        made = []
+
+        class FakePool:
+            """Records its worker count and runs the seeds in this process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(fkspline.cli, "ProcessPoolExecutor", FakePool)
+        args = ["replicate", "-R", replications, "--variants", "fs0", "--methods", "kmeans",
+                "--nbasis", "5", "--grid-size", "10", "--restarts", "2", "--threads", threads]
+        assert run(args + ["--outdir", tmp_path / "r"]) == 0
+        assert made == workers
+        assert last_echo(capsys)["threads"] == int(threads)  # the requested count
+
+    @pytest.mark.parametrize("flag, value, error, context", [
+        ("--noise-sd", "-1", "ConfigError", "noise_sd must be nonnegative"),
+        ("--tail-frac", "0.7", "EmptyIntervalError", "tail fraction must lie in (0, 0.5)"),
+        ("--seed", "-1", "ConfigError", "seed must be nonnegative, got -1"),
+    ], ids=["noise-sd", "tail-frac", "seed"])
+    def test_bad_setting_is_2_before_the_outdir(self, tmp_path, capsys, flag, value, error,
+                                                context):
+        out = tmp_path / "r"
+        assert run(["replicate", "-R", "1", flag, value, "--outdir", out]) == 2
+        assert error_report(capsys) == {"module": "replicate", "error": error, "context": context}
+        assert not out.exists()
+
     def test_env_thread_count(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FKSPLINE_THREADS", "2")
         out = tmp_path / "r"

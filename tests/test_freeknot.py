@@ -21,6 +21,7 @@ from fkspline import (
     FunctionalDataset,
     JuppCoords,
     KnotSearchConfig,
+    NotPositiveDefiniteError,
     PenaltyConfig,
     add_knots_gradually,
     eval_spline,
@@ -41,14 +42,38 @@ def row_weights(config, order, rows):
     return np.tile(penalty_weights(config, order), (rows, 1))
 
 
-def jacobian_at(k, r, ds, config, order):
-    """_jacobian at one point, r standing in for the point's own residual."""
-    def residuals(rows, weights):
-        return freeknot._residual_rows(rows, weights, *ds.domain, ds, order)
-
-    [(_, r, jac)] = freeknot._jacobian([k], row_weights(config, order, 1), residuals,
-                                       lambda i: r)
+def jacobian_at(k, ds, config, order):
+    """_jacobian at one point: the point's residual and its Jacobian."""
+    [(_, why, (r, jac))] = freeknot._jacobian([k], row_weights(config, order, 1), *ds.domain,
+                                              ds, order)
+    assert why == ""
     return r, jac
+
+
+def recording_fits(monkeypatch):
+    """Record the rows and the full flag of every freeknot._fits call."""
+    calls = []
+    fits = freeknot._fits
+
+    def recording(ratios, *args, full=False):
+        calls.append(([np.asarray(row).tolist() for row in ratios], full))
+        return fits(ratios, *args, full=full)
+
+    monkeypatch.setattr(freeknot, "_fits", recording)
+    return calls
+
+
+def counting_fit_coefficients(monkeypatch):
+    """Record the interior knots of every fit_coefficients call the knot search makes."""
+    calls = []
+    fit = freeknot.fit_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].interior_knots)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(freeknot, "fit_coefficients", counting)
+    return calls
 
 
 def hinge_dataset(knot=0.37, n=41, lo=0.0, hi=1.0):
@@ -390,11 +415,11 @@ class TestStackedScan:
             kept = ref[~refused]
             assert np.all(np.abs(scores - ref)[~refused]
                           <= 1e-12 * kept + size * (2.0 * np.sqrt(kept) + size))
-            # the residual evaluator behind the scores refuses the same rows
-            # and keeps each fit's residual matrix
-            rows = dict(freeknot._residual_rows(
+            # the evaluator behind the scores refuses the same rows and
+            # keeps each fit's residual matrix
+            rows = {c: fit for c, _, fit in freeknot._fits(
                 ratios, row_weights(config, search.order, len(ratios)), *ds.domain, ds,
-                search.order))
+                search.order)}
             rows = [rows[c] for c in range(len(ratios))]
             assert [row is None for row in rows] == [r is None for r in ref_residuals]
             assert [r is None for r in ref_residuals] == list(refused)
@@ -402,10 +427,10 @@ class TestStackedScan:
                 if r is None:
                     continue
                 if ds.row_basis is None:
-                    assert np.array_equal(row, r.ravel())
+                    assert np.array_equal(row, r)
                 else:
-                    reduced = ds.reduce(r).ravel()
-                    assert row.shape == reduced.shape == (n * n,)
+                    reduced = ds.reduce(r)
+                    assert row.shape == reduced.shape == (n, n)
                     assert np.linalg.norm(row - reduced) <= 1e-10 * np.linalg.norm(reduced) + size
             if refused.all():
                 continue
@@ -430,39 +455,31 @@ class TestStackedScan:
         assert ratios.shape == (0, 3) and scores.shape == (0,)
 
     def test_search_scores_without_per_candidate_refits(self, monkeypatch):
-        calls = {"objective_f": 0, "fits": 0, "refine_fits": 0}
-        fit, objective, refine = (freeknot.fit_coefficients, freeknot.objective_f,
-                                  freeknot.gauss_newton_refine)
-
-        def counting_fit(*args, **kwargs):
-            calls["fits"] += 1
-            return fit(*args, **kwargs)
+        objective_calls = []
+        objective = freeknot.objective_f
 
         def counting_objective(*args, **kwargs):
-            calls["objective_f"] += 1
+            objective_calls.append(args)
             return objective(*args, **kwargs)
 
-        def counting_refine(*args, **kwargs):
-            before = calls["fits"]
-            result = refine(*args, **kwargs)
-            calls["refine_fits"] += calls["fits"] - before
-            return result
-
-        monkeypatch.setattr(freeknot, "fit_coefficients", counting_fit)
         monkeypatch.setattr(freeknot, "objective_f", counting_objective)
-        monkeypatch.setattr(freeknot, "gauss_newton_refine", counting_refine)
+        fits = counting_fit_coefficients(monkeypatch)
+        stacks = recording_fits(monkeypatch)
         search = KnotSearchConfig(order=4, max_knots=3, grid_size=20, fixed_p=True)
-        add_knots_gradually(noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5), search)
-        assert calls["objective_f"] == 0
-        # one fit for the knot-free stage, every other one in the refiner
-        assert calls["fits"] == calls["refine_fits"] + 1
+        result = add_knots_gradually(noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5), search)
+        assert objective_calls == []
+        # one fit for the knot-free stage; each refinement fits its result
+        # as one full-data row of a stack
+        assert fits == [()]
+        assert [len(rows) for rows, full in stacks if full] == [1] * search.max_knots
+        assert [stage.p for stage in result.stages] == [0, 1, 2, 3]
 
 
 def column_jacobian(k, ds, config, order, sign=1.0):
     """Reference: the residual at k and each difference column from its own fit.
 
     sign=1 gives the forward differences the refiner takes, sign=-1 the
-    backward differences of its fallback.
+    backward differences it takes where a forward row is refused.
     """
     lo, hi = ds.domain
 
@@ -496,7 +513,7 @@ class TestStackedJacobian:
             gaps = np.exp(rng.uniform(-0.7, 0.7, p + 1))
             k = jupp(np.cumsum(gaps)[:-1] / gaps.sum(), 0.0, 1.0).values
             ref_r, ref = column_jacobian(k, ds, config, order)
-            r, jac = jacobian_at(k, ref_r, ds, config, order)
+            r, jac = jacobian_at(k, ds, config, order)
             assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
             assert np.linalg.norm(jac - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -519,7 +536,7 @@ class TestStackedJacobian:
                 return ds.reduce(v.reshape(h, -1)).ravel()
 
             ref_r, ref = reduced(full_r), np.column_stack([reduced(c) for c in full.T])
-            r, jac = jacobian_at(k, ref_r, ds, config, order)
+            r, jac = jacobian_at(k, ds, config, order)
             assert jac.shape == (h * h, p)
             assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
             assert np.linalg.norm(jac - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -544,34 +561,34 @@ class TestStackedJacobian:
             assert res.objective == pytest.approx(plain.objective, rel=1e-10)
 
     def test_refused_forward_rows_fall_back_to_backward_steps_then_zero(self, monkeypatch):
-        # the current point's residual then comes from a fit at that point
         ds = noisy_sine_dataset()
         config = PenaltyConfig(lambda2=1e-5)
         search = KnotSearchConfig(order=4, max_knots=3)
-        rows_of, jacobian = freeknot._residual_rows, freeknot._jacobian
+        fits, jacobian = freeknot._fits, freeknot._jacobian
         seen = []
 
-        def refusing(rows, *args):
-            # forward stack: refuse the current point and columns 0, 1;
-            # backward stack of columns 0 and 1: refuse column 1
-            refused = {4: {0, 1, 2}, 2: {1}}.get(len(rows), set())
-            for c, residual in rows_of(rows, *args):
-                yield c, None if c in refused else residual
+        def refusing(rows, *args, **kwargs):
+            # forward stack: refuse columns 0 and 1; backward stack of
+            # columns 0 and 1: refuse column 1
+            refused = {4: {1, 2}, 2: {1}}.get(len(rows), set())
+            for c, why, fit in fits(rows, *args, **kwargs):
+                yield (c, "refused", None) if c in refused else (c, why, fit)
 
-        def recording(points, weights, residuals, fallback):
+        def recording(points, *args):
             [k] = points
-            for i, r, jac in jacobian(points, weights, residuals, fallback):
-                seen.append((k.copy(), r, jac))
-                yield i, r, jac
+            for i, why, fit in jacobian(points, *args):
+                seen.append((k.copy(), *fit))
+                yield i, why, fit
 
-        monkeypatch.setattr(freeknot, "_residual_rows", refusing)
+        monkeypatch.setattr(freeknot, "_fits", refusing)
         monkeypatch.setattr(freeknot, "_jacobian", recording)
         start = jupp(np.array([0.2, 0.5, 0.8]), 0.0, 1.0)
         res = gauss_newton_refine(start, ds, config, search)
         assert seen
         for k, r, jac in seen:
-            _, forward = column_jacobian(k, ds, config, search.order)
+            ref_r, forward = column_jacobian(k, ds, config, search.order)
             _, backward = column_jacobian(k, ds, config, search.order, sign=-1.0)
+            assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
             assert np.linalg.norm(jac[:, 0] - backward[:, 0]) <= 1e-8 * np.linalg.norm(backward)
             assert np.all(jac[:, 1] == 0.0)
             assert np.linalg.norm(jac[:, 2] - forward[:, 2]) <= 1e-8 * np.linalg.norm(forward)
@@ -581,39 +598,78 @@ class TestStackedJacobian:
         assert_same_fit(res.model, fit_coefficients(ds, spec, config))
 
     def test_refiner_fits_only_its_result(self, monkeypatch):
-        # the start's residual and objective come from the first Jacobian stack
-        fits = []
-        fit = freeknot.fit_coefficients
-
-        def counting_fit(*args, **kwargs):
-            fits.append(args[1].interior_knots)
-            return fit(*args, **kwargs)
-
-        monkeypatch.setattr(freeknot, "fit_coefficients", counting_fit)
+        # the start's residual and objective come from the first Jacobian
+        # stack; the result is fitted as one full-data row, not refitted
+        fits = counting_fit_coefficients(monkeypatch)
+        stacks = recording_fits(monkeypatch)
+        ds, config = noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5)
         start = jupp(np.array([0.2, 0.45, 0.8]), 0.0, 1.0)
-        res = gauss_newton_refine(start, noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5),
-                                  KnotSearchConfig(order=4, max_knots=3))
+        res = gauss_newton_refine(start, ds, config, KnotSearchConfig(order=4, max_knots=3))
         assert res.iterations > 1
-        assert fits == [res.model.spec.interior_knots]
+        assert fits == []
+        assert [rows for rows, full in stacks if full] == [[res.coords.values.tolist()]]
+        assert not np.array_equal(res.coords.values, start.values)
         assert res.objective == res.model.diagnostics.sse
+        spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(res.coords))
+        assert_same_fit(res.model, fit_coefficients(ds, spec, config))
 
     def test_refiner_without_a_step_fits_its_start(self, monkeypatch):
-        fits = []
-        fit = freeknot.fit_coefficients
-
-        def counting_fit(*args, **kwargs):
-            fits.append(args[1].interior_knots)
-            return fit(*args, **kwargs)
-
-        monkeypatch.setattr(freeknot, "fit_coefficients", counting_fit)
+        fits = counting_fit_coefficients(monkeypatch)
+        stacks = recording_fits(monkeypatch)
         monkeypatch.setattr(freeknot, "_proposals", lambda batch, *args: [None] * len(batch))
         ds, config = noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5)
         start = jupp(np.array([0.2, 0.45, 0.8]), 0.0, 1.0)
         res = gauss_newton_refine(start, ds, config, KnotSearchConfig(order=4, max_knots=3))
         assert res.step_failure and res.iterations == 1
-        assert fits == [tuple(jupp_inverse(start))]
+        assert fits == []
+        assert [rows for rows, full in stacks if full] == [[start.values.tolist()]]
         assert np.array_equal(res.coords.values, start.values)
-        assert_same_fit(res.model, fit(ds, make_basis_spec(0.0, 1.0, 4, jupp_inverse(start)), config))
+        spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(start))
+        assert_same_fit(res.model, fit_coefficients(ds, spec, config))
+
+    @pytest.mark.parametrize("knots", [[0.3, 0.6], [0.2, 0.4, 0.6, 0.8]], ids=["p2", "p4"])
+    def test_a_refused_start_ends_its_pair_with_the_fit_error(self, monkeypatch, knots):
+        # 5 points cannot carry the 6 or 8 unpenalized cubic basis functions:
+        # the pair ends with the error a fit at its start raises, taken from
+        # the first Jacobian stack, and the other pair is refined as alone
+        t = np.linspace(0.0, 1.0, 5)
+        ds = FunctionalDataset(t=t, values=np.column_stack([np.sin(3 * t), np.cos(2 * t)]))
+        search = KnotSearchConfig(order=4, max_knots=4)
+        start = jupp(np.array(knots), 0.0, 1.0)
+        with pytest.raises(NotPositiveDefiniteError) as want:
+            fit_coefficients(ds, make_basis_spec(0.0, 1.0, 4, knots), PenaltyConfig())
+        fits = counting_fit_coefficients(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            gauss_newton_refine(start, ds, PenaltyConfig(), search)
+        assert str(got.value) == str(want.value)
+        assert fits == []
+        penalized = PenaltyConfig(lambda2=1e-2)
+        alone = gauss_newton_refine(start, ds, penalized, search)
+        outcomes = {i: (pair, fit) for i, pair, fit in freeknot.refine_fits(
+            [start, start], [PenaltyConfig(), penalized], ds, search)}
+        pair, fit = outcomes[0]
+        assert fit is None and type(pair.error) is NotPositiveDefiniteError
+        assert str(pair.error) == str(want.value)
+        pair, fit = outcomes[1]
+        assert pair.error is None and np.array_equal(pair.k, alone.coords.values)
+        assert np.array_equal(fit[0], alone.model.coeffs)
+        assert fits == []
+
+    def test_a_start_whose_knots_cannot_be_fitted_ends_its_pair_with_the_basis_error(self):
+        # the first gap underflows: the knots reconstructed from these
+        # ratios put a knot on the domain's end
+        ds = noisy_sine_dataset()
+        start = JuppCoords(np.array([800.0, 0.0]), 0.0, 1.0)
+        with pytest.raises(ConfigError) as want:
+            make_basis_spec(0.0, 1.0, 4, jupp_inverse(start))
+        search = KnotSearchConfig(order=4, max_knots=3)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            gauss_newton_refine(start, ds, PenaltyConfig(), search)
+        fine = jupp(np.array([0.3, 0.6]), 0.0, 1.0)
+        outcomes = {i: pair for i, pair, _ in freeknot.refine_fits(
+            [start, fine], [PenaltyConfig()] * 2, ds, search)}
+        assert type(outcomes[0].error) is type(want.value) and outcomes[0].iterations == 0
+        assert outcomes[1].error is None and outcomes[1].iterations > 0
 
 
 def sequential_propose(pair, lo, hi, order, min_gap):
@@ -645,7 +701,7 @@ def proposal_batch():
     for p in [2, 1, 3, 2, 3, 1, 2, 3]:
         a = rng.standard_normal((p + 2, p))
         k = jupp(np.sort(rng.uniform(0.1, 0.9, p)), 0.0, 1.0).values
-        pair = freeknot._Descent(PenaltyConfig(), k, jtj=a.T @ a,
+        pair = freeknot._Descent(k, jtj=a.T @ a,
                                  g=rng.standard_normal(p) * 10.0 ** rng.integers(0, 5))
         pair.mu = 10.0 ** -rng.integers(1, 4)
         batch.append(pair)

@@ -276,31 +276,23 @@ class TestLockstepGrid:
         assert np.isfinite(res.scores).any()
 
     def test_feasibility_is_checked_once_per_group_not_per_proposal(self, monkeypatch):
-        # proposals: the rows of the trial stacks, every stack of fits that
-        # neither Jacobian rows (_clamped) nor full fits make
-        calls, proposals, clamped_lists = [0], [0], []
-        fittable, clamped, stacked = (freeknot._fittable_rows, freeknot._clamped,
-                                      freeknot._stacked_fits)
+        calls, proposals = [0], [0]
+        fittable, propose = freeknot._fittable_rows, freeknot._proposals
 
         def counting_fittable(*args):
             calls[0] += 1
             return fittable(*args)
 
-        def recording_clamped(*args):
-            clamped_lists.append(clamped(*args))
-            return clamped_lists[-1]
-
-        def counting_stacked(knots, *args, full=False):
-            if not full and not any(knots is rows for rows in clamped_lists):
-                proposals[0] += len(knots)
-            return stacked(knots, *args, full=full)
+        def counting_proposals(*args):
+            steps = propose(*args)
+            proposals[0] += sum(step is not None for step in steps)
+            return steps
 
         ds = noisy_curves(60)
         grid = LambdaGrid.from_exponents([-6, -4, -2])
         plain = gcv_grid_search(ds, grid=grid, search=self.search, mode="free")
         monkeypatch.setattr(freeknot, "_fittable_rows", counting_fittable)
-        monkeypatch.setattr(freeknot, "_clamped", recording_clamped)
-        monkeypatch.setattr(freeknot, "_stacked_fits", counting_stacked)
+        monkeypatch.setattr(freeknot, "_proposals", counting_proposals)
         res = gcv_grid_search(ds, grid=grid, search=self.search, mode="free")
         assert np.array_equal(res.scores, plain.scores)
         assert 0 < calls[0] < proposals[0]

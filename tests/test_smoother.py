@@ -21,7 +21,7 @@ from fkspline import (
     variant_config,
 )
 from fkspline import smoother
-from fkspline.smoother import fit_stack, penalty_weights, sse_stack
+from fkspline.smoother import fit_stack, penalty_weights
 
 
 def penalized_objective(dataset, spec, config, coeffs):
@@ -29,8 +29,7 @@ def penalized_objective(dataset, spec, config, coeffs):
     design = eval_design(spec, dataset.t).values
     resid = dataset.values - design @ coeffs
     total = float(np.sum(resid**2))
-    for order in (1, 2):
-        lam = config.weight_for(order)
+    for order, lam in enumerate(penalty_weights(config, spec.order)):
         if lam:
             m = penalty_matrix(spec, order).values
             total += lam * float(np.trace(coeffs.T @ m @ coeffs))
@@ -173,7 +172,9 @@ class TestSystemMatrix:
         config = PenaltyConfig(alphas=(0.0, 1e-4, 1e-3, 1e-6))
         with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
             fit_coefficients(ds, spec, config)
-        assert np.isnan(sse_stack(spec._full_arr[None, :], 4, ds, config)).all()
+        [(_, why, fit)] = fit_stack(spec._full_arr[None, :], 4, ds,
+                                    penalty_weights(config, 4)[None])
+        assert "non-finite" in why and fit is None
 
     def test_rank_deficient_unpenalized_system_rejected(self):
         # Fewer distinct points than basis functions, no penalty.
