@@ -151,16 +151,18 @@ def design_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivative: 
     # divide columns i and i+1; zero-length spans at the clamped ends belong
     # to identically-zero functions, their reciprocal is taken as zero.
     # Spans narrow enough to overflow leave non-finite entries, which the
-    # system assembly refuses.  A single knot vector's reciprocals broadcast
-    # over its rows; a stack's are repeated row by row.
-    rows = slice(None) if C == 1 else np.repeat(np.arange(C), h)
+    # system assembly refuses.  Each knot vector's reciprocals broadcast
+    # over its points; a step scales the old values in place.
+    dense = dense.reshape(C, h, m - k)
     with np.errstate(over="ignore", invalid="ignore"):
         for kk in range(k + 1, order + 1):
             w = m - kk
-            widths = full_knots[:, kk - 1 :] - full_knots[:, : w + 1]
-            inv = np.where(widths > 0, 1.0 / np.where(widths > 0, widths, 1.0), 0.0)[rows]
-            dense = (kk - 1) * (dense[:, :w] * inv[:, :w] - dense[:, 1:] * inv[:, 1:])
-    return dense.reshape(C, h, m - order)
+            widths = full_knots[:, None, kk - 1 :] - full_knots[:, None, : w + 1]
+            inv = np.where(widths > 0, 1.0 / np.where(widths > 0, widths, 1.0), 0.0)
+            lifted = dense[:, :, :w] * inv[:, :, :w]
+            lifted -= np.multiply(dense[:, :, 1:], inv[:, :, 1:], out=dense[:, :, 1:])
+            dense = np.multiply(lifted, kk - 1, out=lifted)
+    return dense
 
 
 def _check_points(spec: BasisSpec, t) -> np.ndarray:

@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .cluster import (
 )
 from .data import FunctionalDataset
 from .errors import ConfigError, DataError, DuplicateCellError, FkSplineError, ParseError
-from .freeknot import KnotSearchConfig, fit_free_knot
+from .freeknot import KnotSearchConfig, add_knots_lockstep, fit_free_knot
 from .ingest import _read_rows, load_csv
 from .lambda_select import LambdaGrid, gcv_grid_search
 from .metrics import TailRegions, model_isse
@@ -259,21 +258,31 @@ def _knot_count(args, free: bool = False) -> int:
     return p
 
 
+def _knot_search(args) -> KnotSearchConfig:
+    return KnotSearchConfig(order=args.order, max_knots=_knot_count(args), fixed_p=True,
+                            grid_size=args.grid_size)
+
+
+def _placed(result, args):
+    """The model of a knot search's result (or the error it raised), once it
+    has placed every knot --nbasis asks for."""
+    if isinstance(result, FkSplineError):
+        raise result
+    placed, p = result.chosen.p, _knot_count(args)
+    if placed < p:  # exclusion zones used up the candidate grid
+        raise ConfigError(f"the knot search placed {placed} of the {p} interior knots "
+                          f"--nbasis {args.nbasis} asks for; use a --grid-size larger "
+                          f"than {args.grid_size}")
+    return result.model
+
+
 def _fit_model(dataset, config, args, knots=None):
     """The fit on the given interior knots; without knots, a search for the
     knot count of --nbasis (or the fit without interior knots if it is 0),
     which must place them all."""
     p = _knot_count(args) if knots is None else 0
     if p > 0:
-        search = KnotSearchConfig(order=args.order, max_knots=p, fixed_p=True,
-                                  grid_size=args.grid_size)
-        model = fit_free_knot(dataset, config, search)
-        placed = model.knot_search.chosen.p
-        if placed < p:  # exclusion zones used up the candidate grid
-            raise ConfigError(f"the knot search placed {placed} of the {p} interior knots "
-                              f"--nbasis {args.nbasis} asks for; use a --grid-size larger "
-                              f"than {args.grid_size}")
-        return model
+        return _placed(fit_free_knot(dataset, config, _knot_search(args)).knot_search, args)
     lo, hi = dataset.domain
     return fit_coefficients(dataset, make_basis_spec(lo, hi, args.order, knots or []), config)
 
@@ -463,24 +472,33 @@ def _cmd_cluster(args) -> None:
 # replicate
 
 
-def _replicate_one(args, seed: int) -> dict:
-    """One seed of the simulate -> fit -> cluster pipeline (worker-safe)."""
-    scenario = generate_scenario(ScenarioConfig(noise_sd=args.noise_sd, seed=seed))
-    dataset = scenario.dataset
-    tails = TailRegions.fraction(*dataset.domain, args.tail_frac)
-    out = {"seed": seed, "fits": {}, "clusters": {}}
-    for variant in args.variants:
-        model = _fit_model(dataset, variant_config(variant), args)
-        d = model.diagnostics
-        out["fits"][variant] = {"df": d.df, "gcv": d.gcv, "sse": d.sse,
-                                **model_isse(model, scenario.truth, tails)}
-        for method in args.methods:
-            result = _cluster(model, method, args.k, seed, args.restarts)
-            out["clusters"][(variant, method)] = {
-                "ri": rand_index(result.partition.labels, scenario.labels),
-                "ari": adjusted_rand_index(result.partition.labels, scenario.labels),
-            }
-    return out
+def _replicate_seeds(args, seeds) -> list:
+    """Seeds of the simulate -> fit -> cluster pipeline (worker-safe): all
+    (seed, variant) fits as one lockstep knot search, then each seed's ISSE
+    and clustering in seed order, a fit's error raised when its turn comes."""
+    scenarios = [generate_scenario(ScenarioConfig(noise_sd=args.noise_sd, seed=seed))
+                 for seed in seeds]
+    configs = [variant_config(variant) for variant in args.variants]
+    searched = add_knots_lockstep([scenario.dataset for scenario in scenarios for _ in configs],
+                                  configs * len(scenarios), _knot_search(args))
+    results = []
+    for seed, scenario in zip(seeds, scenarios):
+        tails = TailRegions.fraction(*scenario.dataset.domain, args.tail_frac)
+        out = {"seed": seed, "fits": {}, "clusters": {}}
+        for variant in args.variants:
+            model = _placed(searched.pop(0), args)
+            model.knot_search = None  # no model-search cycle: freed without a full gc
+            d = model.diagnostics
+            out["fits"][variant] = {"df": d.df, "gcv": d.gcv, "sse": d.sse,
+                                    **model_isse(model, scenario.truth, tails)}
+            for method in args.methods:
+                result = _cluster(model, method, args.k, seed, args.restarts)
+                out["clusters"][(variant, method)] = {
+                    "ri": rand_index(result.partition.labels, scenario.labels),
+                    "ari": adjusted_rand_index(result.partition.labels, scenario.labels),
+                }
+        results.append(out)
+    return results
 
 
 def _cmd_replicate(args) -> None:
@@ -503,15 +521,20 @@ def _cmd_replicate(args) -> None:
         "threads": n_threads,
     }
     out = _outdir(args, resolved)
-    one = functools.partial(_replicate_one, args)
     seeds = range(args.seed, args.seed + args.replications)
-    # a pool forks all its workers at once, so it gets no more than the seeds
+    # a pool forks all its workers at once, so it gets no more than the
+    # seeds; each worker runs one contiguous chunk of them
     workers = min(n_threads, args.replications)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        n = args.replications
+        chunks = [seeds[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
+            results = [res for chunk in pool.map(functools.partial(_replicate_seeds, args), chunks)
+                       for res in chunk]
     else:
-        results = [one(s) for s in seeds]
+        results = _replicate_seeds(args, seeds)
 
     def cluster_rows():
         for res in results:
@@ -526,6 +549,7 @@ def _cmd_replicate(args) -> None:
                 yield [str(res["seed"]), variant] + [_fmt(d[key]) for key in _FIT_KEYS]
 
     _write_csv(out / "fits.csv", resolved, ["seed", "variant", *_FIT_KEYS], fit_rows())
+    from statistics import median  # np.median would import numpy.ma
     aggregate = {"config": resolved, "seed": args.seed, "ari": {}, "ri": {}, "isse_median": {}}
     for variant in args.variants:
         for method in args.methods:
@@ -537,7 +561,7 @@ def _cmd_replicate(args) -> None:
                 }
         for key in ("isse", "isse_inf", "isse_sup", "df", "gcv"):
             values = [res["fits"][variant][key] for res in results]
-            aggregate["isse_median"].setdefault(variant, {})[key] = float(np.median(values))
+            aggregate["isse_median"].setdefault(variant, {})[key] = float(median(values))
     _write_json(out / "aggregate.json", aggregate)
 
 

@@ -51,7 +51,7 @@ class Partition:
             raise ConfigError("labels must be a nonempty 1-d array")
         if labels.min() < 1 or labels.max() > self.k:
             raise ConfigError(f"labels must lie in 1..{self.k}")
-        if np.unique(labels).size != self.k:
+        if np.count_nonzero(np.bincount(labels)) != self.k:
             raise ConfigError("every cluster must be nonempty")
 
     @property
@@ -107,7 +107,11 @@ def _seed_centers(z: np.ndarray, k: int, rng) -> np.ndarray:
         if total <= 0:
             idx = rng.integers(n)  # all points coincide with a chosen center
         else:
-            idx = rng.choice(n, p=d2 / total)
+            # rng.choice(n, p=d2 / total) without its checks of p: the
+            # same draw and the same stream position after it
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
         centers[j] = z[idx]
         d2 = np.minimum(d2, np.einsum("ij,ij->i", z - centers[j], z - centers[j]))
     return centers
@@ -218,12 +222,23 @@ def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20
     )
 
 
+def _distinct(x: np.ndarray):
+    """np.unique(x, return_index=True, return_inverse=True) of a 1-d array
+    by one stable sort (np.unique imports numpy.ma)."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    new = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
+
+
 def _as_partition(raw_labels: np.ndarray) -> tuple[Partition, np.ndarray]:
     """Relabel arbitrary cluster ids to 1..k in order of first appearance.
 
     Also returns the raw ids in that order, so raw id seen[j] became j + 1.
     """
-    ids, first, inverse = np.unique(raw_labels, return_index=True, return_inverse=True)
+    ids, first, inverse = _distinct(raw_labels)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -377,8 +392,7 @@ def _check_pair(predicted, truth):
 
 
 def _contingency(a, b):
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
+    ai, bi = _distinct(a)[2], _distinct(b)[2]
     table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
     np.add.at(table, (ai, bi), 1)
     return table
@@ -451,8 +465,7 @@ def matched_confusion(predicted, truth) -> dict:
     """
     from scipy.optimize import linear_sum_assignment
     a, b = _check_pair(predicted, truth)
-    pred_ids = np.unique(a)
-    truth_ids = np.unique(b)
+    pred_ids, truth_ids = _distinct(a)[0], _distinct(b)[0]
     table = _contingency(a, b)
     rows, cols = linear_sum_assignment(table, maximize=True)
     match = {int(pred_ids[i]): int(truth_ids[j]) for i, j in zip(rows, cols)}

@@ -43,6 +43,7 @@ __all__ = [
     "objective_f",
     "gauss_newton_refine",
     "add_knots_gradually",
+    "add_knots_lockstep",
     "fit_free_knot",
 ]
 
@@ -179,15 +180,16 @@ class GaussNewtonResult:
     step_failure: bool = False  # no damped step improved the objective
 
 
-def _fittable_rows(ratios: np.ndarray, lo: float, hi: float, order: int):
+def _fittable_rows(ratios: np.ndarray, lo: np.ndarray, hi: np.ndarray, order: int):
     """The rows of log gap ratios (C, p) that a fit accepts, with their clamped knots.
 
     A row is accepted when its ratios are finite and the clamped knot vector
-    of its knots (jupp_inverse) is strictly increasing from lo to hi, the
-    rule JuppCoords and make_basis_spec enforce.  Returns the indices of
-    those rows and their (kept, p + 2 * order) clamped knot vectors.
+    of its knots (jupp_inverse) is strictly increasing from lo[c] to hi[c],
+    the rule JuppCoords and make_basis_spec enforce.
+    Returns the indices of those rows and their clamped knot vectors.
     """
     finite = np.flatnonzero(np.all(np.isfinite(ratios), axis=1))
+    lo, hi = lo[finite, None], hi[finite, None]
     ends = np.ones((finite.size, order))
     full = np.concatenate([lo * ends, _knots_from_ratios(ratios[finite], lo, hi), hi * ends],
                           axis=1)
@@ -195,49 +197,62 @@ def _fittable_rows(ratios: np.ndarray, lo: float, hi: float, order: int):
     return finite[valid], full[valid]
 
 
-def _by_size(rows):
-    """The rows (1-D arrays) of each size, as their indices and one (len, size)
-    stack of them; sizes in order of first appearance."""
+def _by_size(rows, tags=None):
+    """The rows (1-D arrays) of each size (and tag), as their indices and one
+    (len, size) stack of them; in order of first appearance."""
     groups = {}
     for c, row in enumerate(rows):
-        groups.setdefault(row.size, []).append(c)
-    for p, group in groups.items():
+        groups.setdefault((row.size, None if tags is None else tags[c]), []).append(c)
+    for (p, _), group in groups.items():
         yield group, np.array([rows[c] for c in group]).reshape(len(group), p)
 
 
-def _fits(ratios, weights: np.ndarray, lo: float, hi: float, dataset: FunctionalDataset,
-          order: int, full: bool = False):
+class _Jobs:
+    """Each job's dataset, domain [lo, hi] and penalty_weights, for the rows
+    of stacks (_fits); jobs on one dataset object share it in fit_stack."""
+
+    def __init__(self, datasets, domains, weights: np.ndarray, order: int):
+        index = {}
+        self.which = np.array([index.setdefault(id(ds), len(index)) for ds in datasets], dtype=int)
+        self.datasets = list({id(ds): ds for ds in datasets}.values())
+        self.shapes = [ds.values.shape for ds in self.datasets]
+        self.lo, self.hi = np.array(domains, dtype=float).reshape(-1, 2).T
+        self.weights, self.order = weights, order
+
+
+def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False):
     """Penalized fits at rows of log gap ratios of any lengths, in stacks.
 
-    ratios holds the rows and weights (C, order) the penalty weights of
-    each (penalty_weights).  The rows of each length are checked by one
-    _fittable_rows call and fitted as one stack (smoother.fit_stack).
-    Yields (c, why, fit) for every row c, one at a time in no set order:
-    why is "" or the reason the fit at that row would raise (its knots
-    cannot be fitted, or its system is refused), fit None where why is
-    set, else the residual matrix in the dataset's reduced space or, with
-    full=True, (coefficients, FitDiagnostics) on the full data.
+    Row c belongs to job owner[c] (_Jobs).  The rows of each length and
+    data shape are checked by one _fittable_rows call (with mapped=True
+    they are clamped knot vectors it accepted) and fitted as one stack
+    (smoother.fit_stack).  Yields (c, why, fit) for every row c, in no set
+    order: why is "" or the reason a fit at that row would raise, fit None
+    where why is set, else the residual matrix in the dataset's reduced
+    space or, with full=True, (coefficients, FitDiagnostics).
     """
-    for rows, stack in _by_size(ratios):
-        kept, knots = _fittable_rows(stack, lo, hi, order)
-        for c in set(range(len(rows))).difference(kept.tolist()):
-            yield rows[c], "knots cannot be fitted", None
-        rows = [rows[c] for c in kept.tolist()]
-        for i, why, fit in fit_stack(knots, order, dataset, weights[rows], full=full):
-            yield rows[i], why, fit
+    owner = np.asarray(owner, dtype=int)
+    tags = [jobs.shapes[d] for d in jobs.which[owner].tolist()] if len(jobs.shapes) > 1 else None
+    for group, stack in _by_size(rows, tags):
+        own = owner[group]
+        if not mapped:
+            kept, stack = _fittable_rows(stack, jobs.lo[own], jobs.hi[own], jobs.order)
+            for c in set(range(len(group))).difference(kept.tolist()):
+                yield group[c], "knots cannot be fitted", None
+            group, own = [group[c] for c in kept.tolist()], own[kept]
+        for i, why, fit in fit_stack(stack, jobs.order, jobs.datasets, jobs.weights[own],
+                                     full=full, which=jobs.which[own]):
+            yield group[i], why, fit
 
 
-def _jacobian(points, weights: np.ndarray, lo: float, hi: float, dataset: FunctionalDataset,
-              order: int):
+def _jacobian(points, owner, jobs: _Jobs):
     """Residuals and forward-difference Jacobians at a batch of points, as stacks.
 
-    points holds log gap ratios k and weights (P, order) their penalty
-    weights.  One stack (_fits) holds the p + 1 rows of every point: the
-    point itself and k + step_i e_i, step_i = _FD_STEP * (1 + |k_i|), so
-    column i is row i + 1 minus the point's residual over step_i.
-    Perturbed rows that cannot be fitted (knot gaps underflow, or the
-    system is refused) get backward steps, all of them in one second
-    stack; a column that fails both ways is zero.
+    Point i (log gap ratios k) belongs to job owner[i].  One stack (_fits)
+    holds the p + 1 rows of every point: k and k + step_i e_i, step_i =
+    _FD_STEP * (1 + |k_i|), so column i is row i + 1 minus the point's
+    residual over step_i.  Perturbed rows that cannot be fitted get
+    backward steps, all in one second stack; a column failing both is zero.
 
     Yields (i, why, fit) for each point i as soon as its rows are in, so
     that only one point's rows are held at a time (and the rows of points
@@ -245,6 +260,7 @@ def _jacobian(points, weights: np.ndarray, lo: float, hi: float, dataset: Functi
     residual, or None where the stack refuses the point itself, why
     saying why.
     """
+    owner = np.asarray(owner, dtype=int)
     steps = [_FD_STEP * (1.0 + np.abs(k)) for k in points]
     rows, owners, first = [], [], []
     for i, (k, step) in enumerate(zip(points, steps)):
@@ -264,7 +280,7 @@ def _jacobian(points, weights: np.ndarray, lo: float, hi: float, dataset: Functi
         return i, "", (r, jac)
 
     got, refused, waiting = {}, {}, {}
-    for c, why, residual in _fits(rows, weights[owners], lo, hi, dataset, order):
+    for c, why, residual in _fits(rows, jobs, owner[owners]):
         i = owners[c]
         if c == first[i] and why:
             refused[i] = why
@@ -283,7 +299,7 @@ def _jacobian(points, weights: np.ndarray, lo: float, hi: float, dataset: Functi
               if forward[j + 1] is None]
     back = [points[i] - np.diag(steps[i])[j] for i, j in failed]
     backward = {}
-    for c, _, residual in _fits(back, weights[[i for i, _ in failed]], lo, hi, dataset, order):
+    for c, _, residual in _fits(back, jobs, owner[[i for i, _ in failed]]):
         backward.setdefault(failed[c][0], {})[failed[c][1]] = residual
     for i, forward in waiting.items():
         yield columns(i, forward, backward.get(i, {}))
@@ -299,7 +315,7 @@ class _Descent:
     """
 
     k: np.ndarray  # log gap ratios of the best iterate
-    weights: np.ndarray | None = None  # penalty_weights of config
+    job: int = 0  # the pair's job in its batch (_Jobs)
     f: float = math.inf  # objective at k
     mu: float = _DAMPING
     iterations: int = 0
@@ -330,16 +346,15 @@ def _solve_rows(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _proposals(batch, lo: float, hi: float, order: int, min_gap: float) -> list:
-    """Each pair's next damped step that can be fitted, (k_new, delta), or
-    None once its 12 trials are spent; in batch order.
+def _proposals(batch, jobs: _Jobs, min_gap: np.ndarray) -> list:
+    """Each pair's next damped step that can be fitted, (k_new, delta, its
+    clamped knots), or None once its 12 trials are spent; in batch order.
 
     The pairs of one p solve their damped systems (J'J + mu I) delta = -g in
-    one stacked solve (_solve_rows) and are checked in one _fittable_rows
-    call per pass.  A step whose solve fails, whose knots cannot be fitted,
-    or that brings two knots closer than min_gap costs its pair a trial
-    (tenfold damping) and no evaluation, and the pair tries again in the
-    next pass, as it would alone.
+    one stacked solve (_solve_rows), checked by one _fittable_rows call per
+    pass.  A step whose solve fails, whose knots cannot be fitted, or that
+    brings two knots closer than its job's min_gap costs its pair a trial
+    (tenfold damping), and the pair tries again in the next pass.
     """
     steps = [None] * len(batch)
     for group, stack in _by_size([pair.k for pair in batch]):
@@ -348,19 +363,20 @@ def _proposals(batch, lo: float, hi: float, order: int, min_gap: float) -> list:
         pending = [i for i in group if batch[i].trials < 12]
         while pending:
             pairs = [batch[i] for i in pending]
+            own = np.array([pair.job for pair in pairs], dtype=int)
             delta = _solve_rows(np.array([pair.jtj + pair.mu * eye for pair in pairs]),
                                 np.array([-pair.g for pair in pairs]))
             # a singular system's nan step is not fittable
             k_new = np.array([pair.k for pair in pairs]) + delta
-            kept, full = _fittable_rows(k_new, lo, hi, order)
+            kept, full = _fittable_rows(k_new, jobs.lo[own], jobs.hi[own], jobs.order)
             if p >= 2:
                 # knots drifting together chase noise through high-leverage
                 # spans; such trial points are treated as infeasible
-                gaps = np.diff(full[:, order : full.shape[1] - order], axis=1)
-                spaced = ~(gaps.min(axis=1) < min_gap)
+                gaps = np.diff(full[:, jobs.order : full.shape[1] - jobs.order], axis=1)
+                spaced = ~(gaps.min(axis=1) < min_gap[own[kept]])
                 kept, full = kept[spaced], full[spaced]
-            for c in kept.tolist():
-                steps[pending[c]] = (k_new[c], delta[c])
+            for c, knots in zip(kept.tolist(), full):
+                steps[pending[c]] = (k_new[c], delta[c], knots)
             for pair, i in zip(pairs, pending):
                 if steps[i] is None:
                     pair.mu *= 10.0
@@ -369,46 +385,46 @@ def _proposals(batch, lo: float, hi: float, order: int, min_gap: float) -> list:
     return steps
 
 
-def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConfig) -> list:
-    """Damped Gauss-Newton descent from every (start, config) pair, in lockstep.
+def _error(check, *args) -> FkSplineError | None:
+    """The FkSplineError that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except FkSplineError as exc:
+        return exc
+    return None
 
-    starts are coordinates on one domain.  Each pair runs the sequential
-    rule of gauss_newton_refine on its own state (_Descent); only the
-    evaluations and the step proposals are shared.  Each round makes one
-    Jacobian stack over the pairs that begin an iteration (_jacobian, its
-    backward sub-stack included), one proposal pass over the pairs that try
-    a damped step (_proposals: a stacked solve and one feasibility check per
-    p), and one trial stack of the proposed steps (_fits); a trial that does
-    not lower the objective retries at ten times the damping in the next
-    round.  A pair's objective at its start comes from row 0 of its first
-    Jacobian stack.  A pair ends with pair.error set where its config's
-    penalty weights are refused (penalty_weights), where its start's knots
-    cannot be fitted (the error building their basis raises, checked for
-    all starts before the first round), or where the stack refuses the
-    system at its start (NotPositiveDefiniteError).  Returns the pairs'
-    final states in input order.
+
+def _descend(starts, configs, datasets, search: KnotSearchConfig):
+    """Damped Gauss-Newton descent from every (start, config, dataset), in lockstep.
+
+    Each pair, a job (_Jobs) on its start's domain, runs the rule of
+    gauss_newton_refine on its own state (_Descent); each round makes one
+    Jacobian stack (_jacobian; row 0 gives a start's objective), one
+    proposal pass (_proposals) and one trial stack of the proposed knots
+    (_fits).  A pair ends with pair.error set where its dataset's points
+    leave its domain, its penalty weights are refused, its start's knots
+    cannot be fitted (the error building their basis raises) or the stack
+    refuses the system at its start.  Returns the pairs in input order and
+    their jobs.
     """
-    lo, hi = starts[0].lo, starts[0].hi
     order = search.order
-    _check_points(make_basis_spec(lo, hi, order), dataset.t)
-    min_gap = _knot_radius(lo, hi, search)
-    pairs = []
-    for start, config in zip(starts, configs):
-        pair = _Descent(start.values.copy())
-        try:
-            pair.weights = penalty_weights(config, order)
-        except FkSplineError as exc:
-            pair.error = exc
-        pair.converged = pair.k.size == 0
-        pairs.append(pair)
+    pairs, weights, outside = [], np.zeros((len(starts), order)), {}
+    for i, (start, config, dataset) in enumerate(zip(starts, configs, datasets)):
+        key = (id(dataset), start.lo, start.hi)
+        if key not in outside:
+            outside[key] = _error(lambda: _check_points(make_basis_spec(start.lo, start.hi, order),
+                                                        dataset.t))
+        error = outside[key] or _error(penalty_weights, config, order)
+        pairs.append(_Descent(start.values.copy(), job=i, error=error, converged=start.p == 0))
+        if error is None:
+            weights[i] = penalty_weights(config, order)
+    jobs = _Jobs(datasets, [(start.lo, start.hi) for start in starts], weights, order)
+    min_gap = _knot_radius(jobs.lo, jobs.hi, search)
     for group, stack in _by_size([pair.k for pair in pairs]):
-        kept, _ = _fittable_rows(stack, lo, hi, order)
+        kept, _ = _fittable_rows(stack, jobs.lo[group], jobs.hi[group], order)
         for c in set(range(len(group))).difference(kept.tolist()):
             pair = pairs[group[c]]
-            try:
-                _spec(starts[group[c]], order)
-            except FkSplineError as exc:
-                pair.error = pair.error or exc
+            pair.error = pair.error or _error(_spec, starts[group[c]], order)
 
     jacobian = [pair for pair in pairs if pair.error is None and pair.k.size]
     trial = []
@@ -416,8 +432,7 @@ def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConf
         for pair in jacobian:
             pair.iterations += 1
         for i, why, fit in _jacobian([pair.k for pair in jacobian],
-                                     np.array([pair.weights for pair in jacobian]),
-                                     lo, hi, dataset, order):
+                                     [pair.job for pair in jacobian], jobs):
             pair = jacobian[i]
             if why:
                 pair.error = NotPositiveDefiniteError(why)
@@ -433,16 +448,15 @@ def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConf
             pair.trials = 0
             trial.append(pair)
         jacobian, proposed = [], []
-        for pair, step in zip(trial, _proposals(trial, lo, hi, order, min_gap)):
+        for pair, step in zip(trial, _proposals(trial, jobs, min_gap)):
             if step is None:
                 pair.step_failure = True
             else:
                 proposed.append((pair, *step))
         trial = []
-        for c, _, r_new in _fits([k_new for _, k_new, _ in proposed],
-                                 np.array([pair.weights for pair, _, _ in proposed]),
-                                 lo, hi, dataset, order):
-            pair, k_new, delta = proposed[c]
+        for c, _, r_new in _fits([knots for *_, knots in proposed], jobs,
+                                 [pair.job for pair, *_ in proposed], mapped=True):
+            pair, k_new, delta, _ = proposed[c]
             f_new = None if r_new is None else float(r_new.ravel() @ r_new.ravel())
             if f_new is None or not f_new < pair.f:
                 pair.mu *= 10.0
@@ -457,7 +471,7 @@ def _descend(starts, configs, dataset: FunctionalDataset, search: KnotSearchConf
                 pair.converged = True
             elif pair.iterations < _MAX_ITERATIONS:
                 jacobian.append(pair)
-    return pairs
+    return pairs, jobs
 
 
 def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
@@ -465,20 +479,14 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     """Damped Gauss-Newton descent on the knot objective.
 
     Each iteration takes the residual and its forward-difference Jacobian
-    from one stacked evaluation (smoother.fit_stack) of the current point
-    and its p perturbed points (see _jacobian), and each trial step is
-    solved, checked (_proposals) and evaluated as a one-row stack, so no
-    per-column fit is made.  Residuals are taken in the
-    dataset's reduced space (FunctionalDataset.reduce), which keeps every
-    norm and inner product the step uses.  The damping parameter grows
-    tenfold when a step fails to decrease the objective and shrinks tenfold
-    on success.  The best iterate seen is always returned, so the result
-    never exceeds the starting objective.  Only the result is fitted on the
-    full data, as one more one-row stack (it is the start when no step is
-    taken), and the objective is the sse of that fit.  This is the one-pair
-    case of refine_fits.
+    from one stack (_jacobian) of the point and its p perturbed points, in
+    the dataset's reduced space (FunctionalDataset.reduce), which keeps
+    every norm and inner product the step uses.  The damping grows tenfold
+    when a step fails to decrease the objective and shrinks tenfold on
+    success.  The best iterate seen is returned, fitted on the full data
+    (its sse is the objective).  This is the one-pair case of refine_fits.
     """
-    ((_, pair, fit),) = refine_fits([coords], [config], dataset, search)
+    ((_, pair, fit),) = refine_fits([coords], [config], [dataset], search)
     if pair.error is not None:
         raise pair.error
     best = JuppCoords(pair.k, coords.lo, coords.hi)
@@ -489,8 +497,8 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     )
 
 
-def refine_fits(starts, configs, dataset: FunctionalDataset, search: KnotSearchConfig):
-    """Refine every (start, config) pair in lockstep (_descend) and fit each result.
+def refine_fits(starts, configs, datasets, search: KnotSearchConfig):
+    """Refine every (start, config, dataset) in lockstep (_descend); fit each result.
 
     The result fits are one stack (_fits with full=True), each what
     fit_coefficients reports at that pair's knots.  Yields (i, pair, fit)
@@ -498,13 +506,12 @@ def refine_fits(starts, configs, dataset: FunctionalDataset, search: KnotSearchC
     _Descent, fit (coefficients, FitDiagnostics), or None where pair.error
     says why the pair failed.
     """
-    pairs = _descend(starts, configs, dataset, search)
+    pairs, jobs = _descend(starts, configs, datasets, search)
     live = [i for i, pair in enumerate(pairs) if pair.error is None]
     for i, pair in enumerate(pairs):
         if pair.error is not None:
             yield i, pair, None
-    for c, why, fit in _fits([pairs[i].k for i in live], np.array([pairs[i].weights for i in live]),
-                             starts[0].lo, starts[0].hi, dataset, search.order, full=True):
+    for c, why, fit in _fits([pairs[i].k for i in live], jobs, live, full=True):
         pair = pairs[live[c]]
         if why:
             pair.error = NotPositiveDefiniteError(why)
@@ -577,30 +584,34 @@ def _stage_record(coords: JuppCoords, model: FitModel, **refinement) -> StageRec
     )
 
 
-def _scan(existing: np.ndarray, dataset: FunctionalDataset, config: PenaltyConfig,
-          search: KnotSearchConfig):
-    """Score the insertion of every grid candidate into the accepted knots.
+def _scan(knots, datasets, configs, search: KnotSearchConfig):
+    """Score the insertion of every grid candidate into each job's accepted knots.
 
-    Row c of the returned (C, p + 1) array holds the log gap ratios of the
-    knots with candidate c inserted, jupp of those knots; entry c of the
-    scores is objective_f at those coordinates up to roundoff, or nan where
-    objective_f would raise.  All candidates of a round are scored in one
-    stacked evaluation.
+    Job j inserts its candidates into knots[j] (all of one length) on the
+    domain of datasets[j] under configs[j], all jobs in one stack.  Returns
+    (ratios, scores) per job: row c of ratios holds jupp of the knots with
+    candidate c inserted; score c is objective_f there up to roundoff, or
+    nan where objective_f would raise.
     """
-    lo, hi = dataset.domain
     order = search.order
-    grid = _candidate_grid(lo, hi, existing, search)
-    tau = np.sort(np.column_stack([np.broadcast_to(existing, (grid.size, existing.size)), grid]),
-                  axis=1)
-    # a zero gap (knots that coincide in floating point) gives a
-    # non-finite ratio, which _fittable_rows turns away
-    _, ratios = _gap_ratios(tau, lo, hi)
-    weights = np.broadcast_to(penalty_weights(config, order), (grid.size, order))
-    scores = np.full(grid.size, np.nan)
-    for c, _, residual in _fits(ratios, weights, lo, hi, dataset, order):
+    ratios = []
+    for existing, dataset in zip(knots, datasets):
+        lo, hi = dataset.domain
+        grid = _candidate_grid(lo, hi, existing, search)
+        tau = np.sort(np.column_stack([np.broadcast_to(existing, (grid.size, existing.size)),
+                                       grid]), axis=1)
+        # a zero gap (knots that coincide in floating point) gives a
+        # non-finite ratio, which _fittable_rows turns away
+        ratios.append(_gap_ratios(tau, lo, hi)[1])
+    owner = np.repeat(np.arange(len(ratios)), [len(r) for r in ratios])
+    weights = np.array([penalty_weights(config, order) for config in configs]).reshape(-1, order)
+    jobs = _Jobs(datasets, [dataset.domain for dataset in datasets], weights, order)
+    stack = np.concatenate(ratios)
+    scores = np.full(len(stack), np.nan)
+    for c, _, residual in _fits(stack, jobs, owner):
         if residual is not None:
             scores[c] = np.einsum("ij,ij->j", residual, residual).sum()
-    return ratios, scores
+    return [(r, scores[owner == j]) for j, r in enumerate(ratios)]
 
 
 def _first_best(scores: np.ndarray) -> int:
@@ -614,61 +625,98 @@ def _first_best(scores: np.ndarray) -> int:
     return int(np.flatnonzero(scores <= best + _TIE_ULPS * np.finfo(float).eps * abs(best))[0])
 
 
+@dataclass(eq=False)
+class _Search:
+    """A job of add_knots_lockstep; its result's chosen stage is the best by GCV."""
+
+    dataset: FunctionalDataset
+    config: PenaltyConfig
+    result: FreeKnotResult = field(default_factory=FreeKnotResult)
+    model: FitModel | None = None  # the fit of the last stage
+    bad_streak: int = 0
+    error: FkSplineError | None = None
+
+
+def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
+    """add_knots_gradually for every (dataset, config) job, in lockstep: each
+    round scans every live job's candidates as one stack (_scan) and refines
+    their best insertions as one batch (refine_fits).  A job leaves when it
+    fails, its grid is used up or its GCV rule stops it.  Returns each job's
+    FreeKnotResult, or the FkSplineError its add_knots_gradually call
+    raises: its outcome alone, bit for bit."""
+    order = search.order
+    jobs = [_Search(dataset, config) for dataset, config in zip(datasets, configs)]
+    for job in jobs:
+        try:
+            coords = JuppCoords(np.empty(0), *job.dataset.domain)
+            job.model = fit_coefficients(job.dataset, _spec(coords, order), job.config)
+        except FkSplineError as exc:
+            job.error = exc
+            continue
+        job.result.stages.append(_stage_record(coords, job.model))
+        job.result.chosen, job.result.model = job.result.stages[0], job.model
+    live = [job for job in jobs if job.error is None]
+    for _ in range(search.max_knots):
+        if not live:
+            break
+        starts = []
+        for job, (ratios, scores) in zip(live, _scan([job.result.stages[-1].knots for job in live],
+                                                     [job.dataset for job in live],
+                                                     [job.config for job in live], search)):
+            scored = np.flatnonzero(np.isfinite(scores))
+            failures = int(np.isnan(scores).sum())
+            if scored.size:
+                best = ratios[scored[_first_best(scores[scored])]]
+                starts.append((job, JuppCoords(best, *job.dataset.domain)))
+            elif failures:  # else exclusion zones used up the grid
+                last = job.result.stages[-1]
+                job.error = AllCandidatesSingularError(
+                    f"all {failures} candidate knots failed at p={last.p + 1}; "
+                    f"the last feasible stage has p={last.p} and knots "
+                    f"{[float(x) for x in last.knots]}"
+                )
+        for i, pair, fit in refine_fits([coords for _, coords in starts],
+                                        [job.config for job, _ in starts],
+                                        [job.dataset for job, _ in starts], search):
+            job, start = starts[i]
+            job.error, result = pair.error, job.result
+            if fit is None:
+                continue
+            coords = JuppCoords(pair.k, start.lo, start.hi)
+            job.model = FitModel(_spec(coords, order), job.config, *fit)
+            result.stages.append(_stage_record(
+                coords, job.model, iterations=pair.iterations, converged=pair.converged,
+                step_failure=pair.step_failure))
+            # GCV rule: a stage better by _GCV_REL_TOL resets the streak
+            gcv, best = result.stages[-1].gcv, result.chosen.gcv
+            job.bad_streak = 0 if gcv < best * (1.0 - _GCV_REL_TOL) else job.bad_streak + 1
+            if gcv < best:
+                result.chosen, result.model = result.stages[-1], job.model
+            result.stopped_early = not search.fixed_p and job.bad_streak >= _GCV_PATIENCE
+        live = [job for job, _ in starts if job.error is None and not job.result.stopped_early]
+    for job in jobs:
+        if job.error is None:
+            if search.fixed_p:
+                job.result.chosen, job.result.model = job.result.stages[-1], job.model
+            job.result.model.knot_search = job.result
+    return [job.error or job.result for job in jobs]
+
+
 def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,
                         search: KnotSearchConfig) -> FreeKnotResult:
     """Grow the interior knot vector one knot per round.
 
     Each round inserts every surviving grid candidate into the accepted
     knots, starts Gauss-Newton from the best insertion (the first of equal
-    scores, equal up to a few ulp; _first_best), and records the refined stage.  With fixed_p the final stage
-    is selected; otherwise the search stops once the GCV score has failed
-    to improve by _GCV_REL_TOL (relative) for _GCV_PATIENCE consecutive
-    rounds, and the best-GCV stage is selected.  Knots are placed inside the
-    dataset's domain.
+    scores, equal up to a few ulp; _first_best), and records the refined
+    stage.  With fixed_p the final stage is selected; otherwise the search
+    stops once the GCV score has failed to improve by _GCV_REL_TOL
+    (relative) for _GCV_PATIENCE consecutive rounds, and the best-GCV stage
+    is selected.  This is the one-job case of add_knots_lockstep.
     """
-    lo, hi = dataset.domain
-    order = search.order
-    result = FreeKnotResult()
-    coords = JuppCoords(np.empty(0), lo, hi)
-    model = best_model = fit_coefficients(dataset, _spec(coords, order), config)
-    best = _stage_record(coords, model)
-    result.stages.append(best)
-    bad_streak = 0
-    for _ in range(search.max_knots):
-        last = result.stages[-1]
-        ratios, scores = _scan(last.knots, dataset, config, search)
-        scored = np.flatnonzero(np.isfinite(scores))
-        if scored.size == 0:
-            failures = int(np.isnan(scores).sum())
-            if failures:
-                raise AllCandidatesSingularError(
-                    f"all {failures} candidate knots failed at p={last.p + 1}; "
-                    f"the last feasible stage has p={last.p} and knots "
-                    f"{[float(x) for x in last.knots]}"
-                )
-            break  # grid exhausted by exclusion zones
-        best_cand = JuppCoords(ratios[scored[_first_best(scores[scored])]], lo, hi)
-        refined = gauss_newton_refine(best_cand, dataset, config, search)
-        model = refined.model
-        record = _stage_record(refined.coords, model, iterations=refined.iterations,
-                               converged=refined.converged,
-                               step_failure=refined.step_failure)
-        result.stages.append(record)
-        if record.gcv < best.gcv * (1.0 - _GCV_REL_TOL):
-            best, best_model = record, model
-            bad_streak = 0
-        else:
-            if record.gcv < best.gcv:
-                best, best_model = record, model
-            bad_streak += 1
-            if not search.fixed_p and bad_streak >= _GCV_PATIENCE:
-                result.stopped_early = True
-                break
-    if search.fixed_p:
-        result.chosen, result.model = result.stages[-1], model
-    else:
-        result.chosen, result.model = best, best_model
-    result.model.knot_search = result
+    (result,) = add_knots_lockstep([dataset], [config], search)
+    if isinstance(result, FkSplineError):
+        raise result
     return result
 
 

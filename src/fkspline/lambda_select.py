@@ -32,7 +32,7 @@ class LambdaGrid:
             raise ConfigError("lambda grid must be nonempty")
         if values[0] <= 0 or not np.all(np.isfinite(values)):
             raise ConfigError("lambda grid values must be positive and finite")
-        if np.unique(values).size != values.size:
+        if np.any(values[1:] == values[:-1]):
             raise ConfigError("lambda grid values must be distinct")
         object.__setattr__(self, "values", tuple(float(v) for v in values))
 
@@ -185,7 +185,7 @@ def _free_fits(dataset, search, configs) -> list:
     cells = len(configs)
     outcomes = [None] * (len(warm) * cells)
     for i, pair, fit in refine_fits([coords for coords in warm for _ in configs],
-                                    configs * len(warm), dataset, search):
+                                    configs * len(warm), [dataset] * len(outcomes), search):
         outcomes[i] = pair.error if fit is None else _CellFit.of(fit[1])
     fits = []
     for c in range(cells):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyIntervalError, NonFiniteInputError
+from .cluster import _distinct
 from .penalty import _gauss_legendre
 from .smoother import FitModel
 
@@ -48,12 +49,12 @@ class TailRegions:
 def _panel_edges(lo, hi, quad_points, breakpoints):
     inner = np.asarray(breakpoints, dtype=float)
     inner = inner[(inner > lo) & (inner < hi)]
-    edges = np.unique(np.concatenate([[lo, hi], inner]))
+    edges = _distinct(np.concatenate([[lo, hi], inner]))[0]
     # Uniform refinement until the node budget is met.
     n_panels = max(1, int(np.ceil(quad_points / _NODES_PER_PANEL)))
     while edges.size - 1 < n_panels:
         mids = 0.5 * (edges[:-1] + edges[1:])
-        edges = np.unique(np.concatenate([edges, mids]))
+        edges = _distinct(np.concatenate([edges, mids]))[0]
     return edges
 
 

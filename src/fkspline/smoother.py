@@ -237,19 +237,21 @@ _CHUNK = 256
 _BLOCK_VALUES = 12_000
 
 
-def fit_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
-              weights: np.ndarray, full: bool = False, t: np.ndarray | None = None):
-    """Penalized fits at a stack of (knot vector, penalty weights) rows.
+def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
+              full: bool = False, which: np.ndarray | None = None, t: np.ndarray | None = None):
+    """Penalized fits at a stack of (dataset, knot vector, penalty weights) rows.
 
-    full_knots is (C, m): clamped knot vectors of one spline order over the
-    dataset's domain, repeats allowed; weights is (C, order), row c the
-    penalty_weights of row c's config.  The stack is evaluated in chunks of
-    _CHUNK rows.  Within a chunk the design, B'B and each needed penalty
-    matrix are built once per distinct knot vector, H once per row
-    (_systems), and rows are refused by _refused; the kept rows are solved
-    in stacked solves of _BLOCK_VALUES coefficients.  t, the sample points
-    (default the dataset's), must lie inside every knot vector's domain;
-    nothing is checked.
+    full_knots is (C, m): clamped knot vectors of one spline order, repeats
+    allowed; weights is (C, order), row c the penalty_weights of row c's
+    config; row c is fitted to datasets[which[c]] (datasets[0] when which
+    is None), all of one (h, n) shape, and its knot vector spans that
+    dataset's domain.  The stack is evaluated in chunks of _CHUNK rows.
+    Within a chunk the design, B'B and each needed penalty matrix are built
+    once per distinct (dataset, knot vector), H once per row (_systems), and
+    rows are refused by _refused; the kept rows are solved in stacked solves
+    of _BLOCK_VALUES coefficients, one dataset's rows at a time.  t, the
+    sample points of a one-dataset stack (default the dataset's), must lie
+    inside every knot vector's domain; nothing is checked.
 
     Yields (c, why, fit) for every row c, in row order, one at a time: why
     is "" or the reason the row's system is refused, and fit is None for a
@@ -259,41 +261,50 @@ def fit_stack(full_knots: np.ndarray, order: int, dataset: FunctionalDataset,
     full=True it is instead (coefficients, FitDiagnostics) on the full
     data, what fit_coefficients reports at that row.
     """
-    t = dataset.t if t is None else t
-    Y = dataset.values if full else dataset.reduced_values
-    block_rows = max(1, _BLOCK_VALUES // ((full_knots.shape[1] - order) * Y.shape[1]))
+    which = [0] * len(full_knots) if which is None else np.asarray(which).tolist()
+    Ys = [dataset.values if full else dataset.reduced_values for dataset in datasets]
+    points = [dataset.t for dataset in datasets] if t is None else [t]
+    n = Ys[which[0] if which else 0].shape[1]
+    block_rows = max(1, _BLOCK_VALUES // ((full_knots.shape[1] - order) * n))
     for start in range(0, len(full_knots), _CHUNK):
         chunk = full_knots[start:start + _CHUNK]
+        owners = which[start:start + _CHUNK]
         first = {}
-        owner = [first.setdefault(row.tobytes(), i) for i, row in enumerate(chunk)]
-        rows, knots = None, chunk
+        vector = [first.setdefault((d, row.tobytes()), i)
+                  for i, (d, row) in enumerate(zip(owners, chunk))]
+        rows, knots, at = None, chunk, owners
         if len(first) < len(chunk):
             distinct = list(first.values())
-            rows = np.searchsorted(distinct, owner)
-            knots = chunk[distinct]
-        B = design_stack(knots, order, np.broadcast_to(t, (len(knots), t.size)))
+            rows = np.searchsorted(distinct, vector)
+            knots, at = chunk[distinct], [owners[i] for i in distinct]
+        T = (np.broadcast_to(points[0], (len(knots), points[0].size)) if len(points) == 1
+             else np.stack([points[d] for d in at]))
+        B = design_stack(knots, order, T)
         btb = B.transpose(0, 2, 1) @ B
         H, _ = _systems(btb, knots, order, weights[start:start + _CHUNK], rows)
         refused = _refused(H)
-        # One stacked solve per block of rows; residuals are formed and
-        # handed on one row at a time, so no (C, h, n) stack is held.
-        for first_row in range(0, len(chunk), block_rows):
-            block = range(first_row, min(first_row + block_rows, len(chunk)))
-            kept = [c for c in block if not refused[c]]
-            vectors = kept if rows is None else rows[kept]  # each kept row's knot vector
-            coeffs = np.linalg.solve(H[kept], B[vectors].transpose(0, 2, 1) @ Y)
-            influence = np.linalg.solve(H[kept], btb[vectors]) if full else None
-            i = 0
-            for c in block:
-                if refused[c]:
-                    yield start + c, refused[c], None
-                    continue
-                fitted = B[vectors[i]] @ coeffs[i]
-                if full:
-                    yield start + c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted))
-                else:
-                    yield start + c, "", Y - fitted
-                i += 1
+        # One stacked solve per block of one dataset's rows; residuals are
+        # formed and handed on one row at a time, so no (C, h, n) stack is held.
+        ends = [c for c in range(1, len(owners)) if owners[c] != owners[c - 1]]
+        for lo, hi in zip([0, *ends], [*ends, len(chunk)]):
+            Y = Ys[owners[lo]]
+            for first_row in range(lo, hi, block_rows):
+                block = range(first_row, min(first_row + block_rows, hi))
+                kept = [c for c in block if not refused[c]]
+                vectors = kept if rows is None else rows[kept]  # each kept row's knot vector
+                coeffs = np.linalg.solve(H[kept], B[vectors].transpose(0, 2, 1) @ Y)
+                influence = np.linalg.solve(H[kept], btb[vectors]) if full else None
+                i = 0
+                for c in block:
+                    if refused[c]:
+                        yield start + c, refused[c], None
+                        continue
+                    fitted = B[vectors[i]] @ coeffs[i]
+                    if full:
+                        yield start + c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted))
+                    else:
+                        yield start + c, "", Y - fitted
+                    i += 1
 
 
 def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec,
@@ -321,5 +332,5 @@ def fit_spec(dataset: FunctionalDataset, spec: BasisSpec, weights: np.ndarray):
     """
     t = _check_points(spec, dataset.t)
     knots = np.broadcast_to(spec._full_arr, (len(weights), spec._full_arr.size))
-    return fit_stack(knots, spec.order, dataset, weights, full=True, t=t)
+    return fit_stack(knots, spec.order, [dataset], weights, full=True, t=t)
 

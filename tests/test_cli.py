@@ -675,15 +675,17 @@ class TestCluster:
         assert not set(labels[:10]) & set(labels[10:])
 
 
-def scipy_loaded_by(*commands) -> list[str]:
-    """scipy modules a fresh interpreter has loaded after importing fkspline
-    and fkspline.cli and running the CLI commands in an empty directory."""
+def scipy_loaded_by(*commands, package="scipy") -> list[str]:
+    """Modules of package a fresh interpreter has loaded after importing
+    fkspline and fkspline.cli and running the CLI commands in an empty
+    directory."""
     script = (
         "import json, sys\n"
         "import fkspline, fkspline.cli\n"
         f"for argv in {[list(c) for c in commands]!r}:\n"
         "    assert fkspline.cli.main(argv) == 0, argv\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules\n"
+        f"                        if m == {package!r} or m.startswith({package + '.'!r}))))\n"
     )
     src = str(Path(fkspline.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -737,6 +739,26 @@ class TestScipyLoading:
                                             "sim/labels.csv", "--outdir", "clu"])
         assert "scipy.optimize" in loaded
         assert not [m for m in loaded if m.startswith("scipy.cluster")]
+
+
+class TestLeanProcesses:
+    """CLI processes load neither numpy.ma nor, without a worker pool,
+    multiprocessing."""
+
+    def test_replicate_cluster_and_fixed_gcv_load_no_numpy_ma(self):
+        loaded = scipy_loaded_by(
+            SIMULATE,
+            ["replicate", "-R", "2", "--variants", "fs0,fs2", "--methods", "kmeans,ward",
+             "--nbasis", "5", "--grid-size", "10", "--restarts", "2", "--outdir", "rep"],
+            ["cluster", "--data", "sim/dataset.csv", "--nbasis", "5", "--grid-size", "10",
+             "--k", "4", "--restarts", "2", "--outdir", "clu"],
+            ["gcv", "--data", "sim/dataset.csv", "--knots", "2.5", "--exponents=-1:0",
+             "--outdir", "gcv"],
+            package="numpy.ma")
+        assert loaded == []
+
+    def test_importing_the_cli_loads_no_multiprocessing(self):
+        assert scipy_loaded_by(package="multiprocessing") == []
 
 
 REPL_ARGS = ["replicate", "-R", "2", "--variants", "fs0", "--methods", "kmeans",
@@ -803,7 +825,7 @@ class TestReplicate:
                              ids=["serial", "capped"])
     def test_pool_has_no_more_workers_than_seeds(self, tmp_path, monkeypatch, capsys, threads,
                                                  replications, workers):
-        import fkspline.cli
+        import concurrent.futures
 
         made = []
 
@@ -822,7 +844,8 @@ class TestReplicate:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(fkspline.cli, "ProcessPoolExecutor", FakePool)
+        # the pool is imported where it starts, so the fake is found there
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         args = ["replicate", "-R", replications, "--variants", "fs0", "--methods", "kmeans",
                 "--nbasis", "5", "--grid-size", "10", "--restarts", "2", "--threads", threads]
         assert run(args + ["--outdir", tmp_path / "r"]) == 0
@@ -857,6 +880,94 @@ class TestReplicate:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ConfigError"
+
+
+class FakePool:
+    """A worker pool that runs the mapped calls in this process, in order."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+LOCKSTEP_ARGS = ["replicate", "-R", "5", "--seed", "2", "--variants", "fs0,fs2",
+                 "--methods", "kmeans", "--nbasis", "6", "--grid-size", "15", "--restarts", "3"]
+
+
+class TestReplicateLockstep:
+    """Each process (or worker) fits all its (seed, variant) pairs as one
+    lockstep knot search; results and errors are those of seed-by-seed runs."""
+
+    def test_uneven_seed_chunks_and_single_seeds_give_the_same_rows(self, tmp_path):
+        for threads in ("1", "2", "3"):
+            assert run(LOCKSTEP_ARGS + ["--threads", threads, "--outdir", tmp_path / threads]) == 0
+        for name in ("runs.csv", "fits.csv"):
+            rows = data_rows(tmp_path / "1" / name)
+            assert len(rows) == 10
+            assert data_rows(tmp_path / "2" / name) == data_rows(tmp_path / "3" / name) == rows
+            alone = []
+            for seed in range(2, 7):
+                out = tmp_path / f"seed{seed}"
+                argv = LOCKSTEP_ARGS[:]
+                argv[2], argv[4] = "1", str(seed)
+                assert run(argv + ["--outdir", out]) == 0
+                alone += data_rows(out / name)
+            assert alone == rows
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("cluster_fails", [False, True], ids=["fits", "cluster-first"])
+    def test_first_failing_step_in_seed_order_is_reported(self, tmp_path, capsys, monkeypatch,
+                                                          threads, cluster_fails):
+        import concurrent.futures
+
+        import fkspline.cli
+        from fkspline.simulate import ScenarioConfig, generate_scenario
+        from fkspline.smoother import variant_config
+
+        first_t = {generate_scenario(ScenarioConfig(seed=s)).dataset.t[0]: s for s in range(2, 7)}
+        fail = {(4, "fs2"): errors.NotPositiveDefiniteError("seed 4 fs2"),
+                (5, "fs0"): errors.ConfigError("seed 5 fs0")}
+        lockstep, cluster, searched = fkspline.cli.add_knots_lockstep, fkspline.cli._cluster, []
+
+        def failing_search(datasets, configs, search):
+            results = lockstep(datasets, configs, search)
+            for j, (dataset, config) in enumerate(zip(datasets, configs)):
+                seed = first_t[dataset.t[0]]
+                variant = "fs0" if config == variant_config("fs0") else "fs2"
+                searched.append(seed)
+                results[j] = fail.get((seed, variant), results[j])
+            return results
+
+        def failing_cluster(model, method, k, seed, restarts):
+            if cluster_fails and seed == 3:
+                raise errors.DataError("seed 3 cluster")
+            return cluster(model, method, k, seed, restarts)
+
+        monkeypatch.setattr(fkspline.cli, "add_knots_lockstep", failing_search)
+        monkeypatch.setattr(fkspline.cli, "_cluster", failing_cluster)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        code = run(LOCKSTEP_ARGS + ["--threads", threads, "--outdir", tmp_path / "r"])
+        report = error_report(capsys)
+        # seed 3's clustering comes after its own fits, and before seed 4's
+        # fits, although every fit of its process was already searched
+        if cluster_fails:
+            assert (code, report["error"], report["context"]) == (3, "DataError", "seed 3 cluster")
+        else:
+            assert (code, report["error"], report["context"]) == (
+                4, "NotPositiveDefiniteError", "seed 4 fs2")
+        # one process searches all its fits first; a pool's chunks in order
+        # (the fake pool runs each chunk when its results are asked for)
+        last = 6 if threads == "1" else 4
+        assert sorted(searched) == sorted(2 * list(range(2, last + 1)))
+        assert not (tmp_path / "r" / "runs.csv").exists()
 
 
 class TestConfigFile:

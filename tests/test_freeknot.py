@@ -37,15 +37,20 @@ from fkspline import data, freeknot
 from fkspline.smoother import penalty_weights
 
 
-def row_weights(config, order, rows):
-    """The penalty weights of `rows` stacked rows that share one config."""
-    return np.tile(penalty_weights(config, order), (rows, 1))
+def one_job(ds, config, order):
+    """The one job (freeknot._Jobs) of stacks whose rows all fit ds under config."""
+    return freeknot._Jobs([ds], [ds.domain], penalty_weights(config, order)[None], order)
+
+
+def scan(existing, ds, config, search):
+    """freeknot._scan of one job: its candidates' ratios and scores."""
+    [(ratios, scores)] = freeknot._scan([existing], [ds], [config], search)
+    return ratios, scores
 
 
 def jacobian_at(k, ds, config, order):
     """_jacobian at one point: the point's residual and its Jacobian."""
-    [(_, why, (r, jac))] = freeknot._jacobian([k], row_weights(config, order, 1), *ds.domain,
-                                              ds, order)
+    [(_, why, (r, jac))] = freeknot._jacobian([k], [0], one_job(ds, config, order))
     assert why == ""
     return r, jac
 
@@ -55,9 +60,9 @@ def recording_fits(monkeypatch):
     calls = []
     fits = freeknot._fits
 
-    def recording(ratios, *args, full=False):
-        calls.append(([np.asarray(row).tolist() for row in ratios], full))
-        return fits(ratios, *args, full=full)
+    def recording(rows, *args, full=False, **kwargs):
+        calls.append(([np.asarray(row).tolist() for row in rows], full))
+        return fits(rows, *args, full=full, **kwargs)
 
     monkeypatch.setattr(freeknot, "_fits", recording)
     return calls
@@ -382,9 +387,9 @@ class TestStackedScan:
         ds, existing, search = next(itertools.islice(trials, 20, None))
         assert ds.values.shape == (11, 39) and search.order == 2 and search.grid_size == 25
         assert ds.row_basis is not None
-        _, reduced = freeknot._scan(existing, ds, PenaltyConfig(), search)
+        _, reduced = scan(existing, ds, PenaltyConfig(), search)
         monkeypatch.setattr(FunctionalDataset, "row_basis", property(lambda self: None))
-        _, full = freeknot._scan(existing, ds, PenaltyConfig(), search)
+        _, full = scan(existing, ds, PenaltyConfig(), search)
         assert np.array_equal(np.isnan(reduced), np.isnan(full))
         scored = np.flatnonzero(~np.isnan(full))
         picks = [scored[freeknot._first_best(scores[scored])] for scores in (reduced, full)]
@@ -401,7 +406,7 @@ class TestStackedScan:
             n, m = ds.values.shape
             y = ds.values
             assert (ds.row_basis is None) == (m <= n)
-            ratios, scores = freeknot._scan(existing, ds, config, search)
+            ratios, scores = scan(existing, ds, config, search)
             coords, ref, ref_residuals = self.scan_by_objective_f(existing, ds, config, search)
             refused = np.isnan(ref)
             refusals += int(refused.sum())
@@ -418,8 +423,7 @@ class TestStackedScan:
             # the evaluator behind the scores refuses the same rows and
             # keeps each fit's residual matrix
             rows = {c: fit for c, _, fit in freeknot._fits(
-                ratios, row_weights(config, search.order, len(ratios)), *ds.domain, ds,
-                search.order)}
+                ratios, one_job(ds, config, search.order), np.zeros(len(ratios), dtype=int))}
             rows = [rows[c] for c in range(len(ratios))]
             assert [row is None for row in rows] == [r is None for r in ref_residuals]
             assert [r is None for r in ref_residuals] == list(refused)
@@ -451,7 +455,7 @@ class TestStackedScan:
         assert refusals > 0  # the refusal rule was exercised
         # a grid used up by exclusion zones scores nothing
         search = KnotSearchConfig(order=max(orders), max_knots=3, grid_size=2)
-        ratios, scores = freeknot._scan(np.array([0.3, 0.7]), hinge_dataset(), config, search)
+        ratios, scores = scan(np.array([0.3, 0.7]), hinge_dataset(), config, search)
         assert ratios.shape == (0, 3) and scores.shape == (0,)
 
     def test_search_scores_without_per_candidate_refits(self, monkeypatch):
@@ -646,7 +650,7 @@ class TestStackedJacobian:
         penalized = PenaltyConfig(lambda2=1e-2)
         alone = gauss_newton_refine(start, ds, penalized, search)
         outcomes = {i: (pair, fit) for i, pair, fit in freeknot.refine_fits(
-            [start, start], [PenaltyConfig(), penalized], ds, search)}
+            [start, start], [PenaltyConfig(), penalized], [ds, ds], search)}
         pair, fit = outcomes[0]
         assert fit is None and type(pair.error) is NotPositiveDefiniteError
         assert str(pair.error) == str(want.value)
@@ -667,7 +671,7 @@ class TestStackedJacobian:
             gauss_newton_refine(start, ds, PenaltyConfig(), search)
         fine = jupp(np.array([0.3, 0.6]), 0.0, 1.0)
         outcomes = {i: pair for i, pair, _ in freeknot.refine_fits(
-            [start, fine], [PenaltyConfig()] * 2, ds, search)}
+            [start, fine], [PenaltyConfig()] * 2, [ds, ds], search)}
         assert type(outcomes[0].error) is type(want.value) and outcomes[0].iterations == 0
         assert outcomes[1].error is None and outcomes[1].iterations > 0
 
@@ -683,7 +687,7 @@ def sequential_propose(pair, lo, hi, order, min_gap):
             delta = None
         if delta is not None:
             k_new = pair.k + delta
-            kept, full = freeknot._fittable_rows(k_new[None], lo, hi, order)
+            kept, full = freeknot._fittable_rows(k_new[None], np.array([lo]), np.array([hi]), order)
             interior = full[:, order : full.shape[1] - order]
             if kept.size and not (p >= 2 and float(np.diff(interior).min()) < min_gap):
                 return k_new, delta, full[0]
@@ -716,7 +720,9 @@ class TestBatchedProposals:
     lo, hi, order, min_gap = 0.0, 1.0, 4, 0.02
 
     def propose(self, batch):
-        return freeknot._proposals(batch, self.lo, self.hi, self.order, self.min_gap)
+        jobs = freeknot._Jobs([noisy_sine_dataset()], [(self.lo, self.hi)],
+                              np.zeros((1, self.order)), self.order)
+        return freeknot._proposals(batch, jobs, np.array([self.min_gap]))
 
     def assert_same(self, step, ref):
         if ref is None:
@@ -779,13 +785,14 @@ class TestStageRecords:
 
     def test_stages_record_their_refinement(self, monkeypatch):
         refined = []
-        refine = freeknot.gauss_newton_refine
+        refine = freeknot.refine_fits
 
         def recording(*args):
-            refined.append(refine(*args))
-            return refined[-1]
+            for i, pair, fit in refine(*args):
+                refined.append(pair)
+                yield i, pair, fit
 
-        monkeypatch.setattr(freeknot, "gauss_newton_refine", recording)
+        monkeypatch.setattr(freeknot, "refine_fits", recording)
         result = add_knots_gradually(noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5),
                                      KnotSearchConfig(order=4, max_knots=4, fixed_p=True))
         stage0, *stages = result.stages
@@ -877,3 +884,102 @@ class TestHighLevelFit:
         assert result.stopped_early
         assert result.chosen.p < 5
         assert result.chosen.gcv == min(s.gcv for s in result.stages)
+
+
+def search_or_error(dataset, config, search):
+    """add_knots_gradually's result, or the FkSplineError it raises."""
+    try:
+        return add_knots_gradually(dataset, config, search)
+    except FkSplineError as exc:
+        return exc
+
+
+def assert_same_search(got, want):
+    """Two knot searches agree bit for bit: stages, selection and the model;
+    or they failed with the same error."""
+    if isinstance(want, FkSplineError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert len(got.stages) == len(want.stages)
+    for a, b in zip(got.stages, want.stages):
+        assert (a.p, a.objective, a.gcv, a.df, a.iterations, a.converged, a.step_failure) == (
+            b.p, b.objective, b.gcv, b.df, b.iterations, b.converged, b.step_failure)
+        assert np.array_equal(a.knots, b.knots)
+        assert np.array_equal(a.coords.values, b.coords.values)
+        assert (a.coords.lo, a.coords.hi) == (b.coords.lo, b.coords.hi)
+    assert got.stages.index(got.chosen) == want.stages.index(want.chosen)
+    assert got.stopped_early == want.stopped_early
+    assert_same_fit(got.model, want.model)
+    assert got.model.knot_search is got
+
+
+class TestLockstepSearch:
+    """add_knots_lockstep runs many (dataset, config) jobs as one search;
+    each job comes out as add_knots_gradually alone leaves it."""
+
+    def jobs(self):
+        rng = np.random.default_rng(0)
+        t = np.linspace(2.0, 5.0, 45)
+        smooth = FunctionalDataset(t=t, values=np.sin(0.7 * t) + 0.1 * rng.standard_normal(45))
+        tiny_t = np.linspace(-1.0, 1.0, 5)
+        tiny = FunctionalDataset(t=tiny_t, values=np.column_stack([np.sin(3 * tiny_t),
+                                                                   np.cos(2 * tiny_t)]))
+        sine, wide = noisy_sine_dataset(), noisy_sine_dataset(seed=5, n=20, curves=30)
+        fs0, fs2 = PenaltyConfig(), PenaltyConfig(lambda1=1e-7, lambda2=1e-5)
+        return [
+            (sine, fs0),
+            (sine, fs2),  # the same dataset object as the job before
+            (hinge_dataset(knot=1.7, lo=0.5, hi=3.0), PenaltyConfig(alphas=(0.0, 1e-6, 0.0, 1e-8))),
+            (smooth, PenaltyConfig(lambda2=1e-8)),  # stops early by its GCV rule
+            (wide, fs2),  # more curves than points: another data shape
+            (tiny, fs0),  # 6 basis functions on 5 points: every p = 2 candidate fails
+            (sine, PenaltyConfig(alphas=(0.0, 0.0, 0.0, 0.0, 1e-3))),  # order 4 cannot carry
+        ]
+
+    @pytest.mark.parametrize("fixed_p", [False, True], ids=["gcv-rule", "fixed-p"])
+    def test_each_job_matches_its_search_alone(self, fixed_p):
+        search = KnotSearchConfig(order=4, max_knots=5, grid_size=20, fixed_p=fixed_p)
+        jobs = self.jobs()
+        alone = [search_or_error(ds, config, search) for ds, config in jobs]
+        together = freeknot.add_knots_lockstep([ds for ds, _ in jobs], [c for _, c in jobs], search)
+        for got, want in zip(together, alone):
+            assert_same_search(got, want)
+        # the jobs differ in domain, and some leave the lockstep early
+        assert len({ds.domain for ds, _ in jobs}) == 4
+        assert type(alone[5]) is AllCandidatesSingularError
+        assert type(alone[6]).__name__ == "DerivativeOrderTooHighError"
+        rounds = [len(r.stages) for r in alone[:5]]
+        assert len(set(rounds)) > 1 if not fixed_p else set(rounds) == {6}
+        assert alone[3].stopped_early is not fixed_p
+
+    def test_one_job_is_add_knots_gradually(self, monkeypatch):
+        calls = []
+        lockstep = freeknot.add_knots_lockstep
+
+        def recording(datasets, configs, search):
+            calls.append(len(datasets))
+            return lockstep(datasets, configs, search)
+
+        monkeypatch.setattr(freeknot, "add_knots_lockstep", recording)
+        search = KnotSearchConfig(order=4, max_knots=2, grid_size=10, fixed_p=True)
+        fit_free_knot(noisy_sine_dataset(), PenaltyConfig(), search)
+        assert calls == [1]
+
+    def test_rounds_share_one_scan_and_one_refine_batch(self, monkeypatch):
+        scans, batches = [], []
+        scan_, refine = freeknot._scan, freeknot.refine_fits
+
+        def counting_scan(knots, *args):
+            scans.append(len(knots))
+            return scan_(knots, *args)
+
+        def counting_refine(starts, *args):
+            batches.append(len(starts))
+            return refine(starts, *args)
+
+        monkeypatch.setattr(freeknot, "_scan", counting_scan)
+        monkeypatch.setattr(freeknot, "refine_fits", counting_refine)
+        search = KnotSearchConfig(order=4, max_knots=3, grid_size=10, fixed_p=True)
+        datasets = [noisy_sine_dataset(seed=s) for s in range(3)]
+        freeknot.add_knots_lockstep(datasets, [PenaltyConfig()] * 3, search)
+        assert scans == batches == [3, 3, 3]

@@ -244,8 +244,8 @@ class TestLockstepGrid:
         assert res.failures == ref_failures == []
         configs = [PenaltyConfig(lambda1=a, lambda2=b) for a in grid.values for b in grid.values]
         iterations = {i: pair.iterations for i, pair, _ in
-                      refine_fits([w for w in warm for _ in configs], configs * len(warm), ds,
-                                  self.search)}
+                      refine_fits([w for w in warm for _ in configs], configs * len(warm),
+                                  [ds] * (len(warm) * len(configs)), self.search)}
         assert [iterations[i] for i in range(len(iterations))] == ref_iterations
         assert max(ref_iterations) > 1
 

@@ -69,7 +69,7 @@ class TestFitStack:
         weights = np.array([penalty_weights(config, 4) for _, config in rows])
         solve, solves = np.linalg.solve, []
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
-        out = list(fit_stack(knots, 4, ds, weights, full=True))
+        out = list(fit_stack(knots, 4, [ds], weights, full=True))
         monkeypatch.setattr(np.linalg, "solve", solve)
         # two stacked solves (coefficients, influence) per block of each chunk
         per_block = block or chunk
@@ -88,12 +88,48 @@ class TestFitStack:
                 assert np.array_equal(getattr(fit[1], field.name),
                                       getattr(ref.diagnostics, field.name)), field.name
         assert sum(fit is None for _, _, fit in out) == 1
-        for (_, why, residual), (spec, config) in zip(fit_stack(knots, 4, ds, weights), rows):
+        for (_, why, residual), (spec, config) in zip(fit_stack(knots, 4, [ds], weights), rows):
             if why:
                 assert residual is None
             else:
                 ref = fit_coefficients(ds, spec, config).diagnostics.residuals
                 assert np.array_equal(residual, ref)
+
+    def test_rows_of_several_datasets_are_the_fits_on_their_own(self, monkeypatch):
+        monkeypatch.setattr(smoother, "_CHUNK", 5)  # chunks that mix datasets
+        rng = np.random.default_rng(3)
+        uneven = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 23)), [1.0]])
+        datasets = [FunctionalDataset(t=t, values=rng.standard_normal((t.size, n)))
+                    for t, n in [(np.linspace(0.0, 1.0, 25), 2), (uneven, 2),
+                                 (np.linspace(0.0, 1.0, 25), 2), (np.linspace(-1.0, 2.0, 25), 2)]]
+        # datasets 0 and 1 share a domain and get the same knot vectors, which
+        # must not share a design; so do datasets 0 and 2, on other data
+        which = [0, 1, 2, 3, 0, 1, 3, 2, 0, 1, 1, 0]
+        rows = []
+        for i, d in enumerate(which):
+            lo, hi = datasets[d].domain
+            knots = lo + (hi - lo) * np.array([0.3, 0.6] if i % 3 else [0.2, 0.5, 0.7])
+            rows.append((make_basis_spec(lo, hi, 4, knots), self.rows()[i % 6][1]))
+        weights = np.array([penalty_weights(config, 4) for _, config in rows])
+        for size in (3, 2):
+            group = [i for i, (spec, _) in enumerate(rows) if spec.n_basis == size + 4]
+            knots = np.array([rows[i][0]._full_arr for i in group])
+            for full in (False, True):
+                out = list(fit_stack(knots, 4, datasets, weights[group], full=full,
+                                     which=np.array(which)[group]))
+                assert [c for c, _, _ in out] == list(range(len(group)))
+                for c, why, fit in out:
+                    i = group[c]
+                    [(_, ref_why, ref)] = fit_stack(knots[c:c + 1], 4, [datasets[which[i]]],
+                                                    weights[i:i + 1], full=full)
+                    assert why == ref_why == ""
+                    if full:
+                        assert np.array_equal(fit[0], ref[0])
+                        for field in dataclasses.fields(ref[1]):
+                            assert np.array_equal(getattr(fit[1], field.name),
+                                                  getattr(ref[1], field.name)), field.name
+                    else:
+                        assert np.array_equal(fit, ref)
 
     def test_zero_weight_leaves_an_overflowed_penalty_out(self, monkeypatch):
         # 0 * inf is nan: a row that does not weight an order must not get
@@ -110,7 +146,7 @@ class TestFitStack:
         spec = make_basis_spec(0.0, 1.0, 4, [0.5])
         knots = np.repeat(spec._full_arr[None], 2, axis=0)
         weights = np.array([[0.0, 0.0, 1e-3, 0.0], [0.0, 1e-3, 1e-3, 0.0]])
-        out = [why for _, why, _ in fit_stack(knots, 4, ds, weights)]
+        out = [why for _, why, _ in fit_stack(knots, 4, [ds], weights)]
         assert out == ["", "system matrix has non-finite entries"]
 
 
@@ -172,7 +208,7 @@ class TestSystemMatrix:
         config = PenaltyConfig(alphas=(0.0, 1e-4, 1e-3, 1e-6))
         with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
             fit_coefficients(ds, spec, config)
-        [(_, why, fit)] = fit_stack(spec._full_arr[None, :], 4, ds,
+        [(_, why, fit)] = fit_stack(spec._full_arr[None, :], 4, [ds],
                                     penalty_weights(config, 4)[None])
         assert "non-finite" in why and fit is None
 
