@@ -165,6 +165,32 @@ def design_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivative: 
     return dense
 
 
+def bspline_stack(knots: np.ndarray, t: np.ndarray, derivative: int = 0) -> np.ndarray:
+    """Values (or a derivative) of one B-spline per row of a stack.
+
+    knots is (C, r + 1), row c the nondecreasing knots of a B-spline of
+    order r whose first and last knots each repeat fewer than r times; t
+    is (C, P).  Returns the (C, P) values of B-spline c at points t[c],
+    zero outside [knots[c, 0], knots[c, -1]), by the Cox-de Boor recurrence
+    on its own knots; no input is checked.  Agrees with the matching
+    column of design_stack up to roundoff, except that a derivative at
+    the last knot is zero here and the left limit in design_stack.
+    """
+    r = knots.shape[1] - 1
+    x, knots = t[:, None, :], knots[:, :, None]
+    values = ((knots[:, :-1] <= x) & (x < knots[:, 1:])).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, r + 1):
+            widths = knots[:, k - 1 :] - knots[:, : r - k + 2]
+            scaled = values * np.where(widths > 0, 1.0 / np.where(widths > 0, widths, 1.0), 0.0)
+            if k > r - derivative:
+                values = (k - 1) * (scaled[:, :-1] - scaled[:, 1:])
+            else:
+                values = ((x - knots[:, : r - k + 1]) * scaled[:, :-1]
+                          + (knots[:, k:] - x) * scaled[:, 1:])
+    return values[:, 0]
+
+
 def _check_points(spec: BasisSpec, t) -> np.ndarray:
     t = np.asarray(t, dtype=float).reshape(-1)
     if not np.all(np.isfinite(t)):

@@ -32,7 +32,7 @@ from .cluster import (
 )
 from .data import FunctionalDataset
 from .errors import ConfigError, DataError, DuplicateCellError, FkSplineError, ParseError
-from .freeknot import KnotSearchConfig, add_knots_lockstep, fit_free_knot
+from .freeknot import KnotSearchConfig, add_knots_gradually, add_knots_lockstep
 from .ingest import _read_rows, load_csv
 from .lambda_select import LambdaGrid, gcv_grid_search
 from .metrics import TailRegions, model_isse
@@ -282,7 +282,7 @@ def _fit_model(dataset, config, args, knots=None):
     which must place them all."""
     p = _knot_count(args) if knots is None else 0
     if p > 0:
-        return _placed(fit_free_knot(dataset, config, _knot_search(args)).knot_search, args)
+        return _placed(add_knots_gradually(dataset, config, _knot_search(args)), args)
     lo, hi = dataset.domain
     return fit_coefficients(dataset, make_basis_spec(lo, hi, args.order, knots or []), config)
 
@@ -487,7 +487,6 @@ def _replicate_seeds(args, seeds) -> list:
         out = {"seed": seed, "fits": {}, "clusters": {}}
         for variant in args.variants:
             model = _placed(searched.pop(0), args)
-            model.knot_search = None  # no model-search cycle: freed without a full gc
             d = model.diagnostics
             out["fits"][variant] = {"df": d.df, "gcv": d.gcv, "sse": d.sse,
                                     **model_isse(model, scenario.truth, tails)}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, _check_points, make_basis_spec
+from .basis import BasisSpec, _check_points, bspline_stack, design_stack, make_basis_spec
 from .data import FunctionalDataset
 from .errors import (
     AllCandidatesSingularError,
@@ -29,8 +29,9 @@ from .errors import (
     NonIncreasingKnotsError,
     NotPositiveDefiniteError,
 )
-from .penalty import PenaltyConfig
-from .smoother import FitModel, fit_coefficients, fit_stack, penalty_weights
+from .penalty import PenaltyConfig, _gauss_legendre
+from .smoother import (FitModel, _refused, _systems, fit_coefficients, fit_stack,
+                       penalty_weights)
 
 __all__ = [
     "JuppCoords",
@@ -134,6 +135,16 @@ _GCV_REL_TOL = 1e-3
 _GCV_PATIENCE = 2
 # Scan scores this many ulp (relative) above the best tie with it.
 _TIE_ULPS = 4
+# The scan's screen (_bordered) is within 2.9e-13 of the parent's sse of
+# the exact score (largest over pool seeds 0-63, fs0, fs2 and alphas), so a
+# window of _SCREEN_WINDOW times that sse keeps every possible winner with
+# six orders of magnitude to spare; a Schur complement below _SCHUR_FLOOR
+# of its diagonal is too near singular to trust.  A parent fitting the data
+# to roundoff leaves no score to rank: _ROUNDOFF_FLOOR times the data's
+# squared norm, added to the sse, then has every candidate fitted.
+_SCREEN_WINDOW = 1e-6
+_SCHUR_FLOOR = 1e-8
+_ROUNDOFF_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -297,10 +308,11 @@ def _jacobian(points, owner, jobs: _Jobs):
                 yield columns(i, forward, {})
     failed = [(i, j) for i, forward in waiting.items() for j in range(len(forward) - 1)
               if forward[j + 1] is None]
-    back = [points[i] - np.diag(steps[i])[j] for i, j in failed]
     backward = {}
-    for c, _, residual in _fits(back, jobs, owner[[i for i, _ in failed]]):
-        backward.setdefault(failed[c][0], {})[failed[c][1]] = residual
+    if failed:
+        back = [points[i] - np.diag(steps[i])[j] for i, j in failed]
+        for c, _, residual in _fits(back, jobs, owner[[i for i, _ in failed]]):
+            backward.setdefault(failed[c][0], {})[failed[c][1]] = residual
     for i, forward in waiting.items():
         yield columns(i, forward, backward.get(i, {}))
 
@@ -523,8 +535,10 @@ class StageRecord:
     """One accepted stage of the gradual knot search.
 
     iterations, converged and step_failure are those of the stage's
-    Gauss-Newton refinement (GaussNewtonResult); the p = 0 stage has no
-    knots to refine and records 0, True and False.
+    Gauss-Newton refinement (GaussNewtonResult); scanned counts the grid
+    candidates its scan scored (the grid minus the exclusion zones) and
+    fitted the ones the scan fitted exactly (_scan).  The p = 0 stage has
+    no scan and no knots to refine and records 0, True, False, 0 and 0.
     """
 
     p: int
@@ -536,6 +550,8 @@ class StageRecord:
     iterations: int = 0
     converged: bool = True
     step_failure: bool = False
+    scanned: int = 0
+    fitted: int = 0
 
 
 @dataclass(eq=False)
@@ -584,18 +600,73 @@ def _stage_record(coords: JuppCoords, model: FitModel, **refinement) -> StageRec
     )
 
 
+def _bordered(existing, full, q, dataset: FunctionalDataset, weights: np.ndarray, order: int):
+    """Scores of knot insertions from the fit at the existing knots, and its window.
+
+    Row c of full is a candidate's clamped knot vector, q[c] its new knot's
+    index there.  The candidate's space is the parent's plus the refined
+    B-spline g = N_j, j = q[c] - order // 2; penalties are norms of the
+    spline, so its system is the parent's H bordered by one row and column
+    (u, s), solved through the Schur complement s - u'H^-1 u.  A score is
+    that fit's sse on the reduced data, nan where it is non-finite, its
+    Schur complement is below _SCHUR_FLOOR or _refused refuses the parent.
+    The window is the parent's sse plus the _ROUNDOFF_FLOOR term (0 when
+    every score is nan).
+    """
+    t, Y = dataset.t, dataset.reduced_values
+    lo, hi = dataset.domain
+    parent = np.concatenate([np.full(order, lo), existing, np.full(order, hi)])
+    B = design_stack(parent[None], order, t[None])[0]
+    H, _ = _systems((B.T @ B)[None], parent[None], order, weights[None])
+    if not full.size or _refused(H)[0]:
+        return np.full(len(full), np.nan), 0.0
+    xi = np.take_along_axis(full, (q - order // 2)[:, None] + np.arange(order + 1), axis=1)
+    with np.errstate(all="ignore"):
+        g = bspline_stack(xi, np.broadcast_to(t, (len(xi), t.size)))
+        u, s = g @ B, np.einsum("ch,ch->c", g, g)
+        # g's support spans are spans of the candidate's basis, so order - l
+        # Gauss-Legendre nodes on each integrate B^(l) g^(l) exactly
+        half, mid = 0.5 * np.diff(xi, axis=1), 0.5 * (xi[:, :-1] + xi[:, 1:])
+        for l in np.flatnonzero(weights > 0.0).tolist():
+            nodes, w = _gauss_legendre(order - l)
+            at = (mid[:, :, None] + half[:, :, None] * nodes).reshape(len(xi), -1)
+            gl = bspline_stack(xi, at, l)
+            gw = gl * (weights[l] * half[:, :, None] * w).reshape(len(xi), -1)
+            Bl = design_stack(parent[None], order, at.reshape(1, -1), l)[0]
+            u += np.einsum("cp,cpi->ci", gw, Bl.reshape(*at.shape, -1))
+            s += np.einsum("cp,cp->c", gw, gl)
+        solved = np.linalg.solve(H[0], np.concatenate([B.T @ Y, u.T], axis=1))
+        c, z = solved[:, :Y.shape[1]], solved[:, Y.shape[1]:]
+        r = Y - B @ c
+        schur = s - np.einsum("ci,ic->c", u, z)
+        v = g - (B @ z).T
+        beta = (g @ Y - u @ c) / schur[:, None]
+        sse = np.einsum("ij,ij", r, r)
+        scores = (sse - 2.0 * np.einsum("cj,cj->c", beta, v @ r)
+                  + np.einsum("ch,ch->c", v, v) * np.einsum("cj,cj->c", beta, beta))
+    scores[~np.isfinite(scores) | ~(schur > _SCHUR_FLOOR * s)] = np.nan
+    return scores, sse + _ROUNDOFF_FLOOR * np.einsum("ij,ij", Y, Y)
+
+
 def _scan(knots, datasets, configs, search: KnotSearchConfig):
     """Score the insertion of every grid candidate into each job's accepted knots.
 
-    Job j inserts its candidates into knots[j] (all of one length) on the
-    domain of datasets[j] under configs[j], all jobs in one stack.  Returns
-    (ratios, scores) per job: row c of ratios holds jupp of the knots with
-    candidate c inserted; score c is objective_f there up to roundoff, or
-    nan where objective_f would raise.
+    Job j inserts its candidates into knots[j] on the domain of datasets[j]
+    under configs[j].  A bordered screen per job (_bordered) scores them
+    from the parent fit; then passes fit candidates exactly, all jobs in
+    one stack each: every unfitted candidate whose screen is nan or within
+    _SCREEN_WINDOW of the best (the smallest exact score, before one exists
+    the smallest screen), until a pass takes none.  Returns (ratios,
+    scores, fitted) per job: row c of ratios holds jupp of the knots with
+    candidate c inserted; score c is objective_f there up to roundoff if it
+    was fitted, +inf if the screen shows it cannot be _first_best, nan
+    where objective_f would raise; fitted counts the exact fits.
     """
     order = search.order
-    ratios = []
-    for existing, dataset in zip(knots, datasets):
+    weights = np.array([penalty_weights(config, order) for config in configs]).reshape(-1, order)
+    jobs = _Jobs(datasets, [dataset.domain for dataset in datasets], weights, order)
+    ratios, kept, full, screens, scores = [], [], [], [], []
+    for j, (existing, dataset) in enumerate(zip(knots, datasets)):
         lo, hi = dataset.domain
         grid = _candidate_grid(lo, hi, existing, search)
         tau = np.sort(np.column_stack([np.broadcast_to(existing, (grid.size, existing.size)),
@@ -603,15 +674,34 @@ def _scan(knots, datasets, configs, search: KnotSearchConfig):
         # a zero gap (knots that coincide in floating point) gives a
         # non-finite ratio, which _fittable_rows turns away
         ratios.append(_gap_ratios(tau, lo, hi)[1])
-    owner = np.repeat(np.arange(len(ratios)), [len(r) for r in ratios])
-    weights = np.array([penalty_weights(config, order) for config in configs]).reshape(-1, order)
-    jobs = _Jobs(datasets, [dataset.domain for dataset in datasets], weights, order)
-    stack = np.concatenate(ratios)
-    scores = np.full(len(stack), np.nan)
-    for c, _, residual in _fits(stack, jobs, owner):
-        if residual is not None:
-            scores[c] = np.einsum("ij,ij->j", residual, residual).sum()
-    return [(r, scores[owner == j]) for j, r in enumerate(ratios)]
+        rows, rows_full = _fittable_rows(ratios[j], np.full(grid.size, lo),
+                                         np.full(grid.size, hi), order)
+        kept.append(rows)
+        full.append(rows_full)
+        screens.append(_bordered(existing, rows_full, order + np.searchsorted(existing, grid[rows]),
+                                 dataset, weights[j], order))
+        scores.append(np.full(grid.size, np.nan))
+    checked = [np.zeros(rows.size, dtype=bool) for rows in kept]
+    while True:
+        picked = []
+        for j, (bordered, window) in enumerate(screens):
+            exact = scores[j][kept[j]]  # nan until fitted
+            found = exact[np.isfinite(exact)]
+            best = found.min() if found.size else np.fmin.reduce(bordered[~checked[j]],
+                                                                 initial=np.inf)
+            pick = np.flatnonzero(~checked[j] & ~(bordered > best + _SCREEN_WINDOW * window))
+            checked[j][pick] = True
+            picked.extend((j, c) for c in pick.tolist())
+        if not picked:
+            break
+        for i, _, residual in _fits([full[j][c] for j, c in picked], jobs,
+                                    [j for j, _ in picked], mapped=True):
+            if residual is not None:
+                j, c = picked[i]
+                scores[j][kept[j][c]] = np.einsum("ij,ij->j", residual, residual).sum()
+    for j, rows in enumerate(kept):
+        scores[j][rows[~checked[j]]] = np.inf
+    return [(r, s, int(done.sum())) for r, s, done in zip(ratios, scores, checked)]
 
 
 def _first_best(scores: np.ndarray) -> int:
@@ -660,14 +750,15 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
         if not live:
             break
         starts = []
-        for job, (ratios, scores) in zip(live, _scan([job.result.stages[-1].knots for job in live],
-                                                     [job.dataset for job in live],
-                                                     [job.config for job in live], search)):
+        for job, (ratios, scores, fitted) in zip(live, _scan(
+                [job.result.stages[-1].knots for job in live], [job.dataset for job in live],
+                [job.config for job in live], search)):
             scored = np.flatnonzero(np.isfinite(scores))
             failures = int(np.isnan(scores).sum())
             if scored.size:
                 best = ratios[scored[_first_best(scores[scored])]]
-                starts.append((job, JuppCoords(best, *job.dataset.domain)))
+                starts.append((job, JuppCoords(best, *job.dataset.domain),
+                               {"scanned": scores.size, "fitted": fitted}))
             elif failures:  # else exclusion zones used up the grid
                 last = job.result.stages[-1]
                 job.error = AllCandidatesSingularError(
@@ -675,10 +766,10 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
                     f"the last feasible stage has p={last.p} and knots "
                     f"{[float(x) for x in last.knots]}"
                 )
-        for i, pair, fit in refine_fits([coords for _, coords in starts],
-                                        [job.config for job, _ in starts],
-                                        [job.dataset for job, _ in starts], search):
-            job, start = starts[i]
+        for i, pair, fit in refine_fits([coords for _, coords, _ in starts],
+                                        [job.config for job, *_ in starts],
+                                        [job.dataset for job, *_ in starts], search):
+            job, start, scan = starts[i]
             job.error, result = pair.error, job.result
             if fit is None:
                 continue
@@ -686,19 +777,17 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
             job.model = FitModel(_spec(coords, order), job.config, *fit)
             result.stages.append(_stage_record(
                 coords, job.model, iterations=pair.iterations, converged=pair.converged,
-                step_failure=pair.step_failure))
+                step_failure=pair.step_failure, **scan))
             # GCV rule: a stage better by _GCV_REL_TOL resets the streak
             gcv, best = result.stages[-1].gcv, result.chosen.gcv
             job.bad_streak = 0 if gcv < best * (1.0 - _GCV_REL_TOL) else job.bad_streak + 1
             if gcv < best:
                 result.chosen, result.model = result.stages[-1], job.model
             result.stopped_early = not search.fixed_p and job.bad_streak >= _GCV_PATIENCE
-        live = [job for job, _ in starts if job.error is None and not job.result.stopped_early]
+        live = [job for job, *_ in starts if job.error is None and not job.result.stopped_early]
     for job in jobs:
-        if job.error is None:
-            if search.fixed_p:
-                job.result.chosen, job.result.model = job.result.stages[-1], job.model
-            job.result.model.knot_search = job.result
+        if job.error is None and search.fixed_p:
+            job.result.chosen, job.result.model = job.result.stages[-1], job.model
     return [job.error or job.result for job in jobs]
 
 

@@ -187,7 +187,6 @@ class FitModel:
     config: PenaltyConfig
     coeffs: np.ndarray  # (n_basis, n_curves)
     diagnostics: FitDiagnostics
-    knot_search: object | None = None
 
     @property
     def n_curves(self) -> int:

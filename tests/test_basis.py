@@ -26,6 +26,7 @@ from fkspline import (
     eval_spline,
     make_basis_spec,
 )
+from fkspline.basis import bspline_stack, design_stack
 
 
 def design_values(spec, t, derivative=0):
@@ -181,6 +182,41 @@ class TestEvaluation:
             eval_design(spec, np.array([0.5]), derivative=4)
         # derivative r-1 is fine (piecewise constant)
         eval_design(spec, np.array([0.5]), derivative=3)
+
+
+class TestOneBSplinePerRow:
+    """bspline_stack evaluates one B-spline per row on its own knots: the
+    column of the basis that has those knots."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_matches_the_design_column(self, order):
+        rng = np.random.default_rng(order)
+        full, column, t = [], [], []
+        for _ in range(12):
+            a = float(rng.uniform(-2.0, 2.0))
+            b = a + float(rng.uniform(0.5, 3.0))
+            interior = np.sort(rng.uniform(a, b, int(rng.integers(1, 5))))
+            full.append(np.concatenate([np.full(order, a), interior, np.full(order, b)]))
+            # every column but the first and the last, whose end knot repeats
+            # order times, including columns that reach a clamped end
+            column.append(int(rng.integers(1, interior.size + order - 1)))
+            t.append(np.concatenate([[a, b], rng.uniform(a, b, 40)]))
+        for spline, j, points in zip(full, column, t):
+            knots = spline[None, j : j + order + 1]
+            for derivative in range(order):
+                want = design_stack(spline[None], order, points[None], derivative)[0, :, j]
+                got = bspline_stack(knots, points[None], derivative)[0]
+                if derivative:  # the design's right end takes the left limit
+                    want[points == knots[0, -1]] = 0.0
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_rows_are_independent(self):
+        knots = np.array([[0.0, 0.2, 0.5, 0.9, 1.0], [1.0, 1.0, 2.0, 3.0, 3.5]])
+        t = np.array([np.linspace(0.0, 1.0, 9), np.linspace(1.0, 3.5, 9)])
+        both = bspline_stack(knots, t, 1)
+        for c in range(2):
+            assert np.array_equal(both[c], bspline_stack(knots[c : c + 1], t[c : c + 1], 1)[0])
 
 
 class TestSplineEvaluation:

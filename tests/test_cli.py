@@ -320,7 +320,7 @@ class TestExitCodes:
         def no_fit(*args, **kwargs):
             raise AssertionError("the knot search ran before the inputs were checked")
 
-        monkeypatch.setattr(fkspline.cli, "fit_free_knot", no_fit)
+        monkeypatch.setattr(fkspline.cli, "add_knots_gradually", no_fit)
         rows = (simdir / "labels.csv").read_text().splitlines()
         (tmp_path / "bad-group").write_text("\n".join(rows[:-1] + [rows[-1][:-1] + "7"]) + "\n")
         (tmp_path / "bad-row").write_text("\n".join(rows[:-1] + [rows[-1] + ",1"]) + "\n")
@@ -337,7 +337,7 @@ class TestExitCodes:
         def no_fit(*args, **kwargs):
             raise AssertionError("the knot search ran before the labels were checked")
 
-        monkeypatch.setattr(fkspline.cli, "fit_free_knot", no_fit)
+        monkeypatch.setattr(fkspline.cli, "add_knots_gradually", no_fit)
         labels = tmp_path / "labels.csv"
         labels.write_text(f"curve_id,label\n{row}\n")
         out = tmp_path / "out"
@@ -1016,7 +1016,7 @@ class TestConfigFile:
         def no_fit(*args, **kwargs):
             raise AssertionError("a fit ran before the config file was checked")
 
-        monkeypatch.setattr(fkspline.cli, "fit_free_knot", no_fit)
+        monkeypatch.setattr(fkspline.cli, "add_knots_gradually", no_fit)
         monkeypatch.setattr(fkspline.cli, "fit_coefficients", no_fit)
         config = write_config(tmp_path / "cfg.json", cfg)
         data = ["--data", simdir / "dataset.csv"] if subcommand == "fit" else []

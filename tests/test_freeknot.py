@@ -34,7 +34,8 @@ from fkspline import (
     objective_f,
 )
 from fkspline import data, freeknot
-from fkspline.smoother import penalty_weights
+from fkspline.simulate import benchmark_config, generate_scenario
+from fkspline.smoother import penalty_weights, variant_config
 
 
 def one_job(ds, config, order):
@@ -44,8 +45,41 @@ def one_job(ds, config, order):
 
 def scan(existing, ds, config, search):
     """freeknot._scan of one job: its candidates' ratios and scores."""
-    [(ratios, scores)] = freeknot._scan([existing], [ds], [config], search)
+    [(ratios, scores, _)] = freeknot._scan([existing], [ds], [config], search)
     return ratios, scores
+
+
+def stacked_scan(existing, ds, config, search):
+    """Reference: every candidate of one job's round fitted in one stack
+    (freeknot._fits), as the scan before its bordered screen; returns the
+    candidates' ratios and scores, nan where a fit would raise."""
+    lo, hi = ds.domain
+    grid = freeknot._candidate_grid(lo, hi, existing, search)
+    tau = np.sort(np.column_stack([np.broadcast_to(existing, (grid.size, existing.size)), grid]),
+                  axis=1)
+    ratios = freeknot._gap_ratios(tau, lo, hi)[1]
+    scores = np.full(len(ratios), np.nan)
+    for c, _, residual in freeknot._fits(ratios, one_job(ds, config, search.order),
+                                         np.zeros(len(ratios), dtype=int)):
+        if residual is not None:
+            scores[c] = np.einsum("ij,ij->j", residual, residual).sum()
+    return ratios, scores
+
+
+# the knot_search benchmark's search
+BENCHMARK_SEARCH = KnotSearchConfig(order=4, max_knots=8, fixed_p=True, grid_size=50)
+
+
+@pytest.fixture(scope="module")
+def benchmark_searches():
+    """The knot_search benchmark's fs0 and fs2 searches on pool seeds 0-3."""
+    searches = {}
+    for seed in range(4):
+        ds = generate_scenario(benchmark_config(seed=seed)).dataset
+        for variant in ("fs0", "fs2"):
+            searches[seed, variant] = ds, add_knots_gradually(ds, variant_config(variant),
+                                                              BENCHMARK_SEARCH)
+    return searches
 
 
 def jacobian_at(k, ds, config, order):
@@ -319,12 +353,14 @@ class TestFitReuse:
         assert_same_fit(result.model, fit_coefficients(ds, spec, self.cfg))
         d = result.model.diagnostics
         assert (d.sse, d.gcv, d.df) == (chosen.objective, chosen.gcv, chosen.df)
-        assert result.model.knot_search is result
+        assert_same_fit(fit_free_knot(ds, self.cfg, search), result.model)
 
 
 class TestStackedScan:
-    """One stacked evaluation per round scores the candidates as objective_f would,
-    from the residuals fit_coefficients would give."""
+    """Each round screens its candidates from the parent fit and fits only
+    those that could win; its choice and those scores are the ones a stack
+    of every candidate gives (stacked_scan), which scores them as
+    objective_f would, from the residuals fit_coefficients would give."""
 
     @staticmethod
     def scan_by_objective_f(existing, ds, config, search):
@@ -397,20 +433,23 @@ class TestStackedScan:
         assert np.ptp(full[scored[:3]]) <= 4 * np.spacing(full[scored[0]])
 
     def check_scan(self, config, orders, curves):
-        """The scan against scan_by_objective_f on 30 random datasets; a
-        trial with n points has curves(rng, n) curves.  With more curves
-        than points the rows are in the reduced space, equal to the reduced
-        fit residuals up to roundoff; otherwise they are the fit residuals."""
-        refusals = 0
+        """The scan against stacked_scan, and stacked_scan against
+        scan_by_objective_f, on 30 random datasets; a trial with n points
+        has curves(rng, n) curves.  With more curves than points the rows
+        are in the reduced space, equal to the reduced fit residuals up to
+        roundoff; otherwise they are the fit residuals."""
+        refusals = skipped = 0
         for ds, existing, search in self.scan_trials(orders, curves):
             n, m = ds.values.shape
             y = ds.values
             assert (ds.row_basis is None) == (m <= n)
-            ratios, scores = scan(existing, ds, config, search)
+            ratios, stacked = stacked_scan(existing, ds, config, search)
+            self.check_screen(existing, ds, config, search, ratios, stacked)
+            skipped += int(np.isinf(scan(existing, ds, config, search)[1]).sum())
             coords, ref, ref_residuals = self.scan_by_objective_f(existing, ds, config, search)
             refused = np.isnan(ref)
             refusals += int(refused.sum())
-            assert np.array_equal(np.isnan(scores), refused)
+            assert np.array_equal(np.isnan(stacked), refused)
             # a fit that (nearly) interpolates the data leaves residuals at
             # roundoff level, where the full and the reduced space round
             # differently (by up to 4e-13 |y| on unpenalized fits): size
@@ -418,7 +457,7 @@ class TestStackedScan:
             # size * (2 |residual| + size)
             size = 0.0 if ds.row_basis is None else 1e-11 * np.linalg.norm(y)
             kept = ref[~refused]
-            assert np.all(np.abs(scores - ref)[~refused]
+            assert np.all(np.abs(stacked - ref)[~refused]
                           <= 1e-12 * kept + size * (2.0 * np.sqrt(kept) + size))
             # the evaluator behind the scores refuses the same rows and
             # keeps each fit's residual matrix
@@ -443,7 +482,7 @@ class TestStackedScan:
             for i, f in enumerate(ref):
                 if f < best:
                     winner, best = i, f
-            chosen = np.flatnonzero(~refused)[np.argmin(scores[~refused])]
+            chosen = np.flatnonzero(~refused)[np.argmin(stacked[~refused])]
             if chosen != winner:
                 # only a tie may go the other way in the reduced space, such as
                 # candidates in one gap between sample points of an unpenalized
@@ -453,10 +492,119 @@ class TestStackedScan:
                 continue
             assert np.array_equal(ratios[chosen], coords[winner].values)
         assert refusals > 0  # the refusal rule was exercised
+        assert skipped > 0  # the screen left candidates unfitted
         # a grid used up by exclusion zones scores nothing
         search = KnotSearchConfig(order=max(orders), max_knots=3, grid_size=2)
-        ratios, scores = scan(np.array([0.3, 0.7]), hinge_dataset(), config, search)
-        assert ratios.shape == (0, 3) and scores.shape == (0,)
+        [(ratios, scores, fitted)] = freeknot._scan([np.array([0.3, 0.7])], [hinge_dataset()],
+                                                    [config], search)
+        assert ratios.shape == (0, 3) and scores.shape == (0,) and fitted == 0
+
+    @staticmethod
+    def check_screen(existing, ds, config, search, ratios, stacked):
+        """The scan's scores against the stacked scan's: the same ratios and
+        winner, each exactly fitted score bit for bit, nan where a fit
+        would raise and was tried, and +inf only where the stacked score is
+        nan or above the smallest by more than a tie."""
+        got_ratios, scores = scan(existing, ds, config, search)
+        assert np.array_equal(got_ratios, ratios, equal_nan=True)
+        fitted = np.isfinite(scores)
+        assert np.array_equal(scores[fitted], stacked[fitted])
+        assert np.all(np.isnan(stacked[np.isnan(scores)]))
+        skipped = stacked[np.isinf(scores)]
+        if fitted.any():
+            best = stacked[fitted].min()
+            tie = best + freeknot._TIE_ULPS * np.finfo(float).eps * abs(best)
+            assert np.all(np.isnan(skipped) | (skipped > tie))
+            want = np.flatnonzero(~np.isnan(stacked))
+            got = np.flatnonzero(fitted)
+            assert (got[freeknot._first_best(scores[got])]
+                    == want[freeknot._first_best(stacked[want])])
+        else:  # nothing fits: every candidate was tried, as the failure count needs
+            assert np.array_equal(np.isnan(scores), np.isnan(stacked))
+
+    @pytest.mark.parametrize("config, orders", [
+        (PenaltyConfig(lambda1=1e-4), (2,)),
+        (PenaltyConfig(lambda1=1e-7, lambda2=1e-5), (3,)),
+        (PenaltyConfig(alphas=(1e-6, 0.0, 1e-5)), (3, 4)),
+    ], ids=["order2", "order3", "alphas-l0"])
+    def test_screen_picks_as_the_stacked_scan(self, config, orders):
+        for ds, existing, search in self.scan_trials(orders, lambda rng, n: 2):
+            self.check_screen(existing, ds, config, search,
+                              *stacked_scan(existing, ds, config, search))
+
+    @pytest.mark.parametrize("points", [5, 4], ids=["interpolating", "four-points"])
+    def test_a_round_without_a_fit_tries_every_candidate(self, points):
+        # Five points: the five cubic basis functions at p = 1 interpolate
+        # them, so every bordered score is roundoff, and every p = 2
+        # candidate puts six functions on five points.  Four points: every
+        # p = 1 candidate puts five on four.
+        t = np.linspace(-1.0, 1.0, points)
+        ds = FunctionalDataset(t=t, values=np.column_stack([np.sin(3 * t), np.cos(2 * t)]))
+        search = KnotSearchConfig(order=4, max_knots=points - 3, grid_size=20, fixed_p=True)
+        existing = np.empty(0)
+        if points == 5:
+            existing = add_knots_gradually(ds, PenaltyConfig(), dataclasses.replace(
+                search, max_knots=1)).knots
+        [(_, scores, fitted)] = freeknot._scan([existing], [ds], [PenaltyConfig()], search)
+        _, stacked = stacked_scan(existing, ds, PenaltyConfig(), search)
+        assert np.isnan(stacked).all() and np.isnan(scores).all() and fitted == scores.size
+        with pytest.raises(AllCandidatesSingularError,
+                           match=f"all {stacked.size} candidate knots failed at p={points - 3};"):
+            add_knots_gradually(ds, PenaltyConfig(), search)
+
+    def test_a_parent_that_fits_to_roundoff_fits_every_candidate(self):
+        # noiseless cubics: the knot-free cubic fit and every candidate leave
+        # residuals at roundoff, which orders them and no screen can
+        t = np.linspace(0.0, 1.0, 20)
+        ds = FunctionalDataset(t=t, values=np.column_stack([t**3 - t, 2.0 * t**2]))
+        search = KnotSearchConfig(order=4, max_knots=3, grid_size=30)
+        existing = np.empty(0)
+        [(_, scores, fitted)] = freeknot._scan([existing], [ds], [PenaltyConfig()], search)
+        assert fitted == scores.size and np.isfinite(scores).all()
+        self.check_screen(existing, ds, PenaltyConfig(), search,
+                          *stacked_scan(existing, ds, PenaltyConfig(), search))
+
+    def test_lockstep_jobs_scan_as_alone(self):
+        tiny_t = np.linspace(-1.0, 1.0, 5)
+        tiny = FunctionalDataset(t=tiny_t, values=np.column_stack([np.sin(3 * tiny_t),
+                                                                   np.cos(2 * tiny_t)]))
+        jobs = [
+            (noisy_sine_dataset(), PenaltyConfig(), [0.3, 0.6]),
+            (hinge_dataset(knot=1.7, lo=0.5, hi=3.0), PenaltyConfig(alphas=(0.0, 1e-6, 0.0, 1e-8)),
+             [1.0, 2.2]),
+            (noisy_sine_dataset(seed=5, n=20, curves=30), PenaltyConfig(lambda1=1e-7, lambda2=1e-5),
+             [0.2, 0.7]),
+            (tiny, PenaltyConfig(), [-0.5, 0.4]),  # every candidate is refused
+        ]
+        search = KnotSearchConfig(order=4, max_knots=5, grid_size=20)
+        together = freeknot._scan([np.array(knots) for *_, knots in jobs], [ds for ds, *_ in jobs],
+                                  [config for _, config, _ in jobs], search)
+        for (ds, config, knots), (ratios, scores, fitted) in zip(jobs, together):
+            [(alone_ratios, alone, alone_fitted)] = freeknot._scan([np.array(knots)], [ds],
+                                                                   [config], search)
+            assert np.array_equal(ratios, alone_ratios)
+            assert np.array_equal(scores, alone, equal_nan=True) and fitted == alone_fitted
+            self.check_screen(np.array(knots), ds, config, search,
+                              *stacked_scan(np.array(knots), ds, config, search))
+        assert [fitted for *_, fitted in together][-1] == len(together[-1][1])
+
+    def test_screen_error_on_the_benchmark_searches(self, benchmark_searches):
+        # the screen is within 1e-9 of the parent's sse of the stacked score,
+        # for every candidate of every round
+        order = BENCHMARK_SEARCH.order
+        for (_, variant), (ds, result) in benchmark_searches.items():
+            config = variant_config(variant)
+            lo, hi = ds.domain
+            for stage in result.stages[:-1]:
+                ratios, stacked = stacked_scan(stage.knots, ds, config, BENCHMARK_SEARCH)
+                grid = freeknot._candidate_grid(lo, hi, stage.knots, BENCHMARK_SEARCH)
+                kept, full = freeknot._fittable_rows(ratios, np.full(grid.size, lo),
+                                                     np.full(grid.size, hi), order)
+                screen, _ = freeknot._bordered(
+                    stage.knots, full, order + np.searchsorted(stage.knots, grid[kept]), ds,
+                    penalty_weights(config, order), order)
+                assert kept.size == grid.size
+                assert np.all(np.abs(screen - stacked) <= 1e-9 * stage.objective)
 
     def test_search_scores_without_per_candidate_refits(self, monkeypatch):
         objective_calls = []
@@ -600,6 +748,13 @@ class TestStackedJacobian:
         assert res.objective <= objective_f(start, ds, config, search.order)
         spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(res.coords))
         assert_same_fit(res.model, fit_coefficients(ds, spec, config))
+
+    def test_no_stack_without_rows(self, monkeypatch):
+        # a Jacobian whose forward rows all fit makes no backward-step stack
+        stacks = recording_fits(monkeypatch)
+        add_knots_gradually(noisy_sine_dataset(), PenaltyConfig(lambda1=1e-7, lambda2=1e-5),
+                            KnotSearchConfig(order=4, max_knots=3, grid_size=20, fixed_p=True))
+        assert stacks and all(rows for rows, _ in stacks)
 
     def test_refiner_fits_only_its_result(self, monkeypatch):
         # the start's residual and objective come from the first Jacobian
@@ -804,6 +959,17 @@ class TestStageRecords:
                 res.iterations, res.converged, res.step_failure)
         assert max(stage.iterations for stage in stages) > 1
 
+    def test_stages_record_their_scan(self, benchmark_searches):
+        # the benchmark's searches fit one candidate per round exactly
+        for variant in ("fs0", "fs2"):
+            ds, result = benchmark_searches[0, variant]
+            stage0, *stages = result.stages
+            assert (stage0.scanned, stage0.fitted) == (0, 0)
+            assert len(stages) == BENCHMARK_SEARCH.max_knots
+            for parent, stage in zip(result.stages, stages):
+                grid = freeknot._candidate_grid(*ds.domain, parent.knots, BENCHMARK_SEARCH)
+                assert (stage.scanned, stage.fitted) == (grid.size, 1)
+
 
 class TestRowBasis:
     """The knot search works on one row-space factor per dataset, kept by the dataset."""
@@ -866,10 +1032,27 @@ class TestHighLevelFit:
         ds = hinge_dataset()
         search = KnotSearchConfig(order=2, max_knots=1, fixed_p=True)
         model = fit_free_knot(ds, PenaltyConfig(), search)
-        assert model.knot_search is not None
-        assert model.knot_search.chosen.p == 1
+        result = add_knots_gradually(ds, PenaltyConfig(), search)
+        assert result.chosen.p == 1
+        assert_same_fit(model, result.model)
         pred = model.predict(ds.t)
         assert np.abs(pred[:, 0] - ds.values[:, 0]).max() < 1e-6
+
+    def test_a_search_is_freed_with_its_last_reference(self):
+        # no reference cycle holds a fit or a search result, so reference
+        # counting frees them without the cyclic collector
+        ds, config = noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5)
+        search = KnotSearchConfig(order=4, max_knots=2, grid_size=10, fixed_p=True)
+        gc.collect()
+        gc.disable()
+        try:
+            model = fit_free_knot(ds, config, search)
+            result = add_knots_gradually(ds, config, search)
+            refs = [weakref.ref(model), weakref.ref(result), weakref.ref(result.model)]
+            del model, result
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_gcv_choice_prefers_small_model_on_noisy_smooth_truth(self):
         # With noise the gcv flattens after a few knots, so the patience
@@ -879,8 +1062,7 @@ class TestHighLevelFit:
         y = np.sin(2.2 * t) + 0.1 * rng.standard_normal(45)
         ds = FunctionalDataset(t=t, values=y[:, None])
         search = KnotSearchConfig(order=4, max_knots=5)
-        model = fit_free_knot(ds, PenaltyConfig(lambda2=1e-8), search)
-        result = model.knot_search
+        result = add_knots_gradually(ds, PenaltyConfig(lambda2=1e-8), search)
         assert result.stopped_early
         assert result.chosen.p < 5
         assert result.chosen.gcv == min(s.gcv for s in result.stages)
@@ -902,15 +1084,15 @@ def assert_same_search(got, want):
         return
     assert len(got.stages) == len(want.stages)
     for a, b in zip(got.stages, want.stages):
-        assert (a.p, a.objective, a.gcv, a.df, a.iterations, a.converged, a.step_failure) == (
-            b.p, b.objective, b.gcv, b.df, b.iterations, b.converged, b.step_failure)
+        assert (a.p, a.objective, a.gcv, a.df, a.iterations, a.converged, a.step_failure,
+                a.scanned, a.fitted) == (b.p, b.objective, b.gcv, b.df, b.iterations, b.converged,
+                                         b.step_failure, b.scanned, b.fitted)
         assert np.array_equal(a.knots, b.knots)
         assert np.array_equal(a.coords.values, b.coords.values)
         assert (a.coords.lo, a.coords.hi) == (b.coords.lo, b.coords.hi)
     assert got.stages.index(got.chosen) == want.stages.index(want.chosen)
     assert got.stopped_early == want.stopped_early
     assert_same_fit(got.model, want.model)
-    assert got.model.knot_search is got
 
 
 class TestLockstepSearch:
