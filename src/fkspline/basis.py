@@ -165,30 +165,58 @@ def design_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivative: 
     return dense
 
 
-def bspline_stack(knots: np.ndarray, t: np.ndarray, derivative: int = 0) -> np.ndarray:
-    """Values (or a derivative) of one B-spline per row of a stack.
+def derivative_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivatives,
+                     first: np.ndarray | None = None) -> list:
+    """Derivatives of several orders of every basis function, in one pass.
+
+    full_knots is (C, m): nondecreasing knot vectors of spline order
+    `order`; t is (C, P).  first, broadcasting to (C, m - 1, P), holds the
+    order-1 values at t, each point's span indicator (by default
+    T[i] <= t < T[i + 1], zero at the last knot).  Returns, for each l of
+    derivatives, the (C, m - order, P) l-th derivatives at t; no input is
+    checked.  Level k of the recurrence holds the order-k functions; the
+    l-th derivative is lifted from level order - l, as in design_stack.
+    """
+    m = full_knots.shape[1]
+    x = t[:, None, :]
+    if first is None:
+        first = (full_knots[:, :-1, None] <= x) & (x < full_knots[:, 1:, None])
+    top = order - min(derivatives)  # the highest level whose values are needed
+    values, lifts = first, {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, order + 1):
+            widths = full_knots[:, k - 1 :, None] - full_knots[:, : m - k + 1, None]
+            inv = np.where(widths > 0, 1.0 / np.where(widths > 0, widths, 1.0), 0.0)
+            for l in lifts:
+                lifts[l] *= inv
+                lifts[l] = (k - 1) * (lifts[l][:, :-1] - lifts[l][:, 1:])
+            if k > top + 1:
+                continue
+            # a level is scaled in place and dropped once used
+            scaled = np.multiply(values, inv, out=None if values is first else values)
+            if k <= top:
+                values = x - full_knots[:, : m - k, None]
+                values *= scaled[:, :-1]
+                values += (full_knots[:, k:, None] - x) * scaled[:, 1:]
+            if order + 1 - k in derivatives:
+                lifts[order + 1 - k] = (k - 1) * (scaled[:, :-1] - scaled[:, 1:])
+            del scaled
+    return [values if l == 0 else lifts[l] for l in derivatives]
+
+
+def bspline_stack(knots: np.ndarray, t: np.ndarray, derivative=0):
+    """Values (or derivatives) of one B-spline per row of a stack.
 
     knots is (C, r + 1), row c the nondecreasing knots of a B-spline of
     order r whose first and last knots each repeat fewer than r times; t
     is (C, P).  Returns the (C, P) values of B-spline c at points t[c],
-    zero outside [knots[c, 0], knots[c, -1]), by the Cox-de Boor recurrence
-    on its own knots; no input is checked.  Agrees with the matching
-    column of design_stack up to roundoff, except that a derivative at
-    the last knot is zero here and the left limit in design_stack.
+    zero outside [knots[c, 0], knots[c, -1]), or one such array per order
+    of a list, from one derivative_stack pass; no input is checked.  Agrees
+    with the matching column of design_stack up to roundoff, except that a
+    derivative at the last knot is zero here and the left limit there.
     """
-    r = knots.shape[1] - 1
-    x, knots = t[:, None, :], knots[:, :, None]
-    values = ((knots[:, :-1] <= x) & (x < knots[:, 1:])).astype(float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, r + 1):
-            widths = knots[:, k - 1 :] - knots[:, : r - k + 2]
-            scaled = values * np.where(widths > 0, 1.0 / np.where(widths > 0, widths, 1.0), 0.0)
-            if k > r - derivative:
-                values = (k - 1) * (scaled[:, :-1] - scaled[:, 1:])
-            else:
-                values = ((x - knots[:, : r - k + 1]) * scaled[:, :-1]
-                          + (knots[:, k:] - x) * scaled[:, 1:])
-    return values[:, 0]
+    values = derivative_stack(knots, knots.shape[1] - 1, t, np.atleast_1d(derivative).tolist())
+    return [v[:, 0] for v in values] if np.ndim(derivative) else values[0][:, 0]
 
 
 def _check_points(spec: BasisSpec, t) -> np.ndarray:

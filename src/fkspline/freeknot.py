@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, _check_points, bspline_stack, design_stack, make_basis_spec
+from .basis import (BasisSpec, _check_points, bspline_stack, derivative_stack, design_stack,
+                    make_basis_spec)
 from .data import FunctionalDataset
 from .errors import (
     AllCandidatesSingularError,
@@ -30,7 +31,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .penalty import PenaltyConfig, _gauss_legendre
-from .smoother import (FitModel, _refused, _systems, fit_coefficients, fit_stack,
+from .smoother import (FitModel, _penalties, _refused, _systems, fit_coefficients, fit_stack,
                        penalty_weights)
 
 __all__ = [
@@ -136,11 +137,12 @@ _GCV_PATIENCE = 2
 # Scan scores this many ulp (relative) above the best tie with it.
 _TIE_ULPS = 4
 # The scan's screen (_bordered) is within 2.9e-13 of the parent's sse of
-# the exact score (largest over pool seeds 0-63, fs0, fs2 and alphas), so a
-# window of _SCREEN_WINDOW times that sse keeps every possible winner with
-# six orders of magnitude to spare; a Schur complement below _SCHUR_FLOOR
-# of its diagonal is too near singular to trust.  A parent fitting the data
-# to roundoff leaves no score to rank: _ROUNDOFF_FLOOR times the data's
+# the exact score (largest over every candidate of pool seeds 0-63: fs0
+# 3.8e-15, fs2 2.9e-13, alphas (1e-6, 0, 1e-5) 2.2e-13), so a window of
+# _SCREEN_WINDOW times that sse keeps every possible winner with six orders
+# of magnitude to spare; a Schur complement below _SCHUR_FLOOR of its
+# diagonal is too near singular to trust.  A parent fitting the data to
+# roundoff leaves no score to rank: _ROUNDOFF_FLOOR times the data's
 # squared norm, added to the sse, then has every candidate fitted.
 _SCREEN_WINDOW = 1e-6
 _SCHUR_FLOOR = 1e-8
@@ -617,24 +619,26 @@ def _bordered(existing, full, q, dataset: FunctionalDataset, weights: np.ndarray
     lo, hi = dataset.domain
     parent = np.concatenate([np.full(order, lo), existing, np.full(order, hi)])
     B = design_stack(parent[None], order, t[None])[0]
-    H, _ = _systems((B.T @ B)[None], parent[None], order, weights[None])
+    H, _ = _systems((B.T @ B)[None], _penalties(parent[None], order, weights[None]), weights[None])
     if not full.size or _refused(H)[0]:
         return np.full(len(full), np.nan), 0.0
     xi = np.take_along_axis(full, (q - order // 2)[:, None] + np.arange(order + 1), axis=1)
     with np.errstate(all="ignore"):
         g = bspline_stack(xi, np.broadcast_to(t, (len(xi), t.size)))
         u, s = g @ B, np.einsum("ch,ch->c", g, g)
-        # g's support spans are spans of the candidate's basis, so order - l
-        # Gauss-Legendre nodes on each integrate B^(l) g^(l) exactly
-        half, mid = 0.5 * np.diff(xi, axis=1), 0.5 * (xi[:, :-1] + xi[:, 1:])
-        for l in np.flatnonzero(weights > 0.0).tolist():
-            nodes, w = _gauss_legendre(order - l)
+        # g's support spans are spans of the candidate's basis, so order
+        # Gauss-Legendre nodes on each integrate B^(l) g^(l) exactly for every l
+        orders = np.flatnonzero(weights > 0.0).tolist()
+        if orders:
+            nodes, w = _gauss_legendre(order)
+            half, mid = 0.5 * np.diff(xi, axis=1), 0.5 * (xi[:, :-1] + xi[:, 1:])
             at = (mid[:, :, None] + half[:, :, None] * nodes).reshape(len(xi), -1)
-            gl = bspline_stack(xi, at, l)
-            gw = gl * (weights[l] * half[:, :, None] * w).reshape(len(xi), -1)
-            Bl = design_stack(parent[None], order, at.reshape(1, -1), l)[0]
-            u += np.einsum("cp,cpi->ci", gw, Bl.reshape(*at.shape, -1))
-            s += np.einsum("cp,cp->c", gw, gl)
+            w = (half[:, :, None] * w).reshape(len(xi), -1)
+            Bls = derivative_stack(parent[None], order, at.reshape(1, -1), orders)
+            for l, gl, Bl in zip(orders, bspline_stack(xi, at, orders), Bls):
+                gw = gl * (weights[l] * w)
+                u += np.einsum("cp,icp->ci", gw, Bl.reshape(-1, *at.shape))
+                s += np.einsum("cp,cp->c", gw, gl)
         solved = np.linalg.solve(H[0], np.concatenate([B.T @ Y, u.T], axis=1))
         c, z = solved[:, :Y.shape[1]], solved[:, Y.shape[1]:]
         r = Y - B @ c

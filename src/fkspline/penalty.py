@@ -2,9 +2,10 @@
 
 The order-l penalty matrix has entries given by the inner products of l-th
 basis derivatives over the domain.  On each nonempty span the integrand is a
-polynomial of degree 2(r - 1 - l), so a Gauss-Legendre rule with r - l nodes
-per span integrates it exactly; the assembled matrix is symmetric positive
-semidefinite and banded with the basis bandwidth.
+polynomial of degree 2(r - 1 - l), so a Gauss-Legendre rule with r nodes
+per span integrates it exactly for every l, and one pass at those nodes
+gives every order; the matrix is symmetric positive semidefinite and
+banded with the basis bandwidth.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisSpec, design_stack
+from .basis import BasisSpec, derivative_stack
 from .errors import ConfigError, DerivativeOrderTooHighError
 
 __all__ = ["PenaltyMatrix", "PenaltyConfig", "penalty_matrix", "gram_matrix"]
@@ -54,37 +55,35 @@ class PenaltyConfig:
             raise ConfigError("penalty weights must be nonnegative and finite")
 
 
-def penalty_stack(full_knots: np.ndarray, order: int, l: int,
-                  n_nodes: int | None = None) -> np.ndarray:
-    """Order-l penalty matrices of a stack of bases by Gauss-Legendre quadrature.
+def penalty_stack(full_knots: np.ndarray, order: int, orders, n_nodes: int | None = None) -> list:
+    """Penalty matrices of several derivative orders for a stack of bases.
 
     full_knots is (C, m): C clamped knot vectors of spline order `order`.
-    Every nonempty span of each basis gets n_nodes nodes (default order - l,
-    which is exact); returns the (C, n_basis, n_basis) stack.  Inputs are
-    not checked.
+    One derivative_stack pass at n_nodes Gauss-Legendre nodes per nonempty
+    span (default order, exact for every l; each node's span is known)
+    gives the (C, n_basis, n_basis) stack of each l of orders, the same
+    whatever else is asked.  Inputs are not checked.
     """
-    nodes, weights = _gauss_legendre(max(1, order - l) if n_nodes is None else n_nodes)
     C, m = full_knots.shape
     edges = full_knots[:, order - 1 : m - order + 1]  # a, interior knots, b
     half = 0.5 * np.diff(edges, axis=1)  # (C, n_spans)
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    # All spans of a basis evaluated in one pass: points (C, n_spans * n_nodes).
-    n_points = half.shape[1] * nodes.size
-    pts = (mid[:, :, None] + half[:, :, None] * nodes).reshape(C, n_points)
-    pts = np.minimum(np.maximum(pts, edges[:, :1]), edges[:, -1:])
-    w = (half[:, :, None] * weights).reshape(C, n_points)
-    design = design_stack(full_knots, order, pts, derivative=l)
+    nodes, weights = _gauss_legendre(order if n_nodes is None else n_nodes)
+    pts = (mid[:, :, None] + half[:, :, None] * nodes).reshape(C, -1)
+    w = (half[:, :, None] * weights).reshape(C, 1, -1)
+    first = np.arange(m - 1)[:, None] == np.repeat(np.arange(order - 1, m - order), nodes.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = design.transpose(0, 2, 1) @ (design * w[:, :, None])
-        return 0.5 * (values + values.transpose(0, 2, 1))
+        products = [D @ (D * w).transpose(0, 2, 1)
+                    for D in derivative_stack(full_knots, order, pts, orders, first)]
+        return [0.5 * (R + R.transpose(0, 2, 1)) for R in products]
 
 
 def penalty_matrix(spec: BasisSpec, order: int, quad_points: int | None = None) -> PenaltyMatrix:
     """Assemble the order-`order` roughness penalty matrix by exact quadrature.
 
-    quad_points overrides the per-span node count (default r - order, which
-    is already exact); passing more nodes must not change the result beyond
-    roundoff.
+    This is the one-order case of penalty_stack.  quad_points overrides the
+    per-span node count (default r, which is exact for every order);
+    passing more nodes must not change the result beyond roundoff.
     """
     l = int(order)
     if l < 0 or l >= spec.order:
@@ -94,8 +93,8 @@ def penalty_matrix(spec: BasisSpec, order: int, quad_points: int | None = None) 
     n_nodes = None if quad_points is None else int(quad_points)
     if n_nodes is not None and n_nodes < 1:
         raise ConfigError("quadrature needs at least one node per span")
-    values = penalty_stack(spec._full_arr[None, :], spec.order, l, n_nodes)[0]
-    return PenaltyMatrix(order=l, values=values, spec=spec)
+    (values,) = penalty_stack(spec._full_arr[None, :], spec.order, [l], n_nodes)
+    return PenaltyMatrix(order=l, values=values[0], spec=spec)
 
 
 def gram_matrix(spec: BasisSpec) -> PenaltyMatrix:

@@ -124,23 +124,27 @@ def _refused(H: np.ndarray) -> list[str]:
     return why
 
 
-def _systems(btb: np.ndarray, full_knots: np.ndarray, order: int, weights: np.ndarray,
+def _penalties(full_knots: np.ndarray, order: int, weights: np.ndarray) -> dict:
+    """The penalty matrices of knot vectors full_knots (K, m) of every order some
+    row of weights (penalty_weights) weights positively, by order: one pass."""
+    orders = np.flatnonzero((weights > 0.0).any(axis=0)).tolist()
+    return dict(zip(orders, penalty_stack(full_knots, order, orders) if orders else []))
+
+
+def _systems(btb: np.ndarray, penalties: dict, weights: np.ndarray,
              rows: np.ndarray | None = None):
     """The one place systems H = B'B + sum_l w_l R_l are formed.
 
-    btb (K, nb, nb) holds B'B of each knot vector of full_knots (K, m); row
-    c of the stack pairs knot vector rows[c] (c itself when rows is None)
-    with the penalty weights weights[c] (penalty_weights).  The order-l
-    penalty matrices are built once per knot vector, and only if some row
-    weights order l positively.  A row that does not weight order l gets
-    nothing added, not 0 * R, which is nan where R overflowed.  Returns H
-    (C, nb, nb) and, per penalized order, the weights and matrices of every
-    row.
+    btb (K, nb, nb) holds B'B of each of K knot vectors and penalties their
+    _penalties; row c of the stack pairs knot vector rows[c] (c itself when
+    rows is None) with the penalty weights weights[c] (penalty_weights).  A
+    row that does not weight order l gets nothing added, not 0 * R, which is
+    nan where R overflowed.  Returns H (C, nb, nb) and, per penalized order,
+    the weights and matrices of every row.
     """
     H = btb.copy() if rows is None else btb[rows]
     terms = []
-    for l in np.flatnonzero((weights > 0.0).any(axis=0)).tolist():
-        R = penalty_stack(full_knots, order, l)
+    for l, R in penalties.items():
         R = R if rows is None else R[rows]
         w = weights[:, l, None, None]
         # overflowed penalties may add infinities of opposite signs; _refused
@@ -157,8 +161,8 @@ def assemble_system(design: DesignMatrix, config: PenaltyConfig) -> SystemMatrix
     spec = design.spec
     B = design.values
     btb = B.T @ B
-    H, terms = _systems(btb[None], spec._full_arr[None], spec.order,
-                        penalty_weights(config, spec.order)[None])
+    weights = penalty_weights(config, spec.order)[None]
+    H, terms = _systems(btb[None], _penalties(spec._full_arr[None], spec.order, weights), weights)
     reason = _refused(H)[0]
     if reason:
         raise NotPositiveDefiniteError(reason)
@@ -276,11 +280,13 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
             distinct = list(first.values())
             rows = np.searchsorted(distinct, vector)
             knots, at = chunk[distinct], [owners[i] for i in distinct]
+        # the penalties' temporaries are freed before the designs are built
+        penalties = _penalties(knots, order, weights[start:start + _CHUNK])
         T = (np.broadcast_to(points[0], (len(knots), points[0].size)) if len(points) == 1
              else np.stack([points[d] for d in at]))
         B = design_stack(knots, order, T)
         btb = B.transpose(0, 2, 1) @ B
-        H, _ = _systems(btb, knots, order, weights[start:start + _CHUNK], rows)
+        H, _ = _systems(btb, penalties, weights[start:start + _CHUNK], rows)
         refused = _refused(H)
         # One stacked solve per block of one dataset's rows; residuals are
         # formed and handed on one row at a time, so no (C, h, n) stack is held.

@@ -26,7 +26,7 @@ from fkspline import (
     eval_spline,
     make_basis_spec,
 )
-from fkspline.basis import bspline_stack, design_stack
+from fkspline.basis import bspline_stack, derivative_stack, design_stack
 
 
 def design_values(spec, t, derivative=0):
@@ -211,12 +211,72 @@ class TestOneBSplinePerRow:
                 scale = max(1.0, np.abs(want).max())
                 assert np.abs(got - want).max() <= 1e-12 * scale
 
+    def test_several_orders_are_the_per_order_calls(self):
+        rng = np.random.default_rng(5)
+        knots = np.sort(rng.uniform(0.0, 1.0, (6, 5)), axis=1)
+        knots[0, :2] = knots[0, 0]  # a repeated first knot
+        t = rng.uniform(0.0, 1.0, (6, 20))
+        together = bspline_stack(knots, t, [2, 0, 3])
+        for derivative, values in zip([2, 0, 3], together):
+            assert np.array_equal(values, bspline_stack(knots, t, derivative))
+
     def test_rows_are_independent(self):
         knots = np.array([[0.0, 0.2, 0.5, 0.9, 1.0], [1.0, 1.0, 2.0, 3.0, 3.5]])
         t = np.array([np.linspace(0.0, 1.0, 9), np.linspace(1.0, 3.5, 9)])
         both = bspline_stack(knots, t, 1)
         for c in range(2):
             assert np.array_equal(both[c], bspline_stack(knots[c : c + 1], t[c : c + 1], 1)[0])
+
+
+class TestDerivativeStack:
+    """derivative_stack evaluates every function's derivatives of several
+    orders at points whose spans are given: the columns of design_stack."""
+
+    @staticmethod
+    def knots(rng, order):
+        """A clamped knot vector with a pair of near-coincident interior knots."""
+        a = float(rng.uniform(-2.0, 2.0))
+        b = a + float(rng.uniform(0.5, 3.0))
+        interior = rng.uniform(a, b, int(rng.integers(2, 6)))
+        interior = np.sort(np.append(interior, interior[0] + 1e-7 * (b - a)))
+        return np.concatenate([np.full(order, a), interior, np.full(order, b)])
+
+    @staticmethod
+    def span_indicator(full, order, t):
+        spans = np.clip(np.searchsorted(full, t, side="right") - 1, order - 1,
+                        full.size - order - 1)
+        return (np.arange(full.size - 1)[:, None] == spans)[None].astype(float)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_matches_the_design_columns(self, order):
+        rng = np.random.default_rng(10 + order)
+        for _ in range(8):
+            full = self.knots(rng, order)
+            # the points include both ends, every knot and the narrow span
+            near = full[order] + np.array([0.25, 0.5, 0.75]) * (full[order + 1] - full[order])
+            t = np.concatenate([full[order - 1 : full.size - order + 1], near,
+                                rng.uniform(full[0], full[-1], 40)])
+            got = derivative_stack(full[None], order, t[None], list(range(order)),
+                                   self.span_indicator(full, order, t))
+            for derivative in range(order):
+                want = design_stack(full[None], order, t[None], derivative)[0].T
+                scale = np.maximum(np.abs(want).max(axis=0), 1.0)  # per point
+                assert np.all(np.abs(got[derivative][0] - want) <= 1e-12 * scale), derivative
+
+    def test_orders_asked_together_are_the_orders_asked_alone(self):
+        rng = np.random.default_rng(3)
+        order = 5
+        fulls = np.array([self.knots(np.random.default_rng(4), order) for _ in range(3)])
+        fulls[1:, order:-order] += rng.uniform(-1e-3, 1e-3, (2, fulls.shape[1] - 2 * order))
+        fulls[1:, order:-order].sort(axis=1)
+        t = rng.uniform(fulls[0, 0], fulls[0, -1], (3, 30))
+        first = np.stack([self.span_indicator(full, order, row)[0] for full, row in zip(fulls, t)])
+        together = derivative_stack(fulls, order, t, [3, 0, 1], first)
+        for l, values in zip([3, 0, 1], together):
+            assert np.array_equal(values, derivative_stack(fulls, order, t, [l], first)[0])
+            for c in range(3):
+                assert np.array_equal(values[c], derivative_stack(
+                    fulls[c : c + 1], order, t[c : c + 1], [l], first[c : c + 1])[0][0])
 
 
 class TestSplineEvaluation:

@@ -306,9 +306,9 @@ class TestLockstepGrid:
                                 lambda1_pinned=0.0)
         stack = smoother.penalty_stack
 
-        def overflowing(full_knots, order, l, *args):
-            values = stack(full_knots, order, l, *args)
-            return np.full_like(values, np.inf) if l == 1 else values
+        def overflowing(full_knots, order, orders, *args):
+            values = stack(full_knots, order, orders, *args)
+            return [np.full_like(R, np.inf) if l == 1 else R for l, R in zip(orders, values)]
 
         monkeypatch.setattr(smoother, "penalty_stack", overflowing)
         pinned = gcv_grid_search(ds, grid=grid, search=self.search, mode="free",

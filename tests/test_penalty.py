@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +11,7 @@ from scipy.integrate import quad
 from fkspline import (
     ConfigError,
     DerivativeOrderTooHighError,
+    FunctionalDataset,
     PenaltyConfig,
     assemble_system,
     eval_design,
@@ -17,6 +20,9 @@ from fkspline import (
     make_basis_spec,
     penalty_matrix,
 )
+from fkspline.basis import design_stack
+from fkspline.penalty import penalty_stack
+from fkspline.smoother import fit_stack
 
 
 def quad_penalty_entry(spec, order, i, j):
@@ -30,6 +36,66 @@ def quad_penalty_entry(spec, order, i, j):
         integrand, spec.domain[0], spec.domain[1], points=list(spec.span_edges), limit=200
     )
     return val
+
+
+def per_order_penalty(full_knots, order, l):
+    """Reference: the order-l penalty matrices of a stack of bases from their own
+    quadrature, order - l Gauss-Legendre nodes per span and the design of
+    the l-th derivatives there (design_stack)."""
+    nodes, weights = np.polynomial.legendre.leggauss(order - l)
+    C, m = full_knots.shape
+    edges = full_knots[:, order - 1 : m - order + 1]
+    half = 0.5 * np.diff(edges, axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    pts = (mid[:, :, None] + half[:, :, None] * nodes).reshape(C, -1)
+    pts = np.minimum(np.maximum(pts, edges[:, :1]), edges[:, -1:])
+    w = (half[:, :, None] * weights).reshape(C, -1)
+    design = design_stack(full_knots, order, pts, derivative=l)
+    return design.transpose(0, 2, 1) @ (design * w[:, :, None])
+
+
+def random_knots(rng, order, C, p):
+    """C clamped knot vectors on [0, 2] with p interior knots, one pair of
+    them near-coincident."""
+    interior = np.sort(rng.uniform(0.0, 2.0, (C, p)), axis=1)
+    interior[:, 1] = interior[:, 0] + 1e-6
+    interior.sort(axis=1)
+    return np.concatenate([np.zeros((C, order)), interior, np.full((C, order), 2.0)], axis=1)
+
+
+class TestOnePass:
+    """penalty_stack builds the matrices of every order asked for in one pass."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_each_order_matches_its_own_quadrature(self, order):
+        full = random_knots(np.random.default_rng(order), order, 5, 4)
+        for l, R in zip(range(order), penalty_stack(full, order, list(range(order)))):
+            ref = per_order_penalty(full, order, l)
+            assert np.abs(R - ref).max() <= 1e-12 * np.abs(ref).max(), l
+
+    def test_an_order_is_the_same_whatever_else_is_asked(self):
+        order = 4
+        full = random_knots(np.random.default_rng(7), order, 4, 3)
+        for l in range(order):
+            alone = penalty_stack(full, order, [l])[0]
+            for orders in ([0, l], [l, 2], list(range(order))[::-1]):
+                assert np.array_equal(penalty_stack(full, order, orders)[orders.index(l)], alone)
+            for c in range(len(full)):
+                row = penalty_stack(full[c : c + 1], order, [1, l])[1]
+                assert np.array_equal(row[0], alone[c])
+
+    def test_an_overflowing_span_is_non_finite_and_its_row_refused(self):
+        # spans of width 1e-300 overflow the derivative penalties, quietly
+        knots = [1e-300, 2e-300, 0.5]
+        full = np.concatenate([np.zeros(4), knots, np.ones(4)])[None]
+        t = np.linspace(0.0, 1.0, 30)
+        dataset = FunctionalDataset(t=t, values=np.sin(3 * t)[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (R2,) = penalty_stack(full, 4, [2])
+            assert not np.isfinite(R2).all()
+            ((_, why, fit),) = fit_stack(full, 4, [dataset], np.array([[0.0, 1e-7, 1e-5, 0.0]]))
+        assert why == "system matrix has non-finite entries" and fit is None
 
 
 class TestAnalyticCases:

@@ -20,7 +20,7 @@ from fkspline import (
     penalty_matrix,
     variant_config,
 )
-from fkspline import smoother
+from fkspline import penalty, smoother
 from fkspline.smoother import fit_stack, penalty_weights
 
 
@@ -136,9 +136,9 @@ class TestFitStack:
         # its matrix, even when another row on the same knots does
         stack = smoother.penalty_stack
 
-        def overflowing(full_knots, order, l, *args):
-            values = stack(full_knots, order, l, *args)
-            return np.full_like(values, np.inf) if l == 1 else values
+        def overflowing(full_knots, order, orders, *args):
+            values = stack(full_knots, order, orders, *args)
+            return [np.full_like(R, np.inf) if l == 1 else R for l, R in zip(orders, values)]
 
         monkeypatch.setattr(smoother, "penalty_stack", overflowing)
         t = np.linspace(0.0, 1.0, 20)
@@ -148,6 +148,34 @@ class TestFitStack:
         weights = np.array([[0.0, 0.0, 1e-3, 0.0], [0.0, 1e-3, 1e-3, 0.0]])
         out = [why for _, why, _ in fit_stack(knots, 4, [ds], weights)]
         assert out == ["", "system matrix has non-finite entries"]
+
+
+    @pytest.mark.parametrize("chunk", [256, 2])
+    def test_one_penalty_pass_per_chunk(self, monkeypatch, chunk):
+        # fs2 weights two orders; both matrices of a chunk come from one
+        # penalty_stack call and one derivative_stack pass
+        monkeypatch.setattr(smoother, "_CHUNK", chunk)
+        calls = {"penalty_stack": [], "derivative_stack": []}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def call(*args):
+                calls[name].append(args)
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counting(smoother, "penalty_stack")
+        counting(penalty, "derivative_stack")
+        t = np.linspace(0.0, 1.0, 20)
+        ds = FunctionalDataset(t=t, values=np.sin(3 * t)[:, None])
+        knots = np.array([make_basis_spec(0.0, 1.0, 4, [k])._full_arr for k in (0.3, 0.5, 0.7)])
+        weights = np.repeat(penalty_weights(variant_config("fs2"), 4)[None], 3, axis=0)
+        assert [why for _, why, _ in fit_stack(knots, 4, [ds], weights)] == ["", "", ""]
+        chunks = -(-len(knots) // chunk)
+        assert [args[2] for args in calls["penalty_stack"]] == [[1, 2]] * chunks
+        assert len(calls["derivative_stack"]) == chunks
 
 
 class TestVariantTable:
