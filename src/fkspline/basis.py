@@ -204,21 +204,6 @@ def derivative_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivati
     return [values if l == 0 else lifts[l] for l in derivatives]
 
 
-def bspline_stack(knots: np.ndarray, t: np.ndarray, derivative=0):
-    """Values (or derivatives) of one B-spline per row of a stack.
-
-    knots is (C, r + 1), row c the nondecreasing knots of a B-spline of
-    order r whose first and last knots each repeat fewer than r times; t
-    is (C, P).  Returns the (C, P) values of B-spline c at points t[c],
-    zero outside [knots[c, 0], knots[c, -1]), or one such array per order
-    of a list, from one derivative_stack pass; no input is checked.  Agrees
-    with the matching column of design_stack up to roundoff, except that a
-    derivative at the last knot is zero here and the left limit there.
-    """
-    values = derivative_stack(knots, knots.shape[1] - 1, t, np.atleast_1d(derivative).tolist())
-    return [v[:, 0] for v in values] if np.ndim(derivative) else values[0][:, 0]
-
-
 def _check_points(spec: BasisSpec, t) -> np.ndarray:
     t = np.asarray(t, dtype=float).reshape(-1)
     if not np.all(np.isfinite(t)):

@@ -22,6 +22,9 @@ import numpy as np
 
 from .basis import make_basis_spec
 from .cluster import (
+    _check_k,
+    _check_k_max,
+    _check_kmeans,
     adjusted_rand_index,
     confusion_counts,
     elbow_curve,
@@ -258,8 +261,8 @@ def _knot_count(args, free: bool = False) -> int:
     return p
 
 
-def _knot_search(args) -> KnotSearchConfig:
-    return KnotSearchConfig(order=args.order, max_knots=_knot_count(args), fixed_p=True,
+def _knot_search(args, free: bool = False) -> KnotSearchConfig:
+    return KnotSearchConfig(order=args.order, max_knots=_knot_count(args, free), fixed_p=True,
                             grid_size=args.grid_size)
 
 
@@ -366,8 +369,7 @@ def _cmd_gcv(args) -> None:
             knots = np.linspace(lo, hi, _knot_count(args) + 2)[1:-1]
         spec = make_basis_spec(lo, hi, args.order, knots)
     else:
-        search = KnotSearchConfig(order=args.order, max_knots=_knot_count(args, free=True),
-                                  fixed_p=True, grid_size=args.grid_size)
+        search = _knot_search(args, free=True)
     result = gcv_grid_search(dataset, grid=grid, spec=spec, search=search, mode=args.mode,
                              lambda1_pinned=args.pin_lambda1)
     resolved = {
@@ -412,12 +414,28 @@ def _cluster(model, method: str, k: int, seed: int, restarts: int):
     return hierarchical_cluster(model, k, linkage=method)
 
 
+def _check_clustering(n_curves: int, k, k_max, restarts: int, seed: int, methods) -> None:
+    """Raise, before any fit runs, what clustering n_curves fitted curves
+    raises for these settings: an elbow curve up to k_max (unless None),
+    then k clusters (None: the elbow's pick) by each of methods."""
+    if k_max is not None:
+        _check_k_max(k_max, n_curves)
+        _check_kmeans(restarts, seed)
+    if k is not None:
+        _check_k(k, n_curves)
+        if "kmeans" in methods:
+            _check_kmeans(restarts, seed)
+
+
 def _cmd_cluster(args) -> None:
     dataset, curve_ids = _load_dataset(args.data)
     config = variant_config(args.variant, lambda1=args.lambda1, lambda2=args.lambda2)
-    # the labels are checked before the fit, which can be a whole
-    # free-knot search, and before any output is written
+    # the labels and the clustering settings are checked before the fit,
+    # which can be a whole free-knot search, and before any output is written
     truth = None if args.labels is None else _read_labels(args.labels, curve_ids)
+    # --k, else the elbow's pick with --kmax (once traced), else 4
+    k = 4 if args.k is None and args.kmax is None else args.k
+    _check_clustering(dataset.n_curves, k, args.kmax, args.restarts, args.seed, [args.method])
     model = _fit_model(dataset, config, args, args.knots)
     resolved = {
         "subcommand": "cluster",
@@ -437,12 +455,8 @@ def _cmd_cluster(args) -> None:
             out / "elbow.csv", resolved, ["k", "w"],
             ([str(k + 1), _fmt(elbow.w[k])] for k in range(args.kmax)),
         )
-    if args.k is not None:
-        k = args.k
-    elif elbow is not None:
+    if k is None:
         k = elbow.suggested_k
-    else:
-        k = 4
     result = _cluster(model, args.method, k, args.seed, args.restarts)
     _write_csv(
         out / "partition.csv", resolved, ["curve_id", "label"],
@@ -507,6 +521,8 @@ def _cmd_replicate(args) -> None:
     n_threads = _threads(args)
     scenario = ScenarioConfig(noise_sd=args.noise_sd, seed=args.seed)
     TailRegions.fraction(*scenario.domain, args.tail_frac)
+    _check_clustering(scenario.curves_per_group * len(scenario.groups), args.k, None,
+                      args.restarts, args.seed, args.methods)
     resolved = {
         "subcommand": "replicate",
         "replications": args.replications,

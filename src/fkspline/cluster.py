@@ -180,6 +180,30 @@ def _lloyd_lockstep(z: np.ndarray, starts: np.ndarray):
     return labels, centers, _dispersion(z, centers, labels), iterations
 
 
+def _check_k(k: int, n: int) -> None:
+    """Raise what clustering n curves into k clusters raises for k."""
+    if k < 1:
+        raise ConfigError("k must be at least 1")
+    if n < k:
+        raise TooFewCurvesError(f"cannot form {k} clusters from {n} curves")
+
+
+def _check_k_max(k_max: int, n: int) -> None:
+    """Raise what an elbow curve of n curves up to k_max raises for k_max."""
+    if k_max < 2:
+        raise ConfigError("k_max must be at least 2")
+    if n < k_max:
+        raise TooFewCurvesError(f"k_max={k_max} exceeds the {n} curves")
+
+
+def _check_kmeans(restarts: int, seed: int) -> None:
+    """Raise what k-means raises for its restarts and seed."""
+    if restarts < 1:
+        raise ConfigError("restarts must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+
+
 def _kmeans_z(z: np.ndarray, k: int, seed: int, restarts: int, inits=()):
     """Lowest-dispersion Lloyd run in z-space over the given initial centers
     followed by `restarts` seeded distance-weighted ones; exact ties keep
@@ -188,10 +212,7 @@ def _kmeans_z(z: np.ndarray, k: int, seed: int, restarts: int, inits=()):
     Returns the partition, its centers (k, n_basis) in z-space with row j
     belonging to label j + 1, the dispersion W and the iteration count.
     """
-    if restarts < 1:
-        raise ConfigError("restarts must be at least 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    _check_kmeans(restarts, seed)
     starts = list(inits)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -209,13 +230,8 @@ def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20
     lowest dispersion; exact ties keep the earliest candidate, so results
     are deterministic for a fixed seed.
     """
-    if k < 1:
-        raise ConfigError("k must be at least 1")
-    z = _embedding(model)
-    n = z.shape[0]
-    if n < k:
-        raise TooFewCurvesError(f"cannot form {k} clusters from {n} curves")
-    partition, _, w, iters = _kmeans_z(z, k, seed, restarts)
+    _check_k(k, model.n_curves)
+    partition, _, w, iters = _kmeans_z(_embedding(model), k, seed, restarts)
     return ClusterResult(
         partition=partition, centroids=_centroids(model, partition), w=w,
         iterations=iters, seed=seed, method="kmeans",
@@ -327,12 +343,8 @@ def hierarchical_cluster(model: FitModel, k: int, linkage: str = "ward") -> Clus
     """Agglomerative clustering of the fitted curves, cut at k clusters."""
     if linkage not in _LINKAGES:
         raise ConfigError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
-    if k < 1:
-        raise ConfigError("k must be at least 1")
+    _check_k(k, model.n_curves)
     z = _embedding(model)
-    n = z.shape[0]
-    if n < k:
-        raise TooFewCurvesError(f"cannot form {k} clusters from {n} curves")
     partition, _ = _as_partition(_agglomerate(z, k, linkage))
     labels = partition.labels[None] - 1
     w = _dispersion(z, _group_means(z, labels, partition.k), labels)[0]
@@ -359,12 +371,9 @@ def elbow_curve(model: FitModel, k_max: int, seed: int = 0, restarts: int = 20) 
     candidate, which makes W non-increasing in k.  The suggestion is
     flagged low-confidence when the strongest curvature is below 5% of W(1).
     """
-    if k_max < 2:
-        raise ConfigError("k_max must be at least 2")
+    _check_k_max(k_max, model.n_curves)
     z = _embedding(model)
     n = z.shape[0]
-    if n < k_max:
-        raise TooFewCurvesError(f"k_max={k_max} exceeds the {n} curves")
     w = np.empty(k_max)
     inits = ()
     for k in range(1, k_max + 1):

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (BasisSpec, _check_points, bspline_stack, derivative_stack, design_stack,
-                    make_basis_spec)
+from .basis import BasisSpec, _check_points, derivative_stack, make_basis_spec
 from .data import FunctionalDataset
 from .errors import (
     AllCandidatesSingularError,
@@ -30,9 +29,8 @@ from .errors import (
     NonIncreasingKnotsError,
     NotPositiveDefiniteError,
 )
-from .penalty import PenaltyConfig, _gauss_legendre
-from .smoother import (FitModel, _penalties, _refused, _systems, fit_coefficients, fit_stack,
-                       penalty_weights)
+from .penalty import PenaltyConfig, _panel_rule
+from .smoother import FitModel, _assemble, fit_coefficients, fit_stack, penalty_weights
 
 __all__ = [
     "JuppCoords",
@@ -159,12 +157,16 @@ class KnotSearchConfig:
     fixed_p: bool = False
 
     def __post_init__(self):
-        if int(self.order) != self.order or self.order < 2:
-            raise ConfigError("order must be an integer >= 2")
-        if self.max_knots < 1:
-            raise ConfigError("max_knots must be at least 1")
-        if self.grid_size < 2:
-            raise ConfigError("grid_size must be at least 2")
+        # integral values are stored as int, as BasisSpec stores its order
+        for name, least in (("order", 2), ("max_knots", 1), ("grid_size", 2)):
+            value = getattr(self, name)
+            try:
+                integral = int(value) == value
+            except (TypeError, ValueError, OverflowError):  # None, a string, nan, inf
+                integral = False
+            if not integral or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 def _spec(coords: JuppCoords, order: int) -> BasisSpec:
@@ -594,14 +596,6 @@ def _candidate_grid(lo, hi, existing, search) -> np.ndarray:
     return grid[dist > _knot_radius(lo, hi, search)]
 
 
-def _stage_record(coords: JuppCoords, model: FitModel, **refinement) -> StageRecord:
-    d = model.diagnostics
-    return StageRecord(
-        p=coords.p, knots=jupp_inverse(coords), coords=coords,
-        objective=d.sse, gcv=d.gcv, df=d.df, **refinement,
-    )
-
-
 def _bordered(existing, full, q, dataset: FunctionalDataset, weights: np.ndarray, order: int):
     """Scores of knot insertions from the fit at the existing knots, and its window.
 
@@ -618,27 +612,24 @@ def _bordered(existing, full, q, dataset: FunctionalDataset, weights: np.ndarray
     t, Y = dataset.t, dataset.reduced_values
     lo, hi = dataset.domain
     parent = np.concatenate([np.full(order, lo), existing, np.full(order, hi)])
-    B = design_stack(parent[None], order, t[None])[0]
-    H, _ = _systems((B.T @ B)[None], _penalties(parent[None], order, weights[None]), weights[None])
-    if not full.size or _refused(H)[0]:
+    (B,), _, H, _, (refused,) = _assemble(parent[None], order, t[None], weights[None])
+    if not full.size or refused:
         return np.full(len(full), np.nan), 0.0
     xi = np.take_along_axis(full, (q - order // 2)[:, None] + np.arange(order + 1), axis=1)
+    orders = np.flatnonzero(weights > 0.0).tolist()
     with np.errstate(all="ignore"):
-        g = bspline_stack(xi, np.broadcast_to(t, (len(xi), t.size)))
+        # g = N_j is the one B-spline of order on its order + 1 knots xi
+        g = derivative_stack(xi, order, np.broadcast_to(t, (len(xi), t.size)), [0])[0][:, 0]
         u, s = g @ B, np.einsum("ch,ch->c", g, g)
         # g's support spans are spans of the candidate's basis, so order
         # Gauss-Legendre nodes on each integrate B^(l) g^(l) exactly for every l
-        orders = np.flatnonzero(weights > 0.0).tolist()
         if orders:
-            nodes, w = _gauss_legendre(order)
-            half, mid = 0.5 * np.diff(xi, axis=1), 0.5 * (xi[:, :-1] + xi[:, 1:])
-            at = (mid[:, :, None] + half[:, :, None] * nodes).reshape(len(xi), -1)
-            w = (half[:, :, None] * w).reshape(len(xi), -1)
+            at, w = _panel_rule(xi, order)
             Bls = derivative_stack(parent[None], order, at.reshape(1, -1), orders)
-            for l, gl, Bl in zip(orders, bspline_stack(xi, at, orders), Bls):
-                gw = gl * (weights[l] * w)
+            for l, gl, Bl in zip(orders, derivative_stack(xi, order, at, orders), Bls):
+                gw = gl[:, 0] * (weights[l] * w)
                 u += np.einsum("cp,icp->ci", gw, Bl.reshape(-1, *at.shape))
-                s += np.einsum("cp,cp->c", gw, gl)
+                s += np.einsum("cp,cp->c", gw, gl[:, 0])
         solved = np.linalg.solve(H[0], np.concatenate([B.T @ Y, u.T], axis=1))
         c, z = solved[:, :Y.shape[1]], solved[:, Y.shape[1]:]
         r = Y - B @ c
@@ -732,31 +723,25 @@ class _Search:
 
 
 def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
-    """add_knots_gradually for every (dataset, config) job, in lockstep: each
-    round scans every live job's candidates as one stack (_scan) and refines
-    their best insertions as one batch (refine_fits).  A job leaves when it
+    """add_knots_gradually for every (dataset, config) job, in lockstep: round
+    0 fits every job without interior knots as one batch (refine_fits), and
+    each later round scans every live job's candidates as one stack (_scan)
+    and refines their best insertions as one batch.  A job leaves when it
     fails, its grid is used up or its GCV rule stops it.  Returns each job's
     FreeKnotResult, or the FkSplineError its add_knots_gradually call
     raises: its outcome alone, bit for bit."""
     order = search.order
     jobs = [_Search(dataset, config) for dataset, config in zip(datasets, configs)]
-    for job in jobs:
-        try:
-            coords = JuppCoords(np.empty(0), *job.dataset.domain)
-            job.model = fit_coefficients(job.dataset, _spec(coords, order), job.config)
-        except FkSplineError as exc:
-            job.error = exc
-            continue
-        job.result.stages.append(_stage_record(coords, job.model))
-        job.result.chosen, job.result.model = job.result.stages[0], job.model
-    live = [job for job in jobs if job.error is None]
-    for _ in range(search.max_knots):
+    live = jobs
+    for p in range(search.max_knots + 1):
         if not live:
             break
-        starts = []
-        for job, (ratios, scores, fitted) in zip(live, _scan(
-                [job.result.stages[-1].knots for job in live], [job.dataset for job in live],
-                [job.config for job in live], search)):
+        # round 0 fits every job without interior knots: no scan, nothing to refine
+        starts = [] if p else [(job, JuppCoords(np.empty(0), *job.dataset.domain), {})
+                               for job in live]
+        scans = _scan([job.result.stages[-1].knots for job in live], [job.dataset for job in live],
+                      [job.config for job in live], search) if p else []
+        for job, (ratios, scores, fitted) in zip(live, scans):
             scored = np.flatnonzero(np.isfinite(scores))
             failures = int(np.isnan(scores).sum())
             if scored.size:
@@ -779,9 +764,14 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
                 continue
             coords = JuppCoords(pair.k, start.lo, start.hi)
             job.model = FitModel(_spec(coords, order), job.config, *fit)
-            result.stages.append(_stage_record(
-                coords, job.model, iterations=pair.iterations, converged=pair.converged,
+            d = job.model.diagnostics
+            result.stages.append(StageRecord(
+                p=coords.p, knots=jupp_inverse(coords), coords=coords, objective=d.sse, gcv=d.gcv,
+                df=d.df, iterations=pair.iterations, converged=pair.converged,
                 step_failure=pair.step_failure, **scan))
+            if result.chosen is None:  # the p = 0 stage
+                result.chosen, result.model = result.stages[-1], job.model
+                continue
             # GCV rule: a stage better by _GCV_REL_TOL resets the streak
             gcv, best = result.stages[-1].gcv, result.chosen.gcv
             job.bad_streak = 0 if gcv < best * (1.0 - _GCV_REL_TOL) else job.bad_streak + 1

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyIntervalError, NonFiniteInputError
 from .cluster import _distinct
-from .penalty import _gauss_legendre
+from .penalty import _panel_rule
 from .smoother import FitModel
 
 __all__ = ["TailRegions", "integrated_sse", "local_isse", "model_isse"]
@@ -71,11 +71,7 @@ def integrated_sse(truth, fitted, interval, quad_points: int = 256, breakpoints=
     if quad_points < 16:
         raise EmptyIntervalError("quad_points must be at least 16")
     edges = _panel_edges(lo, hi, quad_points, breakpoints)
-    nodes, weights = _gauss_legendre(_NODES_PER_PANEL)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
+    pts, w = _panel_rule(edges, _NODES_PER_PANEL)
     diff = np.asarray(truth(pts), dtype=float) - np.asarray(fitted(pts), dtype=float)
     if not np.all(np.isfinite(diff)):
         raise NonFiniteInputError("curve evaluators returned non-finite values")

@@ -26,6 +26,16 @@ def _gauss_legendre(n_nodes: int):
     return np.polynomial.legendre.leggauss(n_nodes)
 
 
+def _panel_rule(edges: np.ndarray, n_nodes: int):
+    """Points and weights (..., panels * n_nodes) of the composite Gauss-Legendre
+    rule with n_nodes nodes on each panel between consecutive edges (last axis)."""
+    nodes, weights = _gauss_legendre(n_nodes)
+    half = 0.5 * np.diff(edges)[..., None]
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    shape = (*edges.shape[:-1], -1)
+    return (mid + half * nodes).reshape(shape), (half * weights).reshape(shape)
+
+
 @dataclass(frozen=True)
 class PenaltyMatrix:
     """Gram matrix of l-th derivatives of the basis functions."""
@@ -64,16 +74,13 @@ def penalty_stack(full_knots: np.ndarray, order: int, orders, n_nodes: int | Non
     gives the (C, n_basis, n_basis) stack of each l of orders, the same
     whatever else is asked.  Inputs are not checked.
     """
-    C, m = full_knots.shape
-    edges = full_knots[:, order - 1 : m - order + 1]  # a, interior knots, b
-    half = 0.5 * np.diff(edges, axis=1)  # (C, n_spans)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    nodes, weights = _gauss_legendre(order if n_nodes is None else n_nodes)
-    pts = (mid[:, :, None] + half[:, :, None] * nodes).reshape(C, -1)
-    w = (half[:, :, None] * weights).reshape(C, 1, -1)
-    first = np.arange(m - 1)[:, None] == np.repeat(np.arange(order - 1, m - order), nodes.size)
+    m = full_knots.shape[1]
+    n_nodes = order if n_nodes is None else n_nodes
+    # panels between a, the interior knots and b
+    pts, w = _panel_rule(full_knots[:, order - 1 : m - order + 1], n_nodes)
+    first = np.arange(m - 1)[:, None] == np.repeat(np.arange(order - 1, m - order), n_nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        products = [D @ (D * w).transpose(0, 2, 1)
+        products = [D @ (D * w[:, None]).transpose(0, 2, 1)
                     for D in derivative_stack(full_knots, order, pts, orders, first)]
         return [0.5 * (R + R.transpose(0, 2, 1)) for R in products]
 

@@ -124,27 +124,26 @@ def _refused(H: np.ndarray) -> list[str]:
     return why
 
 
-def _penalties(full_knots: np.ndarray, order: int, weights: np.ndarray) -> dict:
-    """The penalty matrices of knot vectors full_knots (K, m) of every order some
-    row of weights (penalty_weights) weights positively, by order: one pass."""
-    orders = np.flatnonzero((weights > 0.0).any(axis=0)).tolist()
-    return dict(zip(orders, penalty_stack(full_knots, order, orders) if orders else []))
+def _assemble(knots: np.ndarray, order: int, T: np.ndarray, weights: np.ndarray,
+              rows: np.ndarray | None = None):
+    """The one place systems H = B'B + sum_l w_l R_l are built and checked.
 
-
-def _systems(btb: np.ndarray, penalties: dict, weights: np.ndarray,
-             rows: np.ndarray | None = None):
-    """The one place systems H = B'B + sum_l w_l R_l are formed.
-
-    btb (K, nb, nb) holds B'B of each of K knot vectors and penalties their
-    _penalties; row c of the stack pairs knot vector rows[c] (c itself when
-    rows is None) with the penalty weights weights[c] (penalty_weights).  A
-    row that does not weight order l gets nothing added, not 0 * R, which is
-    nan where R overflowed.  Returns H (C, nb, nb) and, per penalized order,
-    the weights and matrices of every row.
+    knots (K, m) are clamped knot vectors of one order, T (K, h) their
+    sample points; row c pairs knot vector rows[c] (c when rows is None)
+    with weights[c] (penalty_weights).  Every weighted order's penalties
+    come from one penalty_stack pass, freed of its temporaries before the
+    designs are built.  A row not weighting order l gets nothing added, not
+    0 * R, which is nan where R overflowed.  Returns the designs B (K, h,
+    nb), B'B (K, nb, nb), H (C, nb, nb), per penalized order the weights
+    and matrices of every row, and _refused(H).
     """
+    orders = np.flatnonzero((weights > 0.0).any(axis=0)).tolist()
+    penalties = penalty_stack(knots, order, orders) if orders else []
+    B = design_stack(knots, order, T)
+    btb = B.transpose(0, 2, 1) @ B
     H = btb.copy() if rows is None else btb[rows]
     terms = []
-    for l, R in penalties.items():
+    for l, R in zip(orders, penalties):
         R = R if rows is None else R[rows]
         w = weights[:, l, None, None]
         # overflowed penalties may add infinities of opposite signs; _refused
@@ -153,20 +152,19 @@ def _systems(btb: np.ndarray, penalties: dict, weights: np.ndarray,
             add = w * R
             H += add if (w > 0.0).all() else np.where(w > 0.0, add, 0.0)
         terms.append((weights[:, l], R))
-    return H, terms
+    return B, btb, H, terms, _refused(H)
 
 
 def assemble_system(design: DesignMatrix, config: PenaltyConfig) -> SystemMatrix:
-    """Build and check the system matrix for one basis and penalty config."""
+    """Build and check the system matrix for one basis and penalty config:
+    _assemble's one-row case, on the basis of a derivative-0 design at its points."""
     spec = design.spec
-    B = design.values
-    btb = B.T @ B
     weights = penalty_weights(config, spec.order)[None]
-    H, terms = _systems(btb[None], _penalties(spec._full_arr[None], spec.order, weights), weights)
-    reason = _refused(H)[0]
+    _, btb, H, terms, (reason,) = _assemble(spec._full_arr[None], spec.order,
+                                            design.points[None], weights)
     if reason:
         raise NotPositiveDefiniteError(reason)
-    return SystemMatrix(values=H[0], btb=btb,
+    return SystemMatrix(values=H[0], btb=btb[0],
                         penalty_terms=tuple((float(w[0]), R[0]) for w, R in terms))
 
 
@@ -250,7 +248,7 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
     is None), all of one (h, n) shape, and its knot vector spans that
     dataset's domain.  The stack is evaluated in chunks of _CHUNK rows.
     Within a chunk the design, B'B and each needed penalty matrix are built
-    once per distinct (dataset, knot vector), H once per row (_systems), and
+    once per distinct (dataset, knot vector), H once per row (_assemble), and
     rows are refused by _refused; the kept rows are solved in stacked solves
     of _BLOCK_VALUES coefficients, one dataset's rows at a time.  t, the
     sample points of a one-dataset stack (default the dataset's), must lie
@@ -280,14 +278,9 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
             distinct = list(first.values())
             rows = np.searchsorted(distinct, vector)
             knots, at = chunk[distinct], [owners[i] for i in distinct]
-        # the penalties' temporaries are freed before the designs are built
-        penalties = _penalties(knots, order, weights[start:start + _CHUNK])
         T = (np.broadcast_to(points[0], (len(knots), points[0].size)) if len(points) == 1
              else np.stack([points[d] for d in at]))
-        B = design_stack(knots, order, T)
-        btb = B.transpose(0, 2, 1) @ B
-        H, _ = _systems(btb, penalties, weights[start:start + _CHUNK], rows)
-        refused = _refused(H)
+        B, btb, H, _, refused = _assemble(knots, order, T, weights[start:start + _CHUNK], rows)
         # One stacked solve per block of one dataset's rows; residuals are
         # formed and handed on one row at a time, so no (C, h, n) stack is held.
         ends = [c for c in range(1, len(owners)) if owners[c] != owners[c - 1]]

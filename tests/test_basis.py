@@ -26,7 +26,7 @@ from fkspline import (
     eval_spline,
     make_basis_spec,
 )
-from fkspline.basis import bspline_stack, derivative_stack, design_stack
+from fkspline.basis import derivative_stack, design_stack
 
 
 def design_values(spec, t, derivative=0):
@@ -185,8 +185,9 @@ class TestEvaluation:
 
 
 class TestOneBSplinePerRow:
-    """bspline_stack evaluates one B-spline per row on its own knots: the
-    column of the basis that has those knots."""
+    """derivative_stack on (C, order + 1) knot rows evaluates one B-spline per
+    row on its own knots, (C, 1, P) per derivative order: the column of the
+    basis that has those knots."""
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_matches_the_design_column(self, order):
@@ -205,7 +206,7 @@ class TestOneBSplinePerRow:
             knots = spline[None, j : j + order + 1]
             for derivative in range(order):
                 want = design_stack(spline[None], order, points[None], derivative)[0, :, j]
-                got = bspline_stack(knots, points[None], derivative)[0]
+                (got,) = derivative_stack(knots, order, points[None], [derivative])[0][:, 0]
                 if derivative:  # the design's right end takes the left limit
                     want[points == knots[0, -1]] = 0.0
                 scale = max(1.0, np.abs(want).max())
@@ -216,16 +217,18 @@ class TestOneBSplinePerRow:
         knots = np.sort(rng.uniform(0.0, 1.0, (6, 5)), axis=1)
         knots[0, :2] = knots[0, 0]  # a repeated first knot
         t = rng.uniform(0.0, 1.0, (6, 20))
-        together = bspline_stack(knots, t, [2, 0, 3])
+        together = derivative_stack(knots, 4, t, [2, 0, 3])
         for derivative, values in zip([2, 0, 3], together):
-            assert np.array_equal(values, bspline_stack(knots, t, derivative))
+            assert values.shape == (6, 1, 20)
+            assert np.array_equal(values, derivative_stack(knots, 4, t, [derivative])[0])
 
     def test_rows_are_independent(self):
         knots = np.array([[0.0, 0.2, 0.5, 0.9, 1.0], [1.0, 1.0, 2.0, 3.0, 3.5]])
         t = np.array([np.linspace(0.0, 1.0, 9), np.linspace(1.0, 3.5, 9)])
-        both = bspline_stack(knots, t, 1)
+        (both,) = derivative_stack(knots, 4, t, [1])
         for c in range(2):
-            assert np.array_equal(both[c], bspline_stack(knots[c : c + 1], t[c : c + 1], 1)[0])
+            (alone,) = derivative_stack(knots[c : c + 1], 4, t[c : c + 1], [1])
+            assert np.array_equal(both[c], alone[0])
 
 
 class TestDerivativeStack:

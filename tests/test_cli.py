@@ -674,6 +674,35 @@ class TestCluster:
         assert sorted(set(labels)) == [1, 2, 3, 4]
         assert not set(labels[:10]) & set(labels[10:])
 
+    @pytest.mark.parametrize("flags, error, context", [
+        (["--k", "0"], "ConfigError", "k must be at least 1"),
+        (["--k", "9"], "TooFewCurvesError", "cannot form 9 clusters from 8 curves"),
+        (["--kmax", "1"], "ConfigError", "k_max must be at least 2"),
+        (["--kmax", "9"], "TooFewCurvesError", "k_max=9 exceeds the 8 curves"),
+        (["--restarts", "0"], "ConfigError", "restarts must be at least 1"),
+        (["--kmax", "3", "--method", "ward", "--restarts", "0"], "ConfigError",
+         "restarts must be at least 1"),
+    ], ids=["k-0", "k-9", "kmax-1", "kmax-9", "restarts-0", "elbow-restarts-0"])
+    def test_bad_clustering_setting_is_2_before_the_fit(self, simdir, tmp_path, capsys,
+                                                       monkeypatch, flags, error, context):
+        import fkspline.cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the clustering settings were checked")
+
+        monkeypatch.setattr(fkspline.cli, "add_knots_gradually", no_fit)
+        monkeypatch.setattr(fkspline.cli, "fit_coefficients", no_fit)
+        out = tmp_path / "c"
+        assert run(["cluster", "--data", simdir / "dataset.csv", "--nbasis", "6", *flags,
+                    "--outdir", out]) == 2
+        assert error_report(capsys) == {"module": "cluster", "error": error, "context": context}
+        assert not out.exists()
+
+    def test_ward_takes_no_restarts(self, simdir, tmp_path):
+        # --restarts only reaches k-means, so ward ignores a bad count
+        assert run(["cluster", "--data", simdir / "dataset.csv", "--knots", "2.5",
+                    "--method", "ward", "--restarts", "0", "--outdir", tmp_path]) == 0
+
 
 def scipy_loaded_by(*commands, package="scipy") -> list[str]:
     """Modules of package a fresh interpreter has loaded after importing
@@ -862,6 +891,27 @@ class TestReplicate:
         out = tmp_path / "r"
         assert run(["replicate", "-R", "1", flag, value, "--outdir", out]) == 2
         assert error_report(capsys) == {"module": "replicate", "error": error, "context": context}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, error, context", [
+        (["--k", "0"], "ConfigError", "k must be at least 1"),
+        (["--k", "300"], "TooFewCurvesError", "cannot form 300 clusters from 200 curves"),
+        (["--restarts", "0"], "ConfigError", "restarts must be at least 1"),
+    ], ids=["k-0", "k-300", "restarts-0"])
+    def test_bad_clustering_setting_is_2_before_any_search(self, tmp_path, capsys, monkeypatch,
+                                                           flags, error, context):
+        import fkspline.cli
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the knot search ran before the clustering settings were checked")
+
+        monkeypatch.setattr(fkspline.cli, "add_knots_lockstep", no_search)
+        out = tmp_path / "r"
+        assert run(["replicate", "-R", "1", *flags, "--outdir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no config echo
+        assert json.loads(captured.err) == {"module": "replicate", "error": error,
+                                            "context": context}
         assert not out.exists()
 
     def test_env_thread_count(self, tmp_path, monkeypatch, capsys):

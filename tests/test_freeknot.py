@@ -310,6 +310,15 @@ class TestKnotRecovery:
         with pytest.raises(ConfigError):
             KnotSearchConfig(grid_size=1)
 
+    @pytest.mark.parametrize("field", ["order", "max_knots", "grid_size"])
+    def test_config_takes_integral_values_only(self, field):
+        # an integral float is stored as an int; anything else is a ConfigError
+        config = KnotSearchConfig(**{field: 5.0})
+        assert config == KnotSearchConfig(**{field: 5}) and type(getattr(config, field)) is int
+        for value in (5.5, float("nan"), float("inf"), "5", None):
+            with pytest.raises(ConfigError, match=field):
+                KnotSearchConfig(**{field: value})
+
 
 def assert_same_fit(model, ref):
     """Knots, coefficients and every diagnostic equal bit for bit."""
@@ -620,10 +629,10 @@ class TestStackedScan:
         search = KnotSearchConfig(order=4, max_knots=3, grid_size=20, fixed_p=True)
         result = add_knots_gradually(noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5), search)
         assert objective_calls == []
-        # one fit for the knot-free stage; each refinement fits its result
-        # as one full-data row of a stack
-        assert fits == [()]
-        assert [len(rows) for rows, full in stacks if full] == [1] * search.max_knots
+        # the knot-free stage and each refinement fit their result as one
+        # full-data row of a stack
+        assert fits == []
+        assert [len(rows) for rows, full in stacks if full] == [1] * (search.max_knots + 1)
         assert [stage.p for stage in result.stages] == [0, 1, 2, 3]
 
 
@@ -953,8 +962,9 @@ class TestStageRecords:
         stage0, *stages = result.stages
         assert (stage0.p, stage0.iterations, stage0.converged, stage0.step_failure) == (
             0, 0, True, False)
-        assert len(stages) == len(refined) == 4
-        for stage, res in zip(stages, refined):
+        # the knot-free stage is round 0's batch of refine_fits
+        assert len(result.stages) == len(refined) == 5
+        for stage, res in zip(result.stages, refined):
             assert (stage.iterations, stage.converged, stage.step_failure) == (
                 res.iterations, res.converged, res.step_failure)
         assert max(stage.iterations for stage in stages) > 1
@@ -1134,6 +1144,27 @@ class TestLockstepSearch:
         assert len(set(rounds)) > 1 if not fixed_p else set(rounds) == {6}
         assert alone[3].stopped_early is not fixed_p
 
+    def test_a_knot_free_stage_that_cannot_be_fitted_fails_as_its_fit(self):
+        # round 0 ends a job with the error fit_coefficients raises on its
+        # knot-free basis: a penalty order the splines cannot carry, or the
+        # singular system of 4 unpenalized cubics on 3 points
+        t = np.linspace(0.0, 1.0, 3)
+        three, sine = FunctionalDataset(t=t, values=np.column_stack([t, t * t])), noisy_sine_dataset()
+        jobs = [(sine, PenaltyConfig(alphas=(0.0, 0.0, 0.0, 0.0, 1e-3))),
+                (three, PenaltyConfig()), (sine, PenaltyConfig())]
+        search = KnotSearchConfig(order=4, max_knots=2, grid_size=10, fixed_p=True)
+        got = freeknot.add_knots_lockstep([ds for ds, _ in jobs], [c for _, c in jobs], search)
+        kinds = []
+        for (ds, config), result in zip(jobs, got[:2]):
+            with pytest.raises(FkSplineError) as want:
+                fit_coefficients(ds, make_basis_spec(*ds.domain, 4), config)
+            assert (type(result), str(result)) == (type(want.value), str(want.value))
+            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                add_knots_gradually(ds, config, search)
+            kinds.append(type(result).__name__)
+        assert kinds == ["DerivativeOrderTooHighError", "NotPositiveDefiniteError"]
+        assert [stage.p for stage in got[2].stages] == [0, 1, 2]
+
     def test_one_job_is_add_knots_gradually(self, monkeypatch):
         calls = []
         lockstep = freeknot.add_knots_lockstep
@@ -1164,4 +1195,6 @@ class TestLockstepSearch:
         search = KnotSearchConfig(order=4, max_knots=3, grid_size=10, fixed_p=True)
         datasets = [noisy_sine_dataset(seed=s) for s in range(3)]
         freeknot.add_knots_lockstep(datasets, [PenaltyConfig()] * 3, search)
-        assert scans == batches == [3, 3, 3]
+        # round 0 fits every knot-free stage as one batch, without a scan
+        assert scans == [3, 3, 3]
+        assert batches == [3, 3, 3, 3]
