@@ -26,6 +26,7 @@ from .errors import (
     NonIncreasingKnotsError,
     OrderTooSmallError,
     PointOutOfDomainError,
+    as_integer,
 )
 
 __all__ = ["BasisSpec", "DesignMatrix", "make_basis_spec", "eval_design", "eval_spline"]
@@ -50,8 +51,7 @@ class BasisSpec:
             raise NonFiniteInputError("domain endpoints must be finite")
         if not a < b:
             raise EmptyIntervalError(f"domain [{a}, {b}] has nonpositive length")
-        if int(self.order) != self.order or self.order < 2:
-            raise OrderTooSmallError(f"order must be an integer >= 2, got {self.order}")
+        r = as_integer(self.order, 2, "order", OrderTooSmallError)
         tau = np.asarray(self.interior_knots, dtype=float).reshape(-1)
         if tau.size and not np.all(np.isfinite(tau)):
             raise NonFiniteInputError("interior knots must be finite")
@@ -59,7 +59,6 @@ class BasisSpec:
             raise NonIncreasingKnotsError("interior knots must be strictly increasing")
         if tau.size and (tau[0] <= a or tau[-1] >= b):
             raise KnotOutOfDomainError("interior knots must lie strictly inside the domain")
-        r = int(self.order)
         object.__setattr__(self, "domain", (a, b))
         object.__setattr__(self, "order", r)
         object.__setattr__(self, "interior_knots", tuple(float(x) for x in tau))
@@ -224,9 +223,8 @@ def eval_design(spec: BasisSpec, t, derivative: int = 0) -> DesignMatrix:
     row.  For derivative = 0 rows sum to one; derivative order must satisfy
     0 <= derivative < order.
     """
-    d = int(derivative)
-    r = spec.order
-    if d < 0 or d >= r:
+    d, r = as_integer(derivative, 0, "derivative order", DerivativeOrderTooHighError), spec.order
+    if d >= r:
         raise DerivativeOrderTooHighError(
             f"derivative order must satisfy 0 <= d < {r}, got {derivative}"
         )

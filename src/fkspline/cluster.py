@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatchError, TooFewCurvesError
+from .errors import ConfigError, LengthMismatchError, TooFewCurvesError, as_integer
 from .penalty import gram_matrix
 from .smoother import FitModel
 
@@ -180,28 +180,25 @@ def _lloyd_lockstep(z: np.ndarray, starts: np.ndarray):
     return labels, centers, _dispersion(z, centers, labels), iterations
 
 
-def _check_k(k: int, n: int) -> None:
-    """Raise what clustering n curves into k clusters raises for k."""
-    if k < 1:
-        raise ConfigError("k must be at least 1")
+def _check_k(k: int, n: int) -> int:
+    """k as an int; raise what clustering n curves into k clusters raises for k."""
+    k = as_integer(k, 1, "k")
     if n < k:
         raise TooFewCurvesError(f"cannot form {k} clusters from {n} curves")
+    return k
 
 
-def _check_k_max(k_max: int, n: int) -> None:
-    """Raise what an elbow curve of n curves up to k_max raises for k_max."""
-    if k_max < 2:
-        raise ConfigError("k_max must be at least 2")
+def _check_k_max(k_max: int, n: int) -> int:
+    """k_max as an int; raise what an elbow curve of n curves up to k_max raises for k_max."""
+    k_max = as_integer(k_max, 2, "k_max")
     if n < k_max:
         raise TooFewCurvesError(f"k_max={k_max} exceeds the {n} curves")
+    return k_max
 
 
-def _check_kmeans(restarts: int, seed: int) -> None:
-    """Raise what k-means raises for its restarts and seed."""
-    if restarts < 1:
-        raise ConfigError("restarts must be at least 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+def _check_kmeans(restarts: int, seed: int) -> tuple[int, int]:
+    """restarts and seed as ints; raise what k-means raises for them."""
+    return as_integer(restarts, 1, "restarts"), as_integer(seed, 0, "seed")
 
 
 def _kmeans_z(z: np.ndarray, k: int, seed: int, restarts: int, inits=()):
@@ -212,7 +209,6 @@ def _kmeans_z(z: np.ndarray, k: int, seed: int, restarts: int, inits=()):
     Returns the partition, its centers (k, n_basis) in z-space with row j
     belonging to label j + 1, the dispersion W and the iteration count.
     """
-    _check_kmeans(restarts, seed)
     starts = list(inits)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -230,7 +226,7 @@ def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20
     lowest dispersion; exact ties keep the earliest candidate, so results
     are deterministic for a fixed seed.
     """
-    _check_k(k, model.n_curves)
+    k, (restarts, seed) = _check_k(k, model.n_curves), _check_kmeans(restarts, seed)
     partition, _, w, iters = _kmeans_z(_embedding(model), k, seed, restarts)
     return ClusterResult(
         partition=partition, centroids=_centroids(model, partition), w=w,
@@ -343,7 +339,7 @@ def hierarchical_cluster(model: FitModel, k: int, linkage: str = "ward") -> Clus
     """Agglomerative clustering of the fitted curves, cut at k clusters."""
     if linkage not in _LINKAGES:
         raise ConfigError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
-    _check_k(k, model.n_curves)
+    k = _check_k(k, model.n_curves)
     z = _embedding(model)
     partition, _ = _as_partition(_agglomerate(z, k, linkage))
     labels = partition.labels[None] - 1
@@ -371,7 +367,7 @@ def elbow_curve(model: FitModel, k_max: int, seed: int = 0, restarts: int = 20) 
     candidate, which makes W non-increasing in k.  The suggestion is
     flagged low-confidence when the strongest curvature is below 5% of W(1).
     """
-    _check_k_max(k_max, model.n_curves)
+    k_max, (restarts, seed) = _check_k_max(k_max, model.n_curves), _check_kmeans(restarts, seed)
     z = _embedding(model)
     n = z.shape[0]
     w = np.empty(k_max)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integral-count check.
 
 Input-validation errors subclass ValueError so callers that only know the
 stdlib can still catch them; numerical and data failures get their own
@@ -12,6 +12,18 @@ class FkSplineError(Exception):
 
 class ConfigError(FkSplineError, ValueError):
     """Inconsistent or out-of-range configuration."""
+
+
+def as_integer(value, least: int, name: str, error: type = ConfigError) -> int:
+    """value as an int when it is an integer >= least (4.0 is, 2.5 is not),
+    else raise error, the caller's typed class for an out-of-range value."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):  # None, a string, nan, inf
+        integral = False
+    if not integral or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

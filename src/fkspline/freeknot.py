@@ -14,6 +14,7 @@ GCV rule or continues to a fixed count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ from .errors import (
     NonFiniteInputError,
     NonIncreasingKnotsError,
     NotPositiveDefiniteError,
+    as_integer,
 )
 from .penalty import PenaltyConfig, _panel_rule
 from .smoother import FitModel, _assemble, fit_coefficients, fit_stack, penalty_weights
@@ -159,14 +161,9 @@ class KnotSearchConfig:
     def __post_init__(self):
         # integral values are stored as int, as BasisSpec stores its order
         for name, least in (("order", 2), ("max_knots", 1), ("grid_size", 2)):
-            value = getattr(self, name)
-            try:
-                integral = int(value) == value
-            except (TypeError, ValueError, OverflowError):  # None, a string, nan, inf
-                integral = False
-            if not integral or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_integer(getattr(self, name), least, name))
+        if not isinstance(self.fixed_p, bool):
+            raise ConfigError(f"fixed_p must be a bool, got {self.fixed_p!r}")
 
 
 def _spec(coords: JuppCoords, order: int) -> BasisSpec:
@@ -223,16 +220,33 @@ def _by_size(rows, tags=None):
 
 
 class _Jobs:
-    """Each job's dataset, domain [lo, hi] and penalty_weights, for the rows
-    of stacks (_fits); jobs on one dataset object share it in fit_stack."""
+    """Each job's setup, built once per search and read by every stack (_fits).
 
-    def __init__(self, datasets, domains, weights: np.ndarray, order: int):
+    Job j fits datasets[j] under configs[j] on domains[j] = (lo[j], hi[j]),
+    with penalty_weights weights[j] and errors[j], the FkSplineError any fit
+    of job j raises (sample points outside the domain, a penalty order the
+    splines cannot carry) or None; jobs on one dataset object share it
+    (which)."""
+
+    def __init__(self, datasets, configs, domains, order: int):
         index = {}
         self.which = np.array([index.setdefault(id(ds), len(index)) for ds in datasets], dtype=int)
         self.datasets = list({id(ds): ds for ds in datasets}.values())
         self.shapes = [ds.values.shape for ds in self.datasets]
         self.lo, self.hi = np.array(domains, dtype=float).reshape(-1, 2).T
-        self.weights, self.order = weights, order
+        self.order = order
+        self.weights = np.zeros((self.which.size, order))
+        self.errors = [None] * self.which.size
+        inside = set()  # the (dataset, domain) pairs whose sample points were checked
+        for j, (dataset, config) in enumerate(zip(datasets, configs)):
+            key = (self.which[j], self.lo[j], self.hi[j])
+            try:
+                if key not in inside:
+                    _check_points(make_basis_spec(self.lo[j], self.hi[j], order), dataset.t)
+                    inside.add(key)
+                self.weights[j] = penalty_weights(config, order)
+            except FkSplineError as exc:
+                self.errors[j] = exc
 
 
 def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False):
@@ -241,7 +255,8 @@ def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False):
     Row c belongs to job owner[c] (_Jobs).  The rows of each length and
     data shape are checked by one _fittable_rows call (with mapped=True
     they are clamped knot vectors it accepted) and fitted as one stack
-    (smoother.fit_stack).  Yields (c, why, fit) for every row c, in no set
+    (smoother.fit_stack).  Yields (c, why, fit) for every row c, a group
+    at a time in order of first appearance and each group's rows in row
     order: why is "" or the reason a fit at that row would raise, fit None
     where why is set, else the residual matrix in the dataset's reduced
     space or, with full=True, (coefficients, FitDiagnostics).
@@ -249,15 +264,16 @@ def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False):
     owner = np.asarray(owner, dtype=int)
     tags = [jobs.shapes[d] for d in jobs.which[owner].tolist()] if len(jobs.shapes) > 1 else None
     for group, stack in _by_size(rows, tags):
-        own = owner[group]
+        own, kept = owner[group], np.arange(len(group))
         if not mapped:
             kept, stack = _fittable_rows(stack, jobs.lo[own], jobs.hi[own], jobs.order)
-            for c in set(range(len(group))).difference(kept.tolist()):
-                yield group[c], "knots cannot be fitted", None
-            group, own = [group[c] for c in kept.tolist()], own[kept]
-        for i, why, fit in fit_stack(stack, jobs.order, jobs.datasets, jobs.weights[own],
-                                     full=full, which=jobs.which[own]):
-            yield group[i], why, fit
+            own = own[kept]
+        fits = fit_stack(stack, jobs.order, jobs.datasets, jobs.weights[own], full=full,
+                         which=jobs.which[own])
+        fittable = set(kept.tolist())
+        for i, c in enumerate(group):
+            _, why, fit = next(fits) if i in fittable else (c, "knots cannot be fitted", None)
+            yield c, why, fit
 
 
 def _jacobian(points, owner, jobs: _Jobs):
@@ -269,19 +285,17 @@ def _jacobian(points, owner, jobs: _Jobs):
     residual over step_i.  Perturbed rows that cannot be fitted get
     backward steps, all in one second stack; a column failing both is zero.
 
-    Yields (i, why, fit) for each point i as soon as its rows are in, so
-    that only one point's rows are held at a time (and the rows of points
-    that wait for backward steps): fit is (r, jac), r the point's raveled
-    residual, or None where the stack refuses the point itself, why
-    saying why.
+    _fits yields a point's rows as one run, so each point is yielded as
+    (i, why, fit) as soon as its run is in and only one point's rows are
+    held at a time (and the rows of points that wait for backward steps):
+    fit is (r, jac), r the point's raveled residual, or None where the
+    stack refuses the point itself, why saying why.
     """
     owner = np.asarray(owner, dtype=int)
     steps = [_FD_STEP * (1.0 + np.abs(k)) for k in points]
-    rows, owners, first = [], [], []
-    for i, (k, step) in enumerate(zip(points, steps)):
-        first.append(len(rows))
-        rows.extend(k + np.vstack([np.zeros(k.size), np.diag(step)]))
-        owners.extend([i] * (k.size + 1))
+    rows = [row for k, step in zip(points, steps)
+            for row in k + np.vstack([np.zeros(k.size), np.diag(step)])]
+    owners = [i for i, k in enumerate(points) for _ in range(k.size + 1)]
 
     def columns(i, forward, backward):
         r = forward[0].ravel()
@@ -294,22 +308,17 @@ def _jacobian(points, owner, jobs: _Jobs):
                 jac[:, j] = (resid.ravel() - r) / step
         return i, "", (r, jac)
 
-    got, refused, waiting = {}, {}, {}
-    for c, why, residual in _fits(rows, jobs, owner[owners]):
+    waiting = {}
+    fits = _fits(rows, jobs, owner[owners])
+    for c, why, residual in fits:  # row c is row 0 of its point's run
         i = owners[c]
-        if c == first[i] and why:
-            refused[i] = why
-        forward = got.setdefault(i, {})
-        forward[c - first[i]] = residual
-        if len(forward) == points[i].size + 1:
-            forward = [forward[j] for j in range(len(forward))]
-            del got[i]
-            if i in refused:
-                yield i, refused.pop(i), None
-            elif any(resid is None for resid in forward[1:]):
-                waiting[i] = forward
-            else:
-                yield columns(i, forward, {})
+        forward = [residual, *(fit for *_, fit in itertools.islice(fits, points[i].size))]
+        if why:
+            yield i, why, None
+        elif any(resid is None for resid in forward[1:]):
+            waiting[i] = forward
+        else:
+            yield columns(i, forward, {})
     failed = [(i, j) for i, forward in waiting.items() for j in range(len(forward) - 1)
               if forward[j + 1] is None]
     backward = {}
@@ -410,38 +419,24 @@ def _error(check, *args) -> FkSplineError | None:
     return None
 
 
-def _descend(starts, configs, datasets, search: KnotSearchConfig):
-    """Damped Gauss-Newton descent from every (start, config, dataset), in lockstep.
+def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig) -> list:
+    """Damped Gauss-Newton descent from every start, in lockstep.
 
-    Each pair, a job (_Jobs) on its start's domain, runs the rule of
+    Start i, on the domain of its job owner[i] (_Jobs), runs the rule of
     gauss_newton_refine on its own state (_Descent); each round makes one
     Jacobian stack (_jacobian; row 0 gives a start's objective), one
     proposal pass (_proposals) and one trial stack of the proposed knots
-    (_fits).  A pair ends with pair.error set where its dataset's points
-    leave its domain, its penalty weights are refused, its start's knots
-    cannot be fitted (the error building their basis raises) or the stack
-    refuses the system at its start.  Returns the pairs in input order and
-    their jobs.
+    (_fits).  A pair ends with pair.error set to its job's error, else to
+    the error building its start's basis raises (checked once per distinct
+    start), or where the stack refuses the system at its start.  Returns
+    the pairs in input order.
     """
-    order = search.order
-    pairs, weights, outside = [], np.zeros((len(starts), order)), {}
-    for i, (start, config, dataset) in enumerate(zip(starts, configs, datasets)):
-        key = (id(dataset), start.lo, start.hi)
-        if key not in outside:
-            outside[key] = _error(lambda: _check_points(make_basis_spec(start.lo, start.hi, order),
-                                                        dataset.t))
-        error = outside[key] or _error(penalty_weights, config, order)
-        pairs.append(_Descent(start.values.copy(), job=i, error=error, converged=start.p == 0))
-        if error is None:
-            weights[i] = penalty_weights(config, order)
-    jobs = _Jobs(datasets, [(start.lo, start.hi) for start in starts], weights, order)
+    errors = {id(start): _error(_spec, start, search.order)
+              for start in {id(start): start for start in starts}.values()}
+    pairs = [_Descent(start.values.copy(), job=j, error=jobs.errors[j] or errors[id(start)],
+                      converged=start.p == 0)
+             for start, j in zip(starts, np.asarray(owner, dtype=int).tolist())]
     min_gap = _knot_radius(jobs.lo, jobs.hi, search)
-    for group, stack in _by_size([pair.k for pair in pairs]):
-        kept, _ = _fittable_rows(stack, jobs.lo[group], jobs.hi[group], order)
-        for c in set(range(len(group))).difference(kept.tolist()):
-            pair = pairs[group[c]]
-            pair.error = pair.error or _error(_spec, starts[group[c]], order)
-
     jacobian = [pair for pair in pairs if pair.error is None and pair.k.size]
     trial = []
     while jacobian or trial:
@@ -487,7 +482,7 @@ def _descend(starts, configs, datasets, search: KnotSearchConfig):
                 pair.converged = True
             elif pair.iterations < _MAX_ITERATIONS:
                 jacobian.append(pair)
-    return pairs, jobs
+    return pairs
 
 
 def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
@@ -502,7 +497,8 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     success.  The best iterate seen is returned, fitted on the full data
     (its sse is the objective).  This is the one-pair case of refine_fits.
     """
-    ((_, pair, fit),) = refine_fits([coords], [config], [dataset], search)
+    jobs = _Jobs([dataset], [config], [(coords.lo, coords.hi)], search.order)
+    ((_, pair, fit),) = refine_fits([coords], [0], jobs, search)
     if pair.error is not None:
         raise pair.error
     best = JuppCoords(pair.k, coords.lo, coords.hi)
@@ -513,21 +509,22 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     )
 
 
-def refine_fits(starts, configs, datasets, search: KnotSearchConfig):
-    """Refine every (start, config, dataset) in lockstep (_descend); fit each result.
+def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig):
+    """Refine every start, start i of job owner[i], in lockstep (_descend); fit each result.
 
     The result fits are one stack (_fits with full=True), each what
     fit_coefficients reports at that pair's knots.  Yields (i, pair, fit)
-    for every pair i, one at a time in no set order: pair is its final
+    for every start i, one at a time in no set order: pair is its final
     _Descent, fit (coefficients, FitDiagnostics), or None where pair.error
     says why the pair failed.
     """
-    pairs, jobs = _descend(starts, configs, datasets, search)
+    pairs = _descend(starts, owner, jobs, search)
     live = [i for i, pair in enumerate(pairs) if pair.error is None]
     for i, pair in enumerate(pairs):
         if pair.error is not None:
             yield i, pair, None
-    for c, why, fit in _fits([pairs[i].k for i in live], jobs, live, full=True):
+    for c, why, fit in _fits([pairs[i].k for i in live], jobs, [pairs[i].job for i in live],
+                             full=True):
         pair = pairs[live[c]]
         if why:
             pair.error = NotPositiveDefiniteError(why)
@@ -643,25 +640,24 @@ def _bordered(existing, full, q, dataset: FunctionalDataset, weights: np.ndarray
     return scores, sse + _ROUNDOFF_FLOOR * np.einsum("ij,ij", Y, Y)
 
 
-def _scan(knots, datasets, configs, search: KnotSearchConfig):
-    """Score the insertion of every grid candidate into each job's accepted knots.
+def _scan(knots, live, jobs: _Jobs, search: KnotSearchConfig):
+    """Score the insertion of every grid candidate into each live job's accepted knots.
 
-    Job j inserts its candidates into knots[j] on the domain of datasets[j]
-    under configs[j].  A bordered screen per job (_bordered) scores them
-    from the parent fit; then passes fit candidates exactly, all jobs in
+    Row j inserts its candidates into knots[j] on the domain of job
+    live[j] (_Jobs).  A bordered screen per row (_bordered) scores them
+    from the parent fit; then passes fit candidates exactly, all rows in
     one stack each: every unfitted candidate whose screen is nan or within
     _SCREEN_WINDOW of the best (the smallest exact score, before one exists
     the smallest screen), until a pass takes none.  Returns (ratios,
-    scores, fitted) per job: row c of ratios holds jupp of the knots with
+    scores, fitted) per row: row c of ratios holds jupp of the knots with
     candidate c inserted; score c is objective_f there up to roundoff if it
     was fitted, +inf if the screen shows it cannot be _first_best, nan
     where objective_f would raise; fitted counts the exact fits.
     """
     order = search.order
-    weights = np.array([penalty_weights(config, order) for config in configs]).reshape(-1, order)
-    jobs = _Jobs(datasets, [dataset.domain for dataset in datasets], weights, order)
     ratios, kept, full, screens, scores = [], [], [], [], []
-    for j, (existing, dataset) in enumerate(zip(knots, datasets)):
+    for j, (existing, job) in enumerate(zip(knots, live)):
+        dataset = jobs.datasets[jobs.which[job]]
         lo, hi = dataset.domain
         grid = _candidate_grid(lo, hi, existing, search)
         tau = np.sort(np.column_stack([np.broadcast_to(existing, (grid.size, existing.size)),
@@ -674,7 +670,7 @@ def _scan(knots, datasets, configs, search: KnotSearchConfig):
         kept.append(rows)
         full.append(rows_full)
         screens.append(_bordered(existing, rows_full, order + np.searchsorted(existing, grid[rows]),
-                                 dataset, weights[j], order))
+                                 dataset, jobs.weights[job], order))
         scores.append(np.full(grid.size, np.nan))
     checked = [np.zeros(rows.size, dtype=bool) for rows in kept]
     while True:
@@ -690,7 +686,7 @@ def _scan(knots, datasets, configs, search: KnotSearchConfig):
         if not picked:
             break
         for i, _, residual in _fits([full[j][c] for j, c in picked], jobs,
-                                    [j for j, _ in picked], mapped=True):
+                                    [live[j] for j, _ in picked], mapped=True):
             if residual is not None:
                 j, c = picked[i]
                 scores[j][kept[j][c]] = np.einsum("ij,ij->j", residual, residual).sum()
@@ -712,10 +708,8 @@ def _first_best(scores: np.ndarray) -> int:
 
 @dataclass(eq=False)
 class _Search:
-    """A job of add_knots_lockstep; its result's chosen stage is the best by GCV."""
+    """The state of a job of add_knots_lockstep; its result's chosen stage is the best by GCV."""
 
-    dataset: FunctionalDataset
-    config: PenaltyConfig
     result: FreeKnotResult = field(default_factory=FreeKnotResult)
     model: FitModel | None = None  # the fit of the last stage
     bad_streak: int = 0
@@ -723,47 +717,48 @@ class _Search:
 
 
 def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
-    """add_knots_gradually for every (dataset, config) job, in lockstep: round
-    0 fits every job without interior knots as one batch (refine_fits), and
-    each later round scans every live job's candidates as one stack (_scan)
-    and refines their best insertions as one batch.  A job leaves when it
-    fails, its grid is used up or its GCV rule stops it.  Returns each job's
-    FreeKnotResult, or the FkSplineError its add_knots_gradually call
-    raises: its outcome alone, bit for bit."""
+    """add_knots_gradually for every (dataset, config) job of one table
+    (_Jobs), in lockstep: round 0 fits every job without interior knots as
+    one batch (refine_fits), and each later round scans every live job's
+    candidates as one stack (_scan) and refines their best insertions as
+    one batch.  A job leaves when it fails, its grid is used up or its GCV
+    rule stops it.  Returns each job's FreeKnotResult, or the FkSplineError
+    its add_knots_gradually call raises: its outcome alone, bit for bit."""
     order = search.order
-    jobs = [_Search(dataset, config) for dataset, config in zip(datasets, configs)]
-    live = jobs
+    jobs = _Jobs(datasets, configs, [dataset.domain for dataset in datasets], order)
+    searches = [_Search() for _ in datasets]
+    live = list(range(len(searches)))
     for p in range(search.max_knots + 1):
         if not live:
             break
         # round 0 fits every job without interior knots: no scan, nothing to refine
-        starts = [] if p else [(job, JuppCoords(np.empty(0), *job.dataset.domain), {})
-                               for job in live]
-        scans = _scan([job.result.stages[-1].knots for job in live], [job.dataset for job in live],
-                      [job.config for job in live], search) if p else []
-        for job, (ratios, scores, fitted) in zip(live, scans):
+        starts = [] if p else [(j, JuppCoords(np.empty(0), *datasets[j].domain), {})
+                               for j in live]
+        scans = _scan([searches[j].result.stages[-1].knots for j in live], live, jobs,
+                      search) if p else []
+        for j, (ratios, scores, fitted) in zip(live, scans):
             scored = np.flatnonzero(np.isfinite(scores))
             failures = int(np.isnan(scores).sum())
             if scored.size:
                 best = ratios[scored[_first_best(scores[scored])]]
-                starts.append((job, JuppCoords(best, *job.dataset.domain),
+                starts.append((j, JuppCoords(best, *datasets[j].domain),
                                {"scanned": scores.size, "fitted": fitted}))
             elif failures:  # else exclusion zones used up the grid
-                last = job.result.stages[-1]
-                job.error = AllCandidatesSingularError(
+                last = searches[j].result.stages[-1]
+                searches[j].error = AllCandidatesSingularError(
                     f"all {failures} candidate knots failed at p={last.p + 1}; "
                     f"the last feasible stage has p={last.p} and knots "
                     f"{[float(x) for x in last.knots]}"
                 )
         for i, pair, fit in refine_fits([coords for _, coords, _ in starts],
-                                        [job.config for job, *_ in starts],
-                                        [job.dataset for job, *_ in starts], search):
-            job, start, scan = starts[i]
+                                        [j for j, *_ in starts], jobs, search):
+            j, start, scan = starts[i]
+            job = searches[j]
             job.error, result = pair.error, job.result
             if fit is None:
                 continue
             coords = JuppCoords(pair.k, start.lo, start.hi)
-            job.model = FitModel(_spec(coords, order), job.config, *fit)
+            job.model = FitModel(_spec(coords, order), configs[j], *fit)
             d = job.model.diagnostics
             result.stages.append(StageRecord(
                 p=coords.p, knots=jupp_inverse(coords), coords=coords, objective=d.sse, gcv=d.gcv,
@@ -778,11 +773,12 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
             if gcv < best:
                 result.chosen, result.model = result.stages[-1], job.model
             result.stopped_early = not search.fixed_p and job.bad_streak >= _GCV_PATIENCE
-        live = [job for job, *_ in starts if job.error is None and not job.result.stopped_early]
-    for job in jobs:
+        live = [j for j, *_ in starts
+                if searches[j].error is None and not searches[j].result.stopped_early]
+    for job in searches:
         if job.error is None and search.fixed_p:
             job.result.chosen, job.result.model = job.result.stages[-1], job.model
-    return [job.error or job.result for job in jobs]
+    return [job.error or job.result for job in searches]
 
 
 def add_knots_gradually(dataset: FunctionalDataset, config: PenaltyConfig,

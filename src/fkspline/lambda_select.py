@@ -9,7 +9,7 @@ import numpy as np
 from .basis import BasisSpec
 from .data import FunctionalDataset
 from .errors import AllCellsFailedError, ConfigError, FkSplineError, NotPositiveDefiniteError
-from .freeknot import KnotSearchConfig, add_knots_gradually, refine_fits
+from .freeknot import KnotSearchConfig, _Jobs, add_knots_gradually, refine_fits
 from .penalty import PenaltyConfig
 from .smoother import fit_spec, penalty_weights
 
@@ -177,15 +177,17 @@ def _free_fits(dataset, search, configs) -> list:
     first warm start whose refinement raised.
 
     The warm starts are the stages of the zero-penalty knot search, p = 0
-    included.  Every (warm start, cell) pair is refined in one lockstep
-    batch (freeknot.refine_fits); a cell keeps the first warm start of
-    smallest GCV.
+    included.  Each cell is one job (freeknot._Jobs), and every (warm
+    start, cell) pair is refined in one lockstep batch
+    (freeknot.refine_fits); a cell keeps the first warm start of smallest
+    GCV.
     """
     warm = [stage.coords for stage in add_knots_gradually(dataset, PenaltyConfig(), search).stages]
     cells = len(configs)
+    jobs = _Jobs([dataset] * cells, configs, [dataset.domain] * cells, search.order)
     outcomes = [None] * (len(warm) * cells)
     for i, pair, fit in refine_fits([coords for coords in warm for _ in configs],
-                                    configs * len(warm), [dataset] * len(outcomes), search):
+                                    list(range(cells)) * len(warm), jobs, search):
         outcomes[i] = pair.error if fit is None else _CellFit.of(fit[1])
     fits = []
     for c in range(cells):

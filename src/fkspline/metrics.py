@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntervalError, NonFiniteInputError
+from .errors import EmptyIntervalError, NonFiniteInputError, as_integer
 from .cluster import _distinct
 from .penalty import _panel_rule
 from .smoother import FitModel
@@ -68,8 +68,7 @@ def integrated_sse(truth, fitted, interval, quad_points: int = 256, breakpoints=
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise EmptyIntervalError(f"integration interval [{lo}, {hi}] has nonpositive length")
-    if quad_points < 16:
-        raise EmptyIntervalError("quad_points must be at least 16")
+    quad_points = as_integer(quad_points, 16, "quad_points", EmptyIntervalError)
     edges = _panel_edges(lo, hi, quad_points, breakpoints)
     pts, w = _panel_rule(edges, _NODES_PER_PANEL)
     diff = np.asarray(truth(pts), dtype=float) - np.asarray(fitted(pts), dtype=float)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BasisSpec, derivative_stack
-from .errors import ConfigError, DerivativeOrderTooHighError
+from .errors import ConfigError, DerivativeOrderTooHighError, as_integer
 
 __all__ = ["PenaltyMatrix", "PenaltyConfig", "penalty_matrix", "gram_matrix"]
 
@@ -92,14 +92,12 @@ def penalty_matrix(spec: BasisSpec, order: int, quad_points: int | None = None) 
     per-span node count (default r, which is exact for every order);
     passing more nodes must not change the result beyond roundoff.
     """
-    l = int(order)
-    if l < 0 or l >= spec.order:
+    l = as_integer(order, 0, "penalty derivative order", DerivativeOrderTooHighError)
+    if l >= spec.order:
         raise DerivativeOrderTooHighError(
             f"penalty derivative order must satisfy 0 <= l < {spec.order}, got {order}"
         )
-    n_nodes = None if quad_points is None else int(quad_points)
-    if n_nodes is not None and n_nodes < 1:
-        raise ConfigError("quadrature needs at least one node per span")
+    n_nodes = None if quad_points is None else as_integer(quad_points, 1, "quad_points")
     (values,) = penalty_stack(spec._full_arr[None, :], spec.order, [l], n_nodes)
     return PenaltyMatrix(order=l, values=values[0], spec=spec)
 

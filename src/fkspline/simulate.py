@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FunctionalDataset
-from .errors import ConfigError, UnknownGroupError
+from .errors import ConfigError, UnknownGroupError, as_integer
 
 __all__ = [
     "GROUP_IDS",
@@ -62,16 +62,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.curves_per_group < 1 or self.points_per_curve < 2:
-            raise ConfigError("need at least 1 curve per group and 2 points per curve")
+        for name, least in (("curves_per_group", 1), ("points_per_curve", 2), ("seed", 0)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), least, name))
         if self.noise_sd < 0:
             raise ConfigError("noise_sd must be nonnegative")
         if not self.domain[0] < self.domain[1] or not np.all(np.isfinite(self.domain)):
             raise ConfigError("domain must have positive, finite length")
         if self.domain[0] < 0:
             raise ConfigError("domain must start at t >= 0 (log(t + 0.5) terms)")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.groups:
             raise ConfigError("need at least one group")
         for g in self.groups:

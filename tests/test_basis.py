@@ -21,6 +21,7 @@ from fkspline import (
     DerivativeOrderTooHighError,
     KnotOutOfDomainError,
     NonIncreasingKnotsError,
+    OrderTooSmallError,
     PointOutOfDomainError,
     eval_design,
     eval_spline,
@@ -81,6 +82,15 @@ class TestSpecConstruction:
             make_basis_spec(1.0, 1.0, 4, [])
         with pytest.raises(ConfigError):
             make_basis_spec(2.0, 1.0, 4, [])
+
+    def test_order_must_be_an_integer(self):
+        # an integral float is stored as an int; nan, inf, None and
+        # fractions are an OrderTooSmallError, the out-of-range error
+        spec = make_basis_spec(0.0, 1.0, 4.0, [0.5])
+        assert spec == make_basis_spec(0.0, 1.0, 4, [0.5]) and type(spec.order) is int
+        for order in (float("nan"), float("inf"), None, 3.5, "4"):
+            with pytest.raises(OrderTooSmallError, match="order must be an integer >= 2"):
+                make_basis_spec(0.0, 1.0, order, [0.5])
 
 
 class TestEvaluation:
@@ -182,6 +192,14 @@ class TestEvaluation:
             eval_design(spec, np.array([0.5]), derivative=4)
         # derivative r-1 is fine (piecewise constant)
         eval_design(spec, np.array([0.5]), derivative=3)
+
+    def test_fractional_derivative_order_raises(self):
+        spec = make_basis_spec(0.0, 1.0, 4, [])
+        for derivative in (1.5, -1, float("nan"), None):
+            with pytest.raises(DerivativeOrderTooHighError):
+                eval_design(spec, np.array([0.5]), derivative=derivative)
+        assert np.array_equal(eval_design(spec, np.array([0.5]), derivative=2.0).values,
+                              eval_design(spec, np.array([0.5]), derivative=2).values)
 
 
 class TestOneBSplinePerRow:

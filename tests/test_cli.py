@@ -675,13 +675,13 @@ class TestCluster:
         assert not set(labels[:10]) & set(labels[10:])
 
     @pytest.mark.parametrize("flags, error, context", [
-        (["--k", "0"], "ConfigError", "k must be at least 1"),
+        (["--k", "0"], "ConfigError", "k must be an integer >= 1, got 0"),
         (["--k", "9"], "TooFewCurvesError", "cannot form 9 clusters from 8 curves"),
-        (["--kmax", "1"], "ConfigError", "k_max must be at least 2"),
+        (["--kmax", "1"], "ConfigError", "k_max must be an integer >= 2, got 1"),
         (["--kmax", "9"], "TooFewCurvesError", "k_max=9 exceeds the 8 curves"),
-        (["--restarts", "0"], "ConfigError", "restarts must be at least 1"),
+        (["--restarts", "0"], "ConfigError", "restarts must be an integer >= 1, got 0"),
         (["--kmax", "3", "--method", "ward", "--restarts", "0"], "ConfigError",
-         "restarts must be at least 1"),
+         "restarts must be an integer >= 1, got 0"),
     ], ids=["k-0", "k-9", "kmax-1", "kmax-9", "restarts-0", "elbow-restarts-0"])
     def test_bad_clustering_setting_is_2_before_the_fit(self, simdir, tmp_path, capsys,
                                                        monkeypatch, flags, error, context):
@@ -884,7 +884,7 @@ class TestReplicate:
     @pytest.mark.parametrize("flag, value, error, context", [
         ("--noise-sd", "-1", "ConfigError", "noise_sd must be nonnegative"),
         ("--tail-frac", "0.7", "EmptyIntervalError", "tail fraction must lie in (0, 0.5)"),
-        ("--seed", "-1", "ConfigError", "seed must be nonnegative, got -1"),
+        ("--seed", "-1", "ConfigError", "seed must be an integer >= 0, got -1"),
     ], ids=["noise-sd", "tail-frac", "seed"])
     def test_bad_setting_is_2_before_the_outdir(self, tmp_path, capsys, flag, value, error,
                                                 context):
@@ -894,9 +894,9 @@ class TestReplicate:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, error, context", [
-        (["--k", "0"], "ConfigError", "k must be at least 1"),
+        (["--k", "0"], "ConfigError", "k must be an integer >= 1, got 0"),
         (["--k", "300"], "TooFewCurvesError", "cannot form 300 clusters from 200 curves"),
-        (["--restarts", "0"], "ConfigError", "restarts must be at least 1"),
+        (["--restarts", "0"], "ConfigError", "restarts must be an integer >= 1, got 0"),
     ], ids=["k-0", "k-300", "restarts-0"])
     def test_bad_clustering_setting_is_2_before_any_search(self, tmp_path, capsys, monkeypatch,
                                                            flags, error, context):

@@ -532,6 +532,32 @@ class TestElbow:
         assert result.w[0] == plain[0]
         assert np.all(result.w <= np.array(plain))
 
+    @pytest.mark.parametrize("call", [
+        lambda model: functional_kmeans(model, 2.5),
+        lambda model: hierarchical_cluster(model, 2.5),
+        lambda model: elbow_curve(model, 3.5),
+        lambda model: functional_kmeans(model, 2, restarts=2.5),
+        lambda model: functional_kmeans(model, 2, seed=1.5),
+        lambda model: elbow_curve(model, 3, restarts=2.5),
+        lambda model: elbow_curve(model, 3, seed=float("nan")),
+    ], ids=["kmeans-k", "ward-k", "elbow-k_max", "kmeans-restarts", "kmeans-seed",
+            "elbow-restarts", "elbow-seed"])
+    def test_counts_must_be_integers(self, call):
+        model = constant_curve_model([0.0, 0.2, 0.1, 10.0, 10.2, 10.1])
+        with pytest.raises(ConfigError, match="must be an integer"):
+            call(model)
+
+    def test_integral_floats_are_the_integers(self):
+        model = constant_curve_model([0.0, 0.2, 0.1, 10.0, 10.2, 10.1, 5.0])
+        ints = functional_kmeans(model, 3, seed=1, restarts=2)
+        floats = functional_kmeans(model, 3.0, seed=1.0, restarts=2.0)
+        assert np.array_equal(ints.partition.labels, floats.partition.labels)
+        assert floats.seed == 1 and type(floats.seed) is int
+        assert np.array_equal(elbow_curve(model, 4, seed=1, restarts=2).w,
+                              elbow_curve(model, 4.0, seed=1.0, restarts=2.0).w)
+        assert np.array_equal(hierarchical_cluster(model, 3).partition.labels,
+                              hierarchical_cluster(model, 3.0).partition.labels)
+
     def test_k_max_validation(self):
         model = constant_curve_model([0.0, 1.0, 2.0])
         with pytest.raises(ConfigError):

@@ -21,6 +21,7 @@ from fkspline import (
     FunctionalDataset,
     JuppCoords,
     KnotSearchConfig,
+    LambdaGrid,
     NotPositiveDefiniteError,
     PenaltyConfig,
     add_knots_gradually,
@@ -28,25 +29,38 @@ from fkspline import (
     fit_coefficients,
     fit_free_knot,
     gauss_newton_refine,
+    gcv_grid_search,
     jupp,
     jupp_inverse,
     make_basis_spec,
     objective_f,
 )
-from fkspline import data, freeknot
+from fkspline import data, freeknot, lambda_select
 from fkspline.simulate import benchmark_config, generate_scenario
 from fkspline.smoother import penalty_weights, variant_config
 
 
 def one_job(ds, config, order):
     """The one job (freeknot._Jobs) of stacks whose rows all fit ds under config."""
-    return freeknot._Jobs([ds], [ds.domain], penalty_weights(config, order)[None], order)
+    return freeknot._Jobs([ds], [config], [ds.domain], order)
+
+
+def scan_jobs(knots, datasets, configs, search):
+    """freeknot._scan of one job per (knots, dataset, config), on the dataset's domain."""
+    jobs = freeknot._Jobs(datasets, configs, [ds.domain for ds in datasets], search.order)
+    return freeknot._scan(knots, list(range(len(knots))), jobs, search)
 
 
 def scan(existing, ds, config, search):
     """freeknot._scan of one job: its candidates' ratios and scores."""
-    [(ratios, scores, _)] = freeknot._scan([existing], [ds], [config], search)
+    [(ratios, scores, _)] = scan_jobs([existing], [ds], [config], search)
     return ratios, scores
+
+
+def refine(starts, configs, datasets, search):
+    """freeknot.refine_fits of one job per (start, config, dataset), on the start's domain."""
+    jobs = freeknot._Jobs(datasets, configs, [(s.lo, s.hi) for s in starts], search.order)
+    return freeknot.refine_fits(starts, list(range(len(starts))), jobs, search)
 
 
 def stacked_scan(existing, ds, config, search):
@@ -319,6 +333,11 @@ class TestKnotRecovery:
             with pytest.raises(ConfigError, match=field):
                 KnotSearchConfig(**{field: value})
 
+    def test_fixed_p_must_be_a_bool(self):
+        for value in ("no", 0, 1, None, np.bool_(True)):
+            with pytest.raises(ConfigError, match="fixed_p must be a bool"):
+                KnotSearchConfig(fixed_p=value)
+
 
 def assert_same_fit(model, ref):
     """Knots, coefficients and every diagnostic equal bit for bit."""
@@ -504,8 +523,8 @@ class TestStackedScan:
         assert skipped > 0  # the screen left candidates unfitted
         # a grid used up by exclusion zones scores nothing
         search = KnotSearchConfig(order=max(orders), max_knots=3, grid_size=2)
-        [(ratios, scores, fitted)] = freeknot._scan([np.array([0.3, 0.7])], [hinge_dataset()],
-                                                    [config], search)
+        [(ratios, scores, fitted)] = scan_jobs([np.array([0.3, 0.7])], [hinge_dataset()], [config],
+                                               search)
         assert ratios.shape == (0, 3) and scores.shape == (0,) and fitted == 0
 
     @staticmethod
@@ -554,7 +573,7 @@ class TestStackedScan:
         if points == 5:
             existing = add_knots_gradually(ds, PenaltyConfig(), dataclasses.replace(
                 search, max_knots=1)).knots
-        [(_, scores, fitted)] = freeknot._scan([existing], [ds], [PenaltyConfig()], search)
+        [(_, scores, fitted)] = scan_jobs([existing], [ds], [PenaltyConfig()], search)
         _, stacked = stacked_scan(existing, ds, PenaltyConfig(), search)
         assert np.isnan(stacked).all() and np.isnan(scores).all() and fitted == scores.size
         with pytest.raises(AllCandidatesSingularError,
@@ -568,7 +587,7 @@ class TestStackedScan:
         ds = FunctionalDataset(t=t, values=np.column_stack([t**3 - t, 2.0 * t**2]))
         search = KnotSearchConfig(order=4, max_knots=3, grid_size=30)
         existing = np.empty(0)
-        [(_, scores, fitted)] = freeknot._scan([existing], [ds], [PenaltyConfig()], search)
+        [(_, scores, fitted)] = scan_jobs([existing], [ds], [PenaltyConfig()], search)
         assert fitted == scores.size and np.isfinite(scores).all()
         self.check_screen(existing, ds, PenaltyConfig(), search,
                           *stacked_scan(existing, ds, PenaltyConfig(), search))
@@ -586,11 +605,11 @@ class TestStackedScan:
             (tiny, PenaltyConfig(), [-0.5, 0.4]),  # every candidate is refused
         ]
         search = KnotSearchConfig(order=4, max_knots=5, grid_size=20)
-        together = freeknot._scan([np.array(knots) for *_, knots in jobs], [ds for ds, *_ in jobs],
-                                  [config for _, config, _ in jobs], search)
+        together = scan_jobs([np.array(knots) for *_, knots in jobs], [ds for ds, *_ in jobs],
+                             [config for _, config, _ in jobs], search)
         for (ds, config, knots), (ratios, scores, fitted) in zip(jobs, together):
-            [(alone_ratios, alone, alone_fitted)] = freeknot._scan([np.array(knots)], [ds],
-                                                                   [config], search)
+            [(alone_ratios, alone, alone_fitted)] = scan_jobs([np.array(knots)], [ds], [config],
+                                                              search)
             assert np.array_equal(ratios, alone_ratios)
             assert np.array_equal(scores, alone, equal_nan=True) and fitted == alone_fitted
             self.check_screen(np.array(knots), ds, config, search,
@@ -813,7 +832,7 @@ class TestStackedJacobian:
         assert fits == []
         penalized = PenaltyConfig(lambda2=1e-2)
         alone = gauss_newton_refine(start, ds, penalized, search)
-        outcomes = {i: (pair, fit) for i, pair, fit in freeknot.refine_fits(
+        outcomes = {i: (pair, fit) for i, pair, fit in refine(
             [start, start], [PenaltyConfig(), penalized], [ds, ds], search)}
         pair, fit = outcomes[0]
         assert fit is None and type(pair.error) is NotPositiveDefiniteError
@@ -834,7 +853,7 @@ class TestStackedJacobian:
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):
             gauss_newton_refine(start, ds, PenaltyConfig(), search)
         fine = jupp(np.array([0.3, 0.6]), 0.0, 1.0)
-        outcomes = {i: pair for i, pair, _ in freeknot.refine_fits(
+        outcomes = {i: pair for i, pair, _ in refine(
             [start, fine], [PenaltyConfig()] * 2, [ds, ds], search)}
         assert type(outcomes[0].error) is type(want.value) and outcomes[0].iterations == 0
         assert outcomes[1].error is None and outcomes[1].iterations > 0
@@ -884,8 +903,8 @@ class TestBatchedProposals:
     lo, hi, order, min_gap = 0.0, 1.0, 4, 0.02
 
     def propose(self, batch):
-        jobs = freeknot._Jobs([noisy_sine_dataset()], [(self.lo, self.hi)],
-                              np.zeros((1, self.order)), self.order)
+        jobs = freeknot._Jobs([noisy_sine_dataset()], [PenaltyConfig()], [(self.lo, self.hi)],
+                              self.order)
         return freeknot._proposals(batch, jobs, np.array([self.min_gap]))
 
     def assert_same(self, step, ref):
@@ -1198,3 +1217,41 @@ class TestLockstepSearch:
         # round 0 fits every knot-free stage as one batch, without a scan
         assert scans == [3, 3, 3]
         assert batches == [3, 3, 3, 3]
+
+    def test_each_search_builds_one_job_table(self, monkeypatch):
+        # the jobs' setup (_Jobs) is built once per search; no scan,
+        # descent or stack builds a table of its own
+        tables = []
+
+        class Counting(freeknot._Jobs):
+            def __init__(self, datasets, *args):
+                tables.append(len(datasets))
+                super().__init__(datasets, *args)
+
+        monkeypatch.setattr(freeknot, "_Jobs", Counting)
+        monkeypatch.setattr(lambda_select, "_Jobs", Counting, raising=False)
+        search = KnotSearchConfig(order=4, max_knots=3, grid_size=10, fixed_p=True)
+        datasets = [noisy_sine_dataset(seed=s) for s in range(3)]
+        results = freeknot.add_knots_lockstep(datasets, [PenaltyConfig(lambda2=1e-5)] * 3, search)
+        assert [len(result.stages) for result in results] == [4, 4, 4]
+        assert tables == [3]
+        refined = gauss_newton_refine(jupp(np.array([0.2, 0.45, 0.8]), 0.0, 1.0), datasets[0],
+                                      PenaltyConfig(lambda2=1e-5), search)
+        assert refined.iterations > 1
+        assert tables == [3, 1]
+        gcv_grid_search(datasets[0], grid=LambdaGrid.from_exponents([-6, -4]), search=search,
+                        mode="free")
+        # the zero-penalty search of the warm starts, then one job per cell
+        assert tables == [3, 1, 1, 4]
+
+    def test_stacks_yield_each_group_in_row_order(self):
+        # rows of two lengths, two of which cannot be fitted: the ratios
+        # (800, 0) and (800,) put a knot on the domain's end
+        rows = [np.array([0.1, -0.2]), np.array([0.3]), np.array([800.0, 0.0]),
+                np.array([800.0]), np.array([0.0, 0.4]), np.array([-0.5])]
+        jobs = one_job(noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5), 4)
+        got = list(freeknot._fits(rows, jobs, np.zeros(len(rows), dtype=int)))
+        assert [c for c, *_ in got] == [0, 2, 4, 1, 3, 5]
+        assert [(c, why) for c, why, _ in got if why] == [(2, "knots cannot be fitted"),
+                                                          (3, "knots cannot be fitted")]
+        assert all(fit is not None for _, why, fit in got if not why)

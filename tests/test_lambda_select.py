@@ -243,9 +243,11 @@ class TestLockstepGrid:
         np.testing.assert_allclose(res.scores, ref_scores, rtol=1e-9)
         assert res.failures == ref_failures == []
         configs = [PenaltyConfig(lambda1=a, lambda2=b) for a in grid.values for b in grid.values]
+        jobs = freeknot._Jobs([ds] * len(configs), configs, [ds.domain] * len(configs),
+                              self.search.order)
         iterations = {i: pair.iterations for i, pair, _ in
-                      refine_fits([w for w in warm for _ in configs], configs * len(warm),
-                                  [ds] * (len(warm) * len(configs)), self.search)}
+                      refine_fits([w for w in warm for _ in configs],
+                                  list(range(len(configs))) * len(warm), jobs, self.search)}
         assert [iterations[i] for i in range(len(iterations))] == ref_iterations
         assert max(ref_iterations) > 1
 

@@ -101,6 +101,12 @@ class TestIntegratedSse:
         with pytest.raises(EmptyIntervalError):
             integrated_sse(f, f, (0.0, 1.0), quad_points=8)
 
+    def test_quadrature_point_count_must_be_an_integer(self):
+        f = as_family(np.sin)
+        for quad_points in (float("nan"), 100.5, None):
+            with pytest.raises(EmptyIntervalError, match="quad_points must be an integer >= 16"):
+                integrated_sse(f, f, (0.0, 1.0), quad_points=quad_points)
+
 
 class TestLocalIsse:
     def test_offset_confined_to_upper_tail(self):

@@ -197,6 +197,17 @@ class TestStructure:
         with pytest.raises(DerivativeOrderTooHighError):
             penalty_matrix(spec, 4)
 
+    def test_fractional_order_and_node_count_raise(self, spec):
+        # neither is truncated: order 1.5 is not order 1, 2.5 nodes not 2
+        for order in (1.5, -1, float("nan")):
+            with pytest.raises(DerivativeOrderTooHighError):
+                penalty_matrix(spec, order)
+        for nodes in (2.5, 0, float("inf")):
+            with pytest.raises(ConfigError, match="quad_points must be an integer >= 1"):
+                penalty_matrix(spec, 1, quad_points=nodes)
+        assert np.array_equal(penalty_matrix(spec, 2.0, quad_points=5.0).values,
+                              penalty_matrix(spec, 2, quad_points=5).values)
+
 
 class TestCombine:
     """Weighted combination of penalty matrices in the system matrix H."""

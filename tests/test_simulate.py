@@ -55,6 +55,21 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(groups=(1, 7))
 
+    @pytest.mark.parametrize("field, value", [
+        ("curves_per_group", 2.5), ("points_per_curve", math.nan), ("seed", 1.5),
+        ("points_per_curve", None),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ScenarioConfig(**{field: value})
+        # an integral float is stored as an int, and generates as the int
+        small = {"curves_per_group": 3, "points_per_curve": 6}
+        config = ScenarioConfig(**{**small, field: 4.0})
+        assert type(getattr(config, field)) is int
+        plain = ScenarioConfig(**{**small, field: 4})
+        assert np.array_equal(generate_scenario(config).dataset.values,
+                              generate_scenario(plain).dataset.values)
+
 
 class TestGeneration:
     def test_shapes_labels_and_grid(self):
