@@ -520,6 +520,7 @@ def _cmd_replicate(args) -> None:
     _knot_count(args, free=True)  # checked before the echo and any seed runs
     n_threads = _threads(args)
     scenario = ScenarioConfig(noise_sd=args.noise_sd, seed=args.seed)
+    generate_scenario(scenario)  # a noise scale that overflows stops the run here
     TailRegions.fraction(*scenario.domain, args.tail_frac)
     _check_clustering(scenario.curves_per_group * len(scenario.groups), args.k, None,
                       args.restarts, args.seed, args.methods)

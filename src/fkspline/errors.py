@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and its one integral-count check.
+"""Exception types shared across the package, and its integral-count and real-value checks.
 
 Input-validation errors subclass ValueError so callers that only know the
 stdlib can still catch them; numerical and data failures get their own
 branches because the command line maps them to distinct exit codes.
 """
+
+import math
+import numbers
 
 
 class FkSplineError(Exception):
@@ -24,6 +27,22 @@ def as_integer(value, least: int, name: str, error: type = ConfigError) -> int:
     if not integral or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str, least: float = -math.inf, most: float = math.inf,
+            error: type = ConfigError) -> float:
+    """value as a float when it is a finite real number in [least, most]
+    (2, 1e-5 and numpy floats are; None, "0.1", nan and inf are not), else
+    raise error, the caller's typed class for an out-of-range value."""
+    try:
+        # float and int first: they are the common case, and the ABC check is slow
+        real = float(value) if isinstance(value, (float, int, numbers.Real)) else math.nan
+    except OverflowError:  # an int past the float range
+        real = math.inf
+    if not (math.isfinite(real) and least <= real <= most):
+        bounds = "" if (least, most) == (-math.inf, math.inf) else f" in [{least}, {most}]"
+        raise error(f"{name} must be a finite number{bounds}, got {value!r}")
+    return real
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,10 @@ from .errors import (
     NonIncreasingKnotsError,
     NotPositiveDefiniteError,
     as_integer,
+    as_real,
 )
 from .penalty import PenaltyConfig, _panel_rule
-from .smoother import FitModel, _assemble, fit_coefficients, fit_stack, penalty_weights
+from .smoother import FitModel, fit_coefficients, fit_stack, penalty_weights
 
 __all__ = [
     "JuppCoords",
@@ -61,6 +62,8 @@ class JuppCoords:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).reshape(-1)
         object.__setattr__(self, "values", values)
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if not self.lo < self.hi:
             raise ConfigError(f"domain [{self.lo}, {self.hi}] has nonpositive length")
         if not np.all(np.isfinite(values)):
@@ -375,39 +378,66 @@ def _proposals(batch, jobs: _Jobs, min_gap: np.ndarray) -> list:
     """Each pair's next damped step that can be fitted, (k_new, delta, its
     clamped knots), or None once its 12 trials are spent; in batch order.
 
-    The pairs of one p solve their damped systems (J'J + mu I) delta = -g in
-    one stacked solve (_solve_rows), checked by one _fittable_rows call per
-    pass.  A step whose solve fails, whose knots cannot be fitted, or that
-    brings two knots closer than its job's min_gap costs its pair a trial
-    (tenfold damping), and the pair tries again in the next pass.
+    A step whose solve fails, whose knots cannot be fitted, or that brings
+    two knots closer than its job's min_gap costs its pair a trial: tenfold
+    damping.  The pairs of one p try their damping levels mu, 10 mu, ... in
+    passes.  A pass gives each pending pair max(1, budget // pending) of its
+    remaining levels, budget = max(12, the group's pair count): a lone pair
+    tries all its levels at once, and a group of 12 pairs or more tries one level
+    each first.  Every level's system (J'J + mu I) delta = -g is solved in
+    one stacked solve (_solve_rows), and every step is checked by one
+    _fittable_rows call and one min_gap rule.  A pair takes its first
+    feasible level; each level before it multiplies its mu by ten and costs
+    a trial, as the sequential retries do, so the levels are their products
+    (repeated multiplication, never 10**t) and each step, mu and trials are
+    theirs bit for bit.
     """
     steps = [None] * len(batch)
-    for group, stack in _by_size([pair.k for pair in batch]):
-        p = stack.shape[1]
-        eye = np.eye(p)
-        pending = [i for i in group if batch[i].trials < 12]
+    for group, k in _by_size([pair.k for pair in batch]):
+        pairs = [batch[i] for i in group]
+        own = np.array([pair.job for pair in pairs], dtype=int)
+        jtj, rhs = np.array([pair.jtj for pair in pairs]), -np.array([pair.g for pair in pairs])
+        eye = np.eye(k.shape[1])
+        pending = [i for i, pair in enumerate(pairs) if pair.trials < 12]
+        budget = max(12, len(pending))
         while pending:
-            pairs = [batch[i] for i in pending]
-            own = np.array([pair.job for pair in pairs], dtype=int)
-            delta = _solve_rows(np.array([pair.jtj + pair.mu * eye for pair in pairs]),
-                                np.array([-pair.g for pair in pairs]))
+            share = max(1, budget // len(pending))
+            rows, levels = [], []  # each system's pair and damping
+            for i in pending:
+                mu = pairs[i].mu
+                for _ in range(min(share, 12 - pairs[i].trials)):
+                    rows.append(i)
+                    levels.append(mu)
+                    mu *= 10.0
+            at = np.array(rows)
+            delta = _solve_rows(jtj[at] + np.multiply.outer(levels, eye), rhs[at])
             # a singular system's nan step is not fittable
-            k_new = np.array([pair.k for pair in pairs]) + delta
-            kept, full = _fittable_rows(k_new, jobs.lo[own], jobs.hi[own], jobs.order)
-            if p >= 2:
+            k_new = k[at] + delta
+            jobs_of = own[at]
+            kept, full = _fittable_rows(k_new, jobs.lo[jobs_of], jobs.hi[jobs_of], jobs.order)
+            if k.shape[1] >= 2:
                 # knots drifting together chase noise through high-leverage
                 # spans; such trial points are treated as infeasible
                 gaps = np.diff(full[:, jobs.order : full.shape[1] - jobs.order], axis=1)
-                spaced = ~(gaps.min(axis=1) < min_gap[own[kept]])
+                spaced = ~(gaps.min(axis=1) < min_gap[jobs_of[kept]])
                 kept, full = kept[spaced], full[spaced]
-            for c, knots in zip(kept.tolist(), full):
-                steps[pending[c]] = (k_new[c], delta[c], knots)
-            for pair, i in zip(pairs, pending):
-                if steps[i] is None:
-                    pair.mu *= 10.0
-                    pair.trials += 1
-            pending = [i for i in pending if steps[i] is None and batch[i].trials < 12]
+            feasible = dict(zip(kept.tolist(), range(kept.size)))  # system -> row of full
+            for c, i in enumerate(rows):  # each pair's levels in increasing order
+                if steps[group[i]] is None:
+                    if c in feasible:
+                        steps[group[i]] = (k_new[c], delta[c], full[feasible[c]])
+                    else:
+                        pairs[i].mu *= 10.0
+                        pairs[i].trials += 1
+            pending = [i for i in pending if steps[group[i]] is None and pairs[i].trials < 12]
     return steps
+
+
+def _normal_equations(r: np.ndarray, jac: np.ndarray):
+    """The objective r'r, gradient J'r and Gauss-Newton matrix J'J at a
+    point, from its residual and Jacobian (_jacobian): all that a descent
+    keeps of them."""
+    return float(r @ r), jac.T @ r, jac.T @ jac
 
 
 def _error(check, *args) -> FkSplineError | None:
@@ -419,17 +449,20 @@ def _error(check, *args) -> FkSplineError | None:
     return None
 
 
-def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig) -> list:
+def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None) -> list:
     """Damped Gauss-Newton descent from every start, in lockstep.
 
     Start i, on the domain of its job owner[i] (_Jobs), runs the rule of
     gauss_newton_refine on its own state (_Descent); each round makes one
     Jacobian stack (_jacobian; row 0 gives a start's objective), one
     proposal pass (_proposals) and one trial stack of the proposed knots
-    (_fits).  A pair ends with pair.error set to its job's error, else to
-    the error building its start's basis raises (checked once per distinct
-    start), or where the stack refuses the system at its start.  Returns
-    the pairs in input order.
+    (_fits).  first[i], when given and not None, is start i's
+    _normal_equations, from the scan's exact fit there (_scan): start i
+    then has no rows in the first Jacobian stack.  A pair ends with
+    pair.error set to its job's error, else to the error building its
+    start's basis raises (checked once per distinct start), or where the
+    stack refuses the system at its start.  Returns the pairs in input
+    order.
     """
     errors = {id(start): _error(_spec, start, search.order)
               for start in {id(start): start for start in starts}.values()}
@@ -437,28 +470,32 @@ def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig) -> list:
                       converged=start.p == 0)
              for start, j in zip(starts, np.asarray(owner, dtype=int).tolist())]
     min_gap = _knot_radius(jobs.lo, jobs.hi, search)
-    jacobian = [pair for pair in pairs if pair.error is None and pair.k.size]
+    live = [(pair, fit) for pair, fit in zip(pairs, first or [None] * len(pairs))
+            if pair.error is None and pair.k.size]
+    given = [(pair, "", fit) for pair, fit in live if fit is not None]
+    jacobian = [pair for pair, fit in live if fit is None]
     trial = []
-    while jacobian or trial:
-        for pair in jacobian:
+    while given or jacobian or trial:
+        for pair in itertools.chain(jacobian, (pair for pair, *_ in given)):
             pair.iterations += 1
-        for i, why, fit in _jacobian([pair.k for pair in jacobian],
-                                     [pair.job for pair in jacobian], jobs):
-            pair = jacobian[i]
+        stacked = _jacobian([pair.k for pair in jacobian], [pair.job for pair in jacobian],
+                            jobs) if jacobian else ()
+        for pair, why, normal in itertools.chain(given, (
+                (jacobian[i], why, None if fit is None else _normal_equations(*fit))
+                for i, why, fit in stacked)):
             if why:
                 pair.error = NotPositiveDefiniteError(why)
                 continue
-            r, jac = fit
+            f, pair.g, jtj = normal
             if pair.iterations == 1:
-                pair.f = float(r @ r)
-            pair.g = jac.T @ r
+                pair.f = f
             if np.linalg.norm(pair.g) <= 1e-14 * (1.0 + pair.f):
                 pair.converged = True
                 continue
-            pair.jtj = jac.T @ jac
+            pair.jtj = jtj
             pair.trials = 0
             trial.append(pair)
-        jacobian, proposed = [], []
+        given, jacobian, proposed = [], [], []
         for pair, step in zip(trial, _proposals(trial, jobs, min_gap)):
             if step is None:
                 pair.step_failure = True
@@ -502,23 +539,27 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     if pair.error is not None:
         raise pair.error
     best = JuppCoords(pair.k, coords.lo, coords.hi)
-    model = FitModel(_spec(best, search.order), config, *fit)
+    coeffs, diagnostics, _ = fit
+    model = FitModel(_spec(best, search.order), config, coeffs, diagnostics)
     return GaussNewtonResult(
         coords=best, objective=model.diagnostics.sse, iterations=pair.iterations,
         converged=pair.converged, model=model, step_failure=pair.step_failure,
     )
 
 
-def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig):
+def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None):
     """Refine every start, start i of job owner[i], in lockstep (_descend); fit each result.
 
+    first[i], when given, is start i's _normal_equations or None (_descend).
     The result fits are one stack (_fits with full=True), each what
     fit_coefficients reports at that pair's knots.  Yields (i, pair, fit)
     for every start i, one at a time in no set order: pair is its final
-    _Descent, fit (coefficients, FitDiagnostics), or None where pair.error
-    says why the pair failed.
+    _Descent, fit (coefficients, FitDiagnostics, (B, H)) with the result's
+    design and system (smoother.fit_stack), which the next scan of a knot
+    search borders (_bordered), or None where pair.error says why the pair
+    failed.
     """
-    pairs = _descend(starts, owner, jobs, search)
+    pairs = _descend(starts, owner, jobs, search, first)
     live = [i for i, pair in enumerate(pairs) if pair.error is None]
     for i, pair in enumerate(pairs):
         if pair.error is not None:
@@ -593,25 +634,28 @@ def _candidate_grid(lo, hi, existing, search) -> np.ndarray:
     return grid[dist > _knot_radius(lo, hi, search)]
 
 
-def _bordered(existing, full, q, dataset: FunctionalDataset, weights: np.ndarray, order: int):
+def _bordered(existing, system, full, q, dataset: FunctionalDataset, weights: np.ndarray,
+              order: int):
     """Scores of knot insertions from the fit at the existing knots, and its window.
 
-    Row c of full is a candidate's clamped knot vector, q[c] its new knot's
-    index there.  The candidate's space is the parent's plus the refined
-    B-spline g = N_j, j = q[c] - order // 2; penalties are norms of the
-    spline, so its system is the parent's H bordered by one row and column
-    (u, s), solved through the Schur complement s - u'H^-1 u.  A score is
-    that fit's sse on the reduced data, nan where it is non-finite, its
-    Schur complement is below _SCHUR_FLOOR or _refused refuses the parent.
-    The window is the parent's sse plus the _ROUNDOFF_FLOOR term (0 when
-    every score is nan).
+    system is that parent fit's design B and system H (smoother.fit_stack
+    with full=True: a knot search carries them from the fit of its last
+    stage), None where the parent fit is refused.  Row c of full is a
+    candidate's clamped knot vector, q[c] its new knot's index there.  The
+    candidate's space is the parent's plus the refined B-spline g = N_j,
+    j = q[c] - order // 2; penalties are norms of the spline, so its system
+    is H bordered by one row and column (u, s), solved through the Schur
+    complement s - u'H^-1 u.  A score is that fit's sse on the reduced data,
+    nan where it is non-finite, its Schur complement is below _SCHUR_FLOOR
+    or the parent fit is refused.  The window is the parent's sse plus the
+    _ROUNDOFF_FLOOR term (0 when every score is nan).
     """
     t, Y = dataset.t, dataset.reduced_values
     lo, hi = dataset.domain
-    parent = np.concatenate([np.full(order, lo), existing, np.full(order, hi)])
-    (B,), _, H, _, (refused,) = _assemble(parent[None], order, t[None], weights[None])
-    if not full.size or refused:
+    if not full.size or system is None:
         return np.full(len(full), np.nan), 0.0
+    B, H = system
+    parent = np.concatenate([np.full(order, lo), existing, np.full(order, hi)])
     xi = np.take_along_axis(full, (q - order // 2)[:, None] + np.arange(order + 1), axis=1)
     orders = np.flatnonzero(weights > 0.0).tolist()
     with np.errstate(all="ignore"):
@@ -627,7 +671,7 @@ def _bordered(existing, full, q, dataset: FunctionalDataset, weights: np.ndarray
                 gw = gl[:, 0] * (weights[l] * w)
                 u += np.einsum("cp,icp->ci", gw, Bl.reshape(-1, *at.shape))
                 s += np.einsum("cp,cp->c", gw, gl[:, 0])
-        solved = np.linalg.solve(H[0], np.concatenate([B.T @ Y, u.T], axis=1))
+        solved = np.linalg.solve(H, np.concatenate([B.T @ Y, u.T], axis=1))
         c, z = solved[:, :Y.shape[1]], solved[:, Y.shape[1]:]
         r = Y - B @ c
         schur = s - np.einsum("ci,ic->c", u, z)
@@ -640,23 +684,30 @@ def _bordered(existing, full, q, dataset: FunctionalDataset, weights: np.ndarray
     return scores, sse + _ROUNDOFF_FLOOR * np.einsum("ij,ij", Y, Y)
 
 
-def _scan(knots, live, jobs: _Jobs, search: KnotSearchConfig):
+def _scan(parents, live, jobs: _Jobs, search: KnotSearchConfig):
     """Score the insertion of every grid candidate into each live job's accepted knots.
 
-    Row j inserts its candidates into knots[j] on the domain of job
-    live[j] (_Jobs).  A bordered screen per row (_bordered) scores them
-    from the parent fit; then passes fit candidates exactly, all rows in
-    one stack each: every unfitted candidate whose screen is nan or within
-    _SCREEN_WINDOW of the best (the smallest exact score, before one exists
-    the smallest screen), until a pass takes none.  Returns (ratios,
-    scores, fitted) per row: row c of ratios holds jupp of the knots with
-    candidate c inserted; score c is objective_f there up to roundoff if it
-    was fitted, +inf if the screen shows it cannot be _first_best, nan
-    where objective_f would raise; fitted counts the exact fits.
+    Row j inserts its candidates into the knots of parents[j] = (knots,
+    system) on the domain of job live[j] (_Jobs), system the design and
+    system matrix of the fit at those knots (_bordered).  A bordered screen
+    per row (_bordered) scores them from that parent fit; then passes fit
+    candidates exactly, all rows in one _jacobian call each: every unfitted
+    candidate whose screen is nan or within _SCREEN_WINDOW of the best (the
+    smallest exact score, before one exists the smallest screen), until a
+    pass takes none.  Returns (ratios, scores, fitted, best) per row: row c
+    of ratios holds jupp of the knots with candidate c inserted; score c is
+    objective_f there up to roundoff if it was fitted, +inf if the screen
+    shows it cannot be _first_best, nan where objective_f would raise;
+    fitted counts the exact fits; best is (c, normal) for the candidate
+    _first_best picks among the fitted ones, normal the _normal_equations
+    of the residual and Jacobian _jacobian gives there, so that its
+    refinement starts with its first iteration's system in hand, or None
+    if none was fitted.  Each fit is reduced to its normal equations as it
+    arrives, so no residual or Jacobian is held.
     """
     order = search.order
-    ratios, kept, full, screens, scores = [], [], [], [], []
-    for j, (existing, job) in enumerate(zip(knots, live)):
+    ratios, kept, screens, scores = [], [], [], []
+    for j, ((existing, system), job) in enumerate(zip(parents, live)):
         dataset = jobs.datasets[jobs.which[job]]
         lo, hi = dataset.domain
         grid = _candidate_grid(lo, hi, existing, search)
@@ -668,11 +719,12 @@ def _scan(knots, live, jobs: _Jobs, search: KnotSearchConfig):
         rows, rows_full = _fittable_rows(ratios[j], np.full(grid.size, lo),
                                          np.full(grid.size, hi), order)
         kept.append(rows)
-        full.append(rows_full)
-        screens.append(_bordered(existing, rows_full, order + np.searchsorted(existing, grid[rows]),
-                                 dataset, jobs.weights[job], order))
+        screens.append(_bordered(existing, system, rows_full,
+                                 order + np.searchsorted(existing, grid[rows]), dataset,
+                                 jobs.weights[job], order))
         scores.append(np.full(grid.size, np.nan))
     checked = [np.zeros(rows.size, dtype=bool) for rows in kept]
+    normal = [{} for _ in kept]  # fitted candidate -> its normal equations
     while True:
         picked = []
         for j, (bordered, window) in enumerate(screens):
@@ -682,17 +734,24 @@ def _scan(knots, live, jobs: _Jobs, search: KnotSearchConfig):
                                                                  initial=np.inf)
             pick = np.flatnonzero(~checked[j] & ~(bordered > best + _SCREEN_WINDOW * window))
             checked[j][pick] = True
-            picked.extend((j, c) for c in pick.tolist())
+            picked.extend((j, kept[j][c]) for c in pick.tolist())
         if not picked:
             break
-        for i, _, residual in _fits([full[j][c] for j, c in picked], jobs,
-                                    [live[j] for j, _ in picked], mapped=True):
-            if residual is not None:
+        for i, _, fit in _jacobian([ratios[j][c] for j, c in picked], [live[j] for j, _ in picked],
+                                   jobs):
+            if fit is not None:
                 j, c = picked[i]
-                scores[j][kept[j][c]] = np.einsum("ij,ij->j", residual, residual).sum()
+                residual = fit[0].reshape(len(jobs.datasets[jobs.which[live[j]]].t), -1)
+                scores[j][c] = np.einsum("ij,ij->j", residual, residual).sum()
+                normal[j][c] = _normal_equations(*fit)
+    out = []
     for j, rows in enumerate(kept):
         scores[j][rows[~checked[j]]] = np.inf
-    return [(r, s, int(done.sum())) for r, s, done in zip(ratios, scores, checked)]
+        scored = np.flatnonzero(np.isfinite(scores[j]))
+        winner = scored[_first_best(scores[j][scored])] if scored.size else None
+        out.append((ratios[j], scores[j], int(checked[j].sum()),
+                    None if winner is None else (winner, normal[j][winner])))
+    return out
 
 
 def _first_best(scores: np.ndarray) -> int:
@@ -712,6 +771,7 @@ class _Search:
 
     result: FreeKnotResult = field(default_factory=FreeKnotResult)
     model: FitModel | None = None  # the fit of the last stage
+    system: tuple | None = None  # its design B and system H, which the next scan borders
     bad_streak: int = 0
     error: FkSplineError | None = None
 
@@ -732,16 +792,15 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
         if not live:
             break
         # round 0 fits every job without interior knots: no scan, nothing to refine
-        starts = [] if p else [(j, JuppCoords(np.empty(0), *datasets[j].domain), {})
+        starts = [] if p else [(j, JuppCoords(np.empty(0), *datasets[j].domain), None, {})
                                for j in live]
-        scans = _scan([searches[j].result.stages[-1].knots for j in live], live, jobs,
-                      search) if p else []
-        for j, (ratios, scores, fitted) in zip(live, scans):
-            scored = np.flatnonzero(np.isfinite(scores))
+        scans = _scan([(searches[j].result.stages[-1].knots, searches[j].system) for j in live],
+                      live, jobs, search) if p else []
+        for j, (ratios, scores, fitted, best) in zip(live, scans):
             failures = int(np.isnan(scores).sum())
-            if scored.size:
-                best = ratios[scored[_first_best(scores[scored])]]
-                starts.append((j, JuppCoords(best, *datasets[j].domain),
+            if best is not None:
+                c, normal = best
+                starts.append((j, JuppCoords(ratios[c], *datasets[j].domain), normal,
                                {"scanned": scores.size, "fitted": fitted}))
             elif failures:  # else exclusion zones used up the grid
                 last = searches[j].result.stages[-1]
@@ -750,15 +809,17 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
                     f"the last feasible stage has p={last.p} and knots "
                     f"{[float(x) for x in last.knots]}"
                 )
-        for i, pair, fit in refine_fits([coords for _, coords, _ in starts],
-                                        [j for j, *_ in starts], jobs, search):
-            j, start, scan = starts[i]
+        for i, pair, fit in refine_fits([coords for _, coords, *_ in starts],
+                                        [j for j, *_ in starts], jobs, search,
+                                        [normal for _, _, normal, _ in starts]):
+            j, start, _, scan = starts[i]
             job = searches[j]
             job.error, result = pair.error, job.result
             if fit is None:
                 continue
             coords = JuppCoords(pair.k, start.lo, start.hi)
-            job.model = FitModel(_spec(coords, order), configs[j], *fit)
+            coeffs, diagnostics, job.system = fit
+            job.model = FitModel(_spec(coords, order), configs[j], coeffs, diagnostics)
             d = job.model.diagnostics
             result.stages.append(StageRecord(
                 p=coords.p, knots=jupp_inverse(coords), coords=coords, objective=d.sse, gcv=d.gcv,

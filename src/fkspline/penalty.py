@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BasisSpec, derivative_stack
-from .errors import ConfigError, DerivativeOrderTooHighError, as_integer
+from .errors import ConfigError, DerivativeOrderTooHighError, as_integer, as_real
 
 __all__ = ["PenaltyMatrix", "PenaltyConfig", "penalty_matrix", "gram_matrix"]
 
@@ -59,10 +59,17 @@ class PenaltyConfig:
     alphas: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        weights = (self.lambda1, self.lambda2, *(self.alphas if self.alphas is not None else ()))
-        # written so that nan fails it too
-        if not all(0 <= w < np.inf for w in weights):
-            raise ConfigError("penalty weights must be nonnegative and finite")
+        # weights are stored as floats, alphas as a tuple of them
+        for name in ("lambda1", "lambda2"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, 0.0))
+        if self.alphas is not None:
+            try:
+                alphas = tuple(self.alphas)
+            except TypeError:
+                raise ConfigError(f"alphas must be a sequence of weights, got {self.alphas!r}"
+                                  ) from None
+            object.__setattr__(self, "alphas", tuple(as_real(w, f"alphas[{l}]", 0.0)
+                                                     for l, w in enumerate(alphas)))
 
 
 def penalty_stack(full_knots: np.ndarray, order: int, orders, n_nodes: int | None = None) -> list:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FunctionalDataset
-from .errors import ConfigError, UnknownGroupError, as_integer
+from .errors import ConfigError, NonFiniteInputError, UnknownGroupError, as_integer, as_real
 
 __all__ = [
     "GROUP_IDS",
@@ -62,19 +62,33 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # counts and the seed are stored as ints, reals as floats, pairs and lists as tuples
         for name, least in (("curves_per_group", 1), ("points_per_curve", 2), ("seed", 0)):
             object.__setattr__(self, name, as_integer(getattr(self, name), least, name))
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be nonnegative")
-        if not self.domain[0] < self.domain[1] or not np.all(np.isfinite(self.domain)):
+        object.__setattr__(self, "noise_sd", as_real(self.noise_sd, "noise_sd", 0.0))
+        domain = _as_tuple(self.domain, "domain")
+        if len(domain) != 2:
+            raise ConfigError(f"domain must be a pair of numbers, got {self.domain!r}")
+        lo, hi = (as_real(end, "domain end") for end in domain)
+        object.__setattr__(self, "domain", (lo, hi))
+        if not lo < hi:
             raise ConfigError("domain must have positive, finite length")
-        if self.domain[0] < 0:
+        if lo < 0:
             raise ConfigError("domain must start at t >= 0 (log(t + 0.5) terms)")
+        object.__setattr__(self, "groups", _as_tuple(self.groups, "groups"))
         if not self.groups:
             raise ConfigError("need at least one group")
         for g in self.groups:
             if g not in GROUP_IDS:
                 raise UnknownGroupError(f"group id must be one of {GROUP_IDS}, got {g}")
+
+
+def _as_tuple(value, name: str) -> tuple:
+    """The items of a sequence as a tuple, else ConfigError."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence, got {value!r}") from None
 
 
 @dataclass(eq=False)
@@ -95,7 +109,11 @@ class Scenario:
 
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:
-    """Draw the shared grid and all noisy curves for one seed."""
+    """Draw the shared grid and all noisy curves for one seed.
+
+    A noise_sd so large that the noise scale or an observation overflows
+    raises NonFiniteInputError, without a numpy overflow warning.
+    """
     rng = np.random.default_rng(config.seed)
     lo, hi = config.domain
     t = np.sort(rng.uniform(lo, hi, size=config.points_per_curve))
@@ -107,12 +125,17 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     col = 0
     for g in config.groups:
         mean = mean_function(g, t)
-        if config.heteroscedastic:
-            scale = config.noise_sd * (1.0 + np.abs(mean)) / 2.0
-        else:
-            scale = np.full_like(mean, config.noise_sd)
-        noise = rng.standard_normal((config.points_per_curve, config.curves_per_group))
-        values[:, col : col + config.curves_per_group] = mean[:, None] + scale[:, None] * noise
+        with np.errstate(over="ignore"):  # an overflow is reported below as a typed error
+            if config.heteroscedastic:
+                scale = config.noise_sd * (1.0 + np.abs(mean)) / 2.0
+            else:
+                scale = np.full_like(mean, config.noise_sd)
+            if not np.all(np.isfinite(scale)):
+                raise NonFiniteInputError(
+                    f"noise_sd {config.noise_sd!r} overflows the noise scale "
+                    "noise_sd * (1 + |mean|) / 2")
+            noise = rng.standard_normal((config.points_per_curve, config.curves_per_group))
+            values[:, col : col + config.curves_per_group] = mean[:, None] + scale[:, None] * noise
         col += config.curves_per_group
     dataset = FunctionalDataset(t=t, values=values)
     return Scenario(dataset=dataset, labels=labels, config=config)

@@ -259,8 +259,9 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
     refused row.  Otherwise fit is the residual matrix in the dataset's
     reduced space (FunctionalDataset.reduce): (h, min(h, n)), with the
     Frobenius norm and the inner products of the full residuals.  With
-    full=True it is instead (coefficients, FitDiagnostics) on the full
-    data, what fit_coefficients reports at that row.
+    full=True it is instead (coefficients, FitDiagnostics, (B, H)) on the
+    full data, what fit_coefficients reports at that row, with the row's
+    design B (h, nb) and system H (nb, nb), views into the chunk's stacks.
     """
     which = [0] * len(full_knots) if which is None else np.asarray(which).tolist()
     Ys = [dataset.values if full else dataset.reduced_values for dataset in datasets]
@@ -299,7 +300,8 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
                         continue
                     fitted = B[vectors[i]] @ coeffs[i]
                     if full:
-                        yield start + c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted))
+                        yield start + c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted),
+                                              (B[vectors[i]], H[c]))
                     else:
                         yield start + c, "", Y - fitted
                     i += 1
@@ -318,7 +320,7 @@ def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec,
     ((_, why, fit),) = fit_spec(dataset, spec, weights)
     if why:
         raise NotPositiveDefiniteError(why)
-    coeffs, diags = fit
+    coeffs, diags, _ = fit
     return FitModel(spec=spec, config=config, coeffs=coeffs, diagnostics=diags)
 
 

@@ -153,6 +153,23 @@ class TestSimulate:
         assert dir_bytes(a) == dir_bytes(b)
 
 
+    @pytest.mark.parametrize("subcommand", [["simulate"], ["replicate", "-R", "2"]],
+                             ids=["simulate", "replicate"])
+    def test_an_overflowing_noise_scale_is_2_before_any_output(self, tmp_path, capsys,
+                                                               subcommand):
+        # 1e308 (1 + |mean|) / 2 overflows: no config echo, no output
+        # directory, and no numpy overflow warning (an error under this
+        # suite's warning filter), only the one JSON error line
+        out = tmp_path / "o"
+        assert run([*subcommand, "--noise-sd", "1e308", "--outdir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "module": subcommand[0], "error": "NonFiniteInputError",
+            "context": "noise_sd 1e+308 overflows the noise scale noise_sd * (1 + |mean|) / 2"}
+        assert not out.exists()
+
+
 class TestFit:
     def test_output_schema(self, simdir, tmp_path):
         out = tmp_path / "fit"
@@ -809,6 +826,23 @@ class TestReplicate:
         assert -0.5 <= aggregate["ari"]["fs0.kmeans"]["mean"] <= 1.0
         assert aggregate["isse_median"]["fs0"]["isse"] > 0
 
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # a run under one and under two OpenBLAS threads writes the same
+        # bytes; OpenBLAS reads its thread count when numpy loads, so each
+        # run is a child process
+        src = str(Path(fkspline.__file__).parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = tmp_path / f"blas{threads}"
+            done = subprocess.run([sys.executable, "-m", "fkspline.cli", "replicate", "-R", "2",
+                                   "--seed", "0", "--threads", "1", "--outdir", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, dir_bytes(out)))
+        assert runs[0] == runs[1]
+
     def test_matches_simulate_fit_and_cluster(self, tmp_path):
         """One seed of replicate equals simulate, then fit --truth-labels and
         cluster --labels on the written dataset, bit for bit."""
@@ -882,7 +916,7 @@ class TestReplicate:
         assert last_echo(capsys)["threads"] == int(threads)  # the requested count
 
     @pytest.mark.parametrize("flag, value, error, context", [
-        ("--noise-sd", "-1", "ConfigError", "noise_sd must be nonnegative"),
+        ("--noise-sd", "-1", "ConfigError", "noise_sd must be a finite number in [0.0, inf], got -1.0"),
         ("--tail-frac", "0.7", "EmptyIntervalError", "tail fraction must lie in (0, 0.5)"),
         ("--seed", "-1", "ConfigError", "seed must be an integer >= 0, got -1"),
     ], ids=["noise-sd", "tail-frac", "seed"])

@@ -35,9 +35,9 @@ from fkspline import (
     make_basis_spec,
     objective_f,
 )
-from fkspline import data, freeknot, lambda_select
+from fkspline import data, freeknot, lambda_select, smoother
 from fkspline.simulate import benchmark_config, generate_scenario
-from fkspline.smoother import penalty_weights, variant_config
+from fkspline.smoother import fit_stack, penalty_weights, variant_config
 
 
 def one_job(ds, config, order):
@@ -45,15 +45,29 @@ def one_job(ds, config, order):
     return freeknot._Jobs([ds], [config], [ds.domain], order)
 
 
+def parent_system(existing, ds, config, order):
+    """The design B and system H of the fit at the existing knots, as a knot
+    search carries them into its next scan (freeknot._Search.system); None
+    where that fit is refused."""
+    lo, hi = ds.domain
+    full = np.concatenate([np.full(order, lo), existing, np.full(order, hi)])
+    [(_, _, fit)] = fit_stack(full[None], order, [ds], penalty_weights(config, order)[None],
+                              full=True)
+    return None if fit is None else fit[2]
+
+
 def scan_jobs(knots, datasets, configs, search):
-    """freeknot._scan of one job per (knots, dataset, config), on the dataset's domain."""
+    """freeknot._scan of one job per (knots, dataset, config), on the
+    dataset's domain, from the parent fit at those knots."""
     jobs = freeknot._Jobs(datasets, configs, [ds.domain for ds in datasets], search.order)
-    return freeknot._scan(knots, list(range(len(knots))), jobs, search)
+    parents = [(k, parent_system(k, ds, config, search.order))
+               for k, ds, config in zip(knots, datasets, configs)]
+    return freeknot._scan(parents, list(range(len(knots))), jobs, search)
 
 
 def scan(existing, ds, config, search):
     """freeknot._scan of one job: its candidates' ratios and scores."""
-    [(ratios, scores, _)] = scan_jobs([existing], [ds], [config], search)
+    [(ratios, scores, *_)] = scan_jobs([existing], [ds], [config], search)
     return ratios, scores
 
 
@@ -154,6 +168,10 @@ class TestJuppTransform:
         assert coords.values == pytest.approx([0.0, math.log(2.0)], abs=1e-14)
         back = jupp_inverse(coords)
         assert back == pytest.approx([0.25, 0.5], abs=1e-14)
+
+    def test_a_non_numeric_domain_end_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^lo must be a finite number, got None$"):
+            JuppCoords(np.zeros(2), None, 1.0)
 
     def test_rejects_knots_on_boundary_or_unsorted(self):
         with pytest.raises(ConfigError):
@@ -523,9 +541,9 @@ class TestStackedScan:
         assert skipped > 0  # the screen left candidates unfitted
         # a grid used up by exclusion zones scores nothing
         search = KnotSearchConfig(order=max(orders), max_knots=3, grid_size=2)
-        [(ratios, scores, fitted)] = scan_jobs([np.array([0.3, 0.7])], [hinge_dataset()], [config],
-                                               search)
-        assert ratios.shape == (0, 3) and scores.shape == (0,) and fitted == 0
+        [(ratios, scores, fitted, best)] = scan_jobs([np.array([0.3, 0.7])], [hinge_dataset()],
+                                                     [config], search)
+        assert ratios.shape == (0, 3) and scores.shape == (0,) and fitted == 0 and best is None
 
     @staticmethod
     def check_screen(existing, ds, config, search, ratios, stacked):
@@ -533,7 +551,7 @@ class TestStackedScan:
         winner, each exactly fitted score bit for bit, nan where a fit
         would raise and was tried, and +inf only where the stacked score is
         nan or above the smallest by more than a tie."""
-        got_ratios, scores = scan(existing, ds, config, search)
+        [(got_ratios, scores, _, winner)] = scan_jobs([existing], [ds], [config], search)
         assert np.array_equal(got_ratios, ratios, equal_nan=True)
         fitted = np.isfinite(scores)
         assert np.array_equal(scores[fitted], stacked[fitted])
@@ -546,9 +564,9 @@ class TestStackedScan:
             want = np.flatnonzero(~np.isnan(stacked))
             got = np.flatnonzero(fitted)
             assert (got[freeknot._first_best(scores[got])]
-                    == want[freeknot._first_best(stacked[want])])
+                    == want[freeknot._first_best(stacked[want])] == winner[0])
         else:  # nothing fits: every candidate was tried, as the failure count needs
-            assert np.array_equal(np.isnan(scores), np.isnan(stacked))
+            assert np.array_equal(np.isnan(scores), np.isnan(stacked)) and winner is None
 
     @pytest.mark.parametrize("config, orders", [
         (PenaltyConfig(lambda1=1e-4), (2,)),
@@ -573,9 +591,10 @@ class TestStackedScan:
         if points == 5:
             existing = add_knots_gradually(ds, PenaltyConfig(), dataclasses.replace(
                 search, max_knots=1)).knots
-        [(_, scores, fitted)] = scan_jobs([existing], [ds], [PenaltyConfig()], search)
+        [(_, scores, fitted, best)] = scan_jobs([existing], [ds], [PenaltyConfig()], search)
         _, stacked = stacked_scan(existing, ds, PenaltyConfig(), search)
         assert np.isnan(stacked).all() and np.isnan(scores).all() and fitted == scores.size
+        assert best is None
         with pytest.raises(AllCandidatesSingularError,
                            match=f"all {stacked.size} candidate knots failed at p={points - 3};"):
             add_knots_gradually(ds, PenaltyConfig(), search)
@@ -587,7 +606,7 @@ class TestStackedScan:
         ds = FunctionalDataset(t=t, values=np.column_stack([t**3 - t, 2.0 * t**2]))
         search = KnotSearchConfig(order=4, max_knots=3, grid_size=30)
         existing = np.empty(0)
-        [(_, scores, fitted)] = scan_jobs([existing], [ds], [PenaltyConfig()], search)
+        [(_, scores, fitted, _)] = scan_jobs([existing], [ds], [PenaltyConfig()], search)
         assert fitted == scores.size and np.isfinite(scores).all()
         self.check_screen(existing, ds, PenaltyConfig(), search,
                           *stacked_scan(existing, ds, PenaltyConfig(), search))
@@ -607,14 +626,14 @@ class TestStackedScan:
         search = KnotSearchConfig(order=4, max_knots=5, grid_size=20)
         together = scan_jobs([np.array(knots) for *_, knots in jobs], [ds for ds, *_ in jobs],
                              [config for _, config, _ in jobs], search)
-        for (ds, config, knots), (ratios, scores, fitted) in zip(jobs, together):
-            [(alone_ratios, alone, alone_fitted)] = scan_jobs([np.array(knots)], [ds], [config],
-                                                              search)
+        for (ds, config, knots), (ratios, scores, fitted, _) in zip(jobs, together):
+            [(alone_ratios, alone, alone_fitted, _)] = scan_jobs([np.array(knots)], [ds], [config],
+                                                                 search)
             assert np.array_equal(ratios, alone_ratios)
             assert np.array_equal(scores, alone, equal_nan=True) and fitted == alone_fitted
             self.check_screen(np.array(knots), ds, config, search,
                               *stacked_scan(np.array(knots), ds, config, search))
-        assert [fitted for *_, fitted in together][-1] == len(together[-1][1])
+        assert [fitted for _, _, fitted, _ in together][-1] == len(together[-1][1])
 
     def test_screen_error_on_the_benchmark_searches(self, benchmark_searches):
         # the screen is within 1e-9 of the parent's sse of the stacked score,
@@ -629,7 +648,8 @@ class TestStackedScan:
                 kept, full = freeknot._fittable_rows(ratios, np.full(grid.size, lo),
                                                      np.full(grid.size, hi), order)
                 screen, _ = freeknot._bordered(
-                    stage.knots, full, order + np.searchsorted(stage.knots, grid[kept]), ds,
+                    stage.knots, parent_system(stage.knots, ds, config, order), full,
+                    order + np.searchsorted(stage.knots, grid[kept]), ds,
                     penalty_weights(config, order), order)
                 assert kept.size == grid.size
                 assert np.all(np.abs(screen - stacked) <= 1e-9 * stage.objective)
@@ -963,6 +983,168 @@ class TestBatchedProposals:
                                                       self.min_gap))
 
 
+    def check_against_sequential(self, make_batch, monkeypatch):
+        """Each pair's step, mu and trials against sequential_propose; returns
+        the rows of every stacked solve of the proposal passes."""
+        solved = []
+        solve_rows = freeknot._solve_rows
+
+        def recording(systems, rhs):
+            solved.append(len(systems))
+            return solve_rows(systems, rhs)
+
+        monkeypatch.setattr(freeknot, "_solve_rows", recording)
+        batch, ref_batch = make_batch(), make_batch()
+        steps = self.propose(batch)
+        for step, pair, ref_pair in zip(steps, batch, ref_batch):
+            ref = sequential_propose(ref_pair, self.lo, self.hi, self.order, self.min_gap)
+            self.assert_same(step, ref)
+            assert (pair.mu, pair.trials) == (ref_pair.mu, ref_pair.trials)
+        return solved, ref_batch
+
+    @staticmethod
+    def far_step(seed, p=2):
+        """A descent state whose undamped step is thousands of gaps long."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((p + 2, p))
+        k = jupp(np.sort(rng.uniform(0.2, 0.8, p)), 0.0, 1.0).values
+        return freeknot._Descent(k, jtj=1e-6 * (a.T @ a), g=1e4 * rng.standard_normal(p))
+
+    def test_a_lone_pair_tries_all_its_levels_in_one_pass(self, monkeypatch):
+        solved, [ref] = self.check_against_sequential(lambda: [self.far_step(0)], monkeypatch)
+        assert ref.trials >= 5  # the sequential rule retried five times or more
+        assert solved == [12]
+
+    def test_a_pair_that_spends_its_trials_gets_no_step(self, monkeypatch):
+        def batch():
+            # knots closer than min_gap: no damping can space them out
+            close = freeknot._Descent(jupp(np.array([0.4, 0.41]), 0.0, 1.0).values,
+                                      jtj=np.eye(2), g=np.zeros(2))
+            late = self.far_step(1)
+            late.trials = 9  # three levels left, none short enough
+            return [close, late]
+
+        solved, refs = self.check_against_sequential(batch, monkeypatch)
+        assert [pair.trials for pair in refs] == [12, 12]
+        # 12 // 2 levels of the first pair and the 3 left of the second, then
+        # the first pair's last 6
+        assert solved == [6 + 3, 6]
+        steps = self.propose(batch())
+        assert steps == [None, None]
+
+    def test_a_batch_of_more_than_12_pairs_tries_one_level_each_first(self, monkeypatch):
+        solved, refs = self.check_against_sequential(
+            lambda: [self.far_step(seed, p=3) for seed in range(20)], monkeypatch)
+        assert solved[0] == 20 and max(solved) <= 20
+        assert max(pair.trials for pair in refs) >= 5
+
+
+class TestCarriedFits:
+    """A search hands each fit on instead of redoing it: the scan's exact
+    fit carries its refinement's first Jacobian (as the normal equations a
+    descent keeps of it), and a round's result fit carries the parent
+    system that the next round's scan borders."""
+
+    @staticmethod
+    def assert_fresh(normal, start, job, jobs):
+        """The normal equations handed over at a start are those of a fresh
+        _jacobian there, array for array."""
+        [(_, why, fit)] = freeknot._jacobian([start], [job], jobs)
+        assert why == ""
+        for got, want in zip(normal, freeknot._normal_equations(*fit), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["forward", "backward-step"])
+    def test_the_scan_hands_over_the_jacobian_at_its_winner(self, benchmark_searches,
+                                                            monkeypatch, refused):
+        stacks = []
+        if refused:
+            # the winner's first forward row cannot be fitted: its column 0
+            # takes a backward step, in the scan as in a fresh _jacobian
+            fits = freeknot._fits
+
+            def refusing(rows, *args, **kwargs):
+                stacks.append(len(rows))
+                for c, why, fit in fits(rows, *args, **kwargs):
+                    yield (c, "refused", None) if c == 1 else (c, why, fit)
+
+            monkeypatch.setattr(freeknot, "_fits", refusing)
+        for variant in ("fs0", "fs2"):
+            ds, result = benchmark_searches[0, variant]
+            config = variant_config(variant)
+            for stage in result.stages[:-1]:
+                [(ratios, _, fitted, (c, normal))] = scan_jobs([stage.knots], [ds], [config],
+                                                               BENCHMARK_SEARCH)
+                assert fitted == 1  # one candidate: a stack of its p + 1 rows
+                self.assert_fresh(normal, ratios[c], 0, one_job(ds, config, BENCHMARK_SEARCH.order))
+        assert (1 in stacks) is refused  # the backward-step stacks of one row
+
+    def test_each_refinement_starts_from_the_scan_jacobian(self, monkeypatch):
+        started = []
+        descend = freeknot._descend
+
+        def recording(starts, owner, jobs, search, first=None):
+            started.append((starts, owner, jobs, first))
+            return descend(starts, owner, jobs, search, first)
+
+        monkeypatch.setattr(freeknot, "_descend", recording)
+        search = KnotSearchConfig(order=4, max_knots=4, grid_size=30, fixed_p=True)
+        datasets = [noisy_sine_dataset(), noisy_sine_dataset(seed=5, n=20, curves=30)]
+        configs = [PenaltyConfig(), PenaltyConfig(lambda1=1e-7, lambda2=1e-5)]
+        freeknot.add_knots_lockstep(datasets, configs, search)
+        round0, *rounds = started
+        assert round0[3] == [None, None]  # the knot-free stage has nothing to differentiate
+        assert len(rounds) == search.max_knots
+        for starts, owner, jobs, first in rounds:
+            assert len(first) == len(starts) == 2
+            for start, job, normal in zip(starts, owner, first):
+                self.assert_fresh(normal, start.values, job, jobs)
+
+    def test_the_next_scan_borders_the_carried_parent_as_a_rebuilt_one(self, monkeypatch):
+        seen = []
+        bordered = freeknot._bordered
+
+        def recording(existing, system, *args):
+            out = bordered(existing, system, *args)
+            seen.append((existing, system, args, out))
+            return out
+
+        monkeypatch.setattr(freeknot, "_bordered", recording)
+        ds = generate_scenario(benchmark_config(seed=0)).dataset
+        configs = [variant_config("fs0"), variant_config("fs2"),
+                   PenaltyConfig(alphas=(1e-6, 0.0, 1e-5))]
+        search = KnotSearchConfig(order=4, max_knots=4, grid_size=50, fixed_p=True)
+        # three jobs: the result fits, and so the carried parents, share stacks
+        freeknot.add_knots_lockstep([ds] * 3, configs, search)
+        assert len(seen) == 3 * search.max_knots
+        lo, hi = ds.domain
+        for existing, (B, H), (full, q, dataset, weights, order), (scores, window) in seen:
+            parent = np.concatenate([np.full(order, lo), existing, np.full(order, hi)])
+            (ref_B,), _, (ref_H,), _, (why,) = smoother._assemble(parent[None], order, ds.t[None],
+                                                                  weights[None])
+            assert why == ""
+            assert np.array_equal(B, ref_B) and np.array_equal(H, ref_H)
+            ref_scores, ref_window = bordered(existing, (ref_B, ref_H), full, q, dataset, weights,
+                                              order)
+            assert np.array_equal(scores, ref_scores, equal_nan=True) and window == ref_window
+
+    def test_stack_and_check_counts_of_a_benchmark_fit(self, monkeypatch):
+        # fit_stack and _fittable_rows calls of one fs2 search (order 4, 8
+        # knots fixed, grid 50) on benchmark_config(seed=0); before every
+        # damping level was tried in one pass and the fits were carried:
+        # 43 stacks and 89 _fittable_rows calls
+        counts = {"fit_stack": 0, "_fittable_rows": 0}
+        for name in counts:
+            def counting(*args, _call=getattr(freeknot, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(freeknot, name, counting)
+        ds = generate_scenario(benchmark_config(seed=0)).dataset
+        fit_free_knot(ds, variant_config("fs2"), BENCHMARK_SEARCH)
+        assert counts == {"fit_stack": 35, "_fittable_rows": 43}
+
+
 class TestStageRecords:
     """Each stage carries the facts of its Gauss-Newton refinement."""
 
@@ -1201,9 +1383,9 @@ class TestLockstepSearch:
         scans, batches = [], []
         scan_, refine = freeknot._scan, freeknot.refine_fits
 
-        def counting_scan(knots, *args):
-            scans.append(len(knots))
-            return scan_(knots, *args)
+        def counting_scan(parents, *args):
+            scans.append(len(parents))
+            return scan_(parents, *args)
 
         def counting_refine(starts, *args):
             batches.append(len(starts))

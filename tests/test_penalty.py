@@ -247,3 +247,17 @@ class TestCombine:
                 PenaltyConfig(lambda2=bad)
             with pytest.raises(ConfigError):
                 PenaltyConfig(alphas=(0.0, bad))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lambda1": None}, "lambda1 must be a finite number in [0.0, inf], got None"),
+        ({"alphas": "ab"}, "alphas[0] must be a finite number in [0.0, inf], got 'a'"),
+    ], ids=["lambda1-None", "alphas-string"])
+    def test_non_numeric_weights_are_config_errors(self, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            PenaltyConfig(**kwargs)
+        assert str(exc.value) == message
+
+    def test_weights_are_stored_as_floats(self):
+        config = PenaltyConfig(lambda1=np.float64(1e-7), lambda2=1, alphas=[0, 1e-5])
+        assert (config.lambda1, config.lambda2, config.alphas) == (1e-7, 1.0, (0.0, 1e-5))
+        assert all(type(w) is float for w in (config.lambda1, config.lambda2, *config.alphas))

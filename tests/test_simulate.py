@@ -9,6 +9,7 @@ import pytest
 
 from fkspline import (
     ConfigError,
+    NonFiniteInputError,
     ScenarioConfig,
     UnknownGroupError,
     benchmark_config,
@@ -69,6 +70,24 @@ class TestScenarioConfig:
         plain = ScenarioConfig(**{**small, field: 4})
         assert np.array_equal(generate_scenario(config).dataset.values,
                               generate_scenario(plain).dataset.values)
+
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"noise_sd": None}, "noise_sd must be a finite number in [0.0, inf], got None"),
+        ({"domain": ("a", "b")}, "domain end must be a finite number, got 'a'"),
+        ({"groups": 3}, "groups must be a sequence, got 3"),
+    ], ids=["noise_sd-None", "domain-strings", "groups-int"])
+    def test_non_numeric_fields_are_config_errors(self, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(**kwargs)
+        assert str(exc.value) == message
+
+    def test_an_overflowing_noise_scale_is_a_typed_error(self):
+        # 1e308 (1 + |mean|) / 2 overflows; a numpy overflow warning would
+        # be an error under this suite's warning filter
+        config = ScenarioConfig(noise_sd=1e308)
+        with pytest.raises(NonFiniteInputError, match="noise_sd 1e[+]308 overflows the noise scale"):
+            generate_scenario(config)
 
 
 class TestGeneration:
