@@ -46,7 +46,8 @@ class FunctionalDataset:
     """A family of curves observed on one shared sample grid.
 
     t : (h,) strictly increasing sample points.
-    values : (h, n) observation matrix, one column per curve.
+    values : (h, n) observation matrix, one column per curve, finite, with a
+    finite sum of squares.
     """
 
     t: np.ndarray
@@ -67,6 +68,10 @@ class FunctionalDataset:
             )
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(values))):
             raise NonFiniteInputError("grid and observations must be finite")
+        # every fit and the row basis form sums of squares of the values
+        if not math.isfinite(np.einsum("ij,ij", values, values)):
+            raise NonFiniteInputError("the sum of squares of the observations overflows; "
+                                      "rescale the data")
         if np.any(np.diff(t) <= 0):
             raise NonIncreasingKnotsError("sample grid must be strictly increasing")
 

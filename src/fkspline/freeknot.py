@@ -33,7 +33,7 @@ from .errors import (
     as_real,
 )
 from .penalty import PenaltyConfig, _panel_rule
-from .smoother import FitModel, fit_coefficients, fit_stack, penalty_weights
+from .smoother import FitModel, fit_coefficients, fit_stack, fit_systems, penalty_weights
 
 __all__ = [
     "JuppCoords",
@@ -252,7 +252,8 @@ class _Jobs:
                 self.errors[j] = exc
 
 
-def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False):
+def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False,
+          with_system: bool = False, systems=None):
     """Penalized fits at rows of log gap ratios of any lengths, in stacks.
 
     Row c belongs to job owner[c] (_Jobs).  The rows of each length and
@@ -262,7 +263,11 @@ def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False):
     at a time in order of first appearance and each group's rows in row
     order: why is "" or the reason a fit at that row would raise, fit None
     where why is set, else the residual matrix in the dataset's reduced
-    space or, with full=True, (coefficients, FitDiagnostics).
+    space, (that matrix, H) with with_system=True or, with full=True,
+    (coefficients, FitDiagnostics, (B, H)).  systems, when given with
+    mapped rows, holds each row's system H that an earlier stack built and
+    kept there: each group is then fitted in full by smoother.fit_systems,
+    which builds only the designs.
     """
     owner = np.asarray(owner, dtype=int)
     tags = [jobs.shapes[d] for d in jobs.which[owner].tolist()] if len(jobs.shapes) > 1 else None
@@ -271,8 +276,12 @@ def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False):
         if not mapped:
             kept, stack = _fittable_rows(stack, jobs.lo[own], jobs.hi[own], jobs.order)
             own = own[kept]
-        fits = fit_stack(stack, jobs.order, jobs.datasets, jobs.weights[own], full=full,
-                         which=jobs.which[own])
+        if systems is None:
+            fits = fit_stack(stack, jobs.order, jobs.datasets, jobs.weights[own], full=full,
+                             which=jobs.which[own], with_system=with_system)
+        else:
+            fits = fit_systems(stack, jobs.order, jobs.datasets,
+                               np.array([systems[c] for c in group]), which=jobs.which[own])
         fittable = set(kept.tolist())
         for i, c in enumerate(group):
             _, why, fit = next(fits) if i in fittable else (c, "knots cannot be fitted", None)
@@ -339,7 +348,13 @@ class _Descent:
 
     The residual at k is not kept between rounds: row 0 of each Jacobian
     stack evaluates it again, and a few hundred pairs of (h, min(h, n))
-    residuals would raise the peak memory of a grid search.
+    residuals would raise the peak memory of a grid search.  Once a trial
+    is accepted, system holds the clamped knots of k and the system H that
+    the trial stack built there, so that the result fit (refine_fits)
+    assembles nothing again.  The design B (h, nb) is not kept, for the
+    same reason as the residual, nor is B'B: one stacked product rebuilds
+    it from the rebuilt designs, and an (nb, nb) copy per pair would raise
+    a grid search's peak memory again.
     """
 
     k: np.ndarray  # log gap ratios of the best iterate
@@ -352,6 +367,7 @@ class _Descent:
     step_failure: bool = False  # no damped step improved the objective
     g: np.ndarray | None = None  # gradient and Gauss-Newton matrix at k
     jtj: np.ndarray | None = None
+    system: tuple | None = None  # (clamped knots, H) at k; None while k is the start
     error: Exception | None = None  # what ended the pair (see _descend)
 
 
@@ -456,7 +472,9 @@ def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None) -
     gauss_newton_refine on its own state (_Descent); each round makes one
     Jacobian stack (_jacobian; row 0 gives a start's objective), one
     proposal pass (_proposals) and one trial stack of the proposed knots
-    (_fits).  first[i], when given and not None, is start i's
+    (_fits).  An accepted trial's clamped knots and system H, copied out
+    of the trial stack, become its pair's system.  first[i], when given
+    and not None, is start i's
     _normal_equations, from the scan's exact fit there (_scan): start i
     then has no rows in the first Jacobian stack.  A pair ends with
     pair.error set to its job's error, else to the error building its
@@ -502,9 +520,10 @@ def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None) -
             else:
                 proposed.append((pair, *step))
         trial = []
-        for c, _, r_new in _fits([knots for *_, knots in proposed], jobs,
-                                 [pair.job for pair, *_ in proposed], mapped=True):
-            pair, k_new, delta, _ = proposed[c]
+        for c, _, fit in _fits([knots for *_, knots in proposed], jobs,
+                               [pair.job for pair, *_ in proposed], mapped=True, with_system=True):
+            pair, k_new, delta, knots = proposed[c]
+            r_new, H = (None, None) if fit is None else fit
             f_new = None if r_new is None else float(r_new.ravel() @ r_new.ravel())
             if f_new is None or not f_new < pair.f:
                 pair.mu *= 10.0
@@ -513,7 +532,7 @@ def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None) -
                 continue
             step_norm = float(np.max(np.abs(delta)))
             rel_drop = (pair.f - f_new) / max(pair.f, 1e-300)
-            pair.k, pair.f = k_new, f_new
+            pair.k, pair.f, pair.system = k_new, f_new, (knots, H.copy())
             pair.mu = max(pair.mu / 10.0, 1e-12)
             if step_norm < _STEP_TOL or rel_drop < _OBJECTIVE_TOL:
                 pair.converged = True
@@ -551,25 +570,36 @@ def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None
     """Refine every start, start i of job owner[i], in lockstep (_descend); fit each result.
 
     first[i], when given, is start i's _normal_equations or None (_descend).
-    The result fits are one stack (_fits with full=True), each what
-    fit_coefficients reports at that pair's knots.  Yields (i, pair, fit)
-    for every start i, one at a time in no set order: pair is its final
-    _Descent, fit (coefficients, FitDiagnostics, (B, H)) with the result's
-    design and system (smoother.fit_stack), which the next scan of a knot
-    search borders (_bordered), or None where pair.error says why the pair
-    failed.
+    Each result fit is what fit_coefficients reports at that pair's knots.
+    A pair that ends on an accepted trial is fitted from the system it
+    carries (_Descent.system): the designs of all such pairs are rebuilt
+    in one pass per stack and their solves are stacked (_fits with systems,
+    smoother.fit_systems), so no knot vector is assembled twice.  A pair
+    that ends at its start (round 0 of a search, or a warm start that
+    converges or fails at once) is fitted in one stack with full=True.
+    Yields (i, pair, fit) for every start i, one at a time in no set
+    order: pair is its final _Descent, fit (coefficients, FitDiagnostics,
+    (B, H)) with the result's design and system, which the next scan of a
+    knot search borders (_bordered), or None where pair.error says why the
+    pair failed.
     """
     pairs = _descend(starts, owner, jobs, search, first)
-    live = [i for i, pair in enumerate(pairs) if pair.error is None]
     for i, pair in enumerate(pairs):
         if pair.error is not None:
             yield i, pair, None
-    for c, why, fit in _fits([pairs[i].k for i in live], jobs, [pairs[i].job for i in live],
-                             full=True):
-        pair = pairs[live[c]]
-        if why:
-            pair.error = NotPositiveDefiniteError(why)
-        yield live[c], pair, fit
+    live = [i for i, pair in enumerate(pairs) if pair.error is None]
+    for carried in (False, True):
+        ends = [i for i in live if (pairs[i].system is not None) is carried]
+        if not ends:
+            continue
+        rows = [pairs[i].system[0] if carried else pairs[i].k for i in ends]
+        systems = [pairs[i].system[1] for i in ends] if carried else None
+        for c, why, fit in _fits(rows, jobs, [pairs[i].job for i in ends], full=True,
+                                 mapped=carried, systems=systems):
+            pair = pairs[ends[c]]
+            if why:
+                pair.error = NotPositiveDefiniteError(why)
+            yield ends[c], pair, fit
 
 
 @dataclass(frozen=True)
@@ -638,14 +668,17 @@ def _bordered(existing, system, full, q, dataset: FunctionalDataset, weights: np
               order: int):
     """Scores of knot insertions from the fit at the existing knots, and its window.
 
-    system is that parent fit's design B and system H (smoother.fit_stack
-    with full=True: a knot search carries them from the fit of its last
+    system is that parent fit's design B and system H (a full fit of
+    refine_fits: a knot search carries them from the fit of its last
     stage), None where the parent fit is refused.  Row c of full is a
     candidate's clamped knot vector, q[c] its new knot's index there.  The
     candidate's space is the parent's plus the refined B-spline g = N_j,
     j = q[c] - order // 2; penalties are norms of the spline, so its system
     is H bordered by one row and column (u, s), solved through the Schur
-    complement s - u'H^-1 u.  A score is that fit's sse on the reduced data,
+    complement s - u'H^-1 u.  One derivative_stack pass gives every g at
+    the sample points and its penalized derivatives at its quadrature
+    nodes, and one more the parent's derivatives at those nodes (none
+    without a penalty).  A score is that fit's sse on the reduced data,
     nan where it is non-finite, its Schur complement is below _SCHUR_FLOOR
     or the parent fit is refused.  The window is the parent's sse plus the
     _ROUNDOFF_FLOOR term (0 when every score is nan).
@@ -659,18 +692,22 @@ def _bordered(existing, system, full, q, dataset: FunctionalDataset, weights: np
     xi = np.take_along_axis(full, (q - order // 2)[:, None] + np.arange(order + 1), axis=1)
     orders = np.flatnonzero(weights > 0.0).tolist()
     with np.errstate(all="ignore"):
-        # g = N_j is the one B-spline of order on its order + 1 knots xi
-        g = derivative_stack(xi, order, np.broadcast_to(t, (len(xi), t.size)), [0])[0][:, 0]
-        u, s = g @ B, np.einsum("ch,ch->c", g, g)
         # g's support spans are spans of the candidate's basis, so order
         # Gauss-Legendre nodes on each integrate B^(l) g^(l) exactly for every l
+        at, w = _panel_rule(xi, order) if orders else (np.empty((len(xi), 0)), None)
+        # g = N_j is the one B-spline of order on its order + 1 knots xi: one
+        # pass gives it at the sample points and its derivatives at the nodes
+        points = np.concatenate([np.broadcast_to(t, (len(xi), t.size)), at], axis=1)
+        g, *gls = derivative_stack(xi, order, points, [0, *orders])
+        g = g[:, 0, :t.size]
+        u, s = g @ B, np.einsum("ch,ch->c", g, g)
         if orders:
-            at, w = _panel_rule(xi, order)
             Bls = derivative_stack(parent[None], order, at.reshape(1, -1), orders)
-            for l, gl, Bl in zip(orders, derivative_stack(xi, order, at, orders), Bls):
-                gw = gl[:, 0] * (weights[l] * w)
+            for l, gl, Bl in zip(orders, gls, Bls):
+                gl = gl[:, 0, t.size:]
+                gw = gl * (weights[l] * w)
                 u += np.einsum("cp,icp->ci", gw, Bl.reshape(-1, *at.shape))
-                s += np.einsum("cp,cp->c", gw, gl[:, 0])
+                s += np.einsum("cp,cp->c", gw, gl)
         solved = np.linalg.solve(H, np.concatenate([B.T @ Y, u.T], axis=1))
         c, z = solved[:, :Y.shape[1]], solved[:, Y.shape[1]:]
         r = Y - B @ c

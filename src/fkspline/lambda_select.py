@@ -8,7 +8,8 @@ import numpy as np
 
 from .basis import BasisSpec
 from .data import FunctionalDataset
-from .errors import AllCellsFailedError, ConfigError, FkSplineError, NotPositiveDefiniteError
+from .errors import (AllCellsFailedError, ConfigError, FkSplineError, NotPositiveDefiniteError,
+                     as_real)
 from .freeknot import KnotSearchConfig, _Jobs, add_knots_gradually, refine_fits
 from .penalty import PenaltyConfig
 from .smoother import fit_spec, penalty_weights
@@ -20,17 +21,23 @@ DEFAULT_EXPONENTS = tuple(range(-8, 5))
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Strictly positive candidate values shared by both penalty weights."""
+    """Strictly positive candidate values shared by both penalty weights.
+
+    values is a number or an array of them, in any order and shape; each
+    entry goes through errors.as_real, so anything but a finite real
+    number is a ConfigError.
+    """
 
     values: tuple[float, ...] = field(
         default_factory=lambda: tuple(10.0**l for l in DEFAULT_EXPONENTS)
     )
 
     def __post_init__(self):
-        values = np.sort(np.asarray(self.values, dtype=float).reshape(-1))
+        values = np.sort([as_real(v, "lambda grid value")
+                          for v in np.ravel(np.asarray(self.values, dtype=object))])
         if values.size == 0:
             raise ConfigError("lambda grid must be nonempty")
-        if values[0] <= 0 or not np.all(np.isfinite(values)):
+        if values[0] <= 0:
             raise ConfigError("lambda grid values must be positive and finite")
         if np.any(values[1:] == values[:-1]):
             raise ConfigError("lambda grid values must be distinct")
@@ -38,8 +45,14 @@ class LambdaGrid:
 
     @classmethod
     def from_exponents(cls, exponents) -> "LambdaGrid":
+        """The grid of 10**l for each finite number l of a sequence (errors.as_real)."""
         try:
-            values = [10.0**float(l) for l in exponents]
+            exponents = list(exponents)
+        except TypeError:
+            raise ConfigError(f"lambda grid exponents must be a sequence of numbers, "
+                              f"got {exponents!r}") from None
+        try:
+            values = [10.0**as_real(l, "lambda grid exponent") for l in exponents]
         except OverflowError:
             raise ConfigError("lambda grid values must be positive and finite") from None
         return cls(np.array(values))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntervalError, NonFiniteInputError, as_integer
+from .errors import EmptyIntervalError, NonFiniteInputError, as_integer, as_real
 from .cluster import _distinct
 from .penalty import _panel_rule
 from .smoother import FitModel
@@ -24,23 +24,37 @@ _NODES_PER_PANEL = 10
 
 @dataclass(frozen=True)
 class TailRegions:
-    """The two boundary subintervals used for local error reporting."""
+    """The two boundary subintervals used for local error reporting.
+
+    Each is a pair of finite numbers, stored as a tuple of floats
+    (errors.as_real); anything else is an EmptyIntervalError.
+    """
 
     lower: tuple[float, float]
     upper: tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = self.lower, self.upper
-        for interval in (lo, hi):
+        for name in ("lower", "upper"):
+            interval = getattr(self, name)
+            try:
+                ends = tuple(interval)
+            except TypeError:
+                ends = ()
+            if len(ends) != 2:
+                raise EmptyIntervalError(f"{name} tail must be a pair of numbers, got {interval!r}")
+            interval = tuple(as_real(end, f"{name} tail end", error=EmptyIntervalError)
+                             for end in ends)
             if not interval[0] < interval[1]:
                 raise EmptyIntervalError(f"tail interval {interval} has nonpositive length")
-        if lo[1] > hi[0]:
+            object.__setattr__(self, name, interval)
+        if self.lower[1] > self.upper[0]:
             raise EmptyIntervalError("tail intervals must not overlap")
 
     @classmethod
     def fraction(cls, a: float, b: float, frac: float = 0.1) -> "TailRegions":
         """Tails covering the first and last `frac` of [a, b]."""
-        if not 0 < frac < 0.5:
+        a, b = (as_real(end, "domain end", error=EmptyIntervalError) for end in (a, b))
+        if not 0 < as_real(frac, "tail fraction", error=EmptyIntervalError) < 0.5:
             raise EmptyIntervalError("tail fraction must lie in (0, 0.5)")
         width = frac * (b - a)
         return cls(lower=(a, a + width), upper=(b - width, b))

@@ -239,7 +239,8 @@ _BLOCK_VALUES = 12_000
 
 
 def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
-              full: bool = False, which: np.ndarray | None = None, t: np.ndarray | None = None):
+              full: bool = False, which: np.ndarray | None = None, t: np.ndarray | None = None,
+              with_system: bool = False):
     """Penalized fits at a stack of (dataset, knot vector, penalty weights) rows.
 
     full_knots is (C, m): clamped knot vectors of one spline order, repeats
@@ -249,25 +250,25 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
     dataset's domain.  The stack is evaluated in chunks of _CHUNK rows.
     Within a chunk the design, B'B and each needed penalty matrix are built
     once per distinct (dataset, knot vector), H once per row (_assemble), and
-    rows are refused by _refused; the kept rows are solved in stacked solves
-    of _BLOCK_VALUES coefficients, one dataset's rows at a time.  t, the
-    sample points of a one-dataset stack (default the dataset's), must lie
-    inside every knot vector's domain; nothing is checked.
+    rows are refused by _refused; the kept rows are solved by _solved, the
+    solve half that fit_systems shares.  t, the sample points of a
+    one-dataset stack (default the dataset's), must lie inside every knot
+    vector's domain; nothing is checked.
 
     Yields (c, why, fit) for every row c, in row order, one at a time: why
     is "" or the reason the row's system is refused, and fit is None for a
     refused row.  Otherwise fit is the residual matrix in the dataset's
     reduced space (FunctionalDataset.reduce): (h, min(h, n)), with the
-    Frobenius norm and the inner products of the full residuals.  With
-    full=True it is instead (coefficients, FitDiagnostics, (B, H)) on the
-    full data, what fit_coefficients reports at that row, with the row's
-    design B (h, nb) and system H (nb, nb), views into the chunk's stacks.
+    Frobenius norm and the inner products of the full residuals; with
+    with_system=True it is (that residual matrix, H), H the row's system
+    (nb, nb).  With full=True it is instead (coefficients, FitDiagnostics,
+    (B, H)) on the full data, what fit_coefficients reports at that row,
+    with the row's design B (h, nb) and system H.  B and H are views into
+    the chunk's stacks.
     """
     which = [0] * len(full_knots) if which is None else np.asarray(which).tolist()
     Ys = [dataset.values if full else dataset.reduced_values for dataset in datasets]
     points = [dataset.t for dataset in datasets] if t is None else [t]
-    n = Ys[which[0] if which else 0].shape[1]
-    block_rows = max(1, _BLOCK_VALUES // ((full_knots.shape[1] - order) * n))
     for start in range(0, len(full_knots), _CHUNK):
         chunk = full_knots[start:start + _CHUNK]
         owners = which[start:start + _CHUNK]
@@ -279,32 +280,73 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
             distinct = list(first.values())
             rows = np.searchsorted(distinct, vector)
             knots, at = chunk[distinct], [owners[i] for i in distinct]
-        T = (np.broadcast_to(points[0], (len(knots), points[0].size)) if len(points) == 1
-             else np.stack([points[d] for d in at]))
-        B, btb, H, _, refused = _assemble(knots, order, T, weights[start:start + _CHUNK], rows)
-        # One stacked solve per block of one dataset's rows; residuals are
-        # formed and handed on one row at a time, so no (C, h, n) stack is held.
-        ends = [c for c in range(1, len(owners)) if owners[c] != owners[c - 1]]
-        for lo, hi in zip([0, *ends], [*ends, len(chunk)]):
-            Y = Ys[owners[lo]]
-            for first_row in range(lo, hi, block_rows):
-                block = range(first_row, min(first_row + block_rows, hi))
-                kept = [c for c in block if not refused[c]]
-                vectors = kept if rows is None else rows[kept]  # each kept row's knot vector
-                coeffs = np.linalg.solve(H[kept], B[vectors].transpose(0, 2, 1) @ Y)
-                influence = np.linalg.solve(H[kept], btb[vectors]) if full else None
-                i = 0
-                for c in block:
-                    if refused[c]:
-                        yield start + c, refused[c], None
-                        continue
-                    fitted = B[vectors[i]] @ coeffs[i]
-                    if full:
-                        yield start + c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted),
-                                              (B[vectors[i]], H[c]))
-                    else:
-                        yield start + c, "", Y - fitted
-                    i += 1
+        B, btb, H, _, refused = _assemble(knots, order, _points(points, at),
+                                          weights[start:start + _CHUNK], rows)
+        for c, why, fit in _solved(B, btb, H, refused, rows, owners, Ys, full, with_system):
+            yield start + c, why, fit
+
+
+def fit_systems(full_knots: np.ndarray, order: int, datasets, H: np.ndarray, which):
+    """fit_stack(full=True) at rows whose systems an earlier stack assembled and kept.
+
+    Row c's knot vector full_knots[c] and dataset datasets[which[c]] are as
+    in fit_stack; H[c] (nb, nb) is the system fit_stack built and did not
+    refuse at that row under its penalty weights.  Only the designs (one
+    design_stack pass per chunk of _CHUNK rows) and B'B are built; the
+    solves are fit_stack's (_solved), so each fit is the one fit_stack
+    gives at the row, bit for bit.  Nothing is checked.
+    """
+    which = np.asarray(which).tolist()
+    points = [dataset.t for dataset in datasets]
+    Ys = [dataset.values for dataset in datasets]
+    for start in range(0, len(full_knots), _CHUNK):
+        owners = which[start:start + _CHUNK]
+        B = design_stack(full_knots[start:start + _CHUNK], order, _points(points, owners))
+        btb = B.transpose(0, 2, 1) @ B
+        systems = H[start:start + _CHUNK]
+        for c, why, fit in _solved(B, btb, systems, [""] * len(systems), None, owners, Ys, True):
+            yield start + c, why, fit
+
+
+def _points(points, owners) -> np.ndarray:
+    """The (K, h) sample points of K rows of datasets owners (one shared grid broadcast)."""
+    if len(points) == 1:
+        return np.broadcast_to(points[0], (len(owners), points[0].size))
+    return np.stack([points[d] for d in owners])
+
+
+def _solved(B, btb, H, refused, rows, owners, Ys, full: bool, with_system: bool = False):
+    """The solve half of fit_stack and fit_systems: the fits of one chunk.
+
+    Row c fits Ys[owners[c]] with system H[c] and the design B and B'B of
+    knot vector rows[c] (c when rows is None); refused[c] is "" or why the
+    row is refused.  The kept rows are solved in stacked solves of
+    _BLOCK_VALUES coefficients, one dataset's rows at a time, and yielded
+    in row order as fit_stack yields them; residuals are formed and handed
+    on one row at a time, so no (C, h, n) stack is held.
+    """
+    block_rows = max(1, _BLOCK_VALUES // (H.shape[-1] * Ys[owners[0]].shape[1]))
+    ends = [c for c in range(1, len(owners)) if owners[c] != owners[c - 1]]
+    for lo, hi in zip([0, *ends], [*ends, len(owners)]):
+        Y = Ys[owners[lo]]
+        for first_row in range(lo, hi, block_rows):
+            block = range(first_row, min(first_row + block_rows, hi))
+            kept = [c for c in block if not refused[c]]
+            vectors = kept if rows is None else rows[kept]  # each kept row's knot vector
+            coeffs = np.linalg.solve(H[kept], B[vectors].transpose(0, 2, 1) @ Y)
+            influence = np.linalg.solve(H[kept], btb[vectors]) if full else None
+            i = 0
+            for c in block:
+                if refused[c]:
+                    yield c, refused[c], None
+                    continue
+                fitted = B[vectors[i]] @ coeffs[i]
+                if full:
+                    yield c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted),
+                                  (B[vectors[i]], H[c]))
+                else:
+                    yield c, "", ((Y - fitted, H[c]) if with_system else Y - fitted)
+                i += 1
 
 
 def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec,

@@ -169,6 +169,27 @@ class TestSimulate:
             "context": "noise_sd 1e+308 overflows the noise scale noise_sd * (1 + |mean|) / 2"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", [["simulate"], ["replicate", "-R", "1"], ["fit"]],
+                             ids=["simulate", "replicate", "fit"])
+    def test_data_whose_squares_overflow_are_2_before_any_output(self, tmp_path, capsys,
+                                                                 subcommand):
+        # observations near 1e160 are finite, but their squares are not:
+        # the dataset refuses them before the echo, the output directory
+        # and any fit (whose reduced space warned and then failed at p = 1)
+        argv = [*subcommand, "--noise-sd", "1e160"]
+        if subcommand == ["fit"]:
+            data = tmp_path / "big.csv"
+            data.write_text("t,a,b\n" + "".join(f"{t},1e160,-2e160\n" for t in range(12)))
+            argv = ["fit", "--data", data, "--nbasis", "6"]
+        out = tmp_path / "o"
+        assert run([*argv, "--seed", "0", "--outdir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "module": subcommand[0], "error": "NonFiniteInputError",
+            "context": "the sum of squares of the observations overflows; rescale the data"}
+        assert not out.exists()
+
 
 class TestFit:
     def test_output_schema(self, simdir, tmp_path):

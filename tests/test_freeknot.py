@@ -806,7 +806,8 @@ class TestStackedJacobian:
 
     def test_refiner_fits_only_its_result(self, monkeypatch):
         # the start's residual and objective come from the first Jacobian
-        # stack; the result is fitted as one full-data row, not refitted
+        # stack; the result is fitted as one full-data row, not refitted, at
+        # the clamped knots of its last accepted trial
         fits = counting_fit_coefficients(monkeypatch)
         stacks = recording_fits(monkeypatch)
         ds, config = noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5)
@@ -814,7 +815,8 @@ class TestStackedJacobian:
         res = gauss_newton_refine(start, ds, config, KnotSearchConfig(order=4, max_knots=3))
         assert res.iterations > 1
         assert fits == []
-        assert [rows for rows, full in stacks if full] == [[res.coords.values.tolist()]]
+        knots = np.concatenate([np.zeros(4), jupp_inverse(res.coords), np.ones(4)])
+        assert [rows for rows, full in stacks if full] == [[knots.tolist()]]
         assert not np.array_equal(res.coords.values, start.values)
         assert res.objective == res.model.diagnostics.sse
         spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(res.coords))
@@ -1130,9 +1132,10 @@ class TestCarriedFits:
 
     def test_stack_and_check_counts_of_a_benchmark_fit(self, monkeypatch):
         # fit_stack and _fittable_rows calls of one fs2 search (order 4, 8
-        # knots fixed, grid 50) on benchmark_config(seed=0); before every
-        # damping level was tried in one pass and the fits were carried:
-        # 43 stacks and 89 _fittable_rows calls
+        # knots fixed, grid 50) on benchmark_config(seed=0); before the
+        # result fits were taken from the systems their descents carry: 35
+        # stacks and 43 _fittable_rows calls; before that, when each damping
+        # level was tried alone and no fit was carried: 43 and 89
         counts = {"fit_stack": 0, "_fittable_rows": 0}
         for name in counts:
             def counting(*args, _call=getattr(freeknot, name), _name=name, **kwargs):
@@ -1142,7 +1145,103 @@ class TestCarriedFits:
             monkeypatch.setattr(freeknot, name, counting)
         ds = generate_scenario(benchmark_config(seed=0)).dataset
         fit_free_knot(ds, variant_config("fs2"), BENCHMARK_SEARCH)
-        assert counts == {"fit_stack": 35, "_fittable_rows": 43}
+        assert counts == {"fit_stack": 27, "_fittable_rows": 35}
+
+    @pytest.mark.parametrize("config", [variant_config("fs0"), variant_config("fs2"),
+                                        PenaltyConfig(alphas=(1e-6, 0.0, 1e-5))],
+                             ids=["fs0", "fs2", "alphas"])
+    def test_carried_results_are_fit_coefficients(self, monkeypatch, config):
+        # a stage whose refinement ends on an accepted trial is fitted from
+        # the system that trial's stack built (_Descent.system): it is what
+        # fit_coefficients reports at its knots, byte for byte
+        carried = []
+        refine_fits = freeknot.refine_fits
+
+        def recording(*args):
+            for i, pair, fit in refine_fits(*args):
+                if pair.system is not None:
+                    carried.append((pair.k, fit))
+                yield i, pair, fit
+
+        monkeypatch.setattr(freeknot, "refine_fits", recording)
+        stages = fitted = 0
+        for seed in range(4):
+            ds = generate_scenario(benchmark_config(seed=seed)).dataset
+            lo, hi = ds.domain
+            stages += len(add_knots_gradually(ds, config, BENCHMARK_SEARCH).stages)
+            fitted += len(carried)
+            for k, (coeffs, d, _) in carried:
+                spec = make_basis_spec(lo, hi, 4, jupp_inverse(JuppCoords(k, lo, hi)))
+                ref = fit_coefficients(ds, spec, config)
+                assert coeffs.tobytes() == ref.coeffs.tobytes()
+                assert d.residuals.tobytes() == ref.diagnostics.residuals.tobytes()
+                assert [d.df.hex(), d.gcv.hex()] == [ref.diagnostics.df.hex(),
+                                                     ref.diagnostics.gcv.hex()]
+            carried.clear()
+        # p = 0 .. 8 on each seed; every refined stage ended on a trial
+        assert (stages, fitted) == (36, 32)
+
+    @pytest.mark.parametrize("case", ["converged", "refused"])
+    def test_a_pair_that_ends_at_its_start_is_fitted_by_a_stack(self, monkeypatch, case):
+        # no trial accepted, so nothing is carried: the result is the
+        # full-data stack row at the start's ratios (_fits with full=True)
+        t = np.linspace(0.0, 1.0, 30)
+        start = jupp(np.array([0.3, 0.6]), 0.0, 1.0)
+        if case == "converged":
+            # a cubic is fitted to roundoff at any knots: the gradient
+            # vanishes at the start
+            ds = FunctionalDataset(t=t, values=(t**3 - t)[:, None])
+        else:
+            # every trial row is refused, so every damping level fails
+            ds = noisy_sine_dataset(n=30)
+            fits = freeknot._fits
+
+            def refusing(rows, *args, with_system=False, **kwargs):
+                for c, why, fit in fits(rows, *args, with_system=with_system, **kwargs):
+                    yield (c, "refused", None) if with_system else (c, why, fit)
+
+            monkeypatch.setattr(freeknot, "_fits", refusing)
+        stacks = recording_fits(monkeypatch)
+        carried = []
+        fit_systems = freeknot.fit_systems
+        monkeypatch.setattr(freeknot, "fit_systems",
+                            lambda *args, **kwargs: carried.append(args) or fit_systems(*args,
+                                                                                         **kwargs))
+        config = PenaltyConfig()
+        res = gauss_newton_refine(start, ds, config, KnotSearchConfig(order=4, max_knots=2))
+        assert (res.converged, res.step_failure, res.iterations) == (
+            (True, False, 1) if case == "converged" else (False, True, 1))
+        assert carried == []
+        assert [rows for rows, full in stacks if full] == [[start.values.tolist()]]
+        assert np.array_equal(res.coords.values, start.values)
+        spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(start))
+        assert_same_fit(res.model, fit_coefficients(ds, spec, config))
+
+    def test_bordered_takes_one_basis_pass_per_candidate_set(self, monkeypatch):
+        # a bordered screen evaluates its candidates' B-splines at the sample
+        # points and at the quadrature nodes in one derivative_stack pass,
+        # and the parent's penalized derivatives at the nodes in one more
+        passes, per_call = [], []
+        derivative_stack, bordered = freeknot.derivative_stack, freeknot._bordered
+
+        def counting_stack(*args):
+            passes.append(args)
+            return derivative_stack(*args)
+
+        def counting_bordered(*args):
+            before = len(passes)
+            out = bordered(*args)
+            per_call.append(len(passes) - before)
+            return out
+
+        monkeypatch.setattr(freeknot, "derivative_stack", counting_stack)
+        monkeypatch.setattr(freeknot, "_bordered", counting_bordered)
+        ds = generate_scenario(benchmark_config(seed=0)).dataset
+        search = KnotSearchConfig(order=4, max_knots=3, grid_size=50, fixed_p=True)
+        for variant, want in (("fs0", 1), ("fs2", 2)):
+            per_call.clear()
+            add_knots_gradually(ds, variant_config(variant), search)
+            assert per_call == [want] * search.max_knots, variant
 
 
 class TestStageRecords:

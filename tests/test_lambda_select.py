@@ -56,6 +56,26 @@ class TestLambdaGrid:
             LambdaGrid(values=(-1.0, 1.0))
         assert LambdaGrid(values=(10.0, 1.0)).values == (1.0, 10.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: LambdaGrid("ab"),
+        lambda: LambdaGrid((1.0, None)),
+        lambda: LambdaGrid((1.0, float("nan"))),
+        lambda: LambdaGrid.from_exponents(["a"]),
+        lambda: LambdaGrid.from_exponents(None),
+        lambda: LambdaGrid.from_exponents([0, float("inf")]),
+    ], ids=["string", "none-value", "nan-value", "string-exponent", "no-exponents",
+            "inf-exponent"])
+    def test_non_numeric_values_are_config_errors(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
+    def test_any_real_numbers_are_taken_as_floats(self):
+        grid = LambdaGrid(np.array([[1e-2], [np.float32(0.5)]]))
+        assert grid.values == (0.01, float(np.float32(0.5)))
+        assert all(type(v) is float for v in grid.values)
+        assert LambdaGrid(2).values == (2.0,)
+        assert LambdaGrid.from_exponents(l for l in (1, -1)).values == (0.1, 10.0)
+
 
 class TestFixedKnotSearch:
     def test_single_cell_grid(self):

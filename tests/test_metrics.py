@@ -42,6 +42,25 @@ class TestTailRegions:
         with pytest.raises(EmptyIntervalError):
             TailRegions(lower=(0.3, 0.3), upper=(0.5, 1.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: TailRegions(None, (1, 2)),
+        lambda: TailRegions((0, "a"), (3, 4)),
+        lambda: TailRegions((0, 1), (3, np.inf)),
+        lambda: TailRegions((0, 1, 2), (3, 4)),
+        lambda: TailRegions.fraction(0, 1, None),
+        lambda: TailRegions.fraction(None, 1, 0.1),
+        lambda: TailRegions.fraction(0, 1, np.nan),
+    ], ids=["none", "string-end", "infinite-end", "three-ends", "none-fraction",
+            "none-domain-end", "nan-fraction"])
+    def test_non_numeric_fields_are_typed_errors(self, make):
+        with pytest.raises(EmptyIntervalError):
+            make()
+
+    def test_ends_are_stored_as_floats(self):
+        tails = TailRegions([np.float64(0), 1], (np.int64(3), 4))
+        assert tails.lower == (0.0, 1.0) and tails.upper == (3.0, 4.0)
+        assert all(type(end) is float for end in tails.lower + tails.upper)
+
 
 class TestIntegratedSse:
     def test_zero_when_fitted_equals_truth(self):

@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Check that this checkout's knot-search outputs are bit-identical to a commit's.
+
+    python3 tools/same_outputs.py --parent REV
+
+REV's src/ is extracted (git archive: no worktree entry is left behind)
+into a temporary directory removed at exit.  Each tree computes one fixed
+record set in its own interpreter: fixed-p fs0, fs2 and alphas searches on
+pool seeds 0-63, GCV-stopped fs0 and fs2 searches on seeds 0-15 and the
+free 7x7 GCV grid on seeds 0-1, every float as hex (README, "Testing").
+Prints "identical", or the first record that differs and exits 1.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import io
+import itertools
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def text(value) -> str:
+    """A field as text: floats as hex, arrays and coordinates entry by entry."""
+    if isinstance(value, float):
+        return value.hex()
+    if hasattr(value, "values") and hasattr(value, "lo"):  # JuppCoords
+        return text(value.values) + f"@{text(value.lo)},{text(value.hi)}"
+    if hasattr(value, "tolist") and not isinstance(value, (bool, int)):
+        return "[" + " ".join(text(float(x)) for x in value.ravel().tolist()) + "]"
+    return repr(value)
+
+
+def search_lines(tag, dataset, config, search):
+    from fkspline import FkSplineError, add_knots_gradually
+
+    try:
+        result = add_knots_gradually(dataset, config, search)
+    except FkSplineError as exc:
+        yield f"{tag} {type(exc).__name__}: {exc}"
+        return
+    for stage in result.stages:
+        yield f"{tag} stage " + " ".join(f"{f.name}={text(getattr(stage, f.name))}"
+                                          for f in dataclasses.fields(stage))
+    model = result.model
+    digest = hashlib.sha256(model.coeffs.tobytes() + model.diagnostics.residuals.tobytes())
+    yield (f"{tag} chosen p={result.p} stopped_early={result.stopped_early} "
+           f"fit={digest.hexdigest()}")
+
+
+def records():
+    from fkspline import (KnotSearchConfig, LambdaGrid, PenaltyConfig, gcv_grid_search,
+                          variant_config)
+    from fkspline.simulate import benchmark_config, generate_scenario
+
+    configs = {"fs0": variant_config("fs0"), "fs2": variant_config("fs2"),
+               "alphas": PenaltyConfig(alphas=(1e-6, 0.0, 1e-5))}
+    fixed = KnotSearchConfig(order=4, max_knots=8, fixed_p=True, grid_size=50)
+    stopped = KnotSearchConfig(order=4, max_knots=10, grid_size=50)
+    free = KnotSearchConfig(order=4, max_knots=4, fixed_p=True, grid_size=50)
+    for seed in range(64):
+        dataset = generate_scenario(benchmark_config(seed=seed)).dataset
+        for name, config in configs.items():
+            yield from search_lines(f"fixed seed={seed} {name}", dataset, config, fixed)
+        if seed < 16:
+            for name in ("fs0", "fs2"):
+                yield from search_lines(f"gcv-stopped seed={seed} {name}", dataset,
+                                        configs[name], stopped)
+        if seed < 2:
+            grid = gcv_grid_search(dataset, LambdaGrid.from_exponents(range(-6, 1)),
+                                   search=free, mode="free")
+            for table in ("scores", "df", "sse"):
+                yield f"free-grid seed={seed} {table}={text(getattr(grid, table))}"
+            yield (f"free-grid seed={seed} failures={grid.failures!r} "
+                   f"choice={text(grid.lambda1)},{text(grid.lambda2)},{text(grid.gcv)}")
+
+
+def run(src: Path) -> subprocess.Popen:
+    """A child interpreter printing the records of the fkspline under src."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.Popen([sys.executable, __file__, "--emit", str(src)], env=env,
+                            stdout=subprocess.PIPE, text=True)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="the commit to compare against")
+    parser.add_argument("--emit", help=argparse.SUPPRESS)  # a child's src/ tree
+    args = parser.parse_args()
+    if args.emit:
+        sys.path.insert(0, args.emit)
+        import fkspline
+
+        if not Path(fkspline.__file__).is_relative_to(args.emit):
+            sys.exit(f"fkspline was imported from {fkspline.__file__}, not from {args.emit}")
+        for line in records():
+            print(line)
+        return 0
+    if not args.parent:
+        parser.error("--parent is required")
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        sys.exit(archive.stderr.decode(errors="replace").strip())
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp)
+        children = [run(Path(tmp) / "src"), run(ROOT / "src")]
+        (parent, _), (change, _) = (child.communicate() for child in children)
+    if any(child.returncode for child in children):
+        print("a record run failed", file=sys.stderr)
+        return 2
+    pairs = itertools.zip_longest(parent.splitlines(), change.splitlines(), fillvalue="(none)")
+    for i, (want, got) in enumerate(pairs):
+        if want != got:
+            print(f"record {i} differs:\n  {args.parent}: {want}\n  this tree: {got}")
+            return 1
+    print(f"identical ({i + 1} records)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
