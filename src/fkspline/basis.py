@@ -22,11 +22,14 @@ from .errors import (
     DerivativeOrderTooHighError,
     EmptyIntervalError,
     KnotOutOfDomainError,
+    LengthMismatchError,
     NonFiniteInputError,
     NonIncreasingKnotsError,
     OrderTooSmallError,
     PointOutOfDomainError,
     as_integer,
+    as_real,
+    as_reals,
 )
 
 __all__ = ["BasisSpec", "DesignMatrix", "make_basis_spec", "eval_design", "eval_spline"]
@@ -46,13 +49,19 @@ class BasisSpec:
     interior_knots: tuple[float, ...] = ()
 
     def __post_init__(self):
-        a, b = float(self.domain[0]), float(self.domain[1])
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise NonFiniteInputError("domain endpoints must be finite")
+        try:
+            a, b = self.domain
+        except (TypeError, ValueError):  # not a pair
+            raise LengthMismatchError(f"domain must be a pair (a, b), got {self.domain!r}"
+                                      ) from None
+        a = as_real(a, "domain start", error=NonFiniteInputError)
+        b = as_real(b, "domain end", error=NonFiniteInputError)
         if not a < b:
             raise EmptyIntervalError(f"domain [{a}, {b}] has nonpositive length")
+        if not np.isfinite(b - a):
+            raise NonFiniteInputError(f"domain [{a}, {b}] is wider than the float range")
         r = as_integer(self.order, 2, "order", OrderTooSmallError)
-        tau = np.asarray(self.interior_knots, dtype=float).reshape(-1)
+        tau = as_reals(self.interior_knots, "interior knots", NonFiniteInputError).reshape(-1)
         if tau.size and not np.all(np.isfinite(tau)):
             raise NonFiniteInputError("interior knots must be finite")
         if np.any(np.diff(tau) <= 0):
@@ -84,7 +93,7 @@ class BasisSpec:
 
 def make_basis_spec(a, b, order, interior_knots=()) -> BasisSpec:
     """Validate and build a :class:`BasisSpec`."""
-    return BasisSpec((float(a), float(b)), order, np.asarray(interior_knots, dtype=float))
+    return BasisSpec((a, b), order, interior_knots)
 
 
 @dataclass(frozen=True)
@@ -204,7 +213,7 @@ def derivative_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivati
 
 
 def _check_points(spec: BasisSpec, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float).reshape(-1)
+    t = as_reals(t, "evaluation points", NonFiniteInputError).reshape(-1)
     if not np.all(np.isfinite(t)):
         raise NonFiniteInputError("evaluation points must be finite")
     a, b = spec.domain
@@ -239,10 +248,10 @@ def eval_spline(spec: BasisSpec, coeffs, t, derivative: int = 0) -> np.ndarray:
     coeffs has shape (n_basis,) for a single curve or (n_basis, n) for a
     family; the result has shape (h,) or (h, n) accordingly.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != spec.n_basis:
+    coeffs = as_reals(coeffs, "coefficients", NonFiniteInputError)
+    if coeffs.ndim not in (1, 2) or coeffs.shape[0] != spec.n_basis:
         raise CoefficientLengthMismatchError(
-            f"expected {spec.n_basis} coefficients, got {coeffs.shape[0]}"
+            f"expected {spec.n_basis} coefficients, got shape {coeffs.shape}"
         )
     if not np.all(np.isfinite(coeffs)):
         raise NonFiniteInputError("coefficients must be finite")

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LengthMismatchError, NonFiniteInputError, NonIncreasingKnotsError
+from .errors import LengthMismatchError, NonFiniteInputError, NonIncreasingKnotsError, as_reals
 
 
 def _orthonormal_basis(A: np.ndarray) -> np.ndarray:
@@ -41,38 +41,47 @@ def _orthonormal_basis(A: np.ndarray) -> np.ndarray:
     return Q
 
 
+# The largest sum of squares S of the observations taken.  A penalized
+# fit's residuals have norm at most sqrt(S), so a forward difference of
+# the knot search (steps of at least 1e-6, freeknot._FD_STEP) has norm at
+# most 2e6 sqrt(S) and each entry of its Gauss-Newton matrix is at most
+# 4e12 S: finite, as every sum of squares of a fit and of the row basis is.
+_MAX_SQUARES = 1e295
+
+
 @dataclass(frozen=True)
 class FunctionalDataset:
     """A family of curves observed on one shared sample grid.
 
     t : (h,) strictly increasing sample points.
     values : (h, n) observation matrix, one column per curve, finite, with a
-    finite sum of squares.
+    sum of squares of at most 1e295 (_MAX_SQUARES).
     """
 
     t: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        t = as_reals(self.t, "sample grid", NonFiniteInputError)
+        values = np.atleast_2d(as_reals(self.values, "observations", NonFiniteInputError))
         if values.shape[0] == 1 and t.size > 1:
             values = values.T
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", values)
         if t.ndim != 1 or t.size < 2:
             raise LengthMismatchError("need a 1-d grid with at least 2 points")
+        if values.ndim != 2:
+            raise LengthMismatchError(f"values must be an (h, n) matrix, got shape {values.shape}")
         if values.shape[0] != t.size:
             raise LengthMismatchError(
                 f"grid has {t.size} points but values has {values.shape[0]} rows"
             )
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(values))):
             raise NonFiniteInputError("grid and observations must be finite")
-        # every fit and the row basis form sums of squares of the values
-        if not math.isfinite(np.einsum("ij,ij", values, values)):
-            raise NonFiniteInputError("the sum of squares of the observations overflows; "
-                                      "rescale the data")
-        if np.any(np.diff(t) <= 0):
+        if not np.einsum("ij,ij", values, values) <= _MAX_SQUARES:
+            raise NonFiniteInputError(f"the sum of squares of the observations exceeds "
+                                      f"{_MAX_SQUARES:g}; rescale the data")
+        if np.any(t[1:] <= t[:-1]):
             raise NonIncreasingKnotsError("sample grid must be strictly increasing")
 
     @property
@@ -105,6 +114,21 @@ class FunctionalDataset:
         """reduce(values), the data every stacked fit of the knot search
         solves for; computed on first use and kept on this instance only."""
         return self.reduce(self.values)
+
+    @cached_property
+    def reduced(self) -> "FunctionalDataset":
+        """This dataset with values reduced_values on the same grid, or this
+        dataset itself when there is no row basis.
+
+        A penalized fit's df does not depend on the values, and its sse and
+        GCV are the same in the reduced space up to roundoff, so a search
+        that needs only those (lambda_select.gcv_grid_search) fits the
+        (h, min(h, n)) data in place of the (h, n).  Computed on first use
+        and kept on this instance only.
+        """
+        if self.row_basis is None:
+            return self
+        return FunctionalDataset(t=self.t, values=self.reduced_values)
 
     def reduce(self, M: np.ndarray) -> np.ndarray:
         """M @ row_basis, an (h, h) stand-in for an (h, n) matrix A values;

@@ -7,6 +7,9 @@ branches because the command line maps them to distinct exit codes.
 
 import math
 import numbers
+import reprlib
+
+import numpy as np
 
 
 class FkSplineError(Exception):
@@ -43,6 +46,21 @@ def as_real(value, name: str, least: float = -math.inf, most: float = math.inf,
         bounds = "" if (least, most) == (-math.inf, math.inf) else f" in [{least}, {most}]"
         raise error(f"{name} must be a finite number{bounds}, got {value!r}")
     return real
+
+
+def as_reals(value, name: str, error: type = ConfigError) -> np.ndarray:
+    """value as a float array of its own shape when it holds real numbers
+    (an array, a number, or sequences nested to equal lengths), else raise
+    error, the caller's typed class: text, complex numbers, ragged nesting
+    and objects that are no number are refused, as as_real refuses them.
+    Entries are not checked for finiteness."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "biufO":
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an array of real numbers, got {reprlib.repr(value)}")
 
 
 # ---------------------------------------------------------------------------

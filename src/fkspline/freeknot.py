@@ -31,6 +31,7 @@ from .errors import (
     NotPositiveDefiniteError,
     as_integer,
     as_real,
+    as_reals,
 )
 from .penalty import PenaltyConfig, _panel_rule
 from .smoother import FitModel, fit_coefficients, fit_stack, fit_systems, penalty_weights
@@ -66,12 +67,18 @@ class JuppCoords:
             object.__setattr__(self, name, as_real(getattr(self, name), name))
         if not self.lo < self.hi:
             raise ConfigError(f"domain [{self.lo}, {self.hi}] has nonpositive length")
+        _check_width(self.lo, self.hi)
         if not np.all(np.isfinite(values)):
             raise NonFiniteInputError("log gap ratios must be finite")
 
     @property
     def p(self) -> int:
         return self.values.size
+
+
+def _check_width(lo: float, hi: float) -> None:
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"domain [{lo}, {hi}] is wider than the float range")
 
 
 def _gap_ratios(tau: np.ndarray, lo: float, hi: float):
@@ -106,15 +113,17 @@ def jupp(knots, lo: float, hi: float) -> JuppCoords:
     Component i is log((tau_{i+1} - tau_i) / (tau_i - tau_{i-1})) with the
     domain endpoints standing in for tau_0 and tau_{p+1}.
     """
-    tau = np.asarray(knots, dtype=float).reshape(-1)
+    tau = as_reals(knots, "knots", NonFiniteInputError).reshape(-1)
     if not np.all(np.isfinite(tau)):
         raise NonFiniteInputError("knots must be finite")
+    lo, hi = as_real(lo, "lo"), as_real(hi, "hi")
+    _check_width(lo, hi)
     gaps, ratios = _gap_ratios(tau, lo, hi)
     if np.any(gaps <= 0):
         raise NonIncreasingKnotsError(
             "knots must be strictly increasing and strictly inside the domain"
         )
-    return JuppCoords(values=ratios, lo=float(lo), hi=float(hi))
+    return JuppCoords(values=ratios, lo=lo, hi=hi)
 
 
 def jupp_inverse(coords: JuppCoords) -> np.ndarray:
@@ -456,6 +465,18 @@ def _normal_equations(r: np.ndarray, jac: np.ndarray):
     return float(r @ r), jac.T @ r, jac.T @ jac
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of v, finite for every finite v: numpy's, or, where its
+    sum of squares overflows (data of magnitude 1e100 give gradients past
+    1e154), numpy's of v over its largest magnitude, times that."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if math.isinf(norm):
+        scale = float(np.abs(v).max())
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def _error(check, *args) -> FkSplineError | None:
     """The FkSplineError that check(*args) raises, or None."""
     try:
@@ -507,7 +528,7 @@ def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None) -
             f, pair.g, jtj = normal
             if pair.iterations == 1:
                 pair.f = f
-            if np.linalg.norm(pair.g) <= 1e-14 * (1.0 + pair.f):
+            if _norm(pair.g) <= 1e-14 * (1.0 + pair.f):
                 pair.converged = True
                 continue
             pair.jtj = jtj

@@ -111,6 +111,12 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     lambda2.  A weight on a derivative order the splines cannot carry raises
     DerivativeOrderTooHighError before any cell is fitted.  Failed cells are
     recorded and skipped; if every cell fails the search raises.
+
+    A cell's GCV needs only its fit's sse and df, so every fit of the
+    search, knot placement included, runs on the dataset's reduced data
+    (FunctionalDataset.reduced): h x min(h, n) values for h points and n
+    curves.  df and knots are those of the full data bit for bit; sse and
+    GCV agree with the full data's to roundoff.
     """
     grid = grid or LambdaGrid()
     if mode not in ("fixed", "free"):
@@ -131,6 +137,7 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     # a penalty the splines cannot carry is a config error before any work
     order = spec.order if mode == "fixed" else search.order
     weights = np.array([penalty_weights(config, order) for config in configs])
+    dataset = dataset.reduced
     if mode == "fixed":
         fits = _fixed_fits(dataset, spec, weights)
     else:
@@ -176,7 +183,8 @@ def _fixed_fits(dataset, spec, weights) -> list:
     """Each cell's fit at the spec's knots, or the error the fit raised.
 
     Row c of weights holds cell c's penalty_weights; all cells are one
-    stack on one basis (smoother.fit_spec).
+    stack on one basis (smoother.fit_spec), fitted to the dataset as given
+    (gcv_grid_search passes the reduced one).
     """
     try:
         fits = fit_spec(dataset, spec, weights)
@@ -193,7 +201,8 @@ def _free_fits(dataset, search, configs) -> list:
     included.  Each cell is one job (freeknot._Jobs), and every (warm
     start, cell) pair is refined in one lockstep batch
     (freeknot.refine_fits); a cell keeps the first warm start of smallest
-    GCV.
+    GCV.  The warm-start search, the descents and the result fits all run
+    on the dataset as given (gcv_grid_search passes the reduced one).
     """
     warm = [stage.coords for stage in add_knots_gradually(dataset, PenaltyConfig(), search).stages]
     cells = len(configs)

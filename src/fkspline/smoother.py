@@ -40,16 +40,14 @@ VARIANTS = {
 
 
 def variant_config(name: str, lambda1: float | None = None, lambda2: float | None = None) -> PenaltyConfig:
-    """Penalty configuration for a named variant, with optional overrides."""
-    key = name.lower()
+    """Penalty configuration for a named variant, with optional overrides
+    (each checked by PenaltyConfig)."""
+    key = name.lower() if isinstance(name, str) else None
     if key not in VARIANTS:
         raise ConfigError(f"unknown variant {name!r}; expected one of {sorted(VARIANTS)}")
     l1, l2 = VARIANTS[key]
-    if lambda1 is not None:
-        l1 = float(lambda1)
-    if lambda2 is not None:
-        l2 = float(lambda2)
-    return PenaltyConfig(lambda1=l1, lambda2=l2)
+    return PenaltyConfig(lambda1=l1 if lambda1 is None else lambda1,
+                         lambda2=l2 if lambda2 is None else lambda2)
 
 
 @dataclass(eq=False)

@@ -187,7 +187,26 @@ class TestSimulate:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "module": subcommand[0], "error": "NonFiniteInputError",
-            "context": "the sum of squares of the observations overflows; rescale the data"}
+            "context": "the sum of squares of the observations exceeds 1e+295; rescale the data"}
+        assert not out.exists()
+
+    def test_large_scale_data_run_quietly_or_stop_before_any_output(self, tmp_path, capsys):
+        # at noise 1e100 the knot search's gradient norm overflowed numpy's
+        # dot (a warning, an error under this suite's filter); at 1e152 its
+        # Gauss-Newton matrix did too, so such data are refused up front
+        big = tmp_path / "big"
+        assert run(["replicate", "-R", "1", "--seed", "0", "--noise-sd", "1e100",
+                    "--outdir", big]) == 0
+        assert (big / "aggregate.json").exists()
+        assert capsys.readouterr().err == ""
+        out = tmp_path / "o"
+        assert run(["replicate", "-R", "1", "--seed", "0", "--noise-sd", "1e152",
+                    "--outdir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "module": "replicate", "error": "NonFiniteInputError",
+            "context": "the sum of squares of the observations exceeds 1e+295; rescale the data"}
         assert not out.exists()
 
 

@@ -338,3 +338,60 @@ class TestLockstepGrid:
         assert pinned.failures == []
         assert np.array_equal(pinned.scores, plain.scores)
         assert (pinned.lambda1, pinned.lambda2) == (plain.lambda1, plain.lambda2)
+
+
+class TestReducedData:
+    """Every grid cell is fitted to the dataset's reduced data
+    (FunctionalDataset.reduced): df as on the full data bit for bit, sse and
+    GCV to roundoff."""
+
+    search = KnotSearchConfig(order=4, max_knots=3, grid_size=20, fixed_p=True)
+    grid = LambdaGrid.from_exponents([-6, -4, -2])
+
+    def full_data_cells(self, ds, mode):
+        """Each cell's fit on the dataset as given, as the search makes them."""
+        configs = [PenaltyConfig(lambda1=a, lambda2=b)
+                   for a in self.grid.values for b in self.grid.values]
+        if mode == "fixed":
+            weights = np.array([smoother.penalty_weights(c, 4) for c in configs])
+            return lambda_select._fixed_fits(ds, make_basis_spec(0.0, 1.0, 4, [0.3, 0.6]),
+                                             weights)
+        return lambda_select._free_fits(ds, self.search, configs)
+
+    def run(self, ds, mode):
+        return gcv_grid_search(ds, grid=self.grid, mode=mode, search=self.search,
+                               spec=make_basis_spec(0.0, 1.0, 4, [0.3, 0.6]))
+
+    @pytest.mark.parametrize("mode", ["fixed", "free"])
+    def test_more_curves_than_points_match_full_data_fits(self, mode):
+        ds = noisy_curves(60)
+        assert ds.reduced.values.shape == (30, 30)
+        full = self.full_data_cells(ds, mode)
+        res = self.run(ds, mode)
+        assert res.df.ravel().tolist() == [fit.df for fit in full]
+        np.testing.assert_allclose(res.scores.ravel(), [fit.gcv for fit in full], rtol=1e-11)
+        np.testing.assert_allclose(res.sse.ravel(), [fit.sse for fit in full], rtol=1e-11)
+        assert res.failures == []
+
+    @pytest.mark.parametrize("mode", ["fixed", "free"])
+    def test_every_stack_solves_reduced_data(self, monkeypatch, mode):
+        solved = smoother._solved
+        shapes = set()
+
+        def recording(B, btb, H, refused, rows, owners, Ys, *args):
+            shapes.update(Ys[d].shape for d in set(owners))
+            return solved(B, btb, H, refused, rows, owners, Ys, *args)
+
+        monkeypatch.setattr(smoother, "_solved", recording)
+        self.run(noisy_curves(60), mode)
+        assert shapes == {(30, 30)}
+
+    @pytest.mark.parametrize("mode", ["fixed", "free"])
+    def test_no_more_curves_than_points_fit_the_data_as_given(self, mode):
+        ds = noisy_curves(20)
+        assert ds.reduced is ds
+        full = self.full_data_cells(ds, mode)
+        res = self.run(ds, mode)
+        assert res.df.ravel().tolist() == [fit.df for fit in full]
+        assert res.scores.ravel().tolist() == [fit.gcv for fit in full]
+        assert res.sse.ravel().tolist() == [fit.sse for fit in full]

@@ -6,9 +6,11 @@
 REV's src/ is extracted (git archive: no worktree entry is left behind)
 into a temporary directory removed at exit.  Each tree computes one fixed
 record set in its own interpreter: fixed-p fs0, fs2 and alphas searches on
-pool seeds 0-63, GCV-stopped fs0 and fs2 searches on seeds 0-15 and the
-free 7x7 GCV grid on seeds 0-1, every float as hex (README, "Testing").
-Prints "identical", or the first record that differs and exits 1.
+pool seeds 0-63, GCV-stopped fs0 and fs2 searches on seeds 0-15, and the
+free 7x7 and fixed 13x13 GCV grids on seeds 0-1, every float as hex
+(README, "Testing").  Prints "identical", or the count of differing
+records, the first of them and the largest relative change of each float
+field, and exits 1.
 """
 
 import argparse
@@ -16,7 +18,9 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -54,9 +58,18 @@ def search_lines(tag, dataset, config, search):
            f"fit={digest.hexdigest()}")
 
 
+def grid_lines(tag, grid):
+    for table in ("scores", "df", "sse"):
+        yield f"{tag} {table}={text(getattr(grid, table))}"
+    yield (f"{tag} failures={grid.failures!r} "
+           f"choice={text(grid.lambda1)},{text(grid.lambda2)},{text(grid.gcv)}")
+
+
 def records():
+    import numpy as np
+
     from fkspline import (KnotSearchConfig, LambdaGrid, PenaltyConfig, gcv_grid_search,
-                          variant_config)
+                          make_basis_spec, variant_config)
     from fkspline.simulate import benchmark_config, generate_scenario
 
     configs = {"fs0": variant_config("fs0"), "fs2": variant_config("fs2"),
@@ -75,10 +88,36 @@ def records():
         if seed < 2:
             grid = gcv_grid_search(dataset, LambdaGrid.from_exponents(range(-6, 1)),
                                    search=free, mode="free")
-            for table in ("scores", "df", "sse"):
-                yield f"free-grid seed={seed} {table}={text(getattr(grid, table))}"
-            yield (f"free-grid seed={seed} failures={grid.failures!r} "
-                   f"choice={text(grid.lambda1)},{text(grid.lambda2)},{text(grid.gcv)}")
+            yield from grid_lines(f"free-grid seed={seed}", grid)
+            # perfbench's fixed-mode inputs: 8 equispaced knots, exponents -8..4
+            lo, hi = dataset.domain
+            spec = make_basis_spec(lo, hi, 4, np.linspace(lo, hi, 10)[1:-1])
+            grid = gcv_grid_search(dataset, LambdaGrid.from_exponents(range(-8, 5)),
+                                   spec=spec, mode="fixed")
+            yield from grid_lines(f"fixed-grid seed={seed}", grid)
+
+
+FIELD = re.compile(r"(\w+)=(\[[^\]]*\](?:@\S+)?|\S+)")
+HEX = re.compile(r"(?<![\w.])-?(?:0x[0-9a-f]+\.?[0-9a-f]*p[-+]\d+|inf|nan)(?![\w.])")
+
+
+def field_changes(want: str, got: str) -> dict:
+    """The largest relative change of each field of a record pair whose
+    values differ: over its hex floats when both hold as many, else inf."""
+    fields = [dict(FIELD.findall(line)) for line in (want, got)]
+    changes = {}
+    for name in fields[0].keys() | fields[1].keys():
+        a, b = (record.get(name, "") for record in fields)
+        if a == b:
+            continue
+        xs, ys = ([float.fromhex(x) for x in HEX.findall(value)] for value in (a, b))
+        change = math.inf
+        if xs and len(xs) == len(ys):
+            change = max(0.0 if x == y or (math.isnan(x) and math.isnan(y))
+                         else abs(y - x) / abs(x) if x else math.inf
+                         for x, y in zip(xs, ys))
+        changes[name] = change
+    return changes
 
 
 def run(src: Path) -> subprocess.Popen:
@@ -116,13 +155,23 @@ def main() -> int:
     if any(child.returncode for child in children):
         print("a record run failed", file=sys.stderr)
         return 2
-    pairs = itertools.zip_longest(parent.splitlines(), change.splitlines(), fillvalue="(none)")
-    for i, (want, got) in enumerate(pairs):
-        if want != got:
-            print(f"record {i} differs:\n  {args.parent}: {want}\n  this tree: {got}")
-            return 1
-    print(f"identical ({i + 1} records)")
-    return 0
+    pairs = list(itertools.zip_longest(parent.splitlines(), change.splitlines(),
+                                       fillvalue="(none)"))
+    differ = [i for i, (want, got) in enumerate(pairs) if want != got]
+    if not differ:
+        print(f"identical ({len(pairs)} records)")
+        return 0
+    want, got = pairs[differ[0]]
+    print(f"{len(differ)} of {len(pairs)} records differ; the first is record {differ[0]}:\n"
+          f"  {args.parent}: {want}\n  this tree: {got}")
+    largest = {}
+    for i in differ:
+        for name, change in field_changes(*pairs[i]).items():
+            largest[name] = max(largest.get(name, 0.0), change)
+    print("largest relative change per field (inf: not a change of float values):")
+    for name, change in sorted(largest.items()):
+        print(f"  {name}: {change:.3g}")
+    return 1
 
 
 if __name__ == "__main__":
