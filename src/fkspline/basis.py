@@ -4,8 +4,8 @@ The basis of order r (degree r - 1) over domain [a, b] with p strictly
 increasing interior knots is built on the clamped knot vector that repeats
 each boundary r times, giving n_basis = p + r functions.  Evaluation uses
 the Cox-de Boor triangle vectorized over evaluation points and over a stack
-of knot vectors (one basis is the one-row stack); derivatives come from the
-standard difference recurrence applied to a lower-order basis.
+of knot vectors (one basis is the one-row stack).  Derivatives come from
+one full-width pass of de Boor's difference recurrence (derivative_stack).
 
 Conventions: the last span is right-closed, so evaluating at t = b returns
 the limiting values and every row of a design matrix sums to one exactly.
@@ -130,8 +130,19 @@ def _deboor_columns(full_knots, k, t, spans):
     return values
 
 
-def design_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivative: int = 0) -> np.ndarray:
-    """Basis (derivative) values for a stack of knot vectors of one order.
+def _spans(full_knots: np.ndarray, order: int, t: np.ndarray) -> np.ndarray:
+    """Span mu of each point of t (C, h), T[mu] <= t < T[mu+1] and right-closed
+    at b, for knot vectors full_knots (C, m); raveled to (C * h,)."""
+    C, m = full_knots.shape
+    if C == 1:
+        spans = np.searchsorted(full_knots[0], t[0], side="right") - 1
+    else:
+        spans = np.count_nonzero(full_knots[:, None, :] <= t[:, :, None], axis=2).ravel() - 1
+    return np.minimum(np.maximum(spans, order - 1), m - order - 1)
+
+
+def design_stack(full_knots: np.ndarray, order: int, t: np.ndarray) -> np.ndarray:
+    """Basis values for a stack of knot vectors of one order.
 
     full_knots is (C, m): C clamped knot vectors with boundary multiplicity
     `order`.  t is (C, h): row c holds points inside the domain of knot
@@ -140,37 +151,15 @@ def design_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivative: 
     """
     C, m = full_knots.shape
     h = t.shape[1]
-    k = order - derivative
-    # Span mu of each point: T[mu] <= t < T[mu+1], right-closed at b.
-    if C == 1:
-        spans = np.searchsorted(full_knots[0], t[0], side="right") - 1
-    else:
-        spans = np.count_nonzero(full_knots[:, None, :] <= t[:, :, None], axis=2).ravel() - 1
-    spans = np.minimum(np.maximum(spans, order - 1), m - order - 1)
+    spans = _spans(full_knots, order, t)
     # The triangle runs on all C * h points at once, each row's spans
     # offset into its own stretch of the flattened knot stack.
     flat_spans = spans + np.repeat(m * np.arange(C), h) if C > 1 else spans
-    cols = _deboor_columns(full_knots.ravel(), k, t.ravel(), flat_spans)
-    dense = np.zeros((C * h, m - k))
-    idx = spans[:, None] + np.arange(1 - k, 1)
+    cols = _deboor_columns(full_knots.ravel(), order, t.ravel(), flat_spans)
+    dense = np.zeros((C * h, m - order))
+    idx = spans[:, None] + np.arange(1 - order, 1)
     dense[np.arange(C * h)[:, None], idx] = cols
-    # Lift the order-k values through d difference steps.  At step order kk
-    # the support widths T[i+kk-1] - T[i] of the order-(kk-1) functions
-    # divide columns i and i+1; zero-length spans at the clamped ends belong
-    # to identically-zero functions, their reciprocal is taken as zero.
-    # Spans narrow enough to overflow leave non-finite entries, which the
-    # system assembly refuses.  Each knot vector's reciprocals broadcast
-    # over its points; a step scales the old values in place.
-    dense = dense.reshape(C, h, m - k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for kk in range(k + 1, order + 1):
-            w = m - kk
-            widths = full_knots[:, None, kk - 1 :] - full_knots[:, None, : w + 1]
-            inv = np.where(widths > 0, 1.0 / np.where(widths > 0, widths, 1.0), 0.0)
-            lifted = dense[:, :, :w] * inv[:, :, :w]
-            lifted -= np.multiply(dense[:, :, 1:], inv[:, :, 1:], out=dense[:, :, 1:])
-            dense = np.multiply(lifted, kk - 1, out=lifted)
-    return dense
+    return dense.reshape(C, h, m - order)
 
 
 def derivative_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivatives,
@@ -183,7 +172,8 @@ def derivative_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivati
     T[i] <= t < T[i + 1], zero at the last knot).  Returns, for each l of
     derivatives, the (C, m - order, P) l-th derivatives at t; no input is
     checked.  Level k of the recurrence holds the order-k functions; the
-    l-th derivative is lifted from level order - l, as in design_stack.
+    l-th derivative is lifted from level order - l by de Boor's difference
+    recurrence; a zero-length support's reciprocal width is taken as zero.
     """
     m = full_knots.shape[1]
     x = t[:, None, :]
@@ -229,8 +219,9 @@ def eval_design(spec: BasisSpec, t, derivative: int = 0) -> DesignMatrix:
     """Evaluate all basis functions (or a derivative) at the given points.
 
     Returns an (h, n_basis) matrix with at most r consecutive nonzeros per
-    row.  For derivative = 0 rows sum to one; derivative order must satisfy
-    0 <= derivative < order.
+    row.  For derivative = 0 rows sum to one (design_stack); a derivative
+    (derivative_stack) takes its left limit at b.  The derivative order
+    must satisfy 0 <= derivative < order.
     """
     d, r = as_integer(derivative, 0, "derivative order", DerivativeOrderTooHighError), spec.order
     if d >= r:
@@ -238,7 +229,12 @@ def eval_design(spec: BasisSpec, t, derivative: int = 0) -> DesignMatrix:
             f"derivative order must satisfy 0 <= d < {r}, got {derivative}"
         )
     t = _check_points(spec, t)
-    dense = design_stack(spec._full_arr[None, :], r, t[None, :], d)[0]
+    full, at = spec._full_arr[None, :], t[None, :]
+    if d == 0:
+        dense = design_stack(full, r, at)[0]
+    else:  # the span indicator is right-closed at b, as design_stack's spans
+        first = np.arange(full.size - 1)[:, None] == _spans(full, r, at)
+        dense = np.ascontiguousarray(derivative_stack(full, r, at, [d], first)[0][0].T)
     return DesignMatrix(values=dense, points=t, derivative=d, spec=spec)
 
 

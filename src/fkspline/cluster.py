@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatchError, TooFewCurvesError, as_integer
+from .errors import ConfigError, LengthMismatchError, TooFewCurvesError, as_integer, as_reals
 from .penalty import gram_matrix
 from .smoother import FitModel
 
@@ -45,12 +45,16 @@ class Partition:
     k: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "k", as_integer(self.k, 1, "k"))
+        labels = as_reals(self.labels, "labels")
         if labels.ndim != 1 or labels.size == 0:
             raise ConfigError("labels must be a nonempty 1-d array")
+        if not np.all(labels == np.round(labels)):  # nan and 1.5 alike
+            raise ConfigError("labels must be integers")
         if labels.min() < 1 or labels.max() > self.k:
             raise ConfigError(f"labels must lie in 1..{self.k}")
+        labels = labels.astype(int)
+        object.__setattr__(self, "labels", labels)
         if np.count_nonzero(np.bincount(labels)) != self.k:
             raise ConfigError("every cluster must be nonempty")
 

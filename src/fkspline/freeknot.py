@@ -34,7 +34,7 @@ from .errors import (
     as_reals,
 )
 from .penalty import PenaltyConfig, _panel_rule
-from .smoother import FitModel, fit_coefficients, fit_stack, fit_systems, penalty_weights
+from .smoother import FitModel, fit_coefficients, fit_stack, penalty_weights
 
 __all__ = [
     "JuppCoords",
@@ -261,22 +261,17 @@ class _Jobs:
                 self.errors[j] = exc
 
 
-def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False,
-          with_system: bool = False, systems=None):
+def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False, systems=None):
     """Penalized fits at rows of log gap ratios of any lengths, in stacks.
 
     Row c belongs to job owner[c] (_Jobs).  The rows of each length and
     data shape are checked by one _fittable_rows call (with mapped=True
     they are clamped knot vectors it accepted) and fitted as one stack
-    (smoother.fit_stack).  Yields (c, why, fit) for every row c, a group
-    at a time in order of first appearance and each group's rows in row
-    order: why is "" or the reason a fit at that row would raise, fit None
-    where why is set, else the residual matrix in the dataset's reduced
-    space, (that matrix, H) with with_system=True or, with full=True,
-    (coefficients, FitDiagnostics, (B, H)).  systems, when given with
-    mapped rows, holds each row's system H that an earlier stack built and
-    kept there: each group is then fitted in full by smoother.fit_systems,
-    which builds only the designs.
+    (smoother.fit_stack, with systems[c] as row c's system when given).
+    Yields (c, why, fit) for every row c, a group at a time in order of
+    first appearance and each group's rows in row order: why is "" or the
+    reason a fit at that row would raise, fit None where why is set, else
+    fit_stack's fit.
     """
     owner = np.asarray(owner, dtype=int)
     tags = [jobs.shapes[d] for d in jobs.which[owner].tolist()] if len(jobs.shapes) > 1 else None
@@ -285,12 +280,9 @@ def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False,
         if not mapped:
             kept, stack = _fittable_rows(stack, jobs.lo[own], jobs.hi[own], jobs.order)
             own = own[kept]
-        if systems is None:
-            fits = fit_stack(stack, jobs.order, jobs.datasets, jobs.weights[own], full=full,
-                             which=jobs.which[own], with_system=with_system)
-        else:
-            fits = fit_systems(stack, jobs.order, jobs.datasets,
-                               np.array([systems[c] for c in group]), which=jobs.which[own])
+        fits = fit_stack(stack, jobs.order, jobs.datasets, jobs.weights[own], full=full,
+                         which=jobs.which[own],
+                         systems=None if systems is None else np.array([systems[c] for c in group]))
         fittable = set(kept.tolist())
         for i, c in enumerate(group):
             _, why, fit = next(fits) if i in fittable else (c, "knots cannot be fitted", None)
@@ -330,7 +322,10 @@ def _jacobian(points, owner, jobs: _Jobs):
         return i, "", (r, jac)
 
     waiting = {}
-    fits = _fits(rows, jobs, owner[owners])
+    # each residual is taken out of its (residual, H) pair as it arrives, so
+    # points waiting for backward steps keep no chunk's systems alive
+    fits = ((c, why, None if fit is None else fit[0])
+            for c, why, fit in _fits(rows, jobs, owner[owners]))
     for c, why, residual in fits:  # row c is row 0 of its point's run
         i = owners[c]
         forward = [residual, *(fit for *_, fit in itertools.islice(fits, points[i].size))]
@@ -345,8 +340,8 @@ def _jacobian(points, owner, jobs: _Jobs):
     backward = {}
     if failed:
         back = [points[i] - np.diag(steps[i])[j] for i, j in failed]
-        for c, _, residual in _fits(back, jobs, owner[[i for i, _ in failed]]):
-            backward.setdefault(failed[c][0], {})[failed[c][1]] = residual
+        for c, _, fit in _fits(back, jobs, owner[[i for i, _ in failed]]):
+            backward.setdefault(failed[c][0], {})[failed[c][1]] = None if fit is None else fit[0]
     for i, forward in waiting.items():
         yield columns(i, forward, backward.get(i, {}))
 
@@ -358,12 +353,9 @@ class _Descent:
     The residual at k is not kept between rounds: row 0 of each Jacobian
     stack evaluates it again, and a few hundred pairs of (h, min(h, n))
     residuals would raise the peak memory of a grid search.  Once a trial
-    is accepted, system holds the clamped knots of k and the system H that
-    the trial stack built there, so that the result fit (refine_fits)
-    assembles nothing again.  The design B (h, nb) is not kept, for the
-    same reason as the residual, nor is B'B: one stacked product rebuilds
-    it from the rebuilt designs, and an (nb, nb) copy per pair would raise
-    a grid search's peak memory again.
+    is accepted, system holds the clamped knots of k and a copy of the H
+    the trial stack built there, from which the result fit (refine_fits)
+    rebuilds only the design and B'B.
     """
 
     k: np.ndarray  # log gap ratios of the best iterate
@@ -493,9 +485,8 @@ def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None) -
     gauss_newton_refine on its own state (_Descent); each round makes one
     Jacobian stack (_jacobian; row 0 gives a start's objective), one
     proposal pass (_proposals) and one trial stack of the proposed knots
-    (_fits).  An accepted trial's clamped knots and system H, copied out
-    of the trial stack, become its pair's system.  first[i], when given
-    and not None, is start i's
+    (_fits).  An accepted trial's clamped knots and system H become its
+    pair's system.  first[i], when given and not None, is start i's
     _normal_equations, from the scan's exact fit there (_scan): start i
     then has no rows in the first Jacobian stack.  A pair ends with
     pair.error set to its job's error, else to the error building its
@@ -542,7 +533,7 @@ def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None) -
                 proposed.append((pair, *step))
         trial = []
         for c, _, fit in _fits([knots for *_, knots in proposed], jobs,
-                               [pair.job for pair, *_ in proposed], mapped=True, with_system=True):
+                               [pair.job for pair, *_ in proposed], mapped=True):
             pair, k_new, delta, knots = proposed[c]
             r_new, H = (None, None) if fit is None else fit
             f_new = None if r_new is None else float(r_new.ravel() @ r_new.ravel())
@@ -591,13 +582,12 @@ def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None
     """Refine every start, start i of job owner[i], in lockstep (_descend); fit each result.
 
     first[i], when given, is start i's _normal_equations or None (_descend).
-    Each result fit is what fit_coefficients reports at that pair's knots.
-    A pair that ends on an accepted trial is fitted from the system it
-    carries (_Descent.system): the designs of all such pairs are rebuilt
-    in one pass per stack and their solves are stacked (_fits with systems,
-    smoother.fit_systems), so no knot vector is assembled twice.  A pair
-    that ends at its start (round 0 of a search, or a warm start that
-    converges or fails at once) is fitted in one stack with full=True.
+    Each result fit is what fit_coefficients reports at that pair's knots,
+    from one full=True stack per kind of end: pairs that end on an accepted
+    trial pass the system they carry (_Descent.system) as _fits' systems,
+    so no knot vector is assembled twice; pairs that end at their start
+    (round 0 of a search, or a warm start that converges or fails at once)
+    are assembled.
     Yields (i, pair, fit) for every start i, one at a time in no set
     order: pair is its final _Descent, fit (coefficients, FitDiagnostics,
     (B, H)) with the result's design and system, which the next scan of a

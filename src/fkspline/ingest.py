@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,8 @@ def _parse_value(token: str, row: int, col: int) -> float:
 
 def _read_rows(path) -> list[list[str]]:
     """The rows of a CSV file, lines starting with '#' skipped."""
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() takes an int as a descriptor
+        raise ConfigError(f"path must be a file path, got {path!r}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))

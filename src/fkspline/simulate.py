@@ -66,6 +66,8 @@ class ScenarioConfig:
         for name, least in (("curves_per_group", 1), ("points_per_curve", 2), ("seed", 0)):
             object.__setattr__(self, name, as_integer(getattr(self, name), least, name))
         object.__setattr__(self, "noise_sd", as_real(self.noise_sd, "noise_sd", 0.0))
+        if not isinstance(self.heteroscedastic, bool):
+            raise ConfigError(f"heteroscedastic must be a bool, got {self.heteroscedastic!r}")
         domain = _as_tuple(self.domain, "domain")
         if len(domain) != 2:
             raise ConfigError(f"domain must be a pair of numbers, got {self.domain!r}")

@@ -3,9 +3,10 @@
 All curves in a dataset share one basis and one system matrix
 H = B'B + lambda1 R1 + lambda2 R2, checked by its eigenvalues and solved by LU
 for every curve at once.  Effective degrees of freedom come from the trace of
-the hat matrix and feed the GCV score used for model selection.  fit_stack
-fits a whole stack of (knot vector, penalty weights) rows at once; a single
-fit is its one-row case.
+the hat matrix and feed the GCV score used for model selection.  fit_stack,
+the one stacked entry, fits a whole stack of (knot vector, penalty weights)
+rows at once, or re-solves rows whose systems an earlier stack built; a
+single fit is its one-row case.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ _BLOCK_VALUES = 12_000
 
 def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
               full: bool = False, which: np.ndarray | None = None, t: np.ndarray | None = None,
-              with_system: bool = False):
+              systems: np.ndarray | None = None):
     """Penalized fits at a stack of (dataset, knot vector, penalty weights) rows.
 
     full_knots is (C, m): clamped knot vectors of one spline order, repeats
@@ -246,22 +247,24 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
     config; row c is fitted to datasets[which[c]] (datasets[0] when which
     is None), all of one (h, n) shape, and its knot vector spans that
     dataset's domain.  The stack is evaluated in chunks of _CHUNK rows.
-    Within a chunk the design, B'B and each needed penalty matrix are built
-    once per distinct (dataset, knot vector), H once per row (_assemble), and
-    rows are refused by _refused; the kept rows are solved by _solved, the
-    solve half that fit_systems shares.  t, the sample points of a
-    one-dataset stack (default the dataset's), must lie inside every knot
-    vector's domain; nothing is checked.
+    Within a chunk the design and B'B are built once per distinct (dataset,
+    knot vector), and so are the penalties: H is formed once per row and
+    rows are refused by _refused (_assemble).  systems (C, nb, nb), when
+    given, holds each row's H, built and kept by an earlier stack under the
+    row's weights: only the designs and B'B are built, nothing is refused,
+    and each fit is that earlier row's bit for bit.  The kept rows are
+    solved by _solved.  t, the sample points of a one-dataset stack
+    (default the dataset's), must lie inside every knot vector's domain;
+    nothing is checked.
 
     Yields (c, why, fit) for every row c, in row order, one at a time: why
     is "" or the reason the row's system is refused, and fit is None for a
-    refused row.  Otherwise fit is the residual matrix in the dataset's
-    reduced space (FunctionalDataset.reduce): (h, min(h, n)), with the
-    Frobenius norm and the inner products of the full residuals; with
-    with_system=True it is (that residual matrix, H), H the row's system
-    (nb, nb).  With full=True it is instead (coefficients, FitDiagnostics,
-    (B, H)) on the full data, what fit_coefficients reports at that row,
-    with the row's design B (h, nb) and system H.  B and H are views into
+    refused row.  Otherwise fit is (residual, H): the residual matrix in the
+    dataset's reduced space (FunctionalDataset.reduce), (h, min(h, n)), with
+    the Frobenius norm and the inner products of the full residuals, and the
+    row's system H (nb, nb).  With full=True it is instead (coefficients,
+    FitDiagnostics, (B, H)) on the full data, what fit_coefficients reports
+    at that row, with the row's design B (h, nb).  B and H are views into
     the chunk's stacks.
     """
     which = [0] * len(full_knots) if which is None else np.asarray(which).tolist()
@@ -278,31 +281,14 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
             distinct = list(first.values())
             rows = np.searchsorted(distinct, vector)
             knots, at = chunk[distinct], [owners[i] for i in distinct]
-        B, btb, H, _, refused = _assemble(knots, order, _points(points, at),
-                                          weights[start:start + _CHUNK], rows)
-        for c, why, fit in _solved(B, btb, H, refused, rows, owners, Ys, full, with_system):
-            yield start + c, why, fit
-
-
-def fit_systems(full_knots: np.ndarray, order: int, datasets, H: np.ndarray, which):
-    """fit_stack(full=True) at rows whose systems an earlier stack assembled and kept.
-
-    Row c's knot vector full_knots[c] and dataset datasets[which[c]] are as
-    in fit_stack; H[c] (nb, nb) is the system fit_stack built and did not
-    refuse at that row under its penalty weights.  Only the designs (one
-    design_stack pass per chunk of _CHUNK rows) and B'B are built; the
-    solves are fit_stack's (_solved), so each fit is the one fit_stack
-    gives at the row, bit for bit.  Nothing is checked.
-    """
-    which = np.asarray(which).tolist()
-    points = [dataset.t for dataset in datasets]
-    Ys = [dataset.values for dataset in datasets]
-    for start in range(0, len(full_knots), _CHUNK):
-        owners = which[start:start + _CHUNK]
-        B = design_stack(full_knots[start:start + _CHUNK], order, _points(points, owners))
-        btb = B.transpose(0, 2, 1) @ B
-        systems = H[start:start + _CHUNK]
-        for c, why, fit in _solved(B, btb, systems, [""] * len(systems), None, owners, Ys, True):
+        if systems is None:
+            B, btb, H, _, refused = _assemble(knots, order, _points(points, at),
+                                              weights[start:start + _CHUNK], rows)
+        else:
+            B = design_stack(knots, order, _points(points, at))
+            btb = B.transpose(0, 2, 1) @ B
+            H, refused = systems[start:start + _CHUNK], [""] * len(chunk)
+        for c, why, fit in _solved(B, btb, H, refused, rows, owners, Ys, full):
             yield start + c, why, fit
 
 
@@ -313,8 +299,8 @@ def _points(points, owners) -> np.ndarray:
     return np.stack([points[d] for d in owners])
 
 
-def _solved(B, btb, H, refused, rows, owners, Ys, full: bool, with_system: bool = False):
-    """The solve half of fit_stack and fit_systems: the fits of one chunk.
+def _solved(B, btb, H, refused, rows, owners, Ys, full: bool):
+    """The solve half of fit_stack: the fits of one chunk.
 
     Row c fits Ys[owners[c]] with system H[c] and the design B and B'B of
     knot vector rows[c] (c when rows is None); refused[c] is "" or why the
@@ -343,7 +329,7 @@ def _solved(B, btb, H, refused, rows, owners, Ys, full: bool, with_system: bool 
                     yield c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted),
                                   (B[vectors[i]], H[c]))
                 else:
-                    yield c, "", ((Y - fitted, H[c]) if with_system else Y - fitted)
+                    yield c, "", (Y - fitted, H[c])
                 i += 1
 
 

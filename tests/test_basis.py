@@ -27,7 +27,7 @@ from fkspline import (
     eval_spline,
     make_basis_spec,
 )
-from fkspline.basis import derivative_stack, design_stack
+from fkspline.basis import derivative_stack
 
 
 def design_values(spec, t, derivative=0):
@@ -46,6 +46,14 @@ def scipy_design(spec, t, derivative=0):
             f = f.derivative(derivative)
         cols.append(f(t))
     return np.column_stack(cols)
+
+
+def scipy_columns(full, order, t, derivative):
+    """Every B-spline of knot vector full, differentiated, at points t: (P, nb)
+    from scipy's BSpline, which takes each point's span right-closed at the
+    last knot."""
+    nb = full.size - order
+    return BSpline(full, np.eye(nb), order - 1, extrapolate=True).derivative(derivative)(t)
 
 
 class TestSpecConstruction:
@@ -205,7 +213,7 @@ class TestEvaluation:
 class TestOneBSplinePerRow:
     """derivative_stack on (C, order + 1) knot rows evaluates one B-spline per
     row on its own knots, (C, 1, P) per derivative order: the column of the
-    basis that has those knots."""
+    basis that has those knots (scipy's BSpline)."""
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_matches_the_design_column(self, order):
@@ -223,9 +231,9 @@ class TestOneBSplinePerRow:
         for spline, j, points in zip(full, column, t):
             knots = spline[None, j : j + order + 1]
             for derivative in range(order):
-                want = design_stack(spline[None], order, points[None], derivative)[0, :, j]
+                want = scipy_columns(spline, order, points, derivative)[:, j]
                 (got,) = derivative_stack(knots, order, points[None], [derivative])[0][:, 0]
-                if derivative:  # the design's right end takes the left limit
+                if derivative:  # the basis's right end takes the left limit
                     want[points == knots[0, -1]] = 0.0
                 scale = max(1.0, np.abs(want).max())
                 assert np.abs(got - want).max() <= 1e-12 * scale
@@ -251,7 +259,7 @@ class TestOneBSplinePerRow:
 
 class TestDerivativeStack:
     """derivative_stack evaluates every function's derivatives of several
-    orders at points whose spans are given: the columns of design_stack."""
+    orders at points whose spans are given: the columns of scipy's BSpline."""
 
     @staticmethod
     def knots(rng, order):
@@ -280,7 +288,7 @@ class TestDerivativeStack:
             got = derivative_stack(full[None], order, t[None], list(range(order)),
                                    self.span_indicator(full, order, t))
             for derivative in range(order):
-                want = design_stack(full[None], order, t[None], derivative)[0].T
+                want = scipy_columns(full, order, t, derivative).T
                 scale = np.maximum(np.abs(want).max(axis=0), 1.0)  # per point
                 assert np.all(np.abs(got[derivative][0] - want) <= 1e-12 * scale), derivative
 

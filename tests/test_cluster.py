@@ -31,7 +31,7 @@ from fkspline import (
 )
 
 import fkspline.cluster
-from fkspline.cluster import _agglomerate, _kmeans_z, _lloyd_lockstep, _seed_centers
+from fkspline.cluster import Partition, _agglomerate, _kmeans_z, _lloyd_lockstep, _seed_centers
 
 from conftest import coefficient_model, constant_curve_model
 
@@ -133,6 +133,24 @@ def sequential_lloyd(z, centers):
     diff = z[:, None, :] - centers[None, :, :]
     d2 = np.einsum("ikj,ikj->ik", diff, diff)
     return labels, centers, float(d2[np.arange(n), labels].sum()), it
+
+
+class TestPartition:
+    @pytest.mark.parametrize("labels, k, message", [
+        (None, 2, "labels must be a nonempty 1-d array"),
+        ([1], None, "k must be an integer >= 1, got None"),
+        ([1, 2], "2", "k must be an integer >= 1, got '2'"),
+        ([1.5, 2], 2, "labels must be integers"),
+    ], ids=["labels-None", "k-None", "k-string", "fractional-label"])
+    def test_bad_input_is_a_config_error(self, labels, k, message):
+        with pytest.raises(ConfigError) as exc:
+            Partition(labels, k)
+        assert str(exc.value) == message
+
+    def test_integral_values_are_stored_as_ints(self):
+        partition = Partition([1.0, 2.0, 2.0], 2.0)
+        assert partition.labels.dtype == np.array([1]).dtype and type(partition.k) is int
+        assert partition.labels.tolist() == [1, 2, 2] and partition.k == 2
 
 
 class TestPairCounts:

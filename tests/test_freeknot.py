@@ -87,10 +87,10 @@ def stacked_scan(existing, ds, config, search):
                   axis=1)
     ratios = freeknot._gap_ratios(tau, lo, hi)[1]
     scores = np.full(len(ratios), np.nan)
-    for c, _, residual in freeknot._fits(ratios, one_job(ds, config, search.order),
-                                         np.zeros(len(ratios), dtype=int)):
-        if residual is not None:
-            scores[c] = np.einsum("ij,ij->j", residual, residual).sum()
+    for c, _, fit in freeknot._fits(ratios, one_job(ds, config, search.order),
+                                    np.zeros(len(ratios), dtype=int)):
+        if fit is not None:
+            scores[c] = np.einsum("ij,ij->j", fit[0], fit[0]).sum()
     return ratios, scores
 
 
@@ -128,6 +128,18 @@ def recording_fits(monkeypatch):
 
     monkeypatch.setattr(freeknot, "_fits", recording)
     return calls
+
+
+def counting_calls(monkeypatch, *targets):
+    """Count the calls of each (module, name) target, by name."""
+    counts = {name: 0 for _, name in targets}
+    for module, name in targets:
+        def counting(*args, _call=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
 
 
 def counting_fit_coefficients(monkeypatch):
@@ -507,7 +519,7 @@ class TestStackedScan:
                           <= 1e-12 * kept + size * (2.0 * np.sqrt(kept) + size))
             # the evaluator behind the scores refuses the same rows and
             # keeps each fit's residual matrix
-            rows = {c: fit for c, _, fit in freeknot._fits(
+            rows = {c: None if fit is None else fit[0] for c, _, fit in freeknot._fits(
                 ratios, one_job(ds, config, search.order), np.zeros(len(ratios), dtype=int))}
             rows = [rows[c] for c in range(len(ratios))]
             assert [row is None for row in rows] == [r is None for r in ref_residuals]
@@ -1131,21 +1143,17 @@ class TestCarriedFits:
             assert np.array_equal(scores, ref_scores, equal_nan=True) and window == ref_window
 
     def test_stack_and_check_counts_of_a_benchmark_fit(self, monkeypatch):
-        # fit_stack and _fittable_rows calls of one fs2 search (order 4, 8
-        # knots fixed, grid 50) on benchmark_config(seed=0); before the
-        # result fits were taken from the systems their descents carry: 35
-        # stacks and 43 _fittable_rows calls; before that, when each damping
-        # level was tried alone and no fit was carried: 43 and 89
-        counts = {"fit_stack": 0, "_fittable_rows": 0}
-        for name in counts:
-            def counting(*args, _call=getattr(freeknot, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _call(*args, **kwargs)
-
-            monkeypatch.setattr(freeknot, name, counting)
+        # fit_stack, assembly and _fittable_rows calls of one fs2 search
+        # (order 4, 8 knots fixed, grid 50) on benchmark_config(seed=0): the
+        # stacks that fit the carried systems assemble nothing; before the
+        # result fits were taken from those systems: 35 stacks, all
+        # assembled, and 43 _fittable_rows calls; before that, when each
+        # damping level was tried alone and no fit was carried: 43 and 89
+        counts = counting_calls(monkeypatch, (freeknot, "fit_stack"), (smoother, "_assemble"),
+                                (freeknot, "_fittable_rows"))
         ds = generate_scenario(benchmark_config(seed=0)).dataset
         fit_free_knot(ds, variant_config("fs2"), BENCHMARK_SEARCH)
-        assert counts == {"fit_stack": 27, "_fittable_rows": 35}
+        assert counts == {"fit_stack": 35, "_assemble": 27, "_fittable_rows": 35}
 
     @pytest.mark.parametrize("config", [variant_config("fs0"), variant_config("fs2"),
                                         PenaltyConfig(alphas=(1e-6, 0.0, 1e-5))],
@@ -1196,22 +1204,20 @@ class TestCarriedFits:
             ds = noisy_sine_dataset(n=30)
             fits = freeknot._fits
 
-            def refusing(rows, *args, with_system=False, **kwargs):
-                for c, why, fit in fits(rows, *args, with_system=with_system, **kwargs):
-                    yield (c, "refused", None) if with_system else (c, why, fit)
+            def refusing(rows, *args, full=False, mapped=False, **kwargs):
+                # the trial stack: the one of mapped rows fitted in the reduced space
+                for c, why, fit in fits(rows, *args, full=full, mapped=mapped, **kwargs):
+                    yield (c, "refused", None) if mapped and not full else (c, why, fit)
 
             monkeypatch.setattr(freeknot, "_fits", refusing)
         stacks = recording_fits(monkeypatch)
-        carried = []
-        fit_systems = freeknot.fit_systems
-        monkeypatch.setattr(freeknot, "fit_systems",
-                            lambda *args, **kwargs: carried.append(args) or fit_systems(*args,
-                                                                                         **kwargs))
+        counts = counting_calls(monkeypatch, (freeknot, "fit_stack"), (smoother, "_assemble"))
         config = PenaltyConfig()
         res = gauss_newton_refine(start, ds, config, KnotSearchConfig(order=4, max_knots=2))
         assert (res.converged, res.step_failure, res.iterations) == (
             (True, False, 1) if case == "converged" else (False, True, 1))
-        assert carried == []
+        # nothing is carried: every stack, the result's included, is assembled
+        assert counts["fit_stack"] == counts["_assemble"]
         assert [rows for rows, full in stacks if full] == [[start.values.tolist()]]
         assert np.array_equal(res.coords.values, start.values)
         spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(start))

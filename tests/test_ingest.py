@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,19 @@ class TestLoading:
         binary.write_bytes(b"time,a\n0,\xff\n")
         with pytest.raises(ParseError):
             load_csv(binary, layout="wide")
+
+    def test_a_path_that_is_no_file_name_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="path must be a file path"):
+            load_csv(None)
+        # open() takes an int as a file descriptor: it would read this one
+        # (or block on a pipe's) and close it
+        fd = os.open(write(tmp_path, "w.csv", WIDE), os.O_RDONLY)
+        try:
+            with pytest.raises(ConfigError, match="path must be a file path"):
+                load_csv(fd)
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(fd)
 
     def test_unknown_layout(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import BSpline
 
 from fkspline import (
     ConfigError,
@@ -20,7 +21,6 @@ from fkspline import (
     make_basis_spec,
     penalty_matrix,
 )
-from fkspline.basis import design_stack
 from fkspline.penalty import penalty_stack
 from fkspline.smoother import fit_stack
 
@@ -41,7 +41,7 @@ def quad_penalty_entry(spec, order, i, j):
 def per_order_penalty(full_knots, order, l):
     """Reference: the order-l penalty matrices of a stack of bases from their own
     quadrature, order - l Gauss-Legendre nodes per span and the design of
-    the l-th derivatives there (design_stack)."""
+    the l-th derivatives there (scipy's BSpline)."""
     nodes, weights = np.polynomial.legendre.leggauss(order - l)
     C, m = full_knots.shape
     edges = full_knots[:, order - 1 : m - order + 1]
@@ -50,7 +50,8 @@ def per_order_penalty(full_knots, order, l):
     pts = (mid[:, :, None] + half[:, :, None] * nodes).reshape(C, -1)
     pts = np.minimum(np.maximum(pts, edges[:, :1]), edges[:, -1:])
     w = (half[:, :, None] * weights).reshape(C, -1)
-    design = design_stack(full_knots, order, pts, derivative=l)
+    design = np.stack([BSpline(full, np.eye(m - order), order - 1).derivative(l)(at)
+                       for full, at in zip(full_knots, pts)])
     return design.transpose(0, 2, 1) @ (design * w[:, :, None])
 
 

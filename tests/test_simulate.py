@@ -76,7 +76,8 @@ class TestScenarioConfig:
         ({"noise_sd": None}, "noise_sd must be a finite number in [0.0, inf], got None"),
         ({"domain": ("a", "b")}, "domain end must be a finite number, got 'a'"),
         ({"groups": 3}, "groups must be a sequence, got 3"),
-    ], ids=["noise_sd-None", "domain-strings", "groups-int"])
+        ({"heteroscedastic": "x"}, "heteroscedastic must be a bool, got 'x'"),
+    ], ids=["noise_sd-None", "domain-strings", "groups-int", "heteroscedastic-string"])
     def test_non_numeric_fields_are_config_errors(self, kwargs, message):
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig(**kwargs)

@@ -88,12 +88,14 @@ class TestFitStack:
                 assert np.array_equal(getattr(fit[1], field.name),
                                       getattr(ref.diagnostics, field.name)), field.name
         assert sum(fit is None for _, _, fit in out) == 1
-        for (_, why, residual), (spec, config) in zip(fit_stack(knots, 4, [ds], weights), rows):
+        for (_, why, fit), (spec, config) in zip(fit_stack(knots, 4, [ds], weights), rows):
             if why:
-                assert residual is None
+                assert fit is None
             else:
+                residual, H = fit
                 ref = fit_coefficients(ds, spec, config).diagnostics.residuals
                 assert np.array_equal(residual, ref)
+                assert np.array_equal(H, assemble_system(eval_design(spec, t), config).values)
 
     def test_rows_of_several_datasets_are_the_fits_on_their_own(self, monkeypatch):
         monkeypatch.setattr(smoother, "_CHUNK", 5)  # chunks that mix datasets
@@ -128,8 +130,35 @@ class TestFitStack:
                         for field in dataclasses.fields(ref[1]):
                             assert np.array_equal(getattr(fit[1], field.name),
                                                   getattr(ref[1], field.name)), field.name
-                    else:
-                        assert np.array_equal(fit, ref)
+                    else:  # the residual and the system
+                        assert all(np.array_equal(got, want) for got, want in zip(fit, ref))
+
+    @pytest.mark.parametrize("chunk", [256, 2])
+    def test_rows_given_their_systems_are_the_assembled_fits(self, monkeypatch, chunk):
+        # systems built by a reduced stack and handed back to a full one:
+        # every row, repeated knot vectors included, is the fit the full
+        # stack assembles, bit for bit, and nothing is assembled again
+        monkeypatch.setattr(smoother, "_CHUNK", chunk)
+        rng = np.random.default_rng(11)
+        t = np.linspace(0.0, 1.0, 25)
+        ds = FunctionalDataset(t=t, values=rng.standard_normal((25, 3)))
+        rows = self.rows() + self.rows()[:2]
+        knots = np.array([spec._full_arr for spec, _ in rows])
+        weights = np.array([penalty_weights(config, 4) for _, config in rows])
+        H = np.array([fit[1] for _, _, fit in fit_stack(knots, 4, [ds], weights)])
+        want = list(fit_stack(knots, 4, [ds], weights, full=True))
+        assemble, assembled = smoother._assemble, []
+        monkeypatch.setattr(smoother, "_assemble",
+                            lambda *args: assembled.append(args) or assemble(*args))
+        got = list(fit_stack(knots, 4, [ds], weights, full=True, systems=H))
+        assert assembled == []
+        assert [(c, why) for c, why, _ in got] == [(c, "") for c in range(len(rows))]
+        for (_, _, fit), (_, _, ref) in zip(got, want):
+            assert fit[0].tobytes() == ref[0].tobytes()
+            for field in dataclasses.fields(ref[1]):
+                assert np.array_equal(getattr(fit[1], field.name),
+                                      getattr(ref[1], field.name)), field.name
+            assert all(np.array_equal(a, b) for a, b in zip(fit[2], ref[2]))
 
     def test_zero_weight_leaves_an_overflowed_penalty_out(self, monkeypatch):
         # 0 * inf is nan: a row that does not weight an order must not get

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that this checkout's knot-search outputs are bit-identical to a commit's.
+"""Check that this checkout's knot-search and CLI outputs are bit-identical to a commit's.
 
     python3 tools/same_outputs.py --parent REV
 
@@ -8,12 +8,17 @@ into a temporary directory removed at exit.  Each tree computes one fixed
 record set in its own interpreter: fixed-p fs0, fs2 and alphas searches on
 pool seeds 0-63, GCV-stopped fs0 and fs2 searches on seeds 0-15, and the
 free 7x7 and fixed 13x13 GCV grids on seeds 0-1, every float as hex
-(README, "Testing").  Prints "identical", or the count of differing
-records, the first of them and the largest relative change of each float
-field, and exits 1.
+(README, "Testing").  Then each tree runs the CLI commands of CLI_RUNS on
+one dataset that this checkout simulates, in its own directory under the
+same relative paths (the data path is written into every output header),
+and the two output directories are compared byte for byte.  Prints
+"identical", or the count of differing records, the first of them and the
+largest relative change of each float field, and the differing CLI
+files, and exits 1.
 """
 
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import io
@@ -21,6 +26,7 @@ import itertools
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -28,6 +34,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# CLI commands run on the simulated data/, each writing under out/; a
+# command's standard output is kept as out/<command>.stdout
+CLI_RUNS = [
+    ["fit", "--data", "data/dataset.csv", "--truth-labels", "data/labels.csv",
+     "--outdir", "out/fit"],
+    ["gcv", "--mode", "free", "--data", "data/dataset.csv", "--outdir", "out/gcv"],
+    ["cluster", "--data", "data/dataset.csv", "--kmax", "6", "--labels", "data/labels.csv",
+     "--outdir", "out/cluster"],
+    ["replicate", "-R", "2", "--outdir", "out/replicate"],
+]
 
 
 def text(value) -> str:
@@ -127,6 +143,33 @@ def run(src: Path) -> subprocess.Popen:
                             stdout=subprocess.PIPE, text=True)
 
 
+def cli(src: Path, cwd: Path, args) -> subprocess.CompletedProcess:
+    """One CLI command of the fkspline under src, run in cwd."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "fkspline.cli", *args], cwd=cwd, env=env,
+                          capture_output=True)
+
+
+def cli_outputs(src: Path, work: Path) -> str:
+    """Run CLI_RUNS with the fkspline under src in work; "" or the first failure."""
+    (work / "out").mkdir()
+    for args in CLI_RUNS:
+        done = cli(src, work, args)
+        if done.returncode:
+            return f"{' '.join(args)} exited {done.returncode}: {done.stderr.decode()[-300:]}"
+        (work / "out" / f"{args[0]}.stdout").write_bytes(done.stdout)
+    return ""
+
+
+def differing_files(want: Path, got: Path) -> tuple[list, int]:
+    """The files under two directories that are missing on a side or differ
+    in a byte, and the number of files compared."""
+    names = sorted({path.relative_to(root) for root in (want, got)
+                    for path in root.rglob("*") if path.is_file()})
+    return [name for name in names if not (want / name).is_file() or not (got / name).is_file()
+            or (want / name).read_bytes() != (got / name).read_bytes()], len(names)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="the commit to compare against")
@@ -152,15 +195,35 @@ def main() -> int:
             tar.extractall(tmp)
         children = [run(Path(tmp) / "src"), run(ROOT / "src")]
         (parent, _), (change, _) = (child.communicate() for child in children)
-    if any(child.returncode for child in children):
-        print("a record run failed", file=sys.stderr)
-        return 2
+        if any(child.returncode for child in children):
+            print("a record run failed", file=sys.stderr)
+            return 2
+        trees = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
+        for name in trees:
+            (Path(tmp) / name).mkdir()
+        done = cli(ROOT / "src", Path(tmp) / "change", ["simulate", "--outdir", "data"])
+        if done.returncode:
+            print(f"simulate failed: {done.stderr.decode()[-300:]}", file=sys.stderr)
+            return 2
+        shutil.copytree(Path(tmp) / "change" / "data", Path(tmp) / "parent" / "data")
+        with concurrent.futures.ThreadPoolExecutor(len(trees)) as pool:
+            failures = list(pool.map(cli_outputs, trees.values(),
+                                     [Path(tmp) / name for name in trees]))
+        if any(failures):
+            print("a CLI run failed: " + "; ".join(filter(None, failures)), file=sys.stderr)
+            return 2
+        files, compared = differing_files(*(Path(tmp) / name / "out" for name in trees))
     pairs = list(itertools.zip_longest(parent.splitlines(), change.splitlines(),
                                        fillvalue="(none)"))
     differ = [i for i, (want, got) in enumerate(pairs) if want != got]
-    if not differ:
-        print(f"identical ({len(pairs)} records)")
+    if not differ and not files:
+        print(f"identical ({len(pairs)} records, {compared} CLI output files)")
         return 0
+    if files:
+        print(f"{len(files)} of {compared} CLI output files differ: "
+              + ", ".join(str(name) for name in files))
+    if not differ:
+        return 1
     want, got = pairs[differ[0]]
     print(f"{len(differ)} of {len(pairs)} records differ; the first is record {differ[0]}:\n"
           f"  {args.parent}: {want}\n  this tree: {got}")
