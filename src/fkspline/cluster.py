@@ -49,8 +49,7 @@ class Partition:
         labels = as_reals(self.labels, "labels")
         if labels.ndim != 1 or labels.size == 0:
             raise ConfigError("labels must be a nonempty 1-d array")
-        if not np.all(labels == np.round(labels)):  # nan and 1.5 alike
-            raise ConfigError("labels must be integers")
+        _check_integral(labels)
         if labels.min() < 1 or labels.max() > self.k:
             raise ConfigError(f"labels must lie in 1..{self.k}")
         labels = labels.astype(int)
@@ -390,9 +389,15 @@ def elbow_curve(model: FitModel, k_max: int, seed: int = 0, restarts: int = 20) 
     return ElbowResult(w=w, suggested_k=suggested, low_confidence=low_confidence)
 
 
+def _check_integral(labels: np.ndarray) -> None:
+    if not np.all(np.isfinite(labels) & (labels == np.round(labels))):  # nan, inf and 1.5 alike
+        raise ConfigError("labels must be integers")
+
+
 def _check_pair(predicted, truth):
-    a = np.asarray(predicted).reshape(-1)
-    b = np.asarray(truth).reshape(-1)
+    """Both label arguments flattened: integers (as Partition checks them) of one length."""
+    a, b = (as_reals(labels, "labels").reshape(-1) for labels in (predicted, truth))
+    _check_integral(np.concatenate([a, b]))
     if a.size != b.size:
         raise LengthMismatchError(f"partitions have lengths {a.size} and {b.size}")
     if a.size < 2:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -290,86 +290,76 @@ def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False, sy
 
 
 def _jacobian(points, owner, jobs: _Jobs):
-    """Residuals and forward-difference Jacobians at a batch of points, as stacks.
+    """Forward-difference normal equations at points (P, p) of one knot count.
 
     Point i (log gap ratios k) belongs to job owner[i].  One stack (_fits)
-    holds the p + 1 rows of every point: k and k + step_i e_i, step_i =
-    _FD_STEP * (1 + |k_i|), so column i is row i + 1 minus the point's
-    residual over step_i.  Perturbed rows that cannot be fitted get
-    backward steps, all in one second stack; a column failing both is zero.
+    holds the p + 1 rows of every point: k and k + step_j e_j, step_j =
+    _FD_STEP * (1 + |k_j|), so column j of its Jacobian J is row j + 1's
+    residual minus the point's residual r, over step_j.  Perturbed rows that
+    cannot be fitted get backward steps, all in one second stack; a column
+    failing both is zero.
 
     _fits yields a point's rows as one run, so each point is yielded as
-    (i, why, fit) as soon as its run is in and only one point's rows are
+    (i, why, normal) as soon as its run is in and only one point's rows are
     held at a time (and the rows of points that wait for backward steps):
-    fit is (r, jac), r the point's raveled residual, or None where the
+    normal is (score, r'r, J'r, J'J), score the sum over the curves of each
+    curve's residual sum of squares (the scan's score), or None where the
     stack refuses the point itself, why saying why.
     """
+    p = points.shape[1]
     owner = np.asarray(owner, dtype=int)
-    steps = [_FD_STEP * (1.0 + np.abs(k)) for k in points]
-    rows = [row for k, step in zip(points, steps)
-            for row in k + np.vstack([np.zeros(k.size), np.diag(step)])]
-    owners = [i for i, k in enumerate(points) for _ in range(k.size + 1)]
+    steps = _FD_STEP * (1.0 + np.abs(points))
+    # row j + 1 of a point's run adds step_j to its component j
+    rows = (points[:, None] + steps[:, None] * np.eye(p + 1, p, -1)).reshape(-1, p)
 
-    def columns(i, forward, backward):
-        r = forward[0].ravel()
-        jac = np.zeros((r.size, points[i].size))
-        for j in range(points[i].size):
-            resid, step = forward[j + 1], steps[i][j]
-            if resid is None:
-                resid, step = backward.get(j), -step
+    def normal(i, forward, step):
+        R = forward[0]
+        r = R.ravel()
+        # J is C-ordered (n, p), the layout its products are taken in, and
+        # written a column at a time: stacking the p residuals first took
+        # 2.7 times as long at p = 8 on 200 x 50 residuals
+        jac = np.zeros((r.size, p))  # a column failing both ways stays zero
+        for j, resid in enumerate(forward[1:]):
             if resid is not None:
-                jac[:, j] = (resid.ravel() - r) / step
-        return i, "", (r, jac)
+                np.divide(resid.ravel() - r, step[j], out=jac[:, j])
+        return i, "", (np.einsum("ij,ij->j", R, R).sum(), float(r @ r), jac.T @ r, jac.T @ jac)
 
-    waiting = {}
+    waiting = {}  # point -> its residuals and steps, backward where a forward row failed
     # each residual is taken out of its (residual, H) pair as it arrives, so
     # points waiting for backward steps keep no chunk's systems alive
     fits = ((c, why, None if fit is None else fit[0])
-            for c, why, fit in _fits(rows, jobs, owner[owners]))
+            for c, why, fit in _fits(rows, jobs, np.repeat(owner, p + 1)))
     for c, why, residual in fits:  # row c is row 0 of its point's run
-        i = owners[c]
-        forward = [residual, *(fit for *_, fit in itertools.islice(fits, points[i].size))]
+        i = c // (p + 1)
+        forward = [residual, *(fit for *_, fit in itertools.islice(fits, p))]
+        failed = [resid is None for resid in forward[1:]]
         if why:
             yield i, why, None
-        elif any(resid is None for resid in forward[1:]):
-            waiting[i] = forward
+        elif any(failed):
+            waiting[i] = forward, np.where(failed, -steps[i], steps[i])
         else:
-            yield columns(i, forward, {})
-    failed = [(i, j) for i, forward in waiting.items() for j in range(len(forward) - 1)
+            yield normal(i, forward, steps[i])
+    failed = [(i, j) for i, (forward, _) in waiting.items() for j in range(p)
               if forward[j + 1] is None]
-    backward = {}
     if failed:
-        back = [points[i] - np.diag(steps[i])[j] for i, j in failed]
-        for c, _, fit in _fits(back, jobs, owner[[i for i, _ in failed]]):
-            backward.setdefault(failed[c][0], {})[failed[c][1]] = None if fit is None else fit[0]
-    for i, forward in waiting.items():
-        yield columns(i, forward, backward.get(i, {}))
+        at, col = np.array(failed).T
+        for c, _, fit in _fits(points[at] - steps[at] * np.eye(p)[col], jobs, owner[at]):
+            i, j = failed[c]
+            waiting[i][0][j + 1] = None if fit is None else fit[0]
+    for i, (forward, step) in waiting.items():
+        yield normal(i, forward, step)
 
 
-@dataclass(eq=False)
-class _Descent:
-    """State of one (start, config) pair's damped Gauss-Newton descent.
-
-    The residual at k is not kept between rounds: row 0 of each Jacobian
-    stack evaluates it again, and a few hundred pairs of (h, min(h, n))
-    residuals would raise the peak memory of a grid search.  Once a trial
-    is accepted, system holds the clamped knots of k and a copy of the H
-    the trial stack built there, from which the result fit (refine_fits)
-    rebuilds only the design and B'B.
-    """
+@dataclass(frozen=True)
+class _Outcome:
+    """How the refinement of one start ended (refine_fits)."""
 
     k: np.ndarray  # log gap ratios of the best iterate
-    job: int = 0  # the pair's job in its batch (_Jobs)
-    f: float = math.inf  # objective at k
-    mu: float = _DAMPING
-    iterations: int = 0
-    trials: int = 0  # damped steps tried in this iteration
-    converged: bool = False
-    step_failure: bool = False  # no damped step improved the objective
-    g: np.ndarray | None = None  # gradient and Gauss-Newton matrix at k
-    jtj: np.ndarray | None = None
-    system: tuple | None = None  # (clamped knots, H) at k; None while k is the start
-    error: Exception | None = None  # what ended the pair (see _descend)
+    iterations: int
+    converged: bool
+    step_failure: bool  # no damped step improved the objective
+    error: FkSplineError | None  # what ended the refinement, or None
+    system: tuple | None = None  # k's clamped knots and the H its trial built; None at the start
 
 
 def _solve_rows(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -391,70 +381,64 @@ def _solve_rows(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _proposals(batch, jobs: _Jobs, min_gap: np.ndarray) -> list:
-    """Each pair's next damped step that can be fitted, (k_new, delta, its
-    clamped knots), or None once its 12 trials are spent; in batch order.
+def _proposals(at, k, g, jtj, mu, trials, owner, jobs: _Jobs, min_gap: np.ndarray):
+    """The next damped step that can be fitted of descents at of one knot
+    count, rows of _descend's state arrays (descent i of job owner[i]).
 
-    A step whose solve fails, whose knots cannot be fitted, or that brings
-    two knots closer than its job's min_gap costs its pair a trial: tenfold
-    damping.  The pairs of one p try their damping levels mu, 10 mu, ... in
-    passes.  A pass gives each pending pair max(1, budget // pending) of its
-    remaining levels, budget = max(12, the group's pair count): a lone pair
-    tries all its levels at once, and a group of 12 pairs or more tries one level
-    each first.  Every level's system (J'J + mu I) delta = -g is solved in
-    one stacked solve (_solve_rows), and every step is checked by one
-    _fittable_rows call and one min_gap rule.  A pair takes its first
-    feasible level; each level before it multiplies its mu by ten and costs
-    a trial, as the sequential retries do, so the levels are their products
-    (repeated multiplication, never 10**t) and each step, mu and trials are
-    theirs bit for bit.
+    Returns (found, k_new, delta, full): found[c] says whether descent at[c]
+    has a step; k_new, delta and full hold each found step's ratios, the
+    step and its clamped knots.  A step whose solve fails, whose knots
+    cannot be fitted, or that brings two knots closer than its job's
+    min_gap costs a trial: tenfold damping (mu and trials change in place).
+    A descent whose 12 trials are spent has no step.  The damping levels
+    mu, 10 mu, ... are tried in passes: a pass gives each pending descent
+    max(1, budget // pending) of its remaining levels, budget = max(12,
+    pending at the first pass), so a lone descent tries all its levels at
+    once.  A pass solves every level's (J'J + mu I) delta = -g in one
+    stacked solve (_solve_rows) and checks every step by one _fittable_rows
+    call and one min_gap rule.  A descent takes its first feasible level,
+    each level before it costing a trial, so the levels are running products
+    (never 10**t) and each step, mu and trials are the sequential retries', bit for bit.
     """
-    steps = [None] * len(batch)
-    for group, k in _by_size([pair.k for pair in batch]):
-        pairs = [batch[i] for i in group]
-        own = np.array([pair.job for pair in pairs], dtype=int)
-        jtj, rhs = np.array([pair.jtj for pair in pairs]), -np.array([pair.g for pair in pairs])
-        eye = np.eye(k.shape[1])
-        pending = [i for i, pair in enumerate(pairs) if pair.trials < 12]
-        budget = max(12, len(pending))
-        while pending:
-            share = max(1, budget // len(pending))
-            rows, levels = [], []  # each system's pair and damping
-            for i in pending:
-                mu = pairs[i].mu
-                for _ in range(min(share, 12 - pairs[i].trials)):
-                    rows.append(i)
-                    levels.append(mu)
-                    mu *= 10.0
-            at = np.array(rows)
-            delta = _solve_rows(jtj[at] + np.multiply.outer(levels, eye), rhs[at])
-            # a singular system's nan step is not fittable
-            k_new = k[at] + delta
-            jobs_of = own[at]
-            kept, full = _fittable_rows(k_new, jobs.lo[jobs_of], jobs.hi[jobs_of], jobs.order)
-            if k.shape[1] >= 2:
-                # knots drifting together chase noise through high-leverage
-                # spans; such trial points are treated as infeasible
-                gaps = np.diff(full[:, jobs.order : full.shape[1] - jobs.order], axis=1)
-                spaced = ~(gaps.min(axis=1) < min_gap[jobs_of[kept]])
-                kept, full = kept[spaced], full[spaced]
-            feasible = dict(zip(kept.tolist(), range(kept.size)))  # system -> row of full
-            for c, i in enumerate(rows):  # each pair's levels in increasing order
-                if steps[group[i]] is None:
-                    if c in feasible:
-                        steps[group[i]] = (k_new[c], delta[c], full[feasible[c]])
-                    else:
-                        pairs[i].mu *= 10.0
-                        pairs[i].trials += 1
-            pending = [i for i in pending if steps[group[i]] is None and pairs[i].trials < 12]
-    return steps
-
-
-def _normal_equations(r: np.ndarray, jac: np.ndarray):
-    """The objective r'r, gradient J'r and Gauss-Newton matrix J'J at a
-    point, from its residual and Jacobian (_jacobian): all that a descent
-    keeps of them."""
-    return float(r @ r), jac.T @ r, jac.T @ jac
+    order, p = jobs.order, k.shape[1]
+    found = np.zeros(at.size, dtype=bool)
+    k_new, delta, full = (np.empty((at.size, size)) for size in (p, p, p + 2 * order))
+    pending = (trials[at] < 12).nonzero()[0]
+    budget = max(12, pending.size)
+    while pending.size:
+        share = max(1, budget // pending.size)
+        pairs = at[pending]
+        levels = np.minimum(share, 12 - trials[pairs])
+        # column t is mu after t failed trials: mu times ten, t times over
+        ladder = np.full((pending.size, share + 1), 10.0)
+        ladder[:, 0] = mu[pairs]
+        np.multiply.accumulate(ladder, axis=1, out=ladder)
+        slot, level = (np.arange(share) < levels[:, None]).nonzero()  # each system's descent, level
+        rows = pairs[slot]
+        jobs_of = owner[rows]
+        step = _solve_rows(jtj[rows] + np.multiply.outer(ladder[slot, level], np.eye(p)), -g[rows])
+        # a singular system's nan step is not fittable
+        ratios = k[rows] + step
+        kept, knots = _fittable_rows(ratios, jobs.lo[jobs_of], jobs.hi[jobs_of], order)
+        if p >= 2:
+            # knots drifting together chase noise through high-leverage
+            # spans; such trial points are treated as infeasible
+            gaps = knots[:, order + 1 : order + p] - knots[:, order : order + p - 1]
+            spaced = ~(gaps.min(axis=1) < min_gap[jobs_of[kept]])
+            kept, knots = kept[spaced], knots[spaced]
+        # each descent's first feasible level, share where it has none
+        offsets, first = levels.cumsum() - levels, np.full(rows.size, share)
+        first[kept] = level[kept]
+        first = np.minimum.reduceat(first, offsets)
+        hit, tried = first < levels, np.minimum(first, levels)
+        mu[pairs] = ladder[np.arange(pending.size), tried]
+        trials[pairs] += tried
+        chosen = kept.searchsorted((offsets + tried)[hit])  # each hit's step, in kept
+        hits = pending[hit]
+        found[hits] = True
+        k_new[hits], delta[hits], full[hits] = ratios[kept[chosen]], step[kept[chosen]], knots[chosen]
+        pending = pending[~hit & (trials[pairs] < 12)]
+    return found, k_new[found], delta[found], full[found]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -478,79 +462,75 @@ def _error(check, *args) -> FkSplineError | None:
     return None
 
 
-def _descend(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None) -> list:
-    """Damped Gauss-Newton descent from every start, in lockstep.
+def _descend(k, owner, jobs: _Jobs, search: KnotSearchConfig, first) -> list:
+    """Damped Gauss-Newton descent from starts of one knot count, in lockstep.
 
-    Start i, on the domain of its job owner[i] (_Jobs), runs the rule of
-    gauss_newton_refine on its own state (_Descent); each round makes one
-    Jacobian stack (_jacobian; row 0 gives a start's objective), one
-    proposal pass (_proposals) and one trial stack of the proposed knots
-    (_fits).  An accepted trial's clamped knots and system H become its
-    pair's system.  first[i], when given and not None, is start i's
-    _normal_equations, from the scan's exact fit there (_scan): start i
-    then has no rows in the first Jacobian stack.  A pair ends with
-    pair.error set to its job's error, else to the error building its
-    start's basis raises (checked once per distinct start), or where the
-    stack refuses the system at its start.  Returns the pairs in input
-    order.
+    Row i of k (P, p) starts a descent on the domain of job owner[i]
+    (_Jobs) by the rule of gauss_newton_refine; its state is row i of
+    arrays: k, the objective f, mu, iterations, trials, the flags, g, J'J
+    and the clamped knots and H of its last accepted trial.  Each round
+    makes one Jacobian stack (_jacobian; row 0 gives a start's objective),
+    one proposal pass (_proposals) and one trial stack (_fits).  first[i]
+    is None or start i's (r'r, J'r, J'J) from the scan (_scan), which then
+    takes its place in the first Jacobian stack.  A start whose system that
+    stack refuses ends with a NotPositiveDefiniteError.  Returns each
+    start's _Outcome, in row order.
     """
-    errors = {id(start): _error(_spec, start, search.order)
-              for start in {id(start): start for start in starts}.values()}
-    pairs = [_Descent(start.values.copy(), job=j, error=jobs.errors[j] or errors[id(start)],
-                      converged=start.p == 0)
-             for start, j in zip(starts, np.asarray(owner, dtype=int).tolist())]
+    P, p = k.shape
+    nb = p + search.order
+    k, f, mu, trials = k.copy(), np.full(P, math.inf), np.full(P, _DAMPING), np.zeros(P, int)
+    iterations = np.array([normal is not None for normal in first], dtype=int)
+    converged, step_failure, moved = (np.zeros(P, dtype=bool) for _ in range(3))
+    g, jtj = np.zeros((P, p)), np.zeros((P, p, p))
+    knots, H = np.zeros((P, nb + search.order)), np.zeros((P, nb, nb))
+    errors = [None] * P
     min_gap = _knot_radius(jobs.lo, jobs.hi, search)
-    live = [(pair, fit) for pair, fit in zip(pairs, first or [None] * len(pairs))
-            if pair.error is None and pair.k.size]
-    given = [(pair, "", fit) for pair, fit in live if fit is not None]
-    jacobian = [pair for pair, fit in live if fit is None]
-    trial = []
-    while given or jacobian or trial:
-        for pair in itertools.chain(jacobian, (pair for pair, *_ in given)):
-            pair.iterations += 1
-        stacked = _jacobian([pair.k for pair in jacobian], [pair.job for pair in jacobian],
-                            jobs) if jacobian else ()
-        for pair, why, normal in itertools.chain(given, (
-                (jacobian[i], why, None if fit is None else _normal_equations(*fit))
-                for i, why, fit in stacked)):
+    given = [(i, "", normal) for i, normal in enumerate(first) if normal is not None]
+    jacobian = np.array([i for i, normal in enumerate(first) if normal is None], dtype=int)
+    trial = np.zeros(0, dtype=int)
+    while given or jacobian.size or trial.size:
+        iterations[jacobian] += 1
+        stacked = ((jacobian[c], why, None if normal is None else normal[1:]) for c, why, normal
+                   in (_jacobian(k[jacobian], owner[jacobian], jobs) if jacobian.size else ()))
+        evaluated = []
+        for i, why, normal in itertools.chain(given, stacked):
             if why:
-                pair.error = NotPositiveDefiniteError(why)
+                errors[i] = NotPositiveDefiniteError(why)
                 continue
-            f, pair.g, jtj = normal
-            if pair.iterations == 1:
-                pair.f = f
-            if _norm(pair.g) <= 1e-14 * (1.0 + pair.f):
-                pair.converged = True
-                continue
-            pair.jtj = jtj
-            pair.trials = 0
-            trial.append(pair)
-        given, jacobian, proposed = [], [], []
-        for pair, step in zip(trial, _proposals(trial, jobs, min_gap)):
-            if step is None:
-                pair.step_failure = True
+            rr, g[i], jtj[i] = normal
+            if iterations[i] == 1:
+                f[i] = rr
+            if _norm(g[i]) <= 1e-14 * (1.0 + f[i]):
+                converged[i] = True
             else:
-                proposed.append((pair, *step))
-        trial = []
-        for c, _, fit in _fits([knots for *_, knots in proposed], jobs,
-                               [pair.job for pair, *_ in proposed], mapped=True):
-            pair, k_new, delta, knots = proposed[c]
-            r_new, H = (None, None) if fit is None else fit
-            f_new = None if r_new is None else float(r_new.ravel() @ r_new.ravel())
-            if f_new is None or not f_new < pair.f:
-                pair.mu *= 10.0
-                pair.trials += 1
-                trial.append(pair)
-                continue
-            step_norm = float(np.max(np.abs(delta)))
-            rel_drop = (pair.f - f_new) / max(pair.f, 1e-300)
-            pair.k, pair.f, pair.system = k_new, f_new, (knots, H.copy())
-            pair.mu = max(pair.mu / 10.0, 1e-12)
-            if step_norm < _STEP_TOL or rel_drop < _OBJECTIVE_TOL:
-                pair.converged = True
-            elif pair.iterations < _MAX_ITERATIONS:
-                jacobian.append(pair)
-    return pairs
+                evaluated.append(i)
+        trials[evaluated] = 0
+        trial = np.concatenate([trial, np.array(evaluated, dtype=int)])
+        if not trial.size:  # every descent has ended
+            break
+        found, k_new, delta, full = _proposals(trial, k, g, jtj, mu, trials, owner, jobs, min_gap)
+        step_failure[trial[~found]] = True
+        proposed = trial[found]
+        f_new, H_new = np.full(proposed.size, np.nan), np.empty((proposed.size, nb, nb))
+        for c, _, fit in _fits(full, jobs, owner[proposed], mapped=True):
+            if fit is not None:
+                r_new, H_new[c] = fit[0].ravel(), fit[1]
+                f_new[c] = r_new @ r_new
+        better = f_new < f[proposed]  # never where the trial stack refused the row
+        trial = proposed[~better]
+        mu[trial] *= 10.0
+        trials[trial] += 1
+        i = proposed[better]
+        step_norm = np.abs(delta[better]).max(axis=1)
+        rel_drop = (f[i] - f_new[better]) / np.maximum(f[i], 1e-300)
+        k[i], f[i], knots[i], H[i] = k_new[better], f_new[better], full[better], H_new[better]
+        moved[i] = True
+        mu[i] = np.maximum(mu[i] / 10.0, 1e-12)
+        done = (step_norm < _STEP_TOL) | (rel_drop < _OBJECTIVE_TOL)
+        converged[i[done]] = True
+        given, jacobian = [], i[~done & (iterations[i] < _MAX_ITERATIONS)]
+    return [_Outcome(k[i], int(iterations[i]), bool(converged[i]), bool(step_failure[i]),
+                     errors[i], (knots[i], H[i]) if moved[i] else None) for i in range(P)]
 
 
 def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
@@ -563,54 +543,66 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     every norm and inner product the step uses.  The damping grows tenfold
     when a step fails to decrease the objective and shrinks tenfold on
     success.  The best iterate seen is returned, fitted on the full data
-    (its sse is the objective).  This is the one-pair case of refine_fits.
+    (its sse is the objective).  This is the one-start case of refine_fits.
     """
     jobs = _Jobs([dataset], [config], [(coords.lo, coords.hi)], search.order)
-    ((_, pair, fit),) = refine_fits([coords], [0], jobs, search)
-    if pair.error is not None:
-        raise pair.error
-    best = JuppCoords(pair.k, coords.lo, coords.hi)
+    ((_, outcome, fit),) = refine_fits([coords], [0], jobs, search)
+    if outcome.error is not None:
+        raise outcome.error
+    best = JuppCoords(outcome.k, coords.lo, coords.hi)
     coeffs, diagnostics, _ = fit
     model = FitModel(_spec(best, search.order), config, coeffs, diagnostics)
     return GaussNewtonResult(
-        coords=best, objective=model.diagnostics.sse, iterations=pair.iterations,
-        converged=pair.converged, model=model, step_failure=pair.step_failure,
+        coords=best, objective=model.diagnostics.sse, iterations=outcome.iterations,
+        converged=outcome.converged, model=model, step_failure=outcome.step_failure,
     )
 
 
 def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None):
-    """Refine every start, start i of job owner[i], in lockstep (_descend); fit each result.
+    """Refine every start, start i of job owner[i], and fit each result.
 
-    first[i], when given, is start i's _normal_equations or None (_descend).
-    Each result fit is what fit_coefficients reports at that pair's knots,
-    from one full=True stack per kind of end: pairs that end on an accepted
-    trial pass the system they carry (_Descent.system) as _fits' systems,
-    so no knot vector is assembled twice; pairs that end at their start
-    (round 0 of a search, or a warm start that converges or fails at once)
-    are assembled.
-    Yields (i, pair, fit) for every start i, one at a time in no set
-    order: pair is its final _Descent, fit (coefficients, FitDiagnostics,
+    The starts of each knot count descend in lockstep (_descend), first[i]
+    (when given) being start i's normal equations or None.  A start ends
+    at once with its job's error, else the error building its basis raises
+    (checked once per distinct start); a start without knots has nothing
+    to refine.  Each result fit is what fit_coefficients reports at the
+    result's knots, from one full=True stack per kind of end: results of
+    an accepted trial pass their _Outcome.system as _fits' systems, so no
+    knot vector is assembled twice; results at their start are assembled.
+    Yields (i, outcome, fit) for every start i, one at a time in no set
+    order: outcome is its _Outcome, fit (coefficients, FitDiagnostics,
     (B, H)) with the result's design and system, which the next scan of a
-    knot search borders (_bordered), or None where pair.error says why the
-    pair failed.
+    knot search borders (_bordered), or None where outcome.error says why
+    the start failed.
     """
-    pairs = _descend(starts, owner, jobs, search, first)
-    for i, pair in enumerate(pairs):
-        if pair.error is not None:
-            yield i, pair, None
-    live = [i for i, pair in enumerate(pairs) if pair.error is None]
+    owner = np.asarray(owner, dtype=int)
+    first = first or [None] * len(starts)
+    errors = {id(start): _error(_spec, start, search.order)
+              for start in {id(start): start for start in starts}.values()}
+    outcomes = [_Outcome(start.values, 0, start.p == 0, False, jobs.errors[j] or errors[id(start)])
+                for start, j in zip(starts, owner.tolist())]
+    todo = [i for i, outcome in enumerate(outcomes) if outcome.error is None and starts[i].p]
+    for group, k in _by_size([starts[i].values for i in todo]):  # one descent per knot count
+        group = [todo[c] for c in group]
+        for i, outcome in zip(group, _descend(k, owner[group], jobs, search,
+                                              [first[i] for i in group])):
+            outcomes[i] = outcome
+    for i, outcome in enumerate(outcomes):
+        if outcome.error is not None:
+            yield i, outcome, None
+    live = [i for i, outcome in enumerate(outcomes) if outcome.error is None]
     for carried in (False, True):
-        ends = [i for i in live if (pairs[i].system is not None) is carried]
+        ends = [i for i in live if (outcomes[i].system is not None) is carried]
         if not ends:
             continue
-        rows = [pairs[i].system[0] if carried else pairs[i].k for i in ends]
-        systems = [pairs[i].system[1] for i in ends] if carried else None
-        for c, why, fit in _fits(rows, jobs, [pairs[i].job for i in ends], full=True,
-                                 mapped=carried, systems=systems):
-            pair = pairs[ends[c]]
+        rows = [outcomes[i].system[0] if carried else outcomes[i].k for i in ends]
+        systems = [outcomes[i].system[1] for i in ends] if carried else None
+        for c, why, fit in _fits(rows, jobs, owner[ends], full=True, mapped=carried,
+                                 systems=systems):
+            outcome = outcomes[ends[c]]
             if why:
-                pair.error = NotPositiveDefiniteError(why)
-            yield ends[c], pair, fit
+                outcome = replace(outcome, error=NotPositiveDefiniteError(why))
+            yield ends[c], outcome, fit
 
 
 @dataclass(frozen=True)
@@ -742,16 +734,15 @@ def _scan(parents, live, jobs: _Jobs, search: KnotSearchConfig):
     candidates exactly, all rows in one _jacobian call each: every unfitted
     candidate whose screen is nan or within _SCREEN_WINDOW of the best (the
     smallest exact score, before one exists the smallest screen), until a
-    pass takes none.  Returns (ratios, scores, fitted, best) per row: row c
+    pass takes none.  The jobs move in lockstep, so every candidate has
+    one knot count.  Returns (ratios, scores, fitted, best) per row: row c
     of ratios holds jupp of the knots with candidate c inserted; score c is
     objective_f there up to roundoff if it was fitted, +inf if the screen
     shows it cannot be _first_best, nan where objective_f would raise;
     fitted counts the exact fits; best is (c, normal) for the candidate
-    _first_best picks among the fitted ones, normal the _normal_equations
-    of the residual and Jacobian _jacobian gives there, so that its
-    refinement starts with its first iteration's system in hand, or None
-    if none was fitted.  Each fit is reduced to its normal equations as it
-    arrives, so no residual or Jacobian is held.
+    _first_best picks among the fitted ones, normal its (r'r, J'r, J'J)
+    from _jacobian, so that its refinement starts with its first
+    iteration's system in hand, or None if none was fitted.
     """
     order = search.order
     ratios, kept, screens, scores = [], [], [], []
@@ -772,7 +763,7 @@ def _scan(parents, live, jobs: _Jobs, search: KnotSearchConfig):
                                  jobs.weights[job], order))
         scores.append(np.full(grid.size, np.nan))
     checked = [np.zeros(rows.size, dtype=bool) for rows in kept]
-    normal = [{} for _ in kept]  # fitted candidate -> its normal equations
+    normals = [{} for _ in kept]  # fitted candidate -> its normal equations
     while True:
         picked = []
         for j, (bordered, window) in enumerate(screens):
@@ -785,20 +776,18 @@ def _scan(parents, live, jobs: _Jobs, search: KnotSearchConfig):
             picked.extend((j, kept[j][c]) for c in pick.tolist())
         if not picked:
             break
-        for i, _, fit in _jacobian([ratios[j][c] for j, c in picked], [live[j] for j, _ in picked],
-                                   jobs):
-            if fit is not None:
+        for i, _, normal in _jacobian(np.array([ratios[j][c] for j, c in picked]),
+                                      [live[j] for j, _ in picked], jobs):
+            if normal is not None:
                 j, c = picked[i]
-                residual = fit[0].reshape(len(jobs.datasets[jobs.which[live[j]]].t), -1)
-                scores[j][c] = np.einsum("ij,ij->j", residual, residual).sum()
-                normal[j][c] = _normal_equations(*fit)
+                scores[j][c], normals[j][c] = normal[0], normal[1:]
     out = []
     for j, rows in enumerate(kept):
         scores[j][rows[~checked[j]]] = np.inf
         scored = np.flatnonzero(np.isfinite(scores[j]))
         winner = scored[_first_best(scores[j][scored])] if scored.size else None
         out.append((ratios[j], scores[j], int(checked[j].sum()),
-                    None if winner is None else (winner, normal[j][winner])))
+                    None if winner is None else (winner, normals[j][winner])))
     return out
 
 
@@ -857,22 +846,22 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
                     f"the last feasible stage has p={last.p} and knots "
                     f"{[float(x) for x in last.knots]}"
                 )
-        for i, pair, fit in refine_fits([coords for _, coords, *_ in starts],
-                                        [j for j, *_ in starts], jobs, search,
-                                        [normal for _, _, normal, _ in starts]):
+        for i, outcome, fit in refine_fits([coords for _, coords, *_ in starts],
+                                           [j for j, *_ in starts], jobs, search,
+                                           [normal for _, _, normal, _ in starts]):
             j, start, _, scan = starts[i]
             job = searches[j]
-            job.error, result = pair.error, job.result
+            job.error, result = outcome.error, job.result
             if fit is None:
                 continue
-            coords = JuppCoords(pair.k, start.lo, start.hi)
+            coords = JuppCoords(outcome.k, start.lo, start.hi)
             coeffs, diagnostics, job.system = fit
             job.model = FitModel(_spec(coords, order), configs[j], coeffs, diagnostics)
             d = job.model.diagnostics
             result.stages.append(StageRecord(
                 p=coords.p, knots=jupp_inverse(coords), coords=coords, objective=d.sse, gcv=d.gcv,
-                df=d.df, iterations=pair.iterations, converged=pair.converged,
-                step_failure=pair.step_failure, **scan))
+                df=d.df, iterations=outcome.iterations, converged=outcome.converged,
+                step_failure=outcome.step_failure, **scan))
             if result.chosen is None:  # the p = 0 stage
                 result.chosen, result.model = result.stages[-1], job.model
                 continue

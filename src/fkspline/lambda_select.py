@@ -199,18 +199,18 @@ def _free_fits(dataset, search, configs) -> list:
 
     The warm starts are the stages of the zero-penalty knot search, p = 0
     included.  Each cell is one job (freeknot._Jobs), and every (warm
-    start, cell) pair is refined in one lockstep batch
-    (freeknot.refine_fits); a cell keeps the first warm start of smallest
-    GCV.  The warm-start search, the descents and the result fits all run
+    start, cell) pair is refined by one freeknot.refine_fits call, the
+    pairs of each knot count in lockstep; a cell keeps the first warm start
+    of smallest GCV.  The warm-start search, the descents and the result fits all run
     on the dataset as given (gcv_grid_search passes the reduced one).
     """
     warm = [stage.coords for stage in add_knots_gradually(dataset, PenaltyConfig(), search).stages]
     cells = len(configs)
     jobs = _Jobs([dataset] * cells, configs, [dataset.domain] * cells, search.order)
     outcomes = [None] * (len(warm) * cells)
-    for i, pair, fit in refine_fits([coords for coords in warm for _ in configs],
-                                    list(range(cells)) * len(warm), jobs, search):
-        outcomes[i] = pair.error if fit is None else _CellFit.of(fit[1])
+    for i, outcome, fit in refine_fits([coords for coords in warm for _ in configs],
+                                       list(range(cells)) * len(warm), jobs, search):
+        outcomes[i] = outcome.error if fit is None else _CellFit.of(fit[1])
     fits = []
     for c in range(cells):
         tried = outcomes[c::cells]

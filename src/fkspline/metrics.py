@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntervalError, NonFiniteInputError, as_integer, as_real
+from .errors import ConfigError, EmptyIntervalError, NonFiniteInputError, as_integer, as_real
 from .cluster import _distinct
 from .penalty import _panel_rule
 from .smoother import FitModel
@@ -20,6 +20,20 @@ from .smoother import FitModel
 __all__ = ["TailRegions", "integrated_sse", "local_isse", "model_isse"]
 
 _NODES_PER_PANEL = 10
+
+
+def _interval(interval, name: str) -> tuple[float, float]:
+    """interval as a pair of floats lo < hi (errors.as_real), else an EmptyIntervalError."""
+    try:
+        ends = tuple(interval)
+    except TypeError:
+        ends = ()
+    if len(ends) != 2:
+        raise EmptyIntervalError(f"{name} must be a pair of numbers, got {interval!r}")
+    lo, hi = (as_real(end, f"{name} end", error=EmptyIntervalError) for end in ends)
+    if not lo < hi:
+        raise EmptyIntervalError(f"{name} [{lo}, {hi}] has nonpositive length")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -35,18 +49,7 @@ class TailRegions:
 
     def __post_init__(self):
         for name in ("lower", "upper"):
-            interval = getattr(self, name)
-            try:
-                ends = tuple(interval)
-            except TypeError:
-                ends = ()
-            if len(ends) != 2:
-                raise EmptyIntervalError(f"{name} tail must be a pair of numbers, got {interval!r}")
-            interval = tuple(as_real(end, f"{name} tail end", error=EmptyIntervalError)
-                             for end in ends)
-            if not interval[0] < interval[1]:
-                raise EmptyIntervalError(f"tail interval {interval} has nonpositive length")
-            object.__setattr__(self, name, interval)
+            object.__setattr__(self, name, _interval(getattr(self, name), f"{name} tail"))
         if self.lower[1] > self.upper[0]:
             raise EmptyIntervalError("tail intervals must not overlap")
 
@@ -77,11 +80,13 @@ def integrated_sse(truth, fitted, interval, quad_points: int = 256, breakpoints=
 
     truth and fitted are callables mapping a point array to values of shape
     (npts,) or (npts, n_curves); families are summed over curves.  Both must
-    produce finite values on the interval.
+    produce finite values on the interval.  The interval's ends go through
+    errors.as_real, and an evaluator that is not callable is a ConfigError.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise EmptyIntervalError(f"integration interval [{lo}, {hi}] has nonpositive length")
+    lo, hi = _interval(interval, "integration interval")
+    for name, curve in (("truth", truth), ("fitted", fitted)):
+        if not callable(curve):
+            raise ConfigError(f"{name} must be a callable curve evaluator, got {curve!r}")
     quad_points = as_integer(quad_points, 16, "quad_points", EmptyIntervalError)
     edges = _panel_edges(lo, hi, quad_points, breakpoints)
     pts, w = _panel_rule(edges, _NODES_PER_PANEL)

@@ -181,6 +181,19 @@ class TestPairCounts:
             b = rng.integers(1, 4, n)
             assert confusion_counts(a, b) == pairwise_counts_oracle(a, b)
 
+    @pytest.mark.parametrize("metric, predicted, truth", [
+        (rand_index, [[1], [2, 3]], [1, 2]),  # ragged labels
+        (adjusted_rand_index, [[1], [2, 3]], [1, 2]),
+        (confusion_counts, [np.nan, 1], [1, 2]),
+        (matched_confusion, [np.nan, 1, 1], [1, 2, 2]),
+        (partitions_equal, ["a", "b"], [1, 2]),
+        (rand_index, [1, 2, 2], [1.5, 2, 2]),
+        (confusion_counts, [1, 2], [np.inf, 2]),
+    ], ids=["ragged-ri", "ragged-ari", "nan-counts", "nan-matched", "text", "fraction", "inf"])
+    def test_labels_that_are_not_integers_are_config_errors(self, metric, predicted, truth):
+        with pytest.raises(ConfigError):
+            metric(predicted, truth)
+
 
 class TestAgreementIndices:
     def test_rand_index_examples(self):

@@ -8,6 +8,7 @@ import itertools
 import math
 import re
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,11 +111,21 @@ def benchmark_searches():
     return searches
 
 
-def jacobian_at(k, ds, config, order):
-    """_jacobian at one point: the point's residual and its Jacobian."""
-    [(_, why, (r, jac))] = freeknot._jacobian([k], [0], one_job(ds, config, order))
+def normal_at(k, ds, config, order):
+    """_jacobian at one point: its score, r'r, J'r and J'J."""
+    [(_, why, normal)] = freeknot._jacobian(k[None], [0], one_job(ds, config, order))
     assert why == ""
-    return r, jac
+    return normal
+
+
+def assert_normal_equations(normal, r, jac):
+    """normal (_jacobian's) is (score, r'r, J'r, J'J) of the residual r and
+    the Jacobian jac, to the accuracy of the differences."""
+    score, rr, jr, jtj = normal
+    assert score == pytest.approx(r @ r, rel=1e-10) and rr == pytest.approx(r @ r, rel=1e-10)
+    scale = np.linalg.norm(jac)
+    assert np.linalg.norm(jtj - jac.T @ jac) <= 1e-8 * scale**2
+    assert np.linalg.norm(jr - jac.T @ r) <= 1e-8 * scale * np.linalg.norm(r)
 
 
 def recording_fits(monkeypatch):
@@ -724,10 +735,8 @@ class TestStackedJacobian:
             # log-gap draws keep every knot span wide enough to hold data
             gaps = np.exp(rng.uniform(-0.7, 0.7, p + 1))
             k = jupp(np.cumsum(gaps)[:-1] / gaps.sum(), 0.0, 1.0).values
-            ref_r, ref = column_jacobian(k, ds, config, order)
-            r, jac = jacobian_at(k, ds, config, order)
-            assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
-            assert np.linalg.norm(jac - ref) <= 1e-8 * np.linalg.norm(ref)
+            assert_normal_equations(normal_at(k, ds, config, order),
+                                    *column_jacobian(k, ds, config, order))
 
     @pytest.mark.parametrize("config", [
         PenaltyConfig(), PenaltyConfig(lambda1=1e-7, lambda2=1e-5),
@@ -742,20 +751,10 @@ class TestStackedJacobian:
             p = int(rng.integers(1, 6))
             gaps = np.exp(rng.uniform(-0.7, 0.7, p + 1))
             k = jupp(np.cumsum(gaps)[:-1] / gaps.sum(), 0.0, 1.0).values
-            full_r, full = column_jacobian(k, ds, config, order)
-
-            def reduced(v):
-                return ds.reduce(v.reshape(h, -1)).ravel()
-
-            ref_r, ref = reduced(full_r), np.column_stack([reduced(c) for c in full.T])
-            r, jac = jacobian_at(k, ds, config, order)
-            assert jac.shape == (h * h, p)
-            assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
-            assert np.linalg.norm(jac - ref) <= 1e-8 * np.linalg.norm(ref)
-            # the step's normal equations are those of the full space
-            assert np.linalg.norm(jac.T @ jac - full.T @ full) <= 1e-8 * np.linalg.norm(full) ** 2
-            assert np.linalg.norm(jac.T @ r - full.T @ full_r) <= (
-                1e-8 * np.linalg.norm(full) * np.linalg.norm(full_r))
+            # the differences are taken in the reduced space (h x h
+            # residuals), whose normal equations are those of the full space
+            assert_normal_equations(normal_at(k, ds, config, order),
+                                    *column_jacobian(k, ds, config, order))
 
     @pytest.mark.parametrize("config", [
         PenaltyConfig(), PenaltyConfig(lambda1=1e-7, lambda2=1e-5),
@@ -788,22 +787,23 @@ class TestStackedJacobian:
 
         def recording(points, *args):
             [k] = points
-            for i, why, fit in jacobian(points, *args):
-                seen.append((k.copy(), *fit))
-                yield i, why, fit
+            for i, why, normal in jacobian(points, *args):
+                seen.append((k.copy(), normal))
+                yield i, why, normal
 
         monkeypatch.setattr(freeknot, "_fits", refusing)
         monkeypatch.setattr(freeknot, "_jacobian", recording)
         start = jupp(np.array([0.2, 0.5, 0.8]), 0.0, 1.0)
         res = gauss_newton_refine(start, ds, config, search)
         assert seen
-        for k, r, jac in seen:
+        for k, normal in seen:
             ref_r, forward = column_jacobian(k, ds, config, search.order)
             _, backward = column_jacobian(k, ds, config, search.order, sign=-1.0)
-            assert np.linalg.norm(r - ref_r) <= 1e-10 * np.linalg.norm(ref_r)
-            assert np.linalg.norm(jac[:, 0] - backward[:, 0]) <= 1e-8 * np.linalg.norm(backward)
-            assert np.all(jac[:, 1] == 0.0)
-            assert np.linalg.norm(jac[:, 2] - forward[:, 2]) <= 1e-8 * np.linalg.norm(forward)
+            # column 0 a backward difference, column 1 zero, column 2 forward
+            jac = np.column_stack([backward[:, 0], np.zeros(ref_r.size), forward[:, 2]])
+            assert_normal_equations(normal, ref_r, jac)
+            _, _, jr, jtj = normal
+            assert jr[1] == 0.0 and np.all(jtj[1] == 0.0) and np.all(jtj[:, 1] == 0.0)
         # the refiner still descends and hands on the fit at its result
         assert res.objective <= objective_f(start, ds, config, search.order)
         spec = make_basis_spec(0.0, 1.0, 4, jupp_inverse(res.coords))
@@ -837,7 +837,13 @@ class TestStackedJacobian:
     def test_refiner_without_a_step_fits_its_start(self, monkeypatch):
         fits = counting_fit_coefficients(monkeypatch)
         stacks = recording_fits(monkeypatch)
-        monkeypatch.setattr(freeknot, "_proposals", lambda batch, *args: [None] * len(batch))
+        proposals = freeknot._proposals
+
+        def spent(at, k, g, jtj, mu, trials, *args):
+            trials[at] = 12  # every damping level already tried
+            return proposals(at, k, g, jtj, mu, trials, *args)
+
+        monkeypatch.setattr(freeknot, "_proposals", spent)
         ds, config = noisy_sine_dataset(), PenaltyConfig(lambda2=1e-5)
         start = jupp(np.array([0.2, 0.45, 0.8]), 0.0, 1.0)
         res = gauss_newton_refine(start, ds, config, KnotSearchConfig(order=4, max_knots=3))
@@ -893,9 +899,57 @@ class TestStackedJacobian:
         assert outcomes[1].error is None and outcomes[1].iterations > 0
 
 
+class TestDescentPerKnotCount:
+    """refine_fits descends the starts of each knot count on their own arrays."""
+
+    def test_mixed_knot_counts_refine_as_one_call_per_count(self, monkeypatch):
+        ds = noisy_sine_dataset()
+        search = KnotSearchConfig(order=4, max_knots=4, grid_size=20, fixed_p=True)
+        warm = [stage.coords for stage in add_knots_gradually(ds, PenaltyConfig(), search).stages]
+        warm = warm[1:]  # the zero-penalty warm starts of 1-4 knots
+        configs = [PenaltyConfig(lambda2=1e-6), PenaltyConfig(lambda1=1e-7, lambda2=1e-3)]
+        jobs = freeknot._Jobs([ds] * 2, configs, [ds.domain] * 2, search.order)
+        rows = []
+        fit_stack = freeknot.fit_stack
+
+        def counting(full_knots, *args, **kwargs):
+            rows.append(len(full_knots))
+            return fit_stack(full_knots, *args, **kwargs)
+
+        monkeypatch.setattr(freeknot, "fit_stack", counting)
+        together = {i: (outcome, fit) for i, outcome, fit in freeknot.refine_fits(
+            [start for start in warm for _ in configs], [0, 1] * len(warm), jobs, search)}
+        together_rows, alone = sorted(rows), {}
+        rows.clear()
+        for n, start in enumerate(warm):
+            for i, outcome, fit in freeknot.refine_fits([start] * 2, [0, 1], jobs, search):
+                alone[2 * n + i] = outcome, fit
+        assert together_rows == sorted(rows)
+        assert [start.p for start in warm] == [1, 2, 3, 4] and len(together) == len(alone) == 8
+        for i, (outcome, (coeffs, d, (B, H))) in together.items():
+            want, (want_coeffs, want_d, (want_B, want_H)) = alone[i]
+            assert (outcome.iterations, outcome.converged, outcome.step_failure, outcome.error) == (
+                want.iterations, want.converged, want.step_failure, None)
+            assert outcome.k.tobytes() == want.k.tobytes()
+            assert (outcome.system is None) == (want.system is None)
+            for got, ref in zip(outcome.system or (), want.system or ()):
+                assert got.tobytes() == ref.tobytes()
+            for got, ref in ((coeffs, want_coeffs), (d.residuals, want_d.residuals), (B, want_B),
+                             (H, want_H)):
+                assert got.tobytes() == ref.tobytes()
+            assert [d.sse.hex(), d.df.hex(), d.gcv.hex()] == [
+                want_d.sse.hex(), want_d.df.hex(), want_d.gcv.hex()]
+        assert max(outcome.iterations for outcome, _ in together.values()) > 1
+
+
+def descent(k, jtj, g, mu=freeknot._DAMPING, trials=0):
+    """One descent's state as sequential_propose reads and updates it."""
+    return SimpleNamespace(k=k, jtj=jtj, g=g, mu=mu, trials=trials)
+
+
 def sequential_propose(pair, lo, hi, order, min_gap):
-    """Reference: one pair's next damped step, trial by trial, (k_new, delta,
-    its clamped knots) or None once its 12 trials are spent."""
+    """Reference: one descent's next damped step, trial by trial, (k_new,
+    delta, its clamped knots) or None once its 12 trials are spent."""
     p = pair.k.size
     while pair.trials < 12:
         try:
@@ -922,8 +976,7 @@ def proposal_batch():
     for p in [2, 1, 3, 2, 3, 1, 2, 3]:
         a = rng.standard_normal((p + 2, p))
         k = jupp(np.sort(rng.uniform(0.1, 0.9, p)), 0.0, 1.0).values
-        pair = freeknot._Descent(k, jtj=a.T @ a,
-                                 g=rng.standard_normal(p) * 10.0 ** rng.integers(0, 5))
+        pair = descent(k, a.T @ a, rng.standard_normal(p) * 10.0 ** rng.integers(0, 5))
         pair.mu = 10.0 ** -rng.integers(1, 4)
         batch.append(pair)
     batch[3].trials = 12
@@ -937,9 +990,24 @@ class TestBatchedProposals:
     lo, hi, order, min_gap = 0.0, 1.0, 4, 0.02
 
     def propose(self, batch):
+        """_proposals over the state arrays of the batch's descents of each knot
+        count, as _descend holds them; each descent's mu and trials are
+        written back, and its step is (k_new, delta, clamped knots) or None."""
         jobs = freeknot._Jobs([noisy_sine_dataset()], [PenaltyConfig()], [(self.lo, self.hi)],
                               self.order)
-        return freeknot._proposals(batch, jobs, np.array([self.min_gap]))
+        steps = [None] * len(batch)
+        for p in dict.fromkeys(pair.k.size for pair in batch):
+            group = [i for i, pair in enumerate(batch) if pair.k.size == p]
+            k, jtj, g, mu, trials = (np.array([getattr(batch[i], name) for i in group])
+                                     for name in ("k", "jtj", "g", "mu", "trials"))
+            found, *step = freeknot._proposals(np.arange(len(group)), k, g, jtj, mu, trials,
+                                               np.zeros(len(group), dtype=int), jobs,
+                                               np.array([self.min_gap]))
+            rows = zip(*step)
+            for c, i in enumerate(group):
+                batch[i].mu, batch[i].trials = mu[c], trials[c]
+                steps[i] = next(rows) if found[c] else None
+        return steps
 
     def assert_same(self, step, ref):
         if ref is None:
@@ -1022,7 +1090,7 @@ class TestBatchedProposals:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((p + 2, p))
         k = jupp(np.sort(rng.uniform(0.2, 0.8, p)), 0.0, 1.0).values
-        return freeknot._Descent(k, jtj=1e-6 * (a.T @ a), g=1e4 * rng.standard_normal(p))
+        return descent(k, 1e-6 * (a.T @ a), 1e4 * rng.standard_normal(p))
 
     def test_a_lone_pair_tries_all_its_levels_in_one_pass(self, monkeypatch):
         solved, [ref] = self.check_against_sequential(lambda: [self.far_step(0)], monkeypatch)
@@ -1032,8 +1100,7 @@ class TestBatchedProposals:
     def test_a_pair_that_spends_its_trials_gets_no_step(self, monkeypatch):
         def batch():
             # knots closer than min_gap: no damping can space them out
-            close = freeknot._Descent(jupp(np.array([0.4, 0.41]), 0.0, 1.0).values,
-                                      jtj=np.eye(2), g=np.zeros(2))
+            close = descent(jupp(np.array([0.4, 0.41]), 0.0, 1.0).values, np.eye(2), np.zeros(2))
             late = self.far_step(1)
             late.trials = 9  # three levels left, none short enough
             return [close, late]
@@ -1063,9 +1130,9 @@ class TestCarriedFits:
     def assert_fresh(normal, start, job, jobs):
         """The normal equations handed over at a start are those of a fresh
         _jacobian there, array for array."""
-        [(_, why, fit)] = freeknot._jacobian([start], [job], jobs)
+        [(_, why, (_, *fresh))] = freeknot._jacobian(start[None], [job], jobs)
         assert why == ""
-        for got, want in zip(normal, freeknot._normal_equations(*fit), strict=True):
+        for got, want in zip(normal, fresh, strict=True):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("refused", [False, True], ids=["forward", "backward-step"])
@@ -1097,22 +1164,22 @@ class TestCarriedFits:
         started = []
         descend = freeknot._descend
 
-        def recording(starts, owner, jobs, search, first=None):
-            started.append((starts, owner, jobs, first))
-            return descend(starts, owner, jobs, search, first)
+        def recording(k, owner, jobs, search, first):
+            started.append((k, owner, jobs, first))
+            return descend(k, owner, jobs, search, first)
 
         monkeypatch.setattr(freeknot, "_descend", recording)
         search = KnotSearchConfig(order=4, max_knots=4, grid_size=30, fixed_p=True)
         datasets = [noisy_sine_dataset(), noisy_sine_dataset(seed=5, n=20, curves=30)]
         configs = [PenaltyConfig(), PenaltyConfig(lambda1=1e-7, lambda2=1e-5)]
         freeknot.add_knots_lockstep(datasets, configs, search)
-        round0, *rounds = started
-        assert round0[3] == [None, None]  # the knot-free stage has nothing to differentiate
-        assert len(rounds) == search.max_knots
-        for starts, owner, jobs, first in rounds:
-            assert len(first) == len(starts) == 2
-            for start, job, normal in zip(starts, owner, first):
-                self.assert_fresh(normal, start.values, job, jobs)
+        # the knot-free stage has nothing to descend; each later round's
+        # starts share a knot count, so they are one descent
+        assert len(started) == search.max_knots
+        for k, owner, jobs, first in started:
+            assert len(first) == len(k) == 2
+            for start, job, normal in zip(k, owner, first):
+                self.assert_fresh(normal, start, job, jobs)
 
     def test_the_next_scan_borders_the_carried_parent_as_a_rebuilt_one(self, monkeypatch):
         seen = []
@@ -1160,7 +1227,7 @@ class TestCarriedFits:
                              ids=["fs0", "fs2", "alphas"])
     def test_carried_results_are_fit_coefficients(self, monkeypatch, config):
         # a stage whose refinement ends on an accepted trial is fitted from
-        # the system that trial's stack built (_Descent.system): it is what
+        # the system that trial's stack built (_Outcome.system): it is what
         # fit_coefficients reports at its knots, byte for byte
         carried = []
         refine_fits = freeknot.refine_fits

@@ -265,7 +265,7 @@ class TestLockstepGrid:
         configs = [PenaltyConfig(lambda1=a, lambda2=b) for a in grid.values for b in grid.values]
         jobs = freeknot._Jobs([ds] * len(configs), configs, [ds.domain] * len(configs),
                               self.search.order)
-        iterations = {i: pair.iterations for i, pair, _ in
+        iterations = {i: outcome.iterations for i, outcome, _ in
                       refine_fits([w for w in warm for _ in configs],
                                   list(range(len(configs))) * len(warm), jobs, self.search)}
         assert [iterations[i] for i in range(len(iterations))] == ref_iterations
@@ -306,9 +306,9 @@ class TestLockstepGrid:
             return fittable(*args)
 
         def counting_proposals(*args):
-            steps = propose(*args)
-            proposals[0] += sum(step is not None for step in steps)
-            return steps
+            found, *steps = propose(*args)
+            proposals[0] += int(found.sum())
+            return found, *steps
 
         ds = noisy_curves(60)
         grid = LambdaGrid.from_exponents([-6, -4, -2])

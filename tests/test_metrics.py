@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fkspline import (
+    ConfigError,
     EmptyIntervalError,
     FunctionalDataset,
     PenaltyConfig,
@@ -119,6 +120,18 @@ class TestIntegratedSse:
         f = as_family(np.sin)
         with pytest.raises(EmptyIntervalError):
             integrated_sse(f, f, (0.0, 1.0), quad_points=8)
+
+    @pytest.mark.parametrize("truth, fitted, interval, error", [
+        (None, None, None, EmptyIntervalError),
+        (np.sin, np.sin, (0.0, None), EmptyIntervalError),
+        (np.sin, np.sin, (0.0, np.nan), EmptyIntervalError),
+        (np.sin, np.sin, (0.0, 1.0, 2.0), EmptyIntervalError),
+        (None, np.sin, (0.0, 1.0), ConfigError),
+        (np.sin, "sin", (0.0, 1.0), ConfigError),
+    ], ids=["none", "none-end", "nan-end", "three-ends", "none-truth", "text-fitted"])
+    def test_bad_arguments_are_typed_errors(self, truth, fitted, interval, error):
+        with pytest.raises(error):
+            integrated_sse(truth, fitted, interval)
 
     def test_quadrature_point_count_must_be_an_integer(self):
         f = as_family(np.sin)
