@@ -106,27 +106,26 @@ class DesignMatrix:
     spec: BasisSpec
 
 
-def _deboor_columns(full_knots, k, t, spans):
-    """Values of the k nonzero order-k basis functions at each point.
+def _deboor_rows(full_knots, k, t, spans):
+    """Values (k, npts) of the k nonzero order-k basis functions at each point.
 
-    Column i of the result is basis index spans - k + 1 + i.  Denominators
-    in the triangle always span the nonempty interval containing t, so no
-    zero guards are needed.
+    Row i, contiguous, is basis index spans - k + 1 + i.  Denominators in
+    the triangle always span the nonempty interval containing t, so no zero
+    guards are needed.
     """
-    npts = t.size
-    values = np.empty((npts, k))
-    values[:, 0] = 1.0
-    left = np.empty((npts, k))
-    right = np.empty((npts, k))
+    # the knots at offsets 2 - k .. k - 1 from each point's span, in one gather
+    near = full_knots[spans + np.arange(2 - k, k)[:, None]]
+    left = t - near[k - 2 :: -1]  # left[j - 1] = t - T[span + 1 - j]
+    right = near[k - 1 :] - t  # right[j - 1] = T[span + j] - t
+    values = np.empty((k, t.size))
+    values[0] = 1.0
+    zero = np.zeros(t.size)
     for j in range(1, k):
-        left[:, j] = t - full_knots[spans + 1 - j]
-        right[:, j] = full_knots[spans + j] - t
-        saved = np.zeros(npts)
-        for i in range(j):
-            temp = values[:, i] / (right[:, i + 1] + left[:, j - i])
-            values[:, i] = saved + right[:, i + 1] * temp
-            saved = left[:, j - i] * temp
-        values[:, j] = saved
+        saved = zero
+        for i in range(j):  # the last product passed on is value j
+            temp = values[i] / (right[i] + left[j - i - 1])
+            np.add(saved, right[i] * temp, out=values[i])
+            saved = np.multiply(left[j - i - 1], temp, out=values[j] if i == j - 1 else None)
     return values
 
 
@@ -155,11 +154,12 @@ def design_stack(full_knots: np.ndarray, order: int, t: np.ndarray) -> np.ndarra
     # The triangle runs on all C * h points at once, each row's spans
     # offset into its own stretch of the flattened knot stack.
     flat_spans = spans + np.repeat(m * np.arange(C), h) if C > 1 else spans
-    cols = _deboor_columns(full_knots.ravel(), order, t.ravel(), flat_spans)
-    dense = np.zeros((C * h, m - order))
-    idx = spans[:, None] + np.arange(1 - order, 1)
-    dense[np.arange(C * h)[:, None], idx] = cols
-    return dense.reshape(C, h, m - order)
+    values = _deboor_rows(full_knots.ravel(), order, t.ravel(), flat_spans)
+    dense = np.zeros((C, h, m - order))
+    # the flat index of each point's first nonzero column
+    start = spans + np.arange(1 - order, dense.size + 1 - order, m - order)
+    dense.reshape(-1)[start + np.arange(order)[:, None]] = values
+    return dense
 
 
 def derivative_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivatives,
@@ -184,7 +184,7 @@ def derivative_stack(full_knots: np.ndarray, order: int, t: np.ndarray, derivati
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(2, order + 1):
             widths = full_knots[:, k - 1 :, None] - full_knots[:, : m - k + 1, None]
-            inv = np.where(widths > 0, 1.0 / np.where(widths > 0, widths, 1.0), 0.0)
+            inv = np.divide(1.0, widths, out=np.zeros(widths.shape), where=widths > 0)
             for l in lifts:
                 lifts[l] *= inv
                 lifts[l] = (k - 1) * (lifts[l][:, :-1] - lifts[l][:, 1:])

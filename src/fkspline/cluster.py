@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatchError, TooFewCurvesError, as_integer, as_reals
+from .errors import (ConfigError, LengthMismatchError, TooFewCurvesError, as_instance, as_integer,
+                     as_reals)
 from .penalty import gram_matrix
 from .smoother import FitModel
 
@@ -229,6 +230,7 @@ def functional_kmeans(model: FitModel, k: int, seed: int = 0, restarts: int = 20
     lowest dispersion; exact ties keep the earliest candidate, so results
     are deterministic for a fixed seed.
     """
+    model = as_instance(model, FitModel, "model")
     k, (restarts, seed) = _check_k(k, model.n_curves), _check_kmeans(restarts, seed)
     partition, _, w, iters = _kmeans_z(_embedding(model), k, seed, restarts)
     return ClusterResult(

@@ -20,6 +20,13 @@ class ConfigError(FkSplineError, ValueError):
     """Inconsistent or out-of-range configuration."""
 
 
+def as_instance(value, kind: type, name: str):
+    """value when it is a kind, else ConfigError, before any attribute is read."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def as_integer(value, least: int, name: str, error: type = ConfigError) -> int:
     """value as an int when it is an integer >= least (4.0 is, 2.5 is not),
     else raise error, the caller's typed class for an out-of-range value."""

@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteInputError,
     NonIncreasingKnotsError,
     NotPositiveDefiniteError,
+    as_instance,
     as_integer,
     as_real,
     as_reals,
@@ -99,11 +100,12 @@ def _knots_from_ratios(k: np.ndarray, lo: float, hi: float) -> np.ndarray:
     strictly increasing for any finite input that does not underflow the
     gap widths.
     """
-    # log of gap i relative to gap 0 is the cumulative sum of k.
-    logw = np.concatenate([np.zeros(k.shape[:-1] + (1,)), np.cumsum(k, axis=-1)], axis=-1)
-    logw -= logw.max(axis=-1, keepdims=True)
+    # log of gap i relative to gap 0 is the cumulative sum of k; the ufunc methods
+    # skip the Python wrappers of np.cumsum, .max() and .sum(), paid on every stack
+    logw = np.concatenate([np.zeros(k.shape[:-1] + (1,)), np.add.accumulate(k, axis=-1)], axis=-1)
+    logw -= np.maximum.reduce(logw, axis=-1, keepdims=True)
     w = np.exp(logw)
-    cum = np.cumsum(w[..., :-1], axis=-1) / w.sum(axis=-1, keepdims=True)
+    cum = np.add.accumulate(w[..., :-1], axis=-1) / np.add.reduce(w, axis=-1, keepdims=True)
     return lo + (hi - lo) * cum
 
 
@@ -131,7 +133,7 @@ def jupp_inverse(coords: JuppCoords) -> np.ndarray:
 
     Stable for large components (see _knots_from_ratios).
     """
-    return _knots_from_ratios(coords.values, coords.lo, coords.hi)
+    return _knots_from_ratios(as_instance(coords, JuppCoords, "coords").values, coords.lo, coords.hi)
 
 
 # Gauss-Newton settings.  _OBJECTIVE_TOL is the relative-improvement floor:
@@ -212,23 +214,28 @@ def _fittable_rows(ratios: np.ndarray, lo: np.ndarray, hi: np.ndarray, order: in
     the rule JuppCoords and make_basis_spec enforce.
     Returns the indices of those rows and their clamped knot vectors.
     """
-    finite = np.flatnonzero(np.all(np.isfinite(ratios), axis=1))
-    lo, hi = lo[finite, None], hi[finite, None]
-    ends = np.ones((finite.size, order))
-    full = np.concatenate([lo * ends, _knots_from_ratios(ratios[finite], lo, hi), hi * ends],
-                          axis=1)
-    valid = np.all(np.diff(full[:, order - 1 : full.shape[1] - order + 1], axis=1) > 0, axis=1)
-    return finite[valid], full[valid]
+    C, p = ratios.shape
+    ok = np.logical_and.reduce(np.isfinite(ratios), axis=1)
+    full = np.empty((C, p + 2 * order))
+    full[:, :order], full[:, order + p:] = lo[:, None], hi[:, None]
+    # a row that is not finite is given zero ratios, then refused
+    full[:, order : order + p] = _knots_from_ratios(
+        ratios if ok.all() else np.where(ok[:, None], ratios, 0.0), lo[:, None], hi[:, None])
+    rising = full[:, order : order + p + 1] > full[:, order - 1 : order + p]
+    kept = (ok & np.logical_and.reduce(rising, axis=1)).nonzero()[0]
+    return kept, full if kept.size == C else full[kept]
 
 
 def _by_size(rows, tags=None):
-    """The rows (1-D arrays) of each size (and tag), as their indices and one
-    (len, size) stack of them; in order of first appearance."""
+    """(indices, (len, size) stack) of the rows (1-D arrays) of each size (and
+    tag), in a list in order of first appearance; a 2-D array of one tag is one stack."""
+    if isinstance(rows, np.ndarray) and len(set(tags or [None])) == 1:
+        return [(list(range(len(rows))), rows)] if len(rows) else []
     groups = {}
     for c, row in enumerate(rows):
         groups.setdefault((row.size, None if tags is None else tags[c]), []).append(c)
-    for (p, _), group in groups.items():
-        yield group, np.array([rows[c] for c in group]).reshape(len(group), p)
+    return [(group, np.array([rows[c] for c in group]).reshape(len(group), p))
+            for (p, _), group in groups.items()]
 
 
 class _Jobs:
@@ -289,7 +296,7 @@ def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False, sy
             yield c, why, fit
 
 
-def _jacobian(points, owner, jobs: _Jobs):
+def _jacobian(points, owner, jobs: _Jobs, scored: bool = False):
     """Forward-difference normal equations at points (P, p) of one knot count.
 
     Point i (log gap ratios k) belongs to job owner[i].  One stack (_fits)
@@ -302,9 +309,9 @@ def _jacobian(points, owner, jobs: _Jobs):
     _fits yields a point's rows as one run, so each point is yielded as
     (i, why, normal) as soon as its run is in and only one point's rows are
     held at a time (and the rows of points that wait for backward steps):
-    normal is (score, r'r, J'r, J'J), score the sum over the curves of each
-    curve's residual sum of squares (the scan's score), or None where the
-    stack refuses the point itself, why saying why.
+    normal is (score, r'r, J'r, J'J), or None where the stack refuses the
+    point itself, why saying why; score, the scan's (the sum over the curves
+    of each curve's residual sum of squares), is None unless scored is set.
     """
     p = points.shape[1]
     owner = np.asarray(owner, dtype=int)
@@ -318,11 +325,11 @@ def _jacobian(points, owner, jobs: _Jobs):
         # J is C-ordered (n, p), the layout its products are taken in, and
         # written a column at a time: stacking the p residuals first took
         # 2.7 times as long at p = 8 on 200 x 50 residuals
-        jac = np.zeros((r.size, p))  # a column failing both ways stays zero
-        for j, resid in enumerate(forward[1:]):
-            if resid is not None:
-                np.divide(resid.ravel() - r, step[j], out=jac[:, j])
-        return i, "", (np.einsum("ij,ij->j", R, R).sum(), float(r @ r), jac.T @ r, jac.T @ jac)
+        jac = np.empty((r.size, p))
+        for j, resid in enumerate(forward[1:]):  # a column failing both ways is r - r = 0
+            np.divide((R if resid is None else resid).ravel() - r, step[j], out=jac[:, j])
+        score = np.einsum("ij,ij->j", R, R).sum() if scored else None
+        return i, "", (score, float(r @ r), jac.T @ r, jac.T @ jac)
 
     waiting = {}  # point -> its residuals and steps, backward where a forward row failed
     # each residual is taken out of its (residual, H) pair as it arrives, so
@@ -564,11 +571,12 @@ def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None
     The starts of each knot count descend in lockstep (_descend), first[i]
     (when given) being start i's normal equations or None.  A start ends
     at once with its job's error, else the error building its basis raises
-    (checked once per distinct start); a start without knots has nothing
-    to refine.  Each result fit is what fit_coefficients reports at the
-    result's knots, from one full=True stack per kind of end: results of
-    an accepted trial pass their _Outcome.system as _fits' systems, so no
-    knot vector is assembled twice; results at their start are assembled.
+    (checked once per distinct start given no normal equations: the scan
+    fitted the others); a start without knots has nothing to refine.
+    Each result fit is what fit_coefficients reports at the result's knots,
+    from one full=True stack per kind of end: results of an accepted trial
+    pass their _Outcome.system as _fits' systems, so no knot vector is
+    assembled twice; results at their start are assembled.
     Yields (i, outcome, fit) for every start i, one at a time in no set
     order: outcome is its _Outcome, fit (coefficients, FitDiagnostics,
     (B, H)) with the result's design and system, which the next scan of a
@@ -577,9 +585,9 @@ def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None
     """
     owner = np.asarray(owner, dtype=int)
     first = first or [None] * len(starts)
-    errors = {id(start): _error(_spec, start, search.order)
-              for start in {id(start): start for start in starts}.values()}
-    outcomes = [_Outcome(start.values, 0, start.p == 0, False, jobs.errors[j] or errors[id(start)])
+    bad = {id(start): _error(_spec, start, search.order) for start in
+           {id(start): start for start, normal in zip(starts, first) if normal is None}.values()}
+    outcomes = [_Outcome(start.values, 0, start.p == 0, False, jobs.errors[j] or bad.get(id(start)))
                 for start, j in zip(starts, owner.tolist())]
     todo = [i for i, outcome in enumerate(outcomes) if outcome.error is None and starts[i].p]
     for group, k in _by_size([starts[i].values for i in todo]):  # one descent per knot count
@@ -777,7 +785,7 @@ def _scan(parents, live, jobs: _Jobs, search: KnotSearchConfig):
         if not picked:
             break
         for i, _, normal in _jacobian(np.array([ratios[j][c] for j, c in picked]),
-                                      [live[j] for j, _ in picked], jobs):
+                                      [live[j] for j, _ in picked], jobs, True):
             if normal is not None:
                 j, c = picked[i]
                 scores[j][c], normals[j][c] = normal[0], normal[1:]
@@ -820,8 +828,12 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
     candidates as one stack (_scan) and refines their best insertions as
     one batch.  A job leaves when it fails, its grid is used up or its GCV
     rule stops it.  Returns each job's FreeKnotResult, or the FkSplineError
-    its add_knots_gradually call raises: its outcome alone, bit for bit."""
-    order = search.order
+    its add_knots_gradually call raises: its outcome alone, bit for bit.
+    A search, dataset or config of the wrong type raises ConfigError."""
+    order = as_instance(search, KnotSearchConfig, "search").order
+    for dataset, config in zip(datasets, configs):
+        as_instance(dataset, FunctionalDataset, "dataset")
+        as_instance(config, PenaltyConfig, "config")
     jobs = _Jobs(datasets, configs, [dataset.domain for dataset in datasets], order)
     searches = [_Search() for _ in datasets]
     live = list(range(len(searches)))
@@ -859,9 +871,9 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
             job.model = FitModel(_spec(coords, order), configs[j], coeffs, diagnostics)
             d = job.model.diagnostics
             result.stages.append(StageRecord(
-                p=coords.p, knots=jupp_inverse(coords), coords=coords, objective=d.sse, gcv=d.gcv,
-                df=d.df, iterations=outcome.iterations, converged=outcome.converged,
-                step_failure=outcome.step_failure, **scan))
+                p=coords.p, knots=np.array(job.model.spec.interior_knots), coords=coords,
+                objective=d.sse, gcv=d.gcv, df=d.df, iterations=outcome.iterations,
+                converged=outcome.converged, step_failure=outcome.step_failure, **scan))
             if result.chosen is None:  # the p = 0 stage
                 result.chosen, result.model = result.stages[-1], job.model
                 continue

@@ -9,7 +9,7 @@ import numpy as np
 from .basis import BasisSpec
 from .data import FunctionalDataset
 from .errors import (AllCellsFailedError, ConfigError, FkSplineError, NotPositiveDefiniteError,
-                     as_real)
+                     as_instance, as_real)
 from .freeknot import KnotSearchConfig, _Jobs, add_knots_gradually, refine_fits
 from .penalty import PenaltyConfig
 from .smoother import fit_spec, penalty_weights
@@ -118,7 +118,8 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     curves.  df and knots are those of the full data bit for bit; sse and
     GCV agree with the full data's to roundoff.
     """
-    grid = grid or LambdaGrid()
+    as_instance(dataset, FunctionalDataset, "dataset")
+    grid = LambdaGrid() if grid is None else as_instance(grid, LambdaGrid, "grid")
     if mode not in ("fixed", "free"):
         raise ConfigError(f"mode must be 'fixed' or 'free', got {mode!r}")
     if lambda1_pinned is None:
@@ -135,7 +136,8 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     if mode == "free" and search is None:
         raise ConfigError("free-knots mode needs a knot search config")
     # a penalty the splines cannot carry is a config error before any work
-    order = spec.order if mode == "fixed" else search.order
+    order = (as_instance(spec, BasisSpec, "spec") if mode == "fixed"
+             else as_instance(search, KnotSearchConfig, "search")).order
     weights = np.array([penalty_weights(config, order) for config in configs])
     dataset = dataset.reduced
     if mode == "fixed":

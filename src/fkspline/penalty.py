@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BasisSpec, derivative_stack
-from .errors import ConfigError, DerivativeOrderTooHighError, as_integer, as_real
+from .errors import ConfigError, DerivativeOrderTooHighError, as_instance, as_integer, as_real
 
 __all__ = ["PenaltyMatrix", "PenaltyConfig", "penalty_matrix", "gram_matrix"]
 
@@ -30,10 +30,18 @@ def _panel_rule(edges: np.ndarray, n_nodes: int):
     """Points and weights (..., panels * n_nodes) of the composite Gauss-Legendre
     rule with n_nodes nodes on each panel between consecutive edges (last axis)."""
     nodes, weights = _gauss_legendre(n_nodes)
-    half = 0.5 * np.diff(edges)[..., None]
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
     shape = (*edges.shape[:-1], -1)
     return (mid + half * nodes).reshape(shape), (half * weights).reshape(shape)
+
+
+@lru_cache(maxsize=64)
+def _node_spans(m: int, order: int, n_nodes: int) -> np.ndarray:
+    """The span indicator (m - 1, nodes) of penalty_stack's nodes, read-only."""
+    first = np.arange(m - 1)[:, None] == np.repeat(np.arange(order - 1, m - order), n_nodes)
+    first.setflags(write=False)
+    return first
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ def penalty_stack(full_knots: np.ndarray, order: int, orders, n_nodes: int | Non
     n_nodes = order if n_nodes is None else n_nodes
     # panels between a, the interior knots and b
     pts, w = _panel_rule(full_knots[:, order - 1 : m - order + 1], n_nodes)
-    first = np.arange(m - 1)[:, None] == np.repeat(np.arange(order - 1, m - order), n_nodes)
+    first = _node_spans(m, order, n_nodes)  # shared by every stack of this shape
     with np.errstate(over="ignore", invalid="ignore"):
         products = [D @ (D * w[:, None]).transpose(0, 2, 1)
                     for D in derivative_stack(full_knots, order, pts, orders, first)]
@@ -100,7 +108,7 @@ def penalty_matrix(spec: BasisSpec, order: int, quad_points: int | None = None) 
     passing more nodes must not change the result beyond roundoff.
     """
     l = as_integer(order, 0, "penalty derivative order", DerivativeOrderTooHighError)
-    if l >= spec.order:
+    if l >= as_instance(spec, BasisSpec, "spec").order:
         raise DerivativeOrderTooHighError(
             f"penalty derivative order must satisfy 0 <= l < {spec.order}, got {order}"
         )

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FunctionalDataset
-from .errors import ConfigError, NonFiniteInputError, UnknownGroupError, as_integer, as_real
+from .errors import (ConfigError, NonFiniteInputError, UnknownGroupError, as_instance, as_integer,
+                     as_real)
 
 __all__ = [
     "GROUP_IDS",
@@ -116,7 +117,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     A noise_sd so large that the noise scale or an observation overflows
     raises NonFiniteInputError, without a numpy overflow warning.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(as_instance(config, ScenarioConfig, "config").seed)
     lo, hi = config.domain
     t = np.sort(rng.uniform(lo, hi, size=config.points_per_curve))
     while np.any(np.diff(t) <= 0):  # duplicates have probability zero, but stay safe

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import BasisSpec, DesignMatrix, _check_points, design_stack, eval_design
 from .data import FunctionalDataset
-from .errors import ConfigError, DerivativeOrderTooHighError, NotPositiveDefiniteError
+from .errors import ConfigError, DerivativeOrderTooHighError, NotPositiveDefiniteError, as_instance
 from .penalty import PenaltyConfig, penalty_stack
 
 __all__ = [
@@ -106,8 +106,8 @@ def _refused(H: np.ndarray) -> list[str]:
     goes through.
     """
     # a non-finite matrix is zeroed, so that its smallest eigenvalue is 0
-    finite = np.isfinite(H).all(axis=(1, 2))
-    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], H, 0.0))
+    finite = np.logical_and.reduce(np.isfinite(H), axis=(1, 2))
+    eigs = np.linalg.eigvalsh(H if finite.all() else np.where(finite[:, None, None], H, 0.0))
     why = []
     for ok, lo, hi in zip(finite.tolist(), eigs[:, 0].tolist(), eigs[:, -1].tolist()):
         if not ok:
@@ -136,21 +136,21 @@ def _assemble(knots: np.ndarray, order: int, T: np.ndarray, weights: np.ndarray,
     nb), B'B (K, nb, nb), H (C, nb, nb), per penalized order the weights
     and matrices of every row, and _refused(H).
     """
-    orders = np.flatnonzero((weights > 0.0).any(axis=0)).tolist()
+    orders = (weights > 0.0).any(axis=0).nonzero()[0].tolist()
     penalties = penalty_stack(knots, order, orders) if orders else []
     B = design_stack(knots, order, T)
     btb = B.transpose(0, 2, 1) @ B
     H = btb.copy() if rows is None else btb[rows]
     terms = []
-    for l, R in zip(orders, penalties):
-        R = R if rows is None else R[rows]
-        w = weights[:, l, None, None]
-        # overflowed penalties may add infinities of opposite signs; _refused
-        # turns the resulting nan away
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflowed penalties may add infinities of opposite signs; _refused
+    # turns the resulting nan away
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, R in zip(orders, penalties):
+            R = R if rows is None else R[rows]
+            w = weights[:, l, None, None]
             add = w * R
             H += add if (w > 0.0).all() else np.where(w > 0.0, add, 0.0)
-        terms.append((weights[:, l], R))
+            terms.append((weights[:, l], R))
     return B, btb, H, terms, _refused(H)
 
 
@@ -265,7 +265,7 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
     row's system H (nb, nb).  With full=True it is instead (coefficients,
     FitDiagnostics, (B, H)) on the full data, what fit_coefficients reports
     at that row, with the row's design B (h, nb).  B and H are views into
-    the chunk's stacks.
+    the stacks of the row's chunk (B: of its solve block, _solved).
     """
     which = [0] * len(full_knots) if which is None else np.asarray(which).tolist()
     Ys = [dataset.values if full else dataset.reduced_values for dataset in datasets]
@@ -281,22 +281,17 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
             distinct = list(first.values())
             rows = np.searchsorted(distinct, vector)
             knots, at = chunk[distinct], [owners[i] for i in distinct]
+        # one shared grid is repeated, not broadcast: design_stack takes a copy either way
+        T = (points[0][None].repeat(len(at), 0) if len(points) == 1
+             else np.stack([points[d] for d in at]))
         if systems is None:
-            B, btb, H, _, refused = _assemble(knots, order, _points(points, at),
-                                              weights[start:start + _CHUNK], rows)
+            B, btb, H, _, refused = _assemble(knots, order, T, weights[start:start + _CHUNK], rows)
         else:
-            B = design_stack(knots, order, _points(points, at))
+            B = design_stack(knots, order, T)
             btb = B.transpose(0, 2, 1) @ B
             H, refused = systems[start:start + _CHUNK], [""] * len(chunk)
         for c, why, fit in _solved(B, btb, H, refused, rows, owners, Ys, full):
             yield start + c, why, fit
-
-
-def _points(points, owners) -> np.ndarray:
-    """The (K, h) sample points of K rows of datasets owners (one shared grid broadcast)."""
-    if len(points) == 1:
-        return np.broadcast_to(points[0], (len(owners), points[0].size))
-    return np.stack([points[d] for d in owners])
 
 
 def _solved(B, btb, H, refused, rows, owners, Ys, full: bool):
@@ -316,18 +311,20 @@ def _solved(B, btb, H, refused, rows, owners, Ys, full: bool):
         for first_row in range(lo, hi, block_rows):
             block = range(first_row, min(first_row + block_rows, hi))
             kept = [c for c in block if not refused[c]]
-            vectors = kept if rows is None else rows[kept]  # each kept row's knot vector
-            coeffs = np.linalg.solve(H[kept], B[vectors].transpose(0, 2, 1) @ Y)
-            influence = np.linalg.solve(H[kept], btb[vectors]) if full else None
+            # a block keeping every row is read as a slice, not gathered
+            taken = slice(block.start, block.stop) if len(kept) == len(block) else kept
+            vectors = taken if rows is None else rows[kept]  # each kept row's knot vector
+            Bk = B[vectors]
+            coeffs = np.linalg.solve(H[taken], Bk.transpose(0, 2, 1) @ Y)
+            influence = np.linalg.solve(H[taken], btb[vectors]) if full else None
             i = 0
             for c in block:
                 if refused[c]:
                     yield c, refused[c], None
                     continue
-                fitted = B[vectors[i]] @ coeffs[i]
+                fitted = Bk[i] @ coeffs[i]
                 if full:
-                    yield c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted),
-                                  (B[vectors[i]], H[c]))
+                    yield c, "", (coeffs[i], _diagnostics(influence[i], Y, fitted), (Bk[i], H[c]))
                 else:
                     yield c, "", (Y - fitted, H[c])
                 i += 1
@@ -342,7 +339,8 @@ def fit_coefficients(dataset: FunctionalDataset, spec: BasisSpec,
     definite.  A perfect fit leaves the GCV slot at +inf (flagged) because
     its denominator vanishes.  This is the one-row case of fit_stack.
     """
-    weights = penalty_weights(config, spec.order)[None]
+    as_instance(dataset, FunctionalDataset, "dataset"), as_instance(spec, BasisSpec, "spec")
+    weights = penalty_weights(as_instance(config, PenaltyConfig, "config"), spec.order)[None]
     ((_, why, fit),) = fit_spec(dataset, spec, weights)
     if why:
         raise NotPositiveDefiniteError(why)

@@ -27,7 +27,7 @@ from fkspline import (
     eval_spline,
     make_basis_spec,
 )
-from fkspline.basis import derivative_stack
+from fkspline.basis import derivative_stack, design_stack
 
 
 def design_values(spec, t, derivative=0):
@@ -208,6 +208,48 @@ class TestEvaluation:
                 eval_design(spec, np.array([0.5]), derivative=derivative)
         assert np.array_equal(eval_design(spec, np.array([0.5]), derivative=2.0).values,
                               eval_design(spec, np.array([0.5]), derivative=2).values)
+
+
+def reference_design_stack(full_knots, order, t):
+    """basis.design_stack as it was before its triangle ran on contiguous
+    rows (one column of values per basis function, two gathers per level)."""
+    C, m = full_knots.shape
+    h = t.shape[1]
+    spans = np.count_nonzero(full_knots[:, None, :] <= t[:, :, None], axis=2).ravel() - 1
+    spans = np.minimum(np.maximum(spans, order - 1), m - order - 1)
+    flat_spans = spans + np.repeat(m * np.arange(C), h)
+    knots, x = full_knots.ravel(), t.ravel()
+    values = np.empty((x.size, order))
+    values[:, 0] = 1.0
+    left, right = np.empty((x.size, order)), np.empty((x.size, order))
+    for j in range(1, order):
+        left[:, j] = x - knots[flat_spans + 1 - j]
+        right[:, j] = knots[flat_spans + j] - x
+        saved = np.zeros(x.size)
+        for i in range(j):
+            temp = values[:, i] / (right[:, i + 1] + left[:, j - i])
+            values[:, i] = saved + right[:, i + 1] * temp
+            saved = left[:, j - i] * temp
+        values[:, j] = saved
+    dense = np.zeros((C * h, m - order))
+    dense[np.arange(C * h)[:, None], spans[:, None] + np.arange(1 - order, 1)] = values
+    return dense.reshape(C, h, m - order)
+
+
+class TestDesignStack:
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_same_values_as_the_reference(self, order):
+        # stacks of one and of many rows, points at knots and at both ends
+        rng = np.random.default_rng(order)
+        inner = np.sort(rng.uniform(0.0, 1.0, (9, 5)), axis=1)
+        inner[0] = [0.1, 0.2, 0.3, 0.4, 0.5]
+        full = np.concatenate([np.zeros((9, order)), inner, np.ones((9, order))], axis=1)
+        t = np.sort(np.concatenate([rng.uniform(0.0, 1.0, (9, 30)), inner,
+                                    np.zeros((9, 1)), np.ones((9, 1))], axis=1), axis=1)
+        for rows in (slice(0, 1), slice(0, 9)):
+            got = design_stack(full[rows], order, t[rows])
+            want = reference_design_stack(full[rows], order, t[rows])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestOneBSplinePerRow:

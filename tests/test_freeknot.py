@@ -113,16 +113,18 @@ def benchmark_searches():
 
 def normal_at(k, ds, config, order):
     """_jacobian at one point: its score, r'r, J'r and J'J."""
-    [(_, why, normal)] = freeknot._jacobian(k[None], [0], one_job(ds, config, order))
+    [(_, why, normal)] = freeknot._jacobian(k[None], [0], one_job(ds, config, order), True)
     assert why == ""
     return normal
 
 
 def assert_normal_equations(normal, r, jac):
     """normal (_jacobian's) is (score, r'r, J'r, J'J) of the residual r and
-    the Jacobian jac, to the accuracy of the differences."""
+    the Jacobian jac, to the accuracy of the differences; a descent's point
+    has no score (None)."""
     score, rr, jr, jtj = normal
-    assert score == pytest.approx(r @ r, rel=1e-10) and rr == pytest.approx(r @ r, rel=1e-10)
+    assert score is None or score == pytest.approx(r @ r, rel=1e-10)
+    assert rr == pytest.approx(r @ r, rel=1e-10)
     scale = np.linalg.norm(jac)
     assert np.linalg.norm(jtj - jac.T @ jac) <= 1e-8 * scale**2
     assert np.linalg.norm(jr - jac.T @ r) <= 1e-8 * scale * np.linalg.norm(r)
@@ -235,6 +237,52 @@ class TestJuppTransform:
         tau = 2.0 + 5.0 * cum[:-1]
         back = jupp_inverse(jupp(tau, 2.0, 7.0))
         assert np.abs(back - tau).max() < 1e-12
+
+
+def reference_fittable_rows(ratios, lo, hi, order):
+    """freeknot._fittable_rows as it was before its knots were written into
+    one preallocated array: gathered finite rows, concatenated ends."""
+    finite = np.flatnonzero(np.all(np.isfinite(ratios), axis=1))
+    lo, hi = lo[finite, None], hi[finite, None]
+    k = ratios[finite]
+    logw = np.concatenate([np.zeros(k.shape[:-1] + (1,)), np.cumsum(k, axis=-1)], axis=-1)
+    logw -= logw.max(axis=-1, keepdims=True)
+    w = np.exp(logw)
+    cum = np.cumsum(w[..., :-1], axis=-1) / w.sum(axis=-1, keepdims=True)
+    ends = np.ones((finite.size, order))
+    full = np.concatenate([lo * ends, lo + (hi - lo) * cum, hi * ends], axis=1)
+    valid = np.all(np.diff(full[:, order - 1 : full.shape[1] - order + 1], axis=1) > 0, axis=1)
+    return finite[valid], full[valid]
+
+
+class TestFittableRows:
+    """_fittable_rows keeps the rows and knots of its reference, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0, 1, 3, 8])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_same_rows_and_knots_as_the_reference(self, p, order):
+        rng = np.random.default_rng(p + 10 * order)
+        ratios = rng.normal(0.0, 2.0, (40, p))
+        if p:
+            ratios[1, 0], ratios[2, -1], ratios[3] = np.nan, np.inf, -np.inf
+            ratios[4, 0] = 800.0  # the gaps after the first underflow to zero
+            ratios[5, -1] = -800.0  # the last gap underflows
+            ratios[6] = 40.0  # gaps spanning e^(40 p): the first ones coincide
+        # mixed domains, one of them far from the origin
+        lo = rng.choice([0.0, -3.0, 1e6], ratios.shape[0])
+        hi = lo + rng.choice([1.0, 1e-9, 5.0], ratios.shape[0])
+        kept_rows = []
+        unit = np.zeros(len(ratios) - 7), np.ones(len(ratios) - 7)
+        # with refused rows, and a stack whose every row is kept
+        for rows, (a, b) in ((ratios, (lo, hi)), (ratios[7:], unit)):
+            kept, full = freeknot._fittable_rows(rows, a, b, order)
+            ref_kept, ref_full = reference_fittable_rows(rows, a, b, order)
+            assert kept.tolist() == ref_kept.tolist()
+            assert full.shape == ref_full.shape and full.tobytes() == ref_full.tobytes()
+            kept_rows.append(kept.tolist())
+        assert kept_rows[1] == list(range(len(ratios) - 7))
+        if p:  # non-finite ratios, and a first gap underflowing to zero
+            assert not {1, 2, 3, 4} & set(kept_rows[0])
 
 
 class TestProfiledObjective:

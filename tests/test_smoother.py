@@ -226,7 +226,45 @@ class TestVariantTable:
             variant_config("fs9")
 
 
+def reference_refused(H):
+    """smoother._refused as it was before it skipped zeroing an all-finite stack."""
+    finite = np.isfinite(H).all(axis=(1, 2))
+    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], H, 0.0))
+    why = []
+    for ok, lo, hi in zip(finite.tolist(), eigs[:, 0].tolist(), eigs[:, -1].tolist()):
+        if not ok:
+            why.append("system matrix has non-finite entries")
+        elif lo <= 0.0:
+            why.append("system matrix is not positive definite; add a penalty or drop "
+                       "redundant sample points")
+        elif hi > 1e10 * lo:
+            why.append("system matrix is numerically singular; a basis function has "
+                       "little or no data in its support")
+        else:
+            why.append("")
+    return why
+
+
 class TestSystemMatrix:
+    def test_refusals_are_the_reference_reasons(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(6, 6))
+        kept = A @ A.T + np.eye(6)
+        indefinite = kept - 20.0 * np.eye(6)
+        singular = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-11])
+        nan, inf = kept.copy(), kept.copy()
+        nan[2, 3] = nan[3, 2] = np.nan
+        inf[0, 0] = np.inf
+        mixed = np.array([kept, nan, indefinite, singular, inf, kept, np.zeros((6, 6))])
+        reasons = smoother._refused(mixed)
+        assert reasons == reference_refused(mixed)
+        assert [why.split(";")[0] for why in reasons] == [
+            "", "system matrix has non-finite entries", "system matrix is not positive definite",
+            "system matrix is numerically singular", "system matrix has non-finite entries", "",
+            "system matrix is not positive definite"]
+        finite = mixed[[0, 2, 3, 5]]  # every matrix finite: nothing is zeroed
+        assert smoother._refused(finite) == reference_refused(finite)
+
     def test_identity_design_plus_first_difference_penalty(self):
         # Two linear hats sampled at t = 0 and t = 1 give the identity
         # design; adding the hat roughness matrix with weight 1 yields

@@ -11,9 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkspline import FkSplineError, FunctionalDataset, make_basis_spec, variant_config
+from fkspline import (ConfigError, FkSplineError, FunctionalDataset, fit_coefficients,
+                      make_basis_spec, variant_config)
 from fkspline.basis import BasisSpec, eval_design
-from fkspline.freeknot import jupp
+from fkspline.cluster import functional_kmeans
+from fkspline.freeknot import KnotSearchConfig, fit_free_knot, jupp, jupp_inverse
+from fkspline.lambda_select import gcv_grid_search
+from fkspline.penalty import gram_matrix
+from fkspline.simulate import generate_scenario
 
 HOSTILE = [
     None, "ab", "0.5", b"1", True, math.nan, math.inf, -math.inf, 1e308, -1e308, -1.0, 0, 0.5,
@@ -72,3 +77,29 @@ def test_a_grid_wider_than_the_float_range_is_taken_quietly():
     # the increasing check compares neighbours rather than subtracting them
     dataset = FunctionalDataset(t=[-1e308, 1e308], values=[1.0, 2.0])
     assert dataset.domain == (-1e308, 1e308)
+
+
+DATASET = FunctionalDataset(t=np.linspace(0.0, 1.0, 8),
+                            values=np.sin(np.linspace(0.0, 3.0, 16)).reshape(8, 2))
+SEARCH = KnotSearchConfig(order=4, max_knots=2, grid_size=10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fit_free_knot(DATASET, None, SEARCH),
+    lambda: fit_free_knot(DATASET, variant_config("fs2"), None),
+    lambda: fit_free_knot(None, variant_config("fs2"), SEARCH),
+    lambda: gcv_grid_search(DATASET, grid="x", search=SEARCH, mode="free"),
+    lambda: gcv_grid_search(DATASET, spec="x", mode="fixed"),
+    lambda: fit_coefficients(None, SPEC, variant_config("fs2")),
+    lambda: functional_kmeans(None, 2),
+    lambda: gram_matrix(None),
+    lambda: jupp_inverse(None),
+    lambda: generate_scenario(None),
+], ids=["fit-none-config", "fit-none-search", "fit-none-dataset", "gcv-string-grid",
+        "gcv-string-spec", "coefficients-none-dataset", "kmeans-none-model",
+        "gram-none-spec", "jupp-inverse-none", "scenario-none-config"])
+def test_an_object_of_the_wrong_type_is_a_config_error(call):
+    # the argument contract covers types: a wrong-typed object is refused
+    # before any of its attributes is read
+    with pytest.raises(ConfigError, match="must be a"):
+        call()
