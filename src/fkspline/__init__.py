@@ -7,156 +7,27 @@ truth (`metrics`), knot placement via an unconstrained log-gap
 parametrization (`freeknot`), penalty weight selection (`lambda_select`),
 a four-group synthetic benchmark (`simulate`), curve clustering in the
 fitted coefficient space (`cluster`), and CSV ingestion (`ingest`).
+
+Each module's `__all__` declares its public names; the package exports
+their union, so a name is made public in one place.
 """
 
-from .basis import BasisSpec, DesignMatrix, eval_design, eval_spline, make_basis_spec
-from .cluster import (
-    ClusterResult,
-    ElbowResult,
-    Partition,
-    adjusted_rand_index,
-    confusion_counts,
-    elbow_curve,
-    functional_kmeans,
-    hierarchical_cluster,
-    matched_confusion,
-    partitions_equal,
-    rand_index,
-)
-from .data import FunctionalDataset
-from .errors import (
-    AllCandidatesSingularError,
-    AllCellsFailedError,
-    CoefficientLengthMismatchError,
-    ConfigError,
-    DataError,
-    DerivativeOrderTooHighError,
-    DuplicateCellError,
-    EmptyIntervalError,
-    EmptyTableError,
-    FkSplineError,
-    KnotOutOfDomainError,
-    LengthMismatchError,
-    NonFiniteInputError,
-    NonIncreasingKnotsError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    OrderTooSmallError,
-    ParseError,
-    PointOutOfDomainError,
-    TooFewCurvesError,
-    UnknownGroupError,
-    ZeroVarianceError,
-)
-from .freeknot import (
-    FreeKnotResult,
-    JuppCoords,
-    KnotSearchConfig,
-    add_knots_gradually,
-    fit_free_knot,
-    gauss_newton_refine,
-    jupp,
-    jupp_inverse,
-    objective_f,
-)
-from .ingest import load_csv, standardize, to_dataset
-from .lambda_select import GridSearchResult, LambdaGrid, gcv_grid_search
-from .metrics import TailRegions, integrated_sse, local_isse, model_isse
-from .penalty import PenaltyConfig, PenaltyMatrix, gram_matrix, penalty_matrix
-from .simulate import (
-    GROUP_IDS,
-    Scenario,
-    ScenarioConfig,
-    benchmark_config,
-    generate_scenario,
-    mean_function,
-)
-from .smoother import (
-    VARIANTS,
-    FitDiagnostics,
-    FitModel,
-    SystemMatrix,
-    assemble_system,
-    fit_coefficients,
-    variant_config,
-)
+from . import (basis, cluster, data, errors, freeknot, ingest, lambda_select, metrics, penalty,
+               simulate, smoother)
+from .basis import *
+from .cluster import *
+from .data import *
+from .errors import *
+from .freeknot import *
+from .ingest import *
+from .lambda_select import *
+from .metrics import *
+from .penalty import *
+from .simulate import *
+from .smoother import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllCandidatesSingularError",
-    "AllCellsFailedError",
-    "BasisSpec",
-    "ClusterResult",
-    "CoefficientLengthMismatchError",
-    "ConfigError",
-    "DataError",
-    "DerivativeOrderTooHighError",
-    "DesignMatrix",
-    "DuplicateCellError",
-    "ElbowResult",
-    "EmptyIntervalError",
-    "EmptyTableError",
-    "FitDiagnostics",
-    "FitModel",
-    "FkSplineError",
-    "FreeKnotResult",
-    "FunctionalDataset",
-    "GROUP_IDS",
-    "GridSearchResult",
-    "JuppCoords",
-    "KnotOutOfDomainError",
-    "KnotSearchConfig",
-    "LambdaGrid",
-    "LengthMismatchError",
-    "NonFiniteInputError",
-    "NonIncreasingKnotsError",
-    "NotPositiveDefiniteError",
-    "NumericalError",
-    "OrderTooSmallError",
-    "ParseError",
-    "Partition",
-    "PenaltyConfig",
-    "PenaltyMatrix",
-    "PointOutOfDomainError",
-    "Scenario",
-    "ScenarioConfig",
-    "SystemMatrix",
-    "TailRegions",
-    "TooFewCurvesError",
-    "UnknownGroupError",
-    "VARIANTS",
-    "ZeroVarianceError",
-    "add_knots_gradually",
-    "adjusted_rand_index",
-    "assemble_system",
-    "benchmark_config",
-    "confusion_counts",
-    "elbow_curve",
-    "eval_design",
-    "eval_spline",
-    "fit_coefficients",
-    "fit_free_knot",
-    "functional_kmeans",
-    "gauss_newton_refine",
-    "gcv_grid_search",
-    "generate_scenario",
-    "gram_matrix",
-    "hierarchical_cluster",
-    "integrated_sse",
-    "jupp",
-    "jupp_inverse",
-    "load_csv",
-    "local_isse",
-    "make_basis_spec",
-    "matched_confusion",
-    "mean_function",
-    "model_isse",
-    "objective_f",
-    "penalty_matrix",
-    "partitions_equal",
-    "rand_index",
-    "standardize",
-    "to_dataset",
-    "variant_config",
-]
+__all__ = [name for module in (errors, data, basis, penalty, smoother, metrics, freeknot,
+                               lambda_select, simulate, cluster, ingest)
+           for name in module.__all__]

@@ -27,6 +27,7 @@ from .errors import (
     NonIncreasingKnotsError,
     OrderTooSmallError,
     PointOutOfDomainError,
+    as_instance,
     as_integer,
     as_real,
     as_reals,
@@ -223,7 +224,8 @@ def eval_design(spec: BasisSpec, t, derivative: int = 0) -> DesignMatrix:
     (derivative_stack) takes its left limit at b.  The derivative order
     must satisfy 0 <= derivative < order.
     """
-    d, r = as_integer(derivative, 0, "derivative order", DerivativeOrderTooHighError), spec.order
+    r = as_instance(spec, BasisSpec, "spec").order
+    d = as_integer(derivative, 0, "derivative order", DerivativeOrderTooHighError)
     if d >= r:
         raise DerivativeOrderTooHighError(
             f"derivative order must satisfy 0 <= d < {r}, got {derivative}"
@@ -244,6 +246,7 @@ def eval_spline(spec: BasisSpec, coeffs, t, derivative: int = 0) -> np.ndarray:
     coeffs has shape (n_basis,) for a single curve or (n_basis, n) for a
     family; the result has shape (h,) or (h, n) accordingly.
     """
+    as_instance(spec, BasisSpec, "spec")
     coeffs = as_reals(coeffs, "coefficients", NonFiniteInputError)
     if coeffs.ndim not in (1, 2) or coeffs.shape[0] != spec.n_basis:
         raise CoefficientLengthMismatchError(

@@ -29,6 +29,7 @@ __all__ = [
     "elbow_curve",
     "confusion_counts",
     "rand_index",
+    "partitions_equal",
     "adjusted_rand_index",
     "matched_confusion",
 ]
@@ -344,7 +345,7 @@ def hierarchical_cluster(model: FitModel, k: int, linkage: str = "ward") -> Clus
     """Agglomerative clustering of the fitted curves, cut at k clusters."""
     if linkage not in _LINKAGES:
         raise ConfigError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
-    k = _check_k(k, model.n_curves)
+    k = _check_k(k, as_instance(model, FitModel, "model").n_curves)
     z = _embedding(model)
     partition, _ = _as_partition(_agglomerate(z, k, linkage))
     labels = partition.labels[None] - 1
@@ -372,6 +373,7 @@ def elbow_curve(model: FitModel, k_max: int, seed: int = 0, restarts: int = 20) 
     candidate, which makes W non-increasing in k.  The suggestion is
     flagged low-confidence when the strongest curvature is below 5% of W(1).
     """
+    model = as_instance(model, FitModel, "model")
     k_max, (restarts, seed) = _check_k_max(k_max, model.n_curves), _check_kmeans(restarts, seed)
     z = _embedding(model)
     n = z.shape[0]

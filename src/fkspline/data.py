@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import LengthMismatchError, NonFiniteInputError, NonIncreasingKnotsError, as_reals
 
+__all__ = ["FunctionalDataset"]
+
 
 def _orthonormal_basis(A: np.ndarray) -> np.ndarray:
     """Q (m, k) with orthonormal columns and A = Q Q' A, for A (m, k), m > k.

@@ -11,6 +11,17 @@ import reprlib
 
 import numpy as np
 
+# the exception classes; the as_* checks are the package's own helpers
+__all__ = [
+    "FkSplineError", "ConfigError", "OrderTooSmallError", "NonIncreasingKnotsError",
+    "KnotOutOfDomainError", "PointOutOfDomainError", "DerivativeOrderTooHighError",
+    "CoefficientLengthMismatchError", "EmptyIntervalError", "NonFiniteInputError",
+    "LengthMismatchError", "UnknownGroupError", "TooFewCurvesError",
+    "DataError", "ParseError", "DuplicateCellError", "EmptyTableError", "ZeroVarianceError",
+    "NumericalError", "NotPositiveDefiniteError", "AllCandidatesSingularError",
+    "AllCellsFailedError",
+]
+
 
 class FkSplineError(Exception):
     """Base class for every error raised by this package."""

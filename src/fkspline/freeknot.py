@@ -26,6 +26,7 @@ from .errors import (
     AllCandidatesSingularError,
     ConfigError,
     FkSplineError,
+    LengthMismatchError,
     NonFiniteInputError,
     NonIncreasingKnotsError,
     NotPositiveDefiniteError,
@@ -62,7 +63,7 @@ class JuppCoords:
     hi: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
+        values = as_reals(self.values, "log gap ratios", NonFiniteInputError).reshape(-1)
         object.__setattr__(self, "values", values)
         for name in ("lo", "hi"):
             object.__setattr__(self, name, as_real(getattr(self, name), name))
@@ -191,7 +192,8 @@ def objective_f(coords: JuppCoords, dataset: FunctionalDataset, config: PenaltyC
     The coefficients are projected out exactly, so this equals the sse
     reported by the fit at the reconstructed knot vector.
     """
-    return fit_coefficients(dataset, _spec(coords, order), config).diagnostics.sse
+    spec = _spec(as_instance(coords, JuppCoords, "coords"), order)
+    return fit_coefficients(dataset, spec, config).diagnostics.sse
 
 
 @dataclass(frozen=True)
@@ -460,15 +462,6 @@ def _norm(v: np.ndarray) -> float:
     return norm
 
 
-def _error(check, *args) -> FkSplineError | None:
-    """The FkSplineError that check(*args) raises, or None."""
-    try:
-        check(*args)
-    except FkSplineError as exc:
-        return exc
-    return None
-
-
 def _descend(k, owner, jobs: _Jobs, search: KnotSearchConfig, first) -> list:
     """Damped Gauss-Newton descent from starts of one knot count, in lockstep.
 
@@ -550,15 +543,23 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
     every norm and inner product the step uses.  The damping grows tenfold
     when a step fails to decrease the objective and shrinks tenfold on
     success.  The best iterate seen is returned, fitted on the full data
-    (its sse is the objective).  This is the one-start case of refine_fits.
+    (its sse is the objective).  This is the one-start case of refine_fits;
+    a start that the dataset or config refuses raises that error, and then
+    one whose knots no basis takes raises the basis error.
     """
-    jobs = _Jobs([dataset], [config], [(coords.lo, coords.hi)], search.order)
-    ((_, outcome, fit),) = refine_fits([coords], [0], jobs, search)
+    as_instance(coords, JuppCoords, "coords"), as_instance(dataset, FunctionalDataset, "dataset")
+    as_instance(config, PenaltyConfig, "config")
+    order = as_instance(search, KnotSearchConfig, "search").order
+    jobs = _Jobs([dataset], [config], [(coords.lo, coords.hi)], order)
+    if jobs.errors[0] is not None:
+        raise jobs.errors[0]
+    _spec(coords, order)  # raises the basis error of knots no basis takes
+    ((_, outcome, fit),) = refine_fits([coords.values], [0], jobs, search)
     if outcome.error is not None:
         raise outcome.error
     best = JuppCoords(outcome.k, coords.lo, coords.hi)
     coeffs, diagnostics, _ = fit
-    model = FitModel(_spec(best, search.order), config, coeffs, diagnostics)
+    model = FitModel(_spec(best, order), config, coeffs, diagnostics)
     return GaussNewtonResult(
         coords=best, objective=model.diagnostics.sse, iterations=outcome.iterations,
         converged=outcome.converged, model=model, step_failure=outcome.step_failure,
@@ -566,13 +567,14 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
 
 
 def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None):
-    """Refine every start, start i of job owner[i], and fit each result.
+    """Refine every start, start i (a row of log gap ratios) of job
+    owner[i], and fit each result.
 
     The starts of each knot count descend in lockstep (_descend), first[i]
-    (when given) being start i's normal equations or None.  A start ends
-    at once with its job's error, else the error building its basis raises
-    (checked once per distinct start given no normal equations: the scan
-    fitted the others); a start without knots has nothing to refine.
+    (when given) being start i's normal equations or None.  The starts
+    are knots a basis takes (the callers checked or fitted them); a start
+    ends at once with its job's error, and a start without knots has
+    nothing to refine.
     Each result fit is what fit_coefficients reports at the result's knots,
     from one full=True stack per kind of end: results of an accepted trial
     pass their _Outcome.system as _fits' systems, so no knot vector is
@@ -585,12 +587,10 @@ def refine_fits(starts, owner, jobs: _Jobs, search: KnotSearchConfig, first=None
     """
     owner = np.asarray(owner, dtype=int)
     first = first or [None] * len(starts)
-    bad = {id(start): _error(_spec, start, search.order) for start in
-           {id(start): start for start, normal in zip(starts, first) if normal is None}.values()}
-    outcomes = [_Outcome(start.values, 0, start.p == 0, False, jobs.errors[j] or bad.get(id(start)))
+    outcomes = [_Outcome(start, 0, start.size == 0, False, jobs.errors[j])
                 for start, j in zip(starts, owner.tolist())]
-    todo = [i for i, outcome in enumerate(outcomes) if outcome.error is None and starts[i].p]
-    for group, k in _by_size([starts[i].values for i in todo]):  # one descent per knot count
+    todo = [i for i, outcome in enumerate(outcomes) if outcome.error is None and starts[i].size]
+    for group, k in _by_size([starts[i] for i in todo]):  # one descent per knot count
         group = [todo[c] for c in group]
         for i, outcome in zip(group, _descend(k, owner[group], jobs, search,
                                               [first[i] for i in group])):
@@ -829,8 +829,11 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
     one batch.  A job leaves when it fails, its grid is used up or its GCV
     rule stops it.  Returns each job's FreeKnotResult, or the FkSplineError
     its add_knots_gradually call raises: its outcome alone, bit for bit.
-    A search, dataset or config of the wrong type raises ConfigError."""
+    datasets and configs are lists of one length; a search, dataset or
+    config of the wrong type raises ConfigError."""
     order = as_instance(search, KnotSearchConfig, "search").order
+    if len(as_instance(datasets, list, "datasets")) != len(as_instance(configs, list, "configs")):
+        raise LengthMismatchError(f"{len(datasets)} datasets but {len(configs)} configs")
     for dataset, config in zip(datasets, configs):
         as_instance(dataset, FunctionalDataset, "dataset")
         as_instance(config, PenaltyConfig, "config")
@@ -841,16 +844,14 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
         if not live:
             break
         # round 0 fits every job without interior knots: no scan, nothing to refine
-        starts = [] if p else [(j, JuppCoords(np.empty(0), *datasets[j].domain), None, {})
-                               for j in live]
+        starts = [] if p else [(j, np.empty(0), None, {}) for j in live]
         scans = _scan([(searches[j].result.stages[-1].knots, searches[j].system) for j in live],
                       live, jobs, search) if p else []
         for j, (ratios, scores, fitted, best) in zip(live, scans):
             failures = int(np.isnan(scores).sum())
             if best is not None:
                 c, normal = best
-                starts.append((j, JuppCoords(ratios[c], *datasets[j].domain), normal,
-                               {"scanned": scores.size, "fitted": fitted}))
+                starts.append((j, ratios[c], normal, {"scanned": scores.size, "fitted": fitted}))
             elif failures:  # else exclusion zones used up the grid
                 last = searches[j].result.stages[-1]
                 searches[j].error = AllCandidatesSingularError(
@@ -858,15 +859,15 @@ def add_knots_lockstep(datasets, configs, search: KnotSearchConfig) -> list:
                     f"the last feasible stage has p={last.p} and knots "
                     f"{[float(x) for x in last.knots]}"
                 )
-        for i, outcome, fit in refine_fits([coords for _, coords, *_ in starts],
+        for i, outcome, fit in refine_fits([start for _, start, *_ in starts],
                                            [j for j, *_ in starts], jobs, search,
                                            [normal for _, _, normal, _ in starts]):
-            j, start, _, scan = starts[i]
+            j, _, _, scan = starts[i]
             job = searches[j]
             job.error, result = outcome.error, job.result
             if fit is None:
                 continue
-            coords = JuppCoords(outcome.k, start.lo, start.hi)
+            coords = JuppCoords(outcome.k, *datasets[j].domain)
             coeffs, diagnostics, job.system = fit
             job.model = FitModel(_spec(coords, order), configs[j], coeffs, diagnostics)
             d = job.model.diagnostics

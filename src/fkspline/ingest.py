@@ -23,6 +23,8 @@ from .errors import (
     EmptyTableError,
     ParseError,
     ZeroVarianceError,
+    as_instance,
+    as_real,
 )
 
 __all__ = ["RawSeriesTable", "load_csv", "standardize", "to_dataset"]
@@ -197,6 +199,8 @@ def standardize(table: RawSeriesTable, max_missing_frac: float = 0.1,
     (T-1) denominator.  Constant series raise ZeroVarianceError, or with
     on_zero_variance="drop" are excluded with a warning record instead.
     """
+    as_instance(table, RawSeriesTable, "table")
+    max_missing_frac = as_real(max_missing_frac, "max_missing_frac", 0.0, 1.0)
     if on_zero_variance not in ("raise", "drop"):
         raise ConfigError("on_zero_variance must be 'raise' or 'drop'")
     if table.n_times < 2:
@@ -245,7 +249,7 @@ def to_dataset(table: RawSeriesTable) -> FunctionalDataset:
     All cells must be present; run standardize (or fill gaps yourself)
     first.
     """
-    if not table.mask.all():
+    if not as_instance(table, RawSeriesTable, "table").mask.all():
         raise EmptyTableError("table still has missing cells; standardize first")
     t = table.time_index
     span = t[-1] - t[0]

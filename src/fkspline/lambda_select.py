@@ -125,9 +125,7 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     if lambda1_pinned is None:
         l1_values = tuple(grid.values)
     else:
-        if not 0 <= lambda1_pinned < np.inf:
-            raise ConfigError("pinned lambda1 must be nonnegative and finite")
-        l1_values = (float(lambda1_pinned),)
+        l1_values = (as_real(lambda1_pinned, "pinned lambda1", 0.0),)
     l2_values = tuple(grid.values)
     configs = [PenaltyConfig(lambda1=float(l1), lambda2=float(l2))
                for l1 in l1_values for l2 in l2_values]
@@ -206,11 +204,12 @@ def _free_fits(dataset, search, configs) -> list:
     of smallest GCV.  The warm-start search, the descents and the result fits all run
     on the dataset as given (gcv_grid_search passes the reduced one).
     """
-    warm = [stage.coords for stage in add_knots_gradually(dataset, PenaltyConfig(), search).stages]
+    warm = [stage.coords.values
+            for stage in add_knots_gradually(dataset, PenaltyConfig(), search).stages]
     cells = len(configs)
     jobs = _Jobs([dataset] * cells, configs, [dataset.domain] * cells, search.order)
     outcomes = [None] * (len(warm) * cells)
-    for i, outcome, fit in refine_fits([coords for coords in warm for _ in configs],
+    for i, outcome, fit in refine_fits([start for start in warm for _ in configs],
                                        list(range(cells)) * len(warm), jobs, search):
         outcomes[i] = outcome.error if fit is None else _CellFit.of(fit[1])
     fits = []

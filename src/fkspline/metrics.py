@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyIntervalError, NonFiniteInputError, as_integer, as_real
+from .errors import (ConfigError, EmptyIntervalError, LengthMismatchError, NonFiniteInputError,
+                     as_instance, as_integer, as_real, as_reals)
 from .cluster import _distinct
 from .penalty import _panel_rule
 from .smoother import FitModel
@@ -64,7 +65,7 @@ class TailRegions:
 
 
 def _panel_edges(lo, hi, quad_points, breakpoints):
-    inner = np.asarray(breakpoints, dtype=float)
+    inner = as_reals(breakpoints, "breakpoints")
     inner = inner[(inner > lo) & (inner < hi)]
     edges = _distinct(np.concatenate([[lo, hi], inner]))[0]
     # Uniform refinement until the node budget is met.
@@ -75,13 +76,31 @@ def _panel_edges(lo, hi, quad_points, breakpoints):
     return edges
 
 
+def _difference(truth, fitted, pts: np.ndarray) -> np.ndarray:
+    """truth(pts) - fitted(pts), each side (h,) or (h, columns) for h points,
+    the column counts equal or one of them 1, else a LengthMismatchError;
+    one curve against a family is a one-column family."""
+    values = [as_reals(curve(pts), f"{name} values", NonFiniteInputError)
+              for name, curve in (("truth", truth), ("fitted", fitted))]
+    shapes = [v.shape for v in values]
+    if (any(shape[:1] != pts.shape or len(shape) > 2 for shape in shapes)
+            or len({shape[1:] for shape in shapes} - {(), (1,)}) > 1):
+        raise LengthMismatchError(f"curve evaluators must give ({pts.size},) or ({pts.size}, n) "
+                                  f"values with one n or n = 1, got shapes {shapes}")
+    if values[0].ndim != values[1].ndim:
+        values = [v.reshape(pts.size, -1) for v in values]
+    return values[0] - values[1]
+
+
 def integrated_sse(truth, fitted, interval, quad_points: int = 256, breakpoints=()) -> float:
     """Integral of the squared difference between two curve evaluators.
 
     truth and fitted are callables mapping a point array to values of shape
     (npts,) or (npts, n_curves); families are summed over curves.  Both must
-    produce finite values on the interval.  The interval's ends go through
-    errors.as_real, and an evaluator that is not callable is a ConfigError.
+    produce finite values on the interval, with as many columns as the
+    other or one column, which then serves every curve (LengthMismatchError
+    otherwise).  The interval's ends go through errors.as_real, and an
+    evaluator that is not callable is a ConfigError.
     """
     lo, hi = _interval(interval, "integration interval")
     for name, curve in (("truth", truth), ("fitted", fitted)):
@@ -90,7 +109,7 @@ def integrated_sse(truth, fitted, interval, quad_points: int = 256, breakpoints=
     quad_points = as_integer(quad_points, 16, "quad_points", EmptyIntervalError)
     edges = _panel_edges(lo, hi, quad_points, breakpoints)
     pts, w = _panel_rule(edges, _NODES_PER_PANEL)
-    diff = np.asarray(truth(pts), dtype=float) - np.asarray(fitted(pts), dtype=float)
+    diff = _difference(truth, fitted, pts)
     if not np.all(np.isfinite(diff)):
         raise NonFiniteInputError("curve evaluators returned non-finite values")
     if diff.ndim == 1:
@@ -101,6 +120,7 @@ def integrated_sse(truth, fitted, interval, quad_points: int = 256, breakpoints=
 def local_isse(truth, fitted, tails: TailRegions, quad_points: int = 256,
                breakpoints=()) -> tuple[float, float]:
     """Integrated squared error restricted to the two tail regions."""
+    as_instance(tails, TailRegions, "tails")
     lower = integrated_sse(truth, fitted, tails.lower, quad_points, breakpoints)
     upper = integrated_sse(truth, fitted, tails.upper, quad_points, breakpoints)
     return lower, upper
@@ -114,7 +134,7 @@ def model_isse(model: FitModel, truth, tails: TailRegions | None = None,
     Returns a dict with keys isse, isse_inf, isse_sup (the tail entries are
     None when no tails are given).
     """
-    a, b = model.spec.domain
+    a, b = as_instance(model, FitModel, "model").spec.domain
     knots = model.spec.interior_knots
     fitted = model.predict
     out = {"isse": integrated_sse(truth, fitted, (a, b), quad_points, knots)}

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import FunctionalDataset
 from .errors import (ConfigError, NonFiniteInputError, UnknownGroupError, as_instance, as_integer,
-                     as_real)
+                     as_real, as_reals)
 
 __all__ = [
     "GROUP_IDS",
@@ -31,7 +31,7 @@ GROUP_IDS = (1, 2, 3, 4)
 
 def mean_function(group_id: int, t) -> np.ndarray:
     """Noiseless group mean evaluated at t (scalar or array)."""
-    t = np.asarray(t, dtype=float)
+    t = as_reals(t, "t")
     if group_id == 1:
         return -2.0 * np.sin(t - 1.0) * np.log(t + 0.5)
     if group_id == 2:
@@ -45,7 +45,9 @@ def mean_function(group_id: int, t) -> np.ndarray:
 
 def group_means(labels, t) -> np.ndarray:
     """Noiseless mean of each curve, given its group id, at t: (len(t), n)."""
-    t = np.asarray(t, dtype=float)
+    labels, t = as_reals(labels, "labels"), as_reals(t, "t")
+    if labels.ndim != 1 or t.ndim != 1:
+        raise ConfigError("labels and t must be 1-d arrays")
     by_group = {g: mean_function(g, t) for g in set(labels.tolist())}
     return np.stack([by_group[g] for g in labels], axis=1)
 

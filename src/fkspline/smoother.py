@@ -157,8 +157,8 @@ def _assemble(knots: np.ndarray, order: int, T: np.ndarray, weights: np.ndarray,
 def assemble_system(design: DesignMatrix, config: PenaltyConfig) -> SystemMatrix:
     """Build and check the system matrix for one basis and penalty config:
     _assemble's one-row case, on the basis of a derivative-0 design at its points."""
-    spec = design.spec
-    weights = penalty_weights(config, spec.order)[None]
+    spec = as_instance(design, DesignMatrix, "design").spec
+    weights = penalty_weights(as_instance(config, PenaltyConfig, "config"), spec.order)[None]
     _, btb, H, terms, (reason,) = _assemble(spec._full_arr[None], spec.order,
                                             design.points[None], weights)
     if reason:

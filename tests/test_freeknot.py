@@ -25,6 +25,7 @@ from fkspline import (
     LambdaGrid,
     NotPositiveDefiniteError,
     PenaltyConfig,
+    PointOutOfDomainError,
     add_knots_gradually,
     eval_spline,
     fit_coefficients,
@@ -73,9 +74,10 @@ def scan(existing, ds, config, search):
 
 
 def refine(starts, configs, datasets, search):
-    """freeknot.refine_fits of one job per (start, config, dataset), on the start's domain."""
+    """freeknot.refine_fits of one job per (start, config, dataset), on the
+    start's domain, from the start's log gap ratios."""
     jobs = freeknot._Jobs(datasets, configs, [(s.lo, s.hi) for s in starts], search.order)
-    return freeknot.refine_fits(starts, list(range(len(starts))), jobs, search)
+    return freeknot.refine_fits([s.values for s in starts], list(range(len(starts))), jobs, search)
 
 
 def stacked_scan(existing, ds, config, search):
@@ -930,21 +932,34 @@ class TestStackedJacobian:
         assert np.array_equal(fit[0], alone.model.coeffs)
         assert fits == []
 
-    def test_a_start_whose_knots_cannot_be_fitted_ends_its_pair_with_the_basis_error(self):
+    def test_a_start_whose_knots_cannot_be_fitted_raises_the_basis_error_before_any_fit(
+            self, monkeypatch):
         # the first gap underflows: the knots reconstructed from these
-        # ratios put a knot on the domain's end
+        # ratios put a knot on the domain's end; gauss_newton_refine, the
+        # entry that takes outside starts, checks its start once, and
+        # refine_fits takes rows that its callers checked
         ds = noisy_sine_dataset()
         start = JuppCoords(np.array([800.0, 0.0]), 0.0, 1.0)
         with pytest.raises(ConfigError) as want:
             make_basis_spec(0.0, 1.0, 4, jupp_inverse(start))
         search = KnotSearchConfig(order=4, max_knots=3)
+        stacks = recording_fits(monkeypatch)
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):
             gauss_newton_refine(start, ds, PenaltyConfig(), search)
+        assert stacks == []
+        # the job's error comes first: here the sample points leave the domain
+        outside = JuppCoords(start.values, 0.0, 0.5)
+        with pytest.raises(PointOutOfDomainError):
+            gauss_newton_refine(outside, ds, PenaltyConfig(), search)
+        # a row no basis takes is refused by its first stack, without
+        # touching the other pair
         fine = jupp(np.array([0.3, 0.6]), 0.0, 1.0)
         outcomes = {i: pair for i, pair, _ in refine(
             [start, fine], [PenaltyConfig()] * 2, [ds, ds], search)}
-        assert type(outcomes[0].error) is type(want.value) and outcomes[0].iterations == 0
-        assert outcomes[1].error is None and outcomes[1].iterations > 0
+        assert type(outcomes[0].error) is NotPositiveDefiniteError
+        alone = gauss_newton_refine(fine, ds, PenaltyConfig(), search)
+        assert outcomes[1].error is None and outcomes[1].iterations == alone.iterations
+        assert np.array_equal(outcomes[1].k, alone.coords.values)
 
 
 class TestDescentPerKnotCount:
@@ -953,7 +968,8 @@ class TestDescentPerKnotCount:
     def test_mixed_knot_counts_refine_as_one_call_per_count(self, monkeypatch):
         ds = noisy_sine_dataset()
         search = KnotSearchConfig(order=4, max_knots=4, grid_size=20, fixed_p=True)
-        warm = [stage.coords for stage in add_knots_gradually(ds, PenaltyConfig(), search).stages]
+        warm = [stage.coords.values
+                for stage in add_knots_gradually(ds, PenaltyConfig(), search).stages]
         warm = warm[1:]  # the zero-penalty warm starts of 1-4 knots
         configs = [PenaltyConfig(lambda2=1e-6), PenaltyConfig(lambda1=1e-7, lambda2=1e-3)]
         jobs = freeknot._Jobs([ds] * 2, configs, [ds.domain] * 2, search.order)
@@ -973,7 +989,7 @@ class TestDescentPerKnotCount:
             for i, outcome, fit in freeknot.refine_fits([start] * 2, [0, 1], jobs, search):
                 alone[2 * n + i] = outcome, fit
         assert together_rows == sorted(rows)
-        assert [start.p for start in warm] == [1, 2, 3, 4] and len(together) == len(alone) == 8
+        assert [start.size for start in warm] == [1, 2, 3, 4] and len(together) == len(alone) == 8
         for i, (outcome, (coeffs, d, (B, H))) in together.items():
             want, (want_coeffs, want_d, (want_B, want_H)) = alone[i]
             assert (outcome.iterations, outcome.converged, outcome.step_failure, outcome.error) == (

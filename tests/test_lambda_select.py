@@ -266,7 +266,7 @@ class TestLockstepGrid:
         jobs = freeknot._Jobs([ds] * len(configs), configs, [ds.domain] * len(configs),
                               self.search.order)
         iterations = {i: outcome.iterations for i, outcome, _ in
-                      refine_fits([w for w in warm for _ in configs],
+                      refine_fits([w.values for w in warm for _ in configs],
                                   list(range(len(configs))) * len(warm), jobs, self.search)}
         assert [iterations[i] for i in range(len(iterations))] == ref_iterations
         assert max(ref_iterations) > 1

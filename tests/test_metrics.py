@@ -9,6 +9,7 @@ from fkspline import (
     ConfigError,
     EmptyIntervalError,
     FunctionalDataset,
+    LengthMismatchError,
     PenaltyConfig,
     TailRegions,
     fit_coefficients,
@@ -128,10 +129,23 @@ class TestIntegratedSse:
         (np.sin, np.sin, (0.0, 1.0, 2.0), EmptyIntervalError),
         (None, np.sin, (0.0, 1.0), ConfigError),
         (np.sin, "sin", (0.0, 1.0), ConfigError),
-    ], ids=["none", "none-end", "nan-end", "three-ends", "none-truth", "text-fitted"])
+        (lambda t: np.zeros((t.size, 2)), lambda t: np.zeros((t.size, 3)), (0.0, 1.0),
+         LengthMismatchError),
+        (np.sin, lambda t: np.zeros(t.size + 1), (0.0, 1.0), LengthMismatchError),
+        (np.sin, lambda t: 0.0, (0.0, 1.0), LengthMismatchError),
+        (np.sin, lambda t: np.zeros((t.size, 2, 1)), (0.0, 1.0), LengthMismatchError),
+    ], ids=["none", "none-end", "nan-end", "three-ends", "none-truth", "text-fitted",
+            "two-columns-against-three", "one-point-more", "scalar-values", "three-axes"])
     def test_bad_arguments_are_typed_errors(self, truth, fitted, interval, error):
         with pytest.raises(error):
             integrated_sse(truth, fitted, interval)
+
+    def test_one_column_serves_every_curve_of_the_other_side(self):
+        # a (h, 1) curve against an (h,) one is one curve, not an (h, h) grid
+        val = integrated_sse(lambda t: np.sin(t)[:, None], lambda t: np.sin(t) + 1.0, (0.0, 1.0))
+        assert val == pytest.approx(1.0, rel=1e-12)
+        offsets = lambda t: np.sin(t)[:, None] + np.array([1.0, 2.0, 3.0])
+        assert integrated_sse(np.sin, offsets, (0.0, 1.0)) == pytest.approx(14.0, rel=1e-12)
 
     def test_quadrature_point_count_must_be_an_integer(self):
         f = as_family(np.sin)

@@ -12,9 +12,10 @@ seeds 0-1, every float as hex (README, "Testing").  Then each tree runs
 the CLI commands of CLI_RUNS on one dataset that this checkout simulates,
 in its own directory under the same relative paths (the data path is
 written into every output header), and the two output directories are
-compared byte for byte.  Prints
-"identical", or the count of differing records, the first of them and the
-largest relative change of each float field, and the differing CLI
+compared byte for byte.  Prints the names that fkspline.__all__ gains
+and loses (for information: they change neither verdict nor exit status),
+then "identical", or the count of differing records, the first of them and
+the largest relative change of each float field, and the differing CLI
 files, and exits 1.
 """
 
@@ -155,6 +156,14 @@ def cli(src: Path, cwd: Path, args) -> subprocess.CompletedProcess:
                           capture_output=True)
 
 
+def public_names(src: Path) -> set:
+    """The names of fkspline.__all__ of the fkspline under src."""
+    done = subprocess.run([sys.executable, "-c", "import fkspline; print(*fkspline.__all__)"],
+                          cwd=src, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
 def cli_outputs(src: Path, work: Path) -> str:
     """Run CLI_RUNS with the fkspline under src in work; "" or the first failure."""
     (work / "out").mkdir()
@@ -218,6 +227,10 @@ def main() -> int:
             print("a CLI run failed: " + "; ".join(filter(None, failures)), file=sys.stderr)
             return 2
         files, compared = differing_files(*(Path(tmp) / name / "out" for name in trees))
+        before, after = (public_names(src) for src in trees.values())
+    print("fkspline.__all__: " + "; ".join(
+        f"{verb} {', '.join(sorted(names))}" for verb, names in
+        (("added", after - before), ("removed", before - after)) if names) or "unchanged")
     pairs = list(itertools.zip_longest(parent.splitlines(), change.splitlines(),
                                        fillvalue="(none)"))
     differ = [i for i, (want, got) in enumerate(pairs) if want != got]
