@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     CoefficientLengthMismatchError,
+    ConfigError,
     DerivativeOrderTooHighError,
     EmptyIntervalError,
     KnotOutOfDomainError,
@@ -105,6 +106,15 @@ class DesignMatrix:
     points: np.ndarray  # (h,)
     derivative: int
     spec: BasisSpec
+
+    def __post_init__(self):
+        nb = as_instance(self.spec, BasisSpec, "spec").n_basis
+        values, points = (as_instance(getattr(self, name), np.ndarray, name)
+                          for name in ("values", "points"))
+        as_integer(self.derivative, 0, "derivative order")
+        if points.ndim != 1 or values.shape != (points.size, nb):
+            raise ConfigError(f"a design of {nb} basis functions needs (h,) points and (h, {nb}) "
+                              f"values, got {points.shape} and {values.shape}")
 
 
 def _deboor_rows(full_knots, k, t, spans):

@@ -1,9 +1,9 @@
 """Command line front end: simulate, fit, gcv, cluster, replicate.
 
 Outputs are CSV for matrices/series and JSON for diagnostics.  Every file
-carries the resolved configuration (CSV files as a leading '#' comment,
-JSON files under a "config" key) and no timestamps, so a rerun with the
-same flags is byte-identical.  Exit codes: 0 ok, 2 configuration error,
+carries the run record that stdout echoes (_outdir: CSV files as a leading
+'#' comment, JSON files under a "config" key) and no timestamps, so a rerun
+with the same flags is byte-identical.  Exit codes: 0 ok, 2 configuration error,
 3 data error, 4 numerical failure.
 """
 
@@ -71,7 +71,9 @@ def _write_table(path: Path, comment: dict, key: str, index, ids: list[str], val
                ([i] + [_fmt(v) for v in row] for i, row in zip(index, values)))
 
 
-def _write_json(path: Path, obj: dict) -> None:
+def _write_json(path: Path, resolved: dict, obj: dict) -> None:
+    """obj with the run record under "config" and its seed under "seed"."""
+    obj = {**obj, "config": resolved, "seed": resolved["seed"]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -193,15 +195,20 @@ def _choice_list(choices):
     return parse
 
 
-def _outdir(args, resolved: dict) -> Path:
-    """The output directory, made after the resolved configuration is echoed."""
-    print(json.dumps({"resolved_config": resolved}, sort_keys=True))
+def _outdir(args, *flags, **values) -> tuple[Path, dict]:
+    """The output directory and the run record, the resolved configuration
+    every output carries: the subcommand, --seed, the values of the named
+    flags (by dest) and the computed values.  The record is echoed before
+    the directory is made."""
+    record = {"subcommand": args.subcommand, "seed": args.seed,
+              **{flag: getattr(args, flag) for flag in flags}, **values}
+    print(json.dumps({"resolved_config": record}, sort_keys=True))
     out = Path(args.outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot make the output directory {out}: {exc}") from exc
-    return out
+    return out, record
 
 
 def _threads(args) -> int:
@@ -234,8 +241,7 @@ def _cmd_simulate(args) -> None:
         seed=args.seed,
     )
     scenario = generate_scenario(config)
-    resolved = {"subcommand": "simulate", **dataclasses.asdict(config)}
-    out = _outdir(args, resolved)
+    out, resolved = _outdir(args, **dataclasses.asdict(config))
     ids = [f"curve_{i + 1}" for i in range(scenario.dataset.n_curves)]
     t = scenario.dataset.t
     _write_table(out / "dataset.csv", resolved, "t", map(_fmt, t), ids, scenario.dataset.values)
@@ -319,22 +325,11 @@ def _cmd_fit(args) -> None:
         inf, sup = _discrete_tail_sse(dataset.t, model.diagnostics.residuals, tails)
         isse = {"isse": model.diagnostics.sse, "isse_inf": inf, "isse_sup": sup}
         isse_kind = "discrete_residual"
-    resolved = {
-        "subcommand": "fit",
-        "data": args.data,
-        "variant": args.variant,
-        "lambda1": config.lambda1,
-        "lambda2": config.lambda2,
-        "order": args.order,
-        "n_basis": model.spec.n_basis,
-        "tail_frac": args.tail_frac,
-        "seed": args.seed,
-        "isse_kind": isse_kind,
-    }
-    out = _outdir(args, resolved)
+    out, resolved = _outdir(args, "data", "variant", "order", "tail_frac",
+                            lambda1=config.lambda1, lambda2=config.lambda2,
+                            n_basis=model.spec.n_basis, isse_kind=isse_kind)
     d = model.diagnostics
-    _write_json(out / "fit.json", {
-        "config": resolved,
+    _write_json(out / "fit.json", resolved, {
         "df": d.df,
         "gcv": d.gcv,
         "sse": d.sse,
@@ -344,7 +339,6 @@ def _cmd_fit(args) -> None:
         "lambda2": config.lambda2,
         "knots": [float(x) for x in model.spec.interior_knots],
         "n_basis": model.spec.n_basis,
-        "seed": args.seed,
     })
     _write_table(out / "coefficients.csv", resolved, "basis_index",
                  map(str, range(1, model.spec.n_basis + 1)), curve_ids, model.coeffs)
@@ -372,17 +366,8 @@ def _cmd_gcv(args) -> None:
         search = _knot_search(args, free=True)
     result = gcv_grid_search(dataset, grid=grid, spec=spec, search=search, mode=args.mode,
                              lambda1_pinned=args.pin_lambda1)
-    resolved = {
-        "subcommand": "gcv",
-        "data": args.data,
-        "mode": args.mode,
-        "exponents": args.exponents,
-        "order": args.order,
-        "n_basis": args.nbasis if spec is None else spec.n_basis,
-        "pin_lambda1": args.pin_lambda1,
-        "seed": args.seed,
-    }
-    out = _outdir(args, resolved)
+    out, resolved = _outdir(args, "data", "mode", "exponents", "order", "pin_lambda1",
+                            n_basis=args.nbasis if spec is None else spec.n_basis)
 
     def rows():
         for i, l1 in enumerate(result.lambda1_values):
@@ -393,13 +378,11 @@ def _cmd_gcv(args) -> None:
                 ]
 
     _write_csv(out / "gcv_table.csv", resolved, ["lambda1", "lambda2", "gcv", "df", "sse"], rows())
-    _write_json(out / "selected.json", {
-        "config": resolved,
+    _write_json(out / "selected.json", resolved, {
         "lambda1": result.lambda1,
         "lambda2": result.lambda2,
         "gcv": result.gcv,
         "failures": [list(f) for f in result.failures],
-        "seed": args.seed,
     })
 
 
@@ -437,17 +420,7 @@ def _cmd_cluster(args) -> None:
     k = 4 if args.k is None and args.kmax is None else args.k
     _check_clustering(dataset.n_curves, k, args.kmax, args.restarts, args.seed, [args.method])
     model = _fit_model(dataset, config, args, args.knots)
-    resolved = {
-        "subcommand": "cluster",
-        "data": args.data,
-        "variant": args.variant,
-        "method": args.method,
-        "k": args.k,
-        "kmax": args.kmax,
-        "restarts": args.restarts,
-        "seed": args.seed,
-    }
-    out = _outdir(args, resolved)
+    out, resolved = _outdir(args, "data", "variant", "method", "k", "kmax", "restarts")
     elbow = None
     if args.kmax is not None:
         elbow = elbow_curve(model, args.kmax, seed=args.seed, restarts=args.restarts)
@@ -463,11 +436,9 @@ def _cmd_cluster(args) -> None:
         ([curve_ids[i], str(int(result.partition.labels[i]))] for i in range(len(curve_ids))),
     )
     metrics = {
-        "config": resolved,
         "k": k,
         "method": args.method,
         "w": result.w,
-        "seed": args.seed,
         "suggested_k": elbow.suggested_k if elbow is not None else None,
         "elbow_low_confidence": elbow.low_confidence if elbow is not None else None,
     }
@@ -479,7 +450,7 @@ def _cmd_cluster(args) -> None:
             "confusion": {"tp": tp, "tn": tn, "fp": fp, "fn": fn},
             "clusters": matched_confusion(result.partition.labels, truth),
         })
-    _write_json(out / "metrics.json", metrics)
+    _write_json(out / "metrics.json", resolved, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -524,19 +495,8 @@ def _cmd_replicate(args) -> None:
     TailRegions.fraction(*scenario.domain, args.tail_frac)
     _check_clustering(scenario.curves_per_group * len(scenario.groups), args.k, None,
                       args.restarts, args.seed, args.methods)
-    resolved = {
-        "subcommand": "replicate",
-        "replications": args.replications,
-        "variants": args.variants,
-        "methods": args.methods,
-        "k": args.k,
-        "order": args.order,
-        "n_basis": args.nbasis,
-        "noise_sd": args.noise_sd,
-        "seed": args.seed,
-        "threads": n_threads,
-    }
-    out = _outdir(args, resolved)
+    out, resolved = _outdir(args, "replications", "variants", "methods", "k", "order",
+                            "noise_sd", n_basis=args.nbasis, threads=n_threads)
     seeds = range(args.seed, args.seed + args.replications)
     # a pool forks all its workers at once, so it gets no more than the
     # seeds; each worker runs one contiguous chunk of them
@@ -566,7 +526,7 @@ def _cmd_replicate(args) -> None:
 
     _write_csv(out / "fits.csv", resolved, ["seed", "variant", *_FIT_KEYS], fit_rows())
     from statistics import median  # np.median would import numpy.ma
-    aggregate = {"config": resolved, "seed": args.seed, "ari": {}, "ri": {}, "isse_median": {}}
+    aggregate = {"ari": {}, "ri": {}, "isse_median": {}}
     for variant in args.variants:
         for method in args.methods:
             for score in ("ari", "ri"):
@@ -578,7 +538,7 @@ def _cmd_replicate(args) -> None:
         for key in ("isse", "isse_inf", "isse_sup", "df", "gcv"):
             values = [res["fits"][variant][key] for res in results]
             aggregate["isse_median"].setdefault(variant, {})[key] = float(median(values))
-    _write_json(out / "aggregate.json", aggregate)
+    _write_json(out / "aggregate.json", resolved, aggregate)
 
 
 # ---------------------------------------------------------------------------

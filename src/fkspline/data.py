@@ -112,28 +112,15 @@ class FunctionalDataset:
         return _orthonormal_basis(self.values.T)
 
     @cached_property
-    def reduced_values(self) -> np.ndarray:
-        """reduce(values), the data every stacked fit of the knot search
-        solves for; computed on first use and kept on this instance only."""
-        return self.reduce(self.values)
-
-    @cached_property
     def reduced(self) -> "FunctionalDataset":
-        """This dataset with values reduced_values on the same grid, or this
-        dataset itself when there is no row basis.
+        """This dataset with values values @ row_basis on the same grid, or
+        this dataset itself when there is no row basis.
 
         A penalized fit's df does not depend on the values, and its sse and
-        GCV are the same in the reduced space up to roundoff, so a search
-        that needs only those (lambda_select.gcv_grid_search) fits the
-        (h, min(h, n)) data in place of the (h, n).  Computed on first use
-        and kept on this instance only.
+        GCV are the same on these (h, min(h, n)) data up to roundoff, so the
+        knot search and the GCV grid (lambda_select.gcv_grid_search) fit them
+        in place of the (h, n).  Computed on first use and kept on this
+        instance only.
         """
-        if self.row_basis is None:
-            return self
-        return FunctionalDataset(t=self.t, values=self.reduced_values)
-
-    def reduce(self, M: np.ndarray) -> np.ndarray:
-        """M @ row_basis, an (h, h) stand-in for an (h, n) matrix A values;
-        M itself when there is no row basis."""
         Q = self.row_basis
-        return M if Q is None else M @ Q
+        return self if Q is None else FunctionalDataset(t=self.t, values=self.values @ Q)

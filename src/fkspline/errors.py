@@ -147,7 +147,7 @@ class ParseError(DataError):
 
 
 class DuplicateCellError(DataError):
-    """Same time (wide layout) or (series, time) pair (long layout) appears twice."""
+    """Same time or series name (wide layout) or (series, time) pair (long layout) twice."""
 
 
 class EmptyTableError(DataError):

@@ -539,7 +539,7 @@ def gauss_newton_refine(coords: JuppCoords, dataset: FunctionalDataset,
 
     Each iteration takes the residual and its forward-difference Jacobian
     from one stack (_jacobian) of the point and its p perturbed points, in
-    the dataset's reduced space (FunctionalDataset.reduce), which keeps
+    the dataset's reduced space (FunctionalDataset.reduced), which keeps
     every norm and inner product the step uses.  The damping grows tenfold
     when a step fails to decrease the objective and shrinks tenfold on
     success.  The best iterate seen is returned, fitted on the full data
@@ -694,7 +694,7 @@ def _bordered(existing, system, full, q, dataset: FunctionalDataset, weights: np
     or the parent fit is refused.  The window is the parent's sse plus the
     _ROUNDOFF_FLOOR term (0 when every score is nan).
     """
-    t, Y = dataset.t, dataset.reduced_values
+    t, Y = dataset.t, dataset.reduced.values
     lo, hi = dataset.domain
     if not full.size or system is None:
         return np.full(len(full), np.nan), 0.0

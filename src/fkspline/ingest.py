@@ -47,6 +47,21 @@ class RawSeriesTable:
     mask: np.ndarray  # True where a value is present
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name, kind in (("series_ids", list), ("time_labels", list), ("time_index", np.ndarray),
+                           ("values", np.ndarray), ("mask", np.ndarray), ("provenance", dict)):
+            as_instance(getattr(self, name), kind, name)
+        if not all(isinstance(x, str) for x in self.series_ids + self.time_labels):
+            raise ConfigError("series_ids and time_labels must hold strings")
+        T, N = len(self.time_labels), len(self.series_ids)
+        if self.time_index.shape != (T,) or {self.values.shape, self.mask.shape} != {(T, N)}:
+            raise ConfigError(f"a table of {N} series at {T} times needs a ({T},) time_index and "
+                              f"({T}, {N}) values and mask, got {self.time_index.shape}, "
+                              f"{self.values.shape} and {self.mask.shape}")
+        kinds = {self.time_index.dtype.kind, self.values.dtype.kind}
+        if self.mask.dtype != bool or not kinds <= set("iuf"):
+            raise ConfigError("time_index and values must be real arrays, and mask a bool array")
+
     @property
     def n_times(self) -> int:
         return self.time_index.size
@@ -101,6 +116,11 @@ def _load_wide(path) -> RawSeriesTable:
     if not rows or len(rows[0]) < 2:
         raise EmptyTableError(f"{path}: no series columns found")
     series_ids = [c.strip() for c in rows[0][1:]]
+    columns = {}
+    for j, sid in enumerate(series_ids, start=2):
+        if columns.setdefault(sid, j) != j:
+            raise DuplicateCellError(
+                f"series {sid!r} appears twice (columns {columns[sid]} and {j})")
     records = []
     seen_times = {}
     for r, row in enumerate(rows[1:], start=2):

@@ -189,6 +189,14 @@ class FitModel:
     coeffs: np.ndarray  # (n_basis, n_curves)
     diagnostics: FitDiagnostics
 
+    def __post_init__(self):
+        nb = as_instance(self.spec, BasisSpec, "spec").n_basis
+        as_instance(self.config, PenaltyConfig, "config")
+        as_instance(self.diagnostics, FitDiagnostics, "diagnostics")
+        shape = as_instance(self.coeffs, np.ndarray, "coeffs").shape
+        if len(shape) != 2 or shape[0] != nb:
+            raise ConfigError(f"coeffs must be an ({nb}, n) matrix, got shape {shape}")
+
     @property
     def n_curves(self) -> int:
         return self.coeffs.shape[1]
@@ -260,7 +268,7 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
     Yields (c, why, fit) for every row c, in row order, one at a time: why
     is "" or the reason the row's system is refused, and fit is None for a
     refused row.  Otherwise fit is (residual, H): the residual matrix in the
-    dataset's reduced space (FunctionalDataset.reduce), (h, min(h, n)), with
+    dataset's reduced space (FunctionalDataset.reduced), (h, min(h, n)), with
     the Frobenius norm and the inner products of the full residuals, and the
     row's system H (nb, nb).  With full=True it is instead (coefficients,
     FitDiagnostics, (B, H)) on the full data, what fit_coefficients reports
@@ -268,7 +276,7 @@ def fit_stack(full_knots: np.ndarray, order: int, datasets, weights: np.ndarray,
     the stacks of the row's chunk (B: of its solve block, _solved).
     """
     which = [0] * len(full_knots) if which is None else np.asarray(which).tolist()
-    Ys = [dataset.values if full else dataset.reduced_values for dataset in datasets]
+    Ys = [dataset.values if full else dataset.reduced.values for dataset in datasets]
     points = [dataset.t for dataset in datasets] if t is None else [t]
     for start in range(0, len(full_knots), _CHUNK):
         chunk = full_knots[start:start + _CHUNK]

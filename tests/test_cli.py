@@ -298,7 +298,9 @@ class TestExitCodes:
         "t,c1\n0.0,1.0\n0.0,2.0\n1.0,2.0\n",
         "t,c1\n",
         "t,c1\n0.0,1.0\n",
-    ], ids=["nan-cell", "empty-cell", "inf-cell", "duplicate-t", "header-only", "one-row"])
+        "t,c1,c1\n0.0,1.0,2.0\n1.0,2.0,3.0\n",
+    ], ids=["nan-cell", "empty-cell", "inf-cell", "duplicate-t", "header-only", "one-row",
+            "duplicate-name"])
     def test_bad_dataset_is_3(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -1201,3 +1203,35 @@ class TestConfigFile:
         assert run(subcommand + ["--config", config, "--outdir", tmp_path / "config"]) == 0
         assert capsys.readouterr().out == stdout
         assert dir_bytes(tmp_path / "config") == dir_bytes(tmp_path / "flags")
+
+
+class TestRunRecord:
+    """One run record per run: what stdout echoes is every CSV's '#' header
+    and every JSON's "config", next to the record's seed."""
+
+    @pytest.mark.parametrize("argv, files", [
+        (["simulate", "--curves-per-group", "2", "--points", "10", "--seed", "3"],
+         ["dataset.csv", "labels.csv", "means.csv"]),
+        (["fit", "--data", "{data}", "--nbasis", "6", "--truth-labels", "{labels}"],
+         ["coefficients.csv", "curves.csv", "fit.json"]),
+        (["gcv", "--data", "{data}", "--knots", "2.5", "--exponents=-2:0", "--seed", "2"],
+         ["gcv_table.csv", "selected.json"]),
+        (["cluster", "--data", "{data}", "--nbasis", "6", "--kmax", "3", "--restarts", "3",
+          "--labels", "{labels}"], ["elbow.csv", "metrics.json", "partition.csv"]),
+        (REPL_ARGS, ["aggregate.json", "fits.csv", "runs.csv"]),
+    ], ids=["simulate", "fit", "gcv", "cluster", "replicate"])
+    def test_every_output_carries_the_echoed_record(self, simdir, tmp_path, capsys, argv, files):
+        out = tmp_path / "out"
+        paths = {"data": simdir / "dataset.csv", "labels": simdir / "labels.csv"}
+        assert run([a.format(**paths) for a in argv] + ["--outdir", out]) == 0
+        record = last_echo(capsys)
+        assert record["subcommand"] == argv[0]
+        assert sorted(path.name for path in out.iterdir()) == files
+        for name in files:
+            text = (out / name).read_text()
+            if name.endswith(".csv"):
+                header = text.splitlines()[0]
+                assert header.startswith("# ") and json.loads(header[2:]) == record
+            else:
+                doc = json.loads(text)
+                assert doc["config"] == record and doc["seed"] == record["seed"]

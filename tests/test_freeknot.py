@@ -591,7 +591,7 @@ class TestStackedScan:
                 if ds.row_basis is None:
                     assert np.array_equal(row, r)
                 else:
-                    reduced = ds.reduce(r)
+                    reduced = r @ ds.row_basis
                     assert row.shape == reduced.shape == (n, n)
                     assert np.linalg.norm(row - reduced) <= 1e-10 * np.linalg.norm(reduced) + size
             if refused.all():
@@ -1426,12 +1426,13 @@ class TestRowBasis:
         a, b = np.random.default_rng(0).standard_normal((2, 20, 20))
         A, B = a @ ds.values, b @ ds.values
         assert ds.row_basis.shape == (50, 20)
-        assert ds.reduce(A).shape == (20, 20)
-        assert np.vdot(ds.reduce(A), ds.reduce(B)) == pytest.approx(np.vdot(A, B), rel=1e-12)
-        assert np.linalg.norm(ds.reduce(A)) == pytest.approx(np.linalg.norm(A), rel=1e-12)
+        assert (A @ ds.row_basis).shape == (20, 20)
+        assert np.vdot(A @ ds.row_basis, B @ ds.row_basis) == pytest.approx(np.vdot(A, B),
+                                                                          rel=1e-12)
+        assert np.linalg.norm(A @ ds.row_basis) == pytest.approx(np.linalg.norm(A), rel=1e-12)
+        assert np.array_equal(ds.reduced.values, ds.values @ ds.row_basis)
         few = noisy_sine_dataset(n=20, curves=20)
-        M = A[:, :20]
-        assert few.row_basis is None and few.reduce(M) is M
+        assert few.row_basis is None and few.reduced is few
 
     @pytest.mark.parametrize("rank", [20, 3, 0])
     def test_factor_is_an_orthonormal_basis_of_the_row_space(self, rank):

@@ -91,6 +91,12 @@ class TestLoading:
         with pytest.raises(DuplicateCellError):
             load_csv(write(tmp_path, "dup.csv", text), layout="wide")
 
+    def test_duplicate_series_name_rejected(self, tmp_path):
+        # two columns of one name would take one label row between them
+        text = "t,a,a,b\n0,1,2,3\n1,2,3,4\n"
+        with pytest.raises(DuplicateCellError, match=r"'a' appears twice \(columns 2 and 3\)"):
+            load_csv(write(tmp_path, "dupname.csv", text), layout="wide")
+
     def test_duplicate_series_time_pair_rejected(self, tmp_path):
         text = "series,time,value\ns,0,1\ns,0,2\n"
         with pytest.raises(DuplicateCellError):

@@ -12,16 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fkspline
-from fkspline import (ConfigError, FkSplineError, FunctionalDataset, fit_coefficients,
-                      make_basis_spec, variant_config)
-from fkspline.basis import BasisSpec, eval_design
-from fkspline.cluster import Partition, functional_kmeans
+from fkspline import (ConfigError, FkSplineError, FunctionalDataset, PenaltyConfig,
+                      fit_coefficients, make_basis_spec, variant_config)
+from fkspline.basis import BasisSpec, DesignMatrix, eval_design
+from fkspline.cluster import Partition, elbow_curve, functional_kmeans, hierarchical_cluster
 from fkspline.freeknot import KnotSearchConfig, StageRecord, fit_free_knot, jupp, jupp_inverse
-from fkspline.ingest import RawSeriesTable
+from fkspline.ingest import RawSeriesTable, standardize, to_dataset
 from fkspline.lambda_select import LambdaGrid, gcv_grid_search
-from fkspline.metrics import TailRegions
+from fkspline.metrics import TailRegions, model_isse
 from fkspline.penalty import gram_matrix
 from fkspline.simulate import ScenarioConfig, generate_scenario
+from fkspline.smoother import FitModel, assemble_system
 
 HOSTILE = [
     None, "ab", "0.5", b"1", True, math.nan, math.inf, -math.inf, 1e308, -1e308, -1.0, 0, 0.5,
@@ -116,6 +117,40 @@ def test_an_object_of_the_wrong_type_is_a_config_error(call):
         call()
 
 
+def hollow_model():
+    return FitModel(None, None, None, None)
+
+
+def hollow_table():
+    return RawSeriesTable(None, None, None, None, None)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: functional_kmeans(hollow_model(), 2),
+    lambda: elbow_curve(hollow_model(), 3),
+    lambda: hierarchical_cluster(hollow_model(), 2),
+    lambda: model_isse(hollow_model(), np.sin, TAILS),
+    lambda: functional_kmeans(FitModel(SPEC, FS2, MODEL.coeffs[:, 0], MODEL.diagnostics), 2),
+    lambda: assemble_system(DesignMatrix(None, None, 0, None), PenaltyConfig()),
+    lambda: assemble_system(DesignMatrix(np.zeros((2, SPEC.n_basis)), np.zeros((2, 1)), 0, SPEC),
+                                    FS2),
+    lambda: standardize(hollow_table()),
+    lambda: to_dataset(hollow_table()),
+    lambda: standardize(RawSeriesTable(["a"], TABLE.time_labels, TABLE.time_index,
+                                       TABLE.values[:, :1], np.ones((3, 1)))),
+    lambda: to_dataset(RawSeriesTable(["a", "b", "c"], TABLE.time_labels, TABLE.time_index,
+                                      TABLE.values, TABLE.mask)),
+], ids=["kmeans-hollow-model", "elbow-hollow-model", "hierarchical-hollow-model",
+        "isse-hollow-model", "kmeans-1d-coefficients", "assemble-hollow-design",
+        "assemble-2d-points", "standardize-hollow-table", "dataset-hollow-table",
+        "standardize-float-mask", "dataset-more-ids-than-columns"])
+def test_a_hollow_or_misshapen_result_object_is_a_config_error(call):
+    # FitModel, DesignMatrix and RawSeriesTable check their fields' types
+    # and shapes when built, before an entry point reads them
+    with pytest.raises(ConfigError):
+        call()
+
+
 
 # One row per callable of fkspline.__all__ (exception classes excluded),
 # plus rows "Class.method" for methods of a SAMPLES object: each row holds
@@ -142,7 +177,7 @@ def contract_rows(csv_path) -> dict:
     return {
         "FunctionalDataset": ((CURVES.t, CURVES.values), {}),
         "BasisSpec": (((0.0, 1.0), 4, (0.5,)), {}),
-        "DesignMatrix": ((np.eye(2), np.zeros(2), 0, SPEC), {}),
+        "DesignMatrix": ((np.zeros((2, SPEC.n_basis)), np.zeros(2), 0, SPEC), {}),
         "make_basis_spec": ((0.0, 1.0, 4, [0.5]), {}),
         "eval_design": ((SPEC, CURVES.t, 1), {}),
         "eval_spline": ((SPEC, MODEL.coeffs, CURVES.t, 1), {}),

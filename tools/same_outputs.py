@@ -9,14 +9,14 @@ record set in its own interpreter: fixed-p fs0, fs2 and alphas searches on
 pool seeds 0-63, GCV-stopped fs0 and fs2 searches on seeds 0-15, the
 free 7x7 GCV grid on seeds 0, 1, 13 and 63 and the fixed 13x13 one on
 seeds 0-1, every float as hex (README, "Testing").  Then each tree runs
-the CLI commands of CLI_RUNS on one dataset that this checkout simulates,
-in its own directory under the same relative paths (the data path is
-written into every output header), and the two output directories are
-compared byte for byte.  Prints the names that fkspline.__all__ gains
-and loses (for information: they change neither verdict nor exit status),
-then "identical", or the count of differing records, the first of them and
-the largest relative change of each float field, and the differing CLI
-files, and exits 1.
+the CLI commands of CLI_RUNS, simulate first, in its own directory under
+the same relative paths (the data path is written into every output
+header), and the two directories are compared byte for byte, the
+simulated data included.  Prints the names that fkspline.__all__ gains
+and loses and both trees' src/fkspline line counts (for information: they
+change neither verdict nor exit status), then "identical", or the count of
+differing records, the first of them and the largest relative change of
+each float field, and the differing CLI files, and exits 1.
 """
 
 import argparse
@@ -28,7 +28,6 @@ import itertools
 import math
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tarfile
@@ -39,9 +38,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # perfbench's lambda_select seeds 0-1, and 13 and 63, whose free-grid
 # scores move most when the data move by roundoff
 FREE_GRID_SEEDS = (0, 1, 13, 63)
-# CLI commands run on the simulated data/, each writing under out/; a
-# command's standard output is kept as out/<command>.stdout
+# CLI commands run in order: simulate writes data/, the others read it
+# and write under out/; a command's standard output is kept as
+# out/<command>.stdout
 CLI_RUNS = [
+    ["simulate", "--outdir", "data"],
     ["fit", "--data", "data/dataset.csv", "--truth-labels", "data/labels.csv",
      "--outdir", "out/fit"],
     ["gcv", "--mode", "free", "--data", "data/dataset.csv", "--outdir", "out/gcv"],
@@ -164,6 +165,11 @@ def public_names(src: Path) -> set:
     return set(done.stdout.split())
 
 
+def src_lines(src: Path) -> int:
+    """The line count of the fkspline modules under src, as wc -l counts."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "fkspline").glob("*.py"))
+
+
 def cli_outputs(src: Path, work: Path) -> str:
     """Run CLI_RUNS with the fkspline under src in work; "" or the first failure."""
     (work / "out").mkdir()
@@ -215,22 +221,20 @@ def main() -> int:
         trees = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
         for name in trees:
             (Path(tmp) / name).mkdir()
-        done = cli(ROOT / "src", Path(tmp) / "change", ["simulate", "--outdir", "data"])
-        if done.returncode:
-            print(f"simulate failed: {done.stderr.decode()[-300:]}", file=sys.stderr)
-            return 2
-        shutil.copytree(Path(tmp) / "change" / "data", Path(tmp) / "parent" / "data")
         with concurrent.futures.ThreadPoolExecutor(len(trees)) as pool:
             failures = list(pool.map(cli_outputs, trees.values(),
                                      [Path(tmp) / name for name in trees]))
         if any(failures):
             print("a CLI run failed: " + "; ".join(filter(None, failures)), file=sys.stderr)
             return 2
-        files, compared = differing_files(*(Path(tmp) / name / "out" for name in trees))
+        files, compared = differing_files(*(Path(tmp) / name for name in trees))
         before, after = (public_names(src) for src in trees.values())
-    print("fkspline.__all__: " + "; ".join(
+        lines = [src_lines(src) for src in trees.values()]
+    print("fkspline.__all__: " + ("; ".join(
         f"{verb} {', '.join(sorted(names))}" for verb, names in
-        (("added", after - before), ("removed", before - after)) if names) or "unchanged")
+        (("added", after - before), ("removed", before - after)) if names) or "unchanged"))
+    print(f"src/fkspline lines: {lines[0]} at {args.parent}, {lines[1]} in this tree "
+          f"({lines[1] - lines[0]:+d})")
     pairs = list(itertools.zip_longest(parent.splitlines(), change.splitlines(),
                                        fillvalue="(none)"))
     differ = [i for i, (want, got) in enumerate(pairs) if want != got]
