@@ -37,12 +37,16 @@ from .errors import (
 __all__ = ["BasisSpec", "DesignMatrix", "make_basis_spec", "eval_design", "eval_spline"]
 
 
+# the largest spline order: every array of a basis is sized by its order
+_MAX_ORDER = 32
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Immutable description of one spline basis.
 
     domain : (a, b) with a < b.
-    order : spline order r >= 2 (cubic splines have r = 4).
+    order : spline order r, 2 <= r <= _MAX_ORDER = 32 (cubic splines have r = 4).
     interior_knots : (p,) strictly increasing knots inside the open domain.
     """
 
@@ -62,7 +66,7 @@ class BasisSpec:
             raise EmptyIntervalError(f"domain [{a}, {b}] has nonpositive length")
         if not np.isfinite(b - a):
             raise NonFiniteInputError(f"domain [{a}, {b}] is wider than the float range")
-        r = as_integer(self.order, 2, "order", OrderTooSmallError)
+        r = as_integer(self.order, 2, "order", OrderTooSmallError, _MAX_ORDER)
         tau = as_reals(self.interior_knots, "interior knots", NonFiniteInputError).reshape(-1)
         if tau.size and not np.all(np.isfinite(tau)):
             raise NonFiniteInputError("interior knots must be finite")

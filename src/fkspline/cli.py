@@ -86,7 +86,7 @@ def _load_dataset(path) -> tuple[FunctionalDataset, list[str]]:
     table = load_csv(path, "wide")
     if table.n_times < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {table.n_times}")
-    finite = np.isfinite(table.values).all(axis=1) & np.isfinite(table.time_index)
+    finite = np.isfinite(table.values).all(axis=1)  # load_csv refuses non-finite times
     if not finite.all():
         label = table.time_labels[int(np.argmin(finite))]
         raise DataError(f"{path}: missing or non-finite cell in the row t={label}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, LengthMismatchError, TooFewCurvesError, as_instance, as_integer,
-                     as_reals)
+                     as_reals, is_choice)
 from .penalty import gram_matrix
 from .smoother import FitModel
 
@@ -202,8 +202,8 @@ def _check_k_max(k_max: int, n: int) -> int:
 
 
 def _check_kmeans(restarts: int, seed: int) -> tuple[int, int]:
-    """restarts and seed as ints; raise what k-means raises for them."""
-    return as_integer(restarts, 1, "restarts"), as_integer(seed, 0, "seed")
+    """restarts (1 to 1,000) and seed as ints; raise what k-means raises for them."""
+    return as_integer(restarts, 1, "restarts", most=1000), as_integer(seed, 0, "seed")
 
 
 def _kmeans_z(z: np.ndarray, k: int, seed: int, restarts: int, inits=()):
@@ -343,7 +343,7 @@ def _agglomerate(z: np.ndarray, k: int, linkage: str) -> np.ndarray:
 
 def hierarchical_cluster(model: FitModel, k: int, linkage: str = "ward") -> ClusterResult:
     """Agglomerative clustering of the fitted curves, cut at k clusters."""
-    if linkage not in _LINKAGES:
+    if not is_choice(linkage, _LINKAGES):
         raise ConfigError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
     k = _check_k(k, as_instance(model, FitModel, "model").n_curves)
     z = _embedding(model)

@@ -38,16 +38,27 @@ def as_instance(value, kind: type, name: str):
     return value
 
 
-def as_integer(value, least: int, name: str, error: type = ConfigError) -> int:
-    """value as an int when it is an integer >= least (4.0 is, 2.5 is not),
-    else raise error, the caller's typed class for an out-of-range value."""
+def as_integer(value, least: int, name: str, error: type = ConfigError,
+               most: int | None = None) -> int:
+    """value as an int when it is an integer >= least (4.0 is, 2.5 is not)
+    and, when most is given, <= most, else raise error, the caller's typed
+    class for an out-of-range value.  most bounds a count that sizes a loop
+    or an array, so 1e308 is refused before either is made."""
     try:
         integral = int(value) == value
     except (TypeError, ValueError, OverflowError):  # None, a string, nan, inf
         integral = False
     if not integral or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise error(f"{name} must be at most {most}, got {value!r}")
     return int(value)
+
+
+def is_choice(value, choices) -> bool:
+    """Whether value is one of choices; only a string or a number is
+    compared, so an array or a list is never one (nor an error)."""
+    return isinstance(value, (str, numbers.Number)) and value in choices
 
 
 def as_real(value, name: str, least: float = -math.inf, most: float = math.inf,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import BasisSpec, _check_points, derivative_stack, make_basis_spec
+from .basis import BasisSpec, _MAX_ORDER, _check_points, derivative_stack, make_basis_spec
 from .data import FunctionalDataset
 from .errors import (
     AllCandidatesSingularError,
@@ -166,7 +166,8 @@ _ROUNDOFF_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class KnotSearchConfig:
-    """Settings for the knot search driver and its Gauss-Newton refiner."""
+    """Settings for the knot search driver and its Gauss-Newton refiner; order
+    <= 32 (basis._MAX_ORDER), max_knots <= 1,000 and grid_size <= 10,000."""
 
     order: int = 4
     max_knots: int = 8
@@ -175,8 +176,9 @@ class KnotSearchConfig:
 
     def __post_init__(self):
         # integral values are stored as int, as BasisSpec stores its order
-        for name, least in (("order", 2), ("max_knots", 1), ("grid_size", 2)):
-            object.__setattr__(self, name, as_integer(getattr(self, name), least, name))
+        for name, least, most in (("order", 2, _MAX_ORDER), ("max_knots", 1, 1000),
+                                  ("grid_size", 2, 10000)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), least, name, most=most))
         if not isinstance(self.fixed_p, bool):
             raise ConfigError(f"fixed_p must be a bool, got {self.fixed_p!r}")
 
@@ -298,7 +300,7 @@ def _fits(rows, jobs: _Jobs, owner, full: bool = False, mapped: bool = False, sy
             yield c, why, fit
 
 
-def _jacobian(points, owner, jobs: _Jobs, scored: bool = False):
+def _jacobian(points, owner, jobs: _Jobs):
     """Forward-difference normal equations at points (P, p) of one knot count.
 
     Point i (log gap ratios k) belongs to job owner[i].  One stack (_fits)
@@ -311,9 +313,8 @@ def _jacobian(points, owner, jobs: _Jobs, scored: bool = False):
     _fits yields a point's rows as one run, so each point is yielded as
     (i, why, normal) as soon as its run is in and only one point's rows are
     held at a time (and the rows of points that wait for backward steps):
-    normal is (score, r'r, J'r, J'J), or None where the stack refuses the
-    point itself, why saying why; score, the scan's (the sum over the curves
-    of each curve's residual sum of squares), is None unless scored is set.
+    normal is (r'r, J'r, J'J), r'r the knot search's objective, or None
+    where the stack refuses the point itself, why saying why.
     """
     p = points.shape[1]
     owner = np.asarray(owner, dtype=int)
@@ -322,16 +323,14 @@ def _jacobian(points, owner, jobs: _Jobs, scored: bool = False):
     rows = (points[:, None] + steps[:, None] * np.eye(p + 1, p, -1)).reshape(-1, p)
 
     def normal(i, forward, step):
-        R = forward[0]
-        r = R.ravel()
+        r = forward[0].ravel()
         # J is C-ordered (n, p), the layout its products are taken in, and
         # written a column at a time: stacking the p residuals first took
         # 2.7 times as long at p = 8 on 200 x 50 residuals
         jac = np.empty((r.size, p))
         for j, resid in enumerate(forward[1:]):  # a column failing both ways is r - r = 0
-            np.divide((R if resid is None else resid).ravel() - r, step[j], out=jac[:, j])
-        score = np.einsum("ij,ij->j", R, R).sum() if scored else None
-        return i, "", (score, float(r @ r), jac.T @ r, jac.T @ jac)
+            np.divide((forward[0] if resid is None else resid).ravel() - r, step[j], out=jac[:, j])
+        return i, "", (float(r @ r), jac.T @ r, jac.T @ jac)
 
     waiting = {}  # point -> its residuals and steps, backward where a forward row failed
     # each residual is taken out of its (residual, H) pair as it arrives, so
@@ -490,7 +489,7 @@ def _descend(k, owner, jobs: _Jobs, search: KnotSearchConfig, first) -> list:
     trial = np.zeros(0, dtype=int)
     while given or jacobian.size or trial.size:
         iterations[jacobian] += 1
-        stacked = ((jacobian[c], why, None if normal is None else normal[1:]) for c, why, normal
+        stacked = ((jacobian[c], why, normal) for c, why, normal
                    in (_jacobian(k[jacobian], owner[jacobian], jobs) if jacobian.size else ()))
         evaluated = []
         for i, why, normal in itertools.chain(given, stacked):
@@ -619,7 +618,7 @@ class StageRecord:
 
     iterations, converged and step_failure are those of the stage's
     Gauss-Newton refinement (GaussNewtonResult); scanned counts the grid
-    candidates its scan scored (the grid minus the exclusion zones) and
+    candidates its scan screened (the grid minus the exclusion zones) and
     fitted the ones the scan fitted exactly (_scan).  The p = 0 stage has
     no scan and no knots to refine and records 0, True, False, 0 and 0.
     """
@@ -725,11 +724,11 @@ def _bordered(existing, system, full, q, dataset: FunctionalDataset, weights: np
         schur = s - np.einsum("ci,ic->c", u, z)
         v = g - (B @ z).T
         beta = (g @ Y - u @ c) / schur[:, None]
-        sse = np.einsum("ij,ij", r, r)
+        sse = r.ravel() @ r.ravel()
         scores = (sse - 2.0 * np.einsum("cj,cj->c", beta, v @ r)
                   + np.einsum("ch,ch->c", v, v) * np.einsum("cj,cj->c", beta, beta))
     scores[~np.isfinite(scores) | ~(schur > _SCHUR_FLOOR * s)] = np.nan
-    return scores, sse + _ROUNDOFF_FLOOR * np.einsum("ij,ij", Y, Y)
+    return scores, sse + _ROUNDOFF_FLOOR * (Y.ravel() @ Y.ravel())
 
 
 def _scan(parents, live, jobs: _Jobs, search: KnotSearchConfig):
@@ -745,7 +744,7 @@ def _scan(parents, live, jobs: _Jobs, search: KnotSearchConfig):
     pass takes none.  The jobs move in lockstep, so every candidate has
     one knot count.  Returns (ratios, scores, fitted, best) per row: row c
     of ratios holds jupp of the knots with candidate c inserted; score c is
-    objective_f there up to roundoff if it was fitted, +inf if the screen
+    the objective r'r there (_jacobian) if it was fitted, +inf if the screen
     shows it cannot be _first_best, nan where objective_f would raise;
     fitted counts the exact fits; best is (c, normal) for the candidate
     _first_best picks among the fitted ones, normal its (r'r, J'r, J'J)
@@ -785,15 +784,15 @@ def _scan(parents, live, jobs: _Jobs, search: KnotSearchConfig):
         if not picked:
             break
         for i, _, normal in _jacobian(np.array([ratios[j][c] for j, c in picked]),
-                                      [live[j] for j, _ in picked], jobs, True):
+                                      [live[j] for j, _ in picked], jobs):
             if normal is not None:
                 j, c = picked[i]
-                scores[j][c], normals[j][c] = normal[0], normal[1:]
+                scores[j][c], normals[j][c] = normal[0], normal
     out = []
     for j, rows in enumerate(kept):
         scores[j][rows[~checked[j]]] = np.inf
-        scored = np.flatnonzero(np.isfinite(scores[j]))
-        winner = scored[_first_best(scores[j][scored])] if scored.size else None
+        fit_at = np.flatnonzero(np.isfinite(scores[j]))
+        winner = fit_at[_first_best(scores[j][fit_at])] if fit_at.size else None
         out.append((ratios[j], scores[j], int(checked[j].sum()),
                     None if winner is None else (winner, normals[j][winner])))
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ from .errors import (
     ZeroVarianceError,
     as_instance,
     as_real,
+    is_choice,
 )
 
 __all__ = ["RawSeriesTable", "load_csv", "standardize", "to_dataset"]
@@ -72,17 +74,21 @@ class RawSeriesTable:
 
 
 def _parse_time(token: str, row: int, col: int) -> float:
+    """A time token as a finite number: a real, or the ordinal of an ISO date."""
     token = token.strip()
     try:
-        return float(token)
+        t = float(token)
     except ValueError:
-        pass
-    try:
-        return float(datetime.date.fromisoformat(token).toordinal())
-    except ValueError:
-        raise ParseError(
-            f"cannot parse time {token!r} (row {row}, column {col})", row=row, column=col
-        ) from None
+        try:
+            return float(datetime.date.fromisoformat(token).toordinal())
+        except ValueError:
+            raise ParseError(
+                f"cannot parse time {token!r} (row {row}, column {col})", row=row, column=col
+            ) from None
+    if not math.isfinite(t):  # nan would be unsortable and never a duplicate
+        raise ParseError(f"time {token!r} is not finite (row {row}, column {col})",
+                         row=row, column=col)
+    return t
 
 
 def _parse_value(token: str, row: int, col: int) -> float:
@@ -111,6 +117,19 @@ def _read_rows(path) -> list[list[str]]:
     return [row for row in rows if not (row and row[0].lstrip().startswith("#"))]
 
 
+def _table(path, layout: str, series_ids: list, records: list) -> RawSeriesTable:
+    """The table of (time, label, row of values) records, sorted by time."""
+    if not records:
+        raise EmptyTableError(f"{path}: no data rows")
+    records.sort(key=lambda rec: rec[0])
+    values = np.array([rec[2] for rec in records], dtype=float)
+    return RawSeriesTable(
+        series_ids=series_ids, time_labels=[rec[1] for rec in records],
+        time_index=np.array([rec[0] for rec in records]), values=values,
+        mask=~np.isnan(values), provenance={"source": str(path), "layout": layout},
+    )
+
+
 def _load_wide(path) -> RawSeriesTable:
     rows = _read_rows(path)
     if not rows or len(rows[0]) < 2:
@@ -135,29 +154,16 @@ def _load_wide(path) -> RawSeriesTable:
             raise DuplicateCellError(f"time {row[0].strip()!r} appears twice (rows {seen_times[t]} and {r})")
         seen_times[t] = r
         records.append((t, row[0].strip(), [_parse_value(c, r, j + 2) for j, c in enumerate(row[1:])]))
-    if not records:
-        raise EmptyTableError(f"{path}: no data rows")
-    records.sort(key=lambda rec: rec[0])
-    time_index = np.array([rec[0] for rec in records])
-    time_labels = [rec[1] for rec in records]
-    values = np.array([rec[2] for rec in records], dtype=float)
-    mask = ~np.isnan(values)
-    return RawSeriesTable(
-        series_ids=series_ids, time_labels=time_labels, time_index=time_index,
-        values=values, mask=mask, provenance={"source": str(path), "layout": "wide"},
-    )
+    return _table(path, "wide", series_ids, records)
 
 
 def _load_long(path) -> RawSeriesTable:
     rows = _read_rows(path)
     if not rows:
         raise EmptyTableError(f"{path}: empty file")
-    start = 0
-    header = [c.strip().lower() for c in rows[0]]
-    if header and not _is_numberlike(rows[0][-1]):
-        start = 1  # header row
-    cells = {}
-    series_order = []
+    start = 1 if rows[0] and not _is_numberlike(rows[0][-1]) else 0  # 1: a header row
+    cells = {}  # (series column, time) -> value
+    columns = {}  # series -> its column, in order of first appearance
     times = {}
     for r, row in enumerate(rows[start:], start=start + 1):
         if not any(cell.strip() for cell in row):
@@ -167,24 +173,15 @@ def _load_long(path) -> RawSeriesTable:
         sid = row[0].strip()
         t = _parse_time(row[1], r, 2)
         v = _parse_value(row[2], r, 3)
-        if sid not in series_order:
-            series_order.append(sid)
-        if (sid, t) in cells:
+        key = (columns.setdefault(sid, len(columns)), t)
+        if key in cells:
             raise DuplicateCellError(f"duplicate cell ({sid!r}, {row[1].strip()!r}) at row {r}")
-        cells[(sid, t)] = v
+        cells[key] = v
         times.setdefault(t, row[1].strip())
-    if not cells:
-        raise EmptyTableError(f"{path}: no data rows")
-    time_index = np.array(sorted(times))
-    time_labels = [times[t] for t in time_index]
-    values = np.full((time_index.size, len(series_order)), np.nan)
-    for (sid, t), v in cells.items():
-        values[np.searchsorted(time_index, t), series_order.index(sid)] = v
-    mask = ~np.isnan(values)
-    return RawSeriesTable(
-        series_ids=series_order, time_labels=time_labels, time_index=time_index,
-        values=values, mask=mask, provenance={"source": str(path), "layout": "long"},
-    )
+    records = {t: (t, label, [np.nan] * len(columns)) for t, label in times.items()}
+    for (j, t), v in cells.items():
+        records[t][2][j] = v
+    return _table(path, "long", list(columns), list(records.values()))
 
 
 def _is_numberlike(token: str) -> bool:
@@ -202,11 +199,9 @@ def load_csv(path, layout: str = "wide") -> RawSeriesTable:
     raise; missing cells are masked, not dropped.  An unreadable file
     raises DataError.
     """
-    if layout == "wide":
-        return _load_wide(path)
-    if layout == "long":
-        return _load_long(path)
-    raise ConfigError(f"layout must be 'wide' or 'long', got {layout!r}")
+    if not is_choice(layout, ("wide", "long")):
+        raise ConfigError(f"layout must be 'wide' or 'long', got {layout!r}")
+    return _load_wide(path) if layout == "wide" else _load_long(path)
 
 
 def standardize(table: RawSeriesTable, max_missing_frac: float = 0.1,
@@ -221,7 +216,7 @@ def standardize(table: RawSeriesTable, max_missing_frac: float = 0.1,
     """
     as_instance(table, RawSeriesTable, "table")
     max_missing_frac = as_real(max_missing_frac, "max_missing_frac", 0.0, 1.0)
-    if on_zero_variance not in ("raise", "drop"):
+    if not is_choice(on_zero_variance, ("raise", "drop")):
         raise ConfigError("on_zero_variance must be 'raise' or 'drop'")
     if table.n_times < 2:
         raise EmptyTableError("need at least 2 time points to standardize")

@@ -9,7 +9,7 @@ import numpy as np
 from .basis import BasisSpec
 from .data import FunctionalDataset
 from .errors import (AllCellsFailedError, ConfigError, FkSplineError, NotPositiveDefiniteError,
-                     as_instance, as_real)
+                     as_instance, as_real, is_choice)
 from .freeknot import KnotSearchConfig, _Jobs, add_knots_gradually, refine_fits
 from .penalty import PenaltyConfig
 from .smoother import fit_spec, penalty_weights
@@ -120,7 +120,7 @@ def gcv_grid_search(dataset: FunctionalDataset, grid: LambdaGrid | None = None,
     """
     as_instance(dataset, FunctionalDataset, "dataset")
     grid = LambdaGrid() if grid is None else as_instance(grid, LambdaGrid, "grid")
-    if mode not in ("fixed", "free"):
+    if not is_choice(mode, ("fixed", "free")):
         raise ConfigError(f"mode must be 'fixed' or 'free', got {mode!r}")
     if lambda1_pinned is None:
         l1_values = tuple(grid.values)

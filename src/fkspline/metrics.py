@@ -100,13 +100,14 @@ def integrated_sse(truth, fitted, interval, quad_points: int = 256, breakpoints=
     produce finite values on the interval, with as many columns as the
     other or one column, which then serves every curve (LengthMismatchError
     otherwise).  The interval's ends go through errors.as_real, and an
-    evaluator that is not callable is a ConfigError.
+    evaluator that is not callable is a ConfigError.  quad_points, the node
+    budget, lies in [16, 65536].
     """
     lo, hi = _interval(interval, "integration interval")
     for name, curve in (("truth", truth), ("fitted", fitted)):
         if not callable(curve):
             raise ConfigError(f"{name} must be a callable curve evaluator, got {curve!r}")
-    quad_points = as_integer(quad_points, 16, "quad_points", EmptyIntervalError)
+    quad_points = as_integer(quad_points, 16, "quad_points", EmptyIntervalError, 2**16)
     edges = _panel_edges(lo, hi, quad_points, breakpoints)
     pts, w = _panel_rule(edges, _NODES_PER_PANEL)
     diff = _difference(truth, fitted, pts)

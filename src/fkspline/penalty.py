@@ -104,15 +104,16 @@ def penalty_matrix(spec: BasisSpec, order: int, quad_points: int | None = None) 
     """Assemble the order-`order` roughness penalty matrix by exact quadrature.
 
     This is the one-order case of penalty_stack.  quad_points overrides the
-    per-span node count (default r, which is exact for every order);
-    passing more nodes must not change the result beyond roundoff.
+    per-span node count (default r, which is exact for every order; at
+    most 1,024); passing more nodes must not change the result beyond
+    roundoff.
     """
     l = as_integer(order, 0, "penalty derivative order", DerivativeOrderTooHighError)
     if l >= as_instance(spec, BasisSpec, "spec").order:
         raise DerivativeOrderTooHighError(
             f"penalty derivative order must satisfy 0 <= l < {spec.order}, got {order}"
         )
-    n_nodes = None if quad_points is None else as_integer(quad_points, 1, "quad_points")
+    n_nodes = None if quad_points is None else as_integer(quad_points, 1, "quad_points", most=1024)
     (values,) = penalty_stack(spec._full_arr[None, :], spec.order, [l], n_nodes)
     return PenaltyMatrix(order=l, values=values[0], spec=spec)
 

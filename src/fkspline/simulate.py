@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import FunctionalDataset
 from .errors import (ConfigError, NonFiniteInputError, UnknownGroupError, as_instance, as_integer,
-                     as_real, as_reals)
+                     as_real, as_reals, is_choice)
 
 __all__ = [
     "GROUP_IDS",
@@ -27,20 +27,33 @@ __all__ = [
 ]
 
 GROUP_IDS = (1, 2, 3, 4)
+# the most observations a scenario may hold (800 MB of float64), checked
+# before any is drawn
+_MAX_VALUES = 10**8
+
+
+_MEANS = {
+    1: lambda t: -2.0 * np.sin(t - 1.0) * np.log(t + 0.5),
+    2: lambda t: 2.0 * np.cos(t) * np.log(t + 0.5),
+    3: lambda t: -0.5 - 0.2 * np.cos(0.5 * (t - 1.0)) * t**1.5 * np.sqrt(5.0 * np.sqrt(t) + 0.5),
+    4: lambda t: 1.2 * np.cos(t) * np.log(t + 0.5) * np.sqrt(t + 0.5),
+}
 
 
 def mean_function(group_id: int, t) -> np.ndarray:
-    """Noiseless group mean evaluated at t (scalar or array)."""
+    """Noiseless group mean evaluated at t (scalar or array).
+
+    A t where the mean is not finite (the means take log(t + 0.5) and
+    sqrt(t), so any t < 0 for group 3, and nan or inf) raises
+    NonFiniteInputError."""
     t = as_reals(t, "t")
-    if group_id == 1:
-        return -2.0 * np.sin(t - 1.0) * np.log(t + 0.5)
-    if group_id == 2:
-        return 2.0 * np.cos(t) * np.log(t + 0.5)
-    if group_id == 3:
-        return -0.5 - 0.2 * np.cos(0.5 * (t - 1.0)) * t**1.5 * np.sqrt(5.0 * np.sqrt(t) + 0.5)
-    if group_id == 4:
-        return 1.2 * np.cos(t) * np.log(t + 0.5) * np.sqrt(t + 0.5)
-    raise UnknownGroupError(f"group id must be one of {GROUP_IDS}, got {group_id}")
+    if not is_choice(group_id, GROUP_IDS):
+        raise UnknownGroupError(f"group id must be one of {GROUP_IDS}, got {group_id}")
+    with np.errstate(all="ignore"):
+        mean = _MEANS[group_id](t)
+    if not np.all(np.isfinite(mean)):
+        raise NonFiniteInputError(f"group {group_id}'s mean is not finite at every t")
+    return mean
 
 
 def group_means(labels, t) -> np.ndarray:
@@ -48,13 +61,18 @@ def group_means(labels, t) -> np.ndarray:
     labels, t = as_reals(labels, "labels"), as_reals(t, "t")
     if labels.ndim != 1 or t.ndim != 1:
         raise ConfigError("labels and t must be 1-d arrays")
+    if not labels.size:
+        raise ConfigError("labels must name at least one curve")
     by_group = {g: mean_function(g, t) for g in set(labels.tolist())}
     return np.stack([by_group[g] for g in labels], axis=1)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Generation settings; defaults reproduce the four-group layout."""
+    """Generation settings; defaults reproduce the four-group layout.
+
+    A scenario holds groups x curves_per_group x points_per_curve values,
+    at most _MAX_VALUES (10**8)."""
 
     groups: tuple[int, ...] = GROUP_IDS
     curves_per_group: int = 50
@@ -84,8 +102,12 @@ class ScenarioConfig:
         if not self.groups:
             raise ConfigError("need at least one group")
         for g in self.groups:
-            if g not in GROUP_IDS:
+            if not is_choice(g, GROUP_IDS):
                 raise UnknownGroupError(f"group id must be one of {GROUP_IDS}, got {g}")
+        values = len(self.groups) * self.curves_per_group * self.points_per_curve
+        if values > _MAX_VALUES:
+            raise ConfigError(f"a scenario's groups x curves x points must be at most "
+                              f"{_MAX_VALUES}, got {values}")
 
 
 def _as_tuple(value, name: str) -> tuple:

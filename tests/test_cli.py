@@ -308,6 +308,15 @@ class TestExitCodes:
         assert code == 3
         self.stderr_report(capsys)
 
+    def test_non_finite_time_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,c1\n0.0,1.0\nnan,2.0\n1.0,2.0\n")
+        code = run(["fit", "--data", bad, "--nbasis", "4", "--outdir", tmp_path])
+        assert code == 3
+        report = self.stderr_report(capsys)
+        assert report["error"] == "ParseError"
+        assert "time 'nan' is not finite (row 3, column 1)" in report["context"]
+
     @pytest.mark.parametrize("row", ["curve_1,x", "curve_1", "curve_1,1,2"])
     def test_bad_label_row_is_3(self, simdir, tmp_path, capsys, row):
         labels = tmp_path / "labels.csv"
@@ -427,9 +436,13 @@ class TestExitCodes:
         ["fit", "--knots", "2.5", "--lambda1", "nan"],
         ["gcv", "--knots", "2.5", "--pin-lambda1", "nan"],
         ["fit", "--lambda1", "inf"],
+        ["simulate", "--curves-per-group", "100000", "--points", "100000"],
+        ["cluster", "--knots", "2.5", "--restarts", "1001"],
+        ["fit", "--grid-size", "100000000000000000000"],
     ], ids=["negative-seed", "no-groups", "infinite-domain", "no-restarts",
             "negative-kmeans-seed", "overflowing-lambda", "nbasis-below-order",
-            "nan-lambda1", "nan-pinned-lambda1", "infinite-lambda1"])
+            "nan-lambda1", "nan-pinned-lambda1", "infinite-lambda1", "oversized-scenario",
+            "too-many-restarts", "huge-grid-size"])
     def test_bad_setting_is_2(self, simdir, tmp_path, capsys, flags):
         data = [] if flags[0] == "simulate" else ["--data", simdir / "dataset.csv"]
         assert run([*flags, *data, "--outdir", tmp_path]) == 2
@@ -566,6 +579,69 @@ def test_config_file_exit_contract(simdir, subcommand, cfg):
         config = write_config(Path(tmp) / "cfg.json", cfg)
         argv = [a.format(data=simdir / "dataset.csv") for a in CHEAP_RUNS[subcommand]]
         exit_contract(argv + ["--config", config, "--outdir", tmp])
+
+
+# cheap tokens for each flag type of _build_parser (by the type's name;
+# "parse" is a _choice_list), and the files a path flag may name
+FLAG_TOKENS = {
+    "int": ["-1", "0", "1", "2", "x", "2.5"],
+    "float": ["-1", "0", "0.5", "1e-3", "nan", "inf", "x"],
+    "_float_list": ["2.5", "0,5", "0.5,2", "5,0", "0,inf", "x", ""],
+    "_int_list": ["1,2", "4", "5", "x", ""],
+    "_parse_exponents": ["-1:0", "0", "0:-1", "1:x", ""],
+    "parse": ["fs0", "kmeans", "ward", "fs0,fs2", "x", ""],
+}
+PATH_FLAGS = {"data": ["dataset.csv", "labels.csv", "absent.csv"],
+              "labels": ["labels.csv", "dataset.csv", "absent.csv"],
+              "truth_labels": ["labels.csv", "dataset.csv", "absent.csv"],
+              "config": ["dataset.csv", "absent.json"]}
+
+
+@st.composite
+def parsed_argv(draw, simdir: Path) -> list[str]:
+    """A subcommand's cheap run (CHEAP_RUNS) with up to four of its
+    _build_parser flags appended, each with a token of its type or, for a
+    choice flag, a choice or not; --outdir is left to the caller."""
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    subcommand = draw(st.sampled_from(sorted(CHEAP_RUNS)))
+    actions = [a for a in subs[subcommand]._actions
+               if a.option_strings and a.dest not in ("help", "outdir")]
+    argv = [a.format(data=simdir / "dataset.csv") for a in CHEAP_RUNS[subcommand]]
+    for action in draw(st.lists(st.sampled_from(actions), max_size=4)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs == 0:  # a store_true flag
+            continue
+        if action.choices:
+            tokens = [*action.choices, "bogus"]
+        elif action.dest in PATH_FLAGS:
+            tokens = [str(simdir / name) for name in PATH_FLAGS[action.dest]]
+        else:
+            tokens = FLAG_TOKENS[action.type.__name__]
+        argv[-1] += "=" + draw(st.sampled_from(tokens))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_argv_exit_contract(simdir, data):
+    """Any argv of parser flags exits 0, 2, 3 or 4 (2 also as argparse's
+    SystemExit, a usage error) and writes at most one JSON line to stderr:
+    one exactly when main returns a failure, none on a usage error."""
+    argv = data.draw(parsed_argv(simdir))
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        try:
+            code, usage = main(argv + ["--outdir", tmp]), False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+    assert code in (0, 2, 3, 4) and (code == 2 or not usage)
+    lines = err.getvalue().splitlines()
+    reports = [json.loads(line) for line in lines if line.startswith("{")]
+    assert len(reports) == (0 if usage or not code else 1)
+    assert all(set(report) == {"module", "error", "context"} for report in reports)
+    assert "Traceback" not in err.getvalue()
 
 
 LABEL_CELLS = st.sampled_from(["curve_1", "curve_2", "curve_8", "curve_99", "", "x", " 3",

@@ -93,7 +93,7 @@ def stacked_scan(existing, ds, config, search):
     for c, _, fit in freeknot._fits(ratios, one_job(ds, config, search.order),
                                     np.zeros(len(ratios), dtype=int)):
         if fit is not None:
-            scores[c] = np.einsum("ij,ij->j", fit[0], fit[0]).sum()
+            scores[c] = fit[0].ravel() @ fit[0].ravel()
     return ratios, scores
 
 
@@ -114,18 +114,16 @@ def benchmark_searches():
 
 
 def normal_at(k, ds, config, order):
-    """_jacobian at one point: its score, r'r, J'r and J'J."""
-    [(_, why, normal)] = freeknot._jacobian(k[None], [0], one_job(ds, config, order), True)
+    """_jacobian at one point: its r'r, J'r and J'J."""
+    [(_, why, normal)] = freeknot._jacobian(k[None], [0], one_job(ds, config, order))
     assert why == ""
     return normal
 
 
 def assert_normal_equations(normal, r, jac):
-    """normal (_jacobian's) is (score, r'r, J'r, J'J) of the residual r and
-    the Jacobian jac, to the accuracy of the differences; a descent's point
-    has no score (None)."""
-    score, rr, jr, jtj = normal
-    assert score is None or score == pytest.approx(r @ r, rel=1e-10)
+    """normal (_jacobian's) is (r'r, J'r, J'J) of the residual r and the
+    Jacobian jac, to the accuracy of the differences."""
+    rr, jr, jtj = normal
     assert rr == pytest.approx(r @ r, rel=1e-10)
     scale = np.linalg.norm(jac)
     assert np.linalg.norm(jtj - jac.T @ jac) <= 1e-8 * scale**2
@@ -852,7 +850,7 @@ class TestStackedJacobian:
             # column 0 a backward difference, column 1 zero, column 2 forward
             jac = np.column_stack([backward[:, 0], np.zeros(ref_r.size), forward[:, 2]])
             assert_normal_equations(normal, ref_r, jac)
-            _, _, jr, jtj = normal
+            _, jr, jtj = normal
             assert jr[1] == 0.0 and np.all(jtj[1] == 0.0) and np.all(jtj[:, 1] == 0.0)
         # the refiner still descends and hands on the fit at its result
         assert res.objective <= objective_f(start, ds, config, search.order)
@@ -1194,7 +1192,7 @@ class TestCarriedFits:
     def assert_fresh(normal, start, job, jobs):
         """The normal equations handed over at a start are those of a fresh
         _jacobian there, array for array."""
-        [(_, why, (_, *fresh))] = freeknot._jacobian(start[None], [job], jobs)
+        [(_, why, fresh)] = freeknot._jacobian(start[None], [job], jobs)
         assert why == ""
         for got, want in zip(normal, fresh, strict=True):
             assert np.array_equal(got, want)
@@ -1218,10 +1216,12 @@ class TestCarriedFits:
             ds, result = benchmark_searches[0, variant]
             config = variant_config(variant)
             for stage in result.stages[:-1]:
-                [(ratios, _, fitted, (c, normal))] = scan_jobs([stage.knots], [ds], [config],
-                                                               BENCHMARK_SEARCH)
+                [(ratios, scores, fitted, (c, normal))] = scan_jobs([stage.knots], [ds], [config],
+                                                                    BENCHMARK_SEARCH)
                 assert fitted == 1  # one candidate: a stack of its p + 1 rows
                 self.assert_fresh(normal, ratios[c], 0, one_job(ds, config, BENCHMARK_SEARCH.order))
+                # the winner is ranked by the objective its descent starts from
+                assert scores[c] == normal[0]
         assert (1 in stacks) is refused  # the backward-step stacks of one row
 
     def test_each_refinement_starts_from_the_scan_jacobian(self, monkeypatch):
@@ -1379,6 +1379,29 @@ class TestCarriedFits:
             per_call.clear()
             add_knots_gradually(ds, variant_config(variant), search)
             assert per_call == [want] * search.max_knots, variant
+
+
+class TestRelations:
+    """Relations that hold exactly in exact arithmetic, and to roundoff
+    here: the knot search on permuted curves, or on time shifted by +10,
+    is the search on the original data (knots shifted back), stage by
+    stage, within 1e-6 of the domain width in the knots and 1e-7 relative
+    in the GCV (the worst moves on pool seeds 0-5 were 4.7e-9 and 6.0e-10)."""
+
+    @pytest.mark.parametrize("relation", ["permuted-curves", "time-shift"])
+    def test_search_obeys_the_relation(self, benchmark_searches, relation):
+        for (seed, variant), (ds, want) in benchmark_searches.items():
+            if relation == "permuted-curves":
+                perm = np.random.default_rng(seed).permutation(ds.values.shape[1])
+                other, shift = FunctionalDataset(t=ds.t, values=ds.values[:, perm]), 0.0
+            else:
+                other, shift = FunctionalDataset(t=ds.t + 10.0, values=ds.values), 10.0
+            got = add_knots_gradually(other, variant_config(variant), BENCHMARK_SEARCH)
+            lo, hi = ds.domain
+            assert len(got.stages) == len(want.stages)
+            for a, b in zip(got.stages, want.stages):
+                assert np.max(np.abs(a.knots - shift - b.knots), initial=0.0) <= 1e-6 * (hi - lo)
+                assert a.gcv == pytest.approx(b.gcv, rel=1e-7, abs=0.0)
 
 
 class TestStageRecords:

@@ -114,6 +114,44 @@ class TestLoading:
         with pytest.raises(ParseError):
             load_csv(write(tmp_path, "badt.csv", text), layout="wide")
 
+    @pytest.mark.parametrize("layout, text, row, column", [
+        ("wide", "time,a\n2,1\nnan,2\n1,3\nnan,4\n0,5\n", 3, 1),
+        ("wide", "time,a\n0,1\ninf,2\n", 3, 1),
+        ("wide", "time,a\n-1e999,1\n0,2\n", 2, 1),
+        ("long", "series,time,value\na,0,1\na,nan,2\n", 3, 2),
+        ("long", "series,time,value\na,0,1\nb,-inf,2\n", 3, 2),
+    ], ids=["wide-nan", "wide-inf", "wide-overflow", "long-nan", "long-minus-inf"])
+    def test_non_finite_time_rejected(self, tmp_path, layout, text, row, column):
+        # a nan time is never a duplicate of another and cannot be sorted
+        with pytest.raises(ParseError, match="is not finite") as exc_info:
+            load_csv(write(tmp_path, "nant.csv", text), layout=layout)
+        assert (exc_info.value.row, exc_info.value.column) == (row, column)
+
+    def test_long_file_of_many_series_equals_its_wide_twin(self, tmp_path):
+        # the long loader indexes its series by name; its table is the wide
+        # one's, field by field, for unsorted rows, ISO dates and missing cells
+        rng = np.random.default_rng(0)
+        dates = [f"2024-{m:02d}-{d:02d}" for m in (3, 1, 2) for d in (9, 1, 20)]
+        names = [f"s{j}" for j in rng.permutation(300)]
+        cells = np.round(rng.normal(size=(len(dates), len(names))), 3).astype(str)
+        cells[rng.random(cells.shape) < 0.1] = ""
+        wide = "date," + ",".join(names) + "\n" + "".join(
+            f"{date},{','.join(row)}\n" for date, row in zip(dates, cells))
+        triples = [(name, date, cells[i, j]) for i, date in enumerate(dates)
+                   for j, name in enumerate(names)]
+        long = "series,date,value\n" + "".join(
+            f"{name},{date},{value}\n" for name, date, value in
+            (triples[c] for c in rng.permutation(len(triples))))
+        a = load_csv(write(tmp_path, "w.csv", wide), layout="wide")
+        b = load_csv(write(tmp_path, "l.csv", long), layout="long")
+        assert sorted(b.series_ids) == sorted(a.series_ids)
+        order = [a.series_ids.index(name) for name in b.series_ids]
+        assert b.time_labels == a.time_labels == sorted(dates)
+        assert np.array_equal(b.time_index, a.time_index)
+        assert np.array_equal(b.values, a.values[:, order], equal_nan=True)
+        assert np.array_equal(b.mask, a.mask[:, order])
+        assert b.provenance == {"source": str(tmp_path / "l.csv"), "layout": "long"}
+
     def test_empty_inputs_rejected(self, tmp_path):
         with pytest.raises(EmptyTableError):
             load_csv(write(tmp_path, "e.csv", ""), layout="wide")

@@ -85,6 +85,33 @@ def test_each_named_fault_is_typed(call):
         call()
 
 
+@pytest.mark.parametrize("call, bound", [
+    (lambda n: make_basis_spec(0.0, 1.0, n), 32),
+    (lambda n: KnotSearchConfig(order=n), 32),
+    (lambda n: KnotSearchConfig(max_knots=n), 1000),
+    (lambda n: KnotSearchConfig(grid_size=n), 10000),
+    (lambda n: fkspline.penalty_matrix(SPEC, 2, n), 1024),
+    (lambda n: fkspline.integrated_sse(np.sin, np.cos, (0.0, 1.0), n), 2**16),
+    (lambda n: fkspline.model_isse(MODEL, MODEL.predict, TAILS, n), 2**16),
+    (lambda n: functional_kmeans(MODEL, 2, 0, n), 1000),
+    (lambda n: elbow_curve(MODEL, 3, 0, n), 1000),
+], ids=["basis-order", "search-order", "max-knots", "grid-size", "penalty-nodes",
+        "isse-nodes", "model-isse-nodes", "kmeans-restarts", "elbow-restarts"])
+def test_a_count_past_its_bound_is_refused_before_it_is_used(call, bound):
+    # 1e308 passes an integer check: the bound refuses it before it sizes a
+    # loop or an array (unbounded, it gave raw errors, ran past 5 s or past 2 GB)
+    for n in (bound + 1, 1e308):
+        with pytest.raises(FkSplineError, match=f"at most {bound}"):
+            call(n)
+
+
+def test_a_scenario_past_its_size_bound_is_refused_before_it_is_drawn():
+    # 10**5 curves per group of 10**5 points asked for 298 GiB: a raw MemoryError
+    for n in (500001, 1e308):
+        with pytest.raises(ConfigError, match="at most 100000000"):
+            ScenarioConfig(curves_per_group=n)
+
+
 def test_a_grid_wider_than_the_float_range_is_taken_quietly():
     # the increasing check compares neighbours rather than subtracting them
     dataset = FunctionalDataset(t=[-1e308, 1e308], values=[1.0, 2.0])
@@ -155,8 +182,9 @@ def test_a_hollow_or_misshapen_result_object_is_a_config_error(call):
 # One row per callable of fkspline.__all__ (exception classes excluded),
 # plus rows "Class.method" for methods of a SAMPLES object: each row holds
 # the positional and keyword arguments of a valid call.  The contract test
-# makes that call, then the call with each argument swapped for None and
-# for a string: each succeeds or raises an FkSplineError.
+# makes that call, then the call with each argument swapped for each value
+# of SWAPS: each succeeds or raises an FkSplineError.  A count swapped for
+# 1e308 meets its upper bound before it sizes a loop or an array.
 CURVES = FunctionalDataset(t=np.linspace(0.0, 1.0, 12),
                            values=np.sin(np.outer(np.linspace(0.0, 3.0, 12), [1.0, 1.1, 3.0, 3.2])))
 FS2 = variant_config("fs2")
@@ -170,6 +198,7 @@ TABLE = RawSeriesTable(["a", "b"], ["1", "2", "3"], np.array([1.0, 2.0, 3.0]),
                        np.array([[1.0, 2.0], [2.0, 0.0], [4.0, 1.0]]), np.ones((3, 2), dtype=bool))
 LABELS, OTHER_LABELS = np.array([1, 1, 2, 2]), np.array([1, 2, 2, 2])
 SAMPLES = {"FitModel": MODEL, "Scenario": SCENARIO}
+SWAPS = [None, "x", True, math.nan, math.inf, -math.inf, 1e308, -1.0, np.zeros((2, 2, 2)), []]
 
 
 def contract_rows(csv_path) -> dict:
@@ -261,8 +290,8 @@ def test_every_public_callable_succeeds_or_raises_a_typed_error(name, csv_path):
     args, kwargs = contract_rows(csv_path)[name]
     call(*args, **kwargs)
     swapped = [(args[:i] + (bad,) + args[i + 1:], kwargs)
-               for i in range(len(args)) for bad in (None, "x")]
-    swapped += [(args, {**kwargs, key: bad}) for key in kwargs for bad in (None, "x")]
+               for i in range(len(args)) for bad in SWAPS]
+    swapped += [(args, {**kwargs, key: bad}) for key in kwargs for bad in SWAPS]
     raw = []
     for swapped_args, swapped_kwargs in swapped:
         try:

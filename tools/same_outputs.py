@@ -8,7 +8,8 @@ into a temporary directory removed at exit.  Each tree computes one fixed
 record set in its own interpreter: fixed-p fs0, fs2 and alphas searches on
 pool seeds 0-63, GCV-stopped fs0 and fs2 searches on seeds 0-15, the
 free 7x7 GCV grid on seeds 0, 1, 13 and 63 and the fixed 13x13 one on
-seeds 0-1, every float as hex (README, "Testing").  Then each tree runs
+seeds 0-1, and a wide and a long CSV file of one table through load_csv,
+standardize and to_dataset, every float as hex (README, "Testing").  Then each tree runs
 the CLI commands of CLI_RUNS, simulate first, in its own directory under
 the same relative paths (the data path is written into every output
 header), and the two directories are compared byte for byte, the
@@ -87,6 +88,43 @@ def grid_lines(tag, grid):
            f"choice={text(grid.lambda1)},{text(grid.lambda2)},{text(grid.gcv)}")
 
 
+# ingest's twin wide and long CSV files: ISO dates out of order, and
+# missing cells ("", "na") in every series; the long file lists its cells
+# series by series, in another order than the wide file's
+INGEST_DATES = ["2024-03-01", "2024-01-15", "2024-02-29", "2023-12-31", "2024-01-02",
+                "2024-02-01", "2024-01-01", "2024-03-15", "2024-01-31", "2024-02-14"]
+INGEST_SERIES = ["d", "a", "c", "b", "e"]
+
+
+def ingest_cell(i: int, j: int) -> str:
+    """The cell of date i and series j: a missing token in 1 of 9, else a sine."""
+    return ("", "na")[j % 2] if (5 * i + 3 * j) % 9 == 4 else repr(math.sin(1.7 * i + 0.6 * j))
+
+
+def ingest_lines(work: Path):
+    """The twin files through load_csv, standardize (max_missing_frac 0.2)
+    and to_dataset, every table field (not the file's path) in a record."""
+    from fkspline import load_csv, standardize, to_dataset
+
+    wide, long = work / "wide.csv", work / "long.csv"
+    wide.write_text("date," + ",".join(INGEST_SERIES) + "\n" + "".join(
+        f"{date}," + ",".join(ingest_cell(i, j) for j in range(len(INGEST_SERIES))) + "\n"
+        for i, date in enumerate(INGEST_DATES)))
+    long.write_text("series,date,value\n" + "".join(
+        f"{INGEST_SERIES[j]},{INGEST_DATES[i]},{ingest_cell(i, j)}\n"
+        for j in (2, 0, 4, 1, 3) for i in reversed(range(len(INGEST_DATES)))))
+    for layout, path in (("wide", wide), ("long", long)):
+        raw = load_csv(path, layout)
+        for stage, table in (("raw", raw), ("standardized", standardize(raw, 0.2))):
+            provenance = {k: v for k, v in table.provenance.items() if k != "source"}
+            yield (f"ingest {layout} {stage} series={table.series_ids} "
+                   f"labels={table.time_labels} time={text(table.time_index)} "
+                   f"values={text(table.values)} mask={text(table.mask.astype(float))} "
+                   f"provenance={provenance!r}")
+        dataset = to_dataset(standardize(raw, 0.2))
+        yield f"ingest {layout} dataset t={text(dataset.t)} values={text(dataset.values)}"
+
+
 def records():
     import numpy as np
 
@@ -118,6 +156,8 @@ def records():
             grid = gcv_grid_search(dataset, LambdaGrid.from_exponents(range(-8, 5)),
                                    spec=spec, mode="fixed")
             yield from grid_lines(f"fixed-grid seed={seed}", grid)
+    with tempfile.TemporaryDirectory(prefix="same_outputs_ingest_") as work:
+        yield from ingest_lines(Path(work))
 
 
 FIELD = re.compile(r"(\w+)=(\[[^\]]*\](?:@\S+)?|\S+)")
